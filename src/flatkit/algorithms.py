@@ -34,7 +34,7 @@ from .errors import (
 )
 from .expr import Chart, Expr
 from .fields import CovectorField, VectorField, lie_bracket, pair
-from .sympoly import p_sqrt
+from .sympoly import Poly, p_const, p_div_exact, p_mul, p_sqrt, p_sub, p_var
 from .system import ControlAffineSystem, FlatVerdict, verify_flat_output
 
 __all__ = [
@@ -167,13 +167,33 @@ def _terminal_data(
 # --- the quadratic membership condition -------------------------------------------
 
 
+def _trig_sqrt(p: Poly, sin_to_cos: dict[int, int]) -> Optional[Poly]:
+    """Exact square root of a canonical polynomial, None if none is found.
+
+    Canonical forms rewrite sin^2 as 1 - cos^2, so (q*sin)^2 arrives as
+    (1 - cos^2)*q^2; that shape is tried for one sine factor.  Roots mixing
+    sine and sine-free terms, such as (a + b*sin)^2, are not found.
+    """
+    root = p_sqrt(p)
+    if root is not None:
+        return root
+    for si, ci in sin_to_cos.items():
+        q = p_div_exact(p, p_sub(p_const(1), p_mul(p_var(ci), p_var(ci))))
+        root = None if q is None else p_sqrt(q)
+        if root is not None:
+            return p_mul(root, p_var(si))
+    return None
+
+
 def _expr_sqrt(e: Expr) -> Optional[Expr]:
     """Exact square root in the expression field, None if not a square."""
-    num = p_sqrt(e.num)
-    den = p_sqrt(e.den)
-    if num is None or den is None:
+    # sqrt(num/den) = sqrt(num*den)/den.  One root of the product also covers
+    # a sine factor of den: den keeps a positive lead, so its factor 1 - cos^2
+    # arrives as cos^2 - 1 with the sign moved onto num
+    num = _trig_sqrt(p_mul(e.num, e.den), e.chart.sin_to_cos())
+    if num is None:
         return None
-    root = Expr(e.chart, num, den)
+    root = Expr(e.chart, num, e.den)
     # trig reduction may have rewritten the radicand; trust only a re-check
     if not (root * root - e).is_zero():
         return None

@@ -23,7 +23,7 @@ from flatkit import (
     span,
     sum_spans,
 )
-from flatkit.algorithms import _solve_membership
+from flatkit.algorithms import _expr_sqrt, _solve_membership
 from flatkit.errors import AssumptionViolationError
 from flatkit.fields import CovectorField, coordinate_field, zero_field
 
@@ -342,6 +342,35 @@ def test_membership_solver_paths():
     # rows with different roots only share the second direction
     sols = _solve_membership(chart, [(zero, one, zero), (one, one, zero)])
     assert [(a.render(), b.render()) for a, b in sols] == [("0", "1")]
+
+
+def test_expr_sqrt_finds_sine_factor():
+    chart = Chart(["theta", "z1"])
+    s, c, z1 = chart.parse("sin(theta)"), chart.parse("cos(theta)"), chart.sym("z1")
+    # canonical forms hold sin^2 as 1 - cos^2, so these squares show no sine
+    for root in (2 * s, z1 * s, s / (1 + z1 * z1), (z1 + c) / s):
+        square = root * root
+        found = _expr_sqrt(square)
+        assert found is not None and (found * found - square).is_zero()
+    assert _expr_sqrt(1 - c) is None
+    assert _expr_sqrt(z1 * (1 - c * c)) is None
+
+
+def test_refined_vtol_sine_root_after_adding_g1_to_g2(vtol):
+    """g2 <- g2 + g1 makes the Lemma-1 discriminant 4 - 4 cos(theta)^2, the
+    square of 2 sin(theta): both steps stay C-i and the Huygens output is found."""
+    sys = as_system(vtol, "vtol")
+    one, zero = sys.chart.one, sys.chart.zero
+    fed = apply_static_feedback(sys, (zero, zero), ((one, one), (zero, one)))
+    tree = run_algorithm2(fed)
+    assert [b.tags for b in tree.branches] == [("A", "C-i", "A")] * 2
+    passed = [
+        [h.render() for h in pair.functions]
+        for leaf in extract_candidates(tree)
+        for pair in leaf.pairs
+        if pair.passed
+    ]
+    assert passed == [["-eps*sin(theta) + x", "eps*cos(theta) + z"]]
 
 
 # --- the characteristic direction in triangular coordinates ------------------------

@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flatkit import sympoly
 from flatkit.sympoly import (
+    _to_zz,
+    _zheu,
     p_add,
     p_const,
     p_diff,
@@ -15,6 +23,7 @@ from flatkit.sympoly import (
     p_lcm,
     p_mul,
     p_pow,
+    p_primitive,
     p_sqrt,
     p_sub,
     p_total_degree,
@@ -90,6 +99,134 @@ def test_gcd_coprime():
     x, y = p_var(0), p_var(1)
     g = p_gcd(p_add(x, p_const(1)), p_add(y, p_const(2)))
     assert g == p_const(1)
+
+
+def _poly(text: str):
+    """Terms split by ';', each 'coefficient gen^exp gen ...' with generator
+    numbers, e.g. '2/3 0^5 7; -1' is 2/3*x0^5*x7 - 1."""
+    out = p_const(0)
+    for term in text.split(";"):
+        coeff, *factors = term.split()
+        t = p_const(Fraction(coeff))
+        for f in factors:
+            gen, _, exp = f.partition("^")
+            t = p_mul(t, p_pow(p_var(int(gen)), int(exp or 1)))
+        out = p_add(out, t)
+    return out
+
+
+def _prs_gcd(a, b):
+    """p_gcd with the heuristic switched off: the subresultant PRS alone."""
+    with mock.patch.object(sympoly, "_zheu", lambda a, b: None):
+        return p_gcd(a, b)
+
+
+# the slowest gcds of two verify questions, generators renumbered densely:
+# coprime operands in 10 jet generators (VTOL prolonged by (2, 2), output
+# x - eps*sin(theta), z + eps*cos(theta)), and (c^2 - 1)^4 against a 27-term
+# numerator with the factor c^2 - 1, c = cos(theta) = x8 (VTOL, rejected
+# pair theta, x*cos(theta)/sin(theta) + z)
+_COPRIME_A = (
+    "2/3 0^5 7 8 9^2; -5 0^3 3 7 9^3; -2/3 0^3 1 8 9^2; 1/3 0^2 4 7 8 9^2; "
+    "2 0 3^2 7 8 9^2; 2 0^2 2 9^3; 1 0 1 3 9^3; -1/3 1 4 8 9^2; -1 2 3 8 9^2; "
+    "2 0 5 9^2; -1/3 6 8 9; -1 0 5"
+)
+_COPRIME_B = (
+    "10/3 0^4 7 9^3; 15 0^2 3 7 8 9^2; -10/3 0^4 7 9; -2 0^2 1 9^3; "
+    "2/3 0 4 7 9^3; 2 3^2 7 9^3; -10 0^2 3 7 8; -4 0 2 8 9^2; -1 1 3 8 9^2; "
+    "2 0^2 1 9; -2/3 0 4 7 9; -2 3^2 7 9; 2 0 2 8; -1 5 8 9"
+)
+_CIRCLE_NUM = (
+    "-8 0 2^3 7 8^5; 3 2 3 6 7 8^6; -12 0 2 3 8^6; -12 1 2^2 8^6; 2 2 5 8^7; "
+    "1 4 6 8^7; -8 0 2^3 7 8^3; 2 0 4 7 8^5; 6 1 3 7 8^5; -3 2 3 6 7 8^4; "
+    "18 0 2 3 8^4; 18 1 2^2 8^4; -6 2 5 8^5; -3 4 6 8^5; 16 0 2^3 7 8; "
+    "-4 0 4 7 8^3; -12 1 3 7 8^3; -3 2 3 6 7 8^2; 6 2 5 8^3; 3 4 6 8^3; "
+    "2 0 4 7 8; 6 1 3 7 8; 3 2 3 6 7; -6 0 2 3; -6 1 2^2; -2 2 5 8; -1 4 6 8"
+)
+
+
+@pytest.mark.parametrize(
+    "a, b, gcd",
+    [
+        (_COPRIME_A, _COPRIME_B, "1"),
+        (_CIRCLE_NUM, "1 8^8; -4 8^6; 6 8^4; -4 8^2; 1", "1 8^2; -1"),
+        # 2(x - 5)(2x^2 - 1), (x - 5)(4x^2 - 5): an evaluation point below the
+        # bound 2*min(|a|, |b|) + 2 yields the false candidate 1
+        ("4 0^3; -20 0^2; -2 0; 10", "4 0^3; -20 0^2; -5 0; 25", "1 0; -5"),
+        # 2(x^2 + 2)(3x + 5), -2(x^2 + 2)(2x^2 - 5x + 3): a candidate checked
+        # against a alone can be a/2, which does not divide b
+        ("6 0^3; 10 0^2; 12 0; 20", "-4 0^4; 10 0^3; -14 0^2; 20 0; -12", "1 0^2; 2"),
+    ],
+)
+def test_gcd_heuristic_answers(a, b, gcd):
+    a, b, gcd = _poly(a), _poly(b), _poly(gcd)
+    assert p_gcd(a, b) == gcd
+    # the heuristic answers these itself, without the PRS fallback
+    assert _zheu(_to_zz(a), _to_zz(b)) == _to_zz(gcd)
+
+
+def test_gcd_falls_back_to_prs_past_the_cost_cap():
+    x, y = p_var(0), p_var(1)
+    big = p_const(1 << sympoly._HEU_MAX_BITS)
+    common = p_add(p_mul(x, y), big)
+    a = p_mul(common, p_add(x, p_const(3)))
+    b = p_mul(common, p_sub(p_mul(y, y), big))
+    assert _zheu(_to_zz(a), _to_zz(b)) is None
+    assert p_gcd(a, b) == common
+    assert _prs_gcd(a, b) == common
+
+
+def test_gcd_matches_sympy_random():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x0:5")
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(
+            {m + (0,) * (5 - len(m)): sympy.Rational(c.numerator, c.denominator)
+             for m, c in p.items()},
+            gens, domain="QQ",
+        )
+
+    def from_sympy(p):
+        return p_primitive(
+            {sympoly._trim(m): Fraction(int(c.p), int(c.q)) for m, c in p.terms()}
+        )
+
+    rng = random.Random(23)
+    for _ in range(40):
+        nvars = rng.randint(2, 5)
+        g = rand_poly(rng, nvars=nvars, terms=rng.randint(1, 3), deg=2)
+        a = p_mul(g, rand_poly(rng, nvars=nvars, terms=3, deg=2))
+        b = p_mul(g, rand_poly(rng, nvars=nvars, terms=3, deg=2))
+        if p_is_zero(a) or p_is_zero(b):
+            continue
+        assert p_gcd(a, b) == from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)))
+
+
+def _from_terms(terms):
+    out = p_const(0)
+    for c, exps in terms:
+        out = p_add(out, p_mul(p_const(c), {sympoly._trim(exps): Fraction(1)}))
+    return out
+
+
+_polys = st.lists(
+    st.tuples(
+        st.fractions(min_value=-20, max_value=20, max_denominator=6),
+        st.tuples(*[st.integers(0, 3)] * 3),
+    ),
+    max_size=4,
+).map(_from_terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys, _polys, _polys)
+def test_gcd_heuristic_agrees_with_prs(a, b, c):
+    a, b = p_mul(a, c), p_mul(b, c)
+    g = p_gcd(a, b)
+    assert g == _prs_gcd(a, b)
+    if not p_is_zero(c):
+        assert p_div_exact(g, p_primitive(c)) is not None
 
 
 def test_lcm():
