@@ -33,7 +33,7 @@ from .errors import (
     UnboundedRelativeDegreeError,
 )
 from .expr import Chart, Expr
-from .fields import CovectorField, VectorField, lie_bracket, pair
+from .fields import CovectorField, VectorField, fields_matrix, lie_bracket, pair
 from .sympoly import Poly, p_const, p_div_exact, p_mul, p_sqrt, p_sub, p_var
 from .system import ControlAffineSystem, FlatVerdict, verify_flat_output
 
@@ -133,21 +133,16 @@ def _complement_pair(
     d0: Distribution, d1: Distribution
 ) -> Optional[tuple[VectorField, VectorField]]:
     """Two generators extending d0 to d1 (None unless exactly two are needed)."""
-    engine = d1.engine
-    rows = [list(b.components) for b in d0.basis()]
-    rank = d0.rank
-    picked: list[VectorField] = []
-    for field in d1.basis():
-        rows.append(list(field.components))
-        grown = engine.rank(rows, d1.chart)
-        if grown > rank:
-            picked.append(field)
-            rank = grown
-        else:
-            rows.pop()
-        if rank == d1.rank:
-            break
-    if len(picked) != 2 or rank != d1.rank:
+    if d1.rank - d0.rank != 2:
+        return None
+    low, high = d0.basis(), d1.basis()
+    rows = fields_matrix(low + high)
+    picked = [
+        high[i - len(low)]
+        for i in d1.engine.independent_rows(rows, d1.chart)
+        if i >= len(low)
+    ]
+    if len(picked) < 2:
         return None
     return picked[0], picked[1]
 

@@ -14,6 +14,7 @@ from .errors import (
     ChartMismatchError,
     NotIntegrableError,
     RankDisagreementError,
+    ZeroDenominatorError,
 )
 from .expr import (
     Chart,
@@ -59,7 +60,7 @@ class Distribution:
     @property
     def rank(self) -> int:
         if self._rank is None:
-            self._rank = self.engine.rank(fields_matrix(self.fields), self.chart)
+            self.basis()
         return self._rank
 
     @property
@@ -70,22 +71,16 @@ class Distribution:
         return not self.fields
 
     def basis(self) -> tuple[VectorField, ...]:
-        """A subset of the generators realizing the rank."""
+        """The greedy subset of the generators realizing the rank."""
         if self._basis is None:
-            chosen: list[VectorField] = []
-            rows: list[list[Expr]] = []
-            r = 0
-            for f in self.fields:
-                rows.append(list(f.components))
-                nr = self.engine.rank(rows, self.chart)
-                if nr > r:
-                    chosen.append(f)
-                    r = nr
-                else:
-                    rows.pop()
-                if r == self.rank:
-                    break
-            self._basis = tuple(chosen)
+            picked = self.engine.independent_rows(fields_matrix(self.fields), self.chart)
+            if self._rank is None:
+                self._rank = len(picked)
+            elif self._rank != len(picked):
+                raise RankDisagreementError(
+                    f"sampled rank {len(picked)} != exact rank {self._rank}"
+                )
+            self._basis = tuple(self.fields[i] for i in picked)
         return self._basis
 
     def annihilator(self) -> "Codistribution":
@@ -326,10 +321,6 @@ class Codistribution:
         return out
 
 
-def annihilator_of(fields: Sequence[VectorField], chart: Chart, engine: RankEngine) -> Codistribution:
-    return Distribution(chart, fields, engine).annihilator()
-
-
 def intersect_with_coordinates(
     q: Codistribution, names: Sequence[str]
 ) -> Codistribution:
@@ -462,6 +453,8 @@ def _integrate_row(
             if prim is None:
                 return None
             h = h + prim - substitute(prim, {name: chart.const(0)})
-    except Exception:
+    except ZeroDenominatorError:
+        # Freezing later coordinates at zero can land on a pole of the
+        # integrand: path integration from the origin is undefined there.
         return None
     return h if not h.is_zero() else None

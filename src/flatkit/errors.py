@@ -48,6 +48,15 @@ class SampleExhaustedError(FlatkitError):
     """Raised when no admissible sample point is found within the try budget."""
 
 
+class PrimeDenominatorError(FlatkitError):
+    """A coefficient has no residue modulo the sampling prime."""
+
+    def __init__(self, coefficient) -> None:
+        super().__init__(
+            f"coefficient {coefficient} has a denominator divisible by 2^61 - 1"
+        )
+
+
 class RankDisagreementError(FlatkitError):
     """Sampled rank and exact elimination disagree; the analysis must abort."""
 

@@ -13,7 +13,6 @@ derivatives but no algebraic relations.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
@@ -104,7 +103,6 @@ class Chart:
         self._sin_to_cos: dict[int, int] = {}
         self._deriv_cache: dict[tuple[int, str], "Expr"] = {}
         self._coord_dep: dict[int, bool] = {}
-        self._lock = threading.RLock()
         self._zero = Expr(self, p_const(0), p_const(1), _raw=True)
         self._one = Expr(self, p_const(1), p_const(1), _raw=True)
 
@@ -142,8 +140,7 @@ class Chart:
     # -- generator registry ------------------------------------------------
 
     def gens(self) -> tuple[GenInfo, ...]:
-        with self._lock:
-            return tuple(self._gens)
+        return tuple(self._gens)
 
     def gen_info(self, index: int) -> GenInfo:
         return self._gens[index]
@@ -157,26 +154,24 @@ class Chart:
             raise UnknownSymbolError(angle)
         skey = f"sin({angle})"
         ckey = f"cos({angle})"
-        with self._lock:
-            if skey not in self._index:
-                self._gens.append(GenInfo(skey, "sin", base=angle))
-                self._index[skey] = len(self._gens) - 1
-                self._gens.append(GenInfo(ckey, "cos", base=angle))
-                self._index[ckey] = len(self._gens) - 1
-                self._sin_to_cos = dict(self._sin_to_cos)
-                self._sin_to_cos[self._index[skey]] = self._index[ckey]
-            return self._index[skey], self._index[ckey]
+        if skey not in self._index:
+            self._gens.append(GenInfo(skey, "sin", base=angle))
+            self._index[skey] = len(self._gens) - 1
+            self._gens.append(GenInfo(ckey, "cos", base=angle))
+            self._index[ckey] = len(self._gens) - 1
+            self._sin_to_cos = dict(self._sin_to_cos)
+            self._sin_to_cos[self._index[skey]] = self._index[ckey]
+        return self._index[skey], self._index[ckey]
 
     def opaque(self, func: str, arg: "Expr") -> int:
         """Generator index of an opaque function application."""
         if arg.chart is not self:
             raise ChartMismatchError("opaque argument from another chart")
         key = f"{func}({arg.render()})"
-        with self._lock:
-            if key not in self._index:
-                self._gens.append(GenInfo(key, "opaque", func=func, arg=arg))
-                self._index[key] = len(self._gens) - 1
-            return self._index[key]
+        if key not in self._index:
+            self._gens.append(GenInfo(key, "opaque", func=func, arg=arg))
+            self._index[key] = len(self._gens) - 1
+        return self._index[key]
 
     def _gen_expr(self, index: int) -> "Expr":
         return Expr(self, p_var(index), p_const(1), _raw=True)

@@ -1,20 +1,27 @@
-"""Exact linear algebra over the rational-function field, plus sampled ranks.
+"""Exact linear algebra over the rational-function field, plus generic ranks.
 
-Rank decisions feed integrability verdicts, so they are never left to chance
-alone: nullspaces are always exact, and each `RankEngine` cross-checks its
-first sampled rank against an exact elimination and aborts on disagreement.
+Nullspaces, echelon forms and `exact_rank` are exact.  `RankEngine` finds
+generic ranks, and the greedy independent rows behind them, by evaluating a
+matrix at random points of the prime field F_p, p = 2^61 - 1 (see `sample`).
+A modular rank can only fall below the generic rank, never exceed it, and by
+the Schwartz-Zippel lemma one point misses with probability at most D/p for
+a nonzero minor of degree D.  Rank decisions feed integrability verdicts, so
+they are never left to chance alone: each engine cross-checks its first
+sampled rank against an exact elimination, and the exact annihilators and
+coannihilators cross-check every rank they are built for.
+`rank_at_point` is the exact rational counterpart, kept as a reference.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ChartMismatchError, RankDisagreementError
+from .errors import RankDisagreementError
 from .expr import Chart, Expr, eval_at, transfer
-from .sample import SamplePoint, draw_admissible
+from .sample import PRIME, SamplePoint, draw_residues
 from . import sympoly
 
 Matrix = list[list[Expr]]
@@ -225,21 +232,42 @@ def rank_at_point(matrix: Matrix, point: SamplePoint) -> int:
     return rank
 
 
-class RankEngine:
-    """Generic (maximal) rank of symbolic matrices via seeded sampling.
+def _prefix_ranks(rows: list[list[int]]) -> list[int]:
+    """Ranks mod PRIME of rows[:1], rows[:2], ... by one forward elimination."""
+    pivots: list[tuple[int, list[int]]] = []
+    out: list[int] = []
+    for row in rows:
+        for col, prow in pivots:
+            f = row[col]
+            if f:
+                row = [(a - f * b) % PRIME for a, b in zip(row, prow)]
+        for col, v in enumerate(row):
+            if v:
+                inv = pow(v, -1, PRIME)
+                pivots.append((col, [a * inv % PRIME for a in row]))
+                break
+        out.append(len(pivots))
+    return out
 
-    The generic rank is realized at almost every point, so the maximum over a
-    few admissible random points equals it with overwhelming probability.  The
-    first sampled verdict per engine is cross-checked against an exact
-    elimination; a mismatch means the sampling scheme itself is broken for
-    this problem and the analysis must not continue on silent guesses.
+
+class RankEngine:
+    """Generic ranks of symbolic matrices from seeded points in F_p.
+
+    Each call evaluates every entry once at each of `points` fresh
+    admissible points and takes, prefix by prefix, the largest rank seen:
+    modular ranks never exceed generic ones, so the maximum is the generic
+    rank unless every point hit a vanishing minor of that prefix (for a
+    minor of degree D, probability at most (D/p)^points).  The first
+    verdict per engine is cross-checked against an exact elimination; a
+    mismatch means the sampling scheme itself is broken for this problem and
+    the analysis must not continue on silent guesses.
     """
 
     def __init__(
         self,
         seed: int = 0,
         constraints: Sequence[Expr] = (),
-        points: int = 5,
+        points: int = 2,
         crosscheck: bool = True,
     ) -> None:
         self.seed = seed
@@ -257,26 +285,36 @@ class RankEngine:
             self._constraint_cache[key] = got
         return got
 
-    def draw(self, chart: Chart, exprs: Sequence[Expr]) -> SamplePoint:
-        return draw_admissible(chart, self.rng, exprs, self.constraints_on(chart))
+    def draw(self, chart: Chart, exprs: Sequence[Expr]) -> list[int]:
+        """Residues of `exprs` at one admissible point of the chart."""
+        return draw_residues(chart, self.rng, exprs, self.constraints_on(chart))
 
-    def rank(self, matrix: Matrix, chart: Chart) -> int:
-        if not matrix:
-            return 0
+    def independent_rows(self, matrix: Matrix, chart: Chart) -> list[int]:
+        """Indices of the greedy independent rows: row i is taken iff it
+        raises the generic rank of the rows before it.  Their number is the
+        generic rank of the matrix."""
+        m = len(matrix)
         if all(e.is_zero() for row in matrix for e in row):
-            return 0
-        flat = [e for row in matrix for e in row if not e.is_zero()]
-        best = 0
+            return []
+        n = len(matrix[0])
+        full = min(m, n)
+        flat = [e for row in matrix for e in row]
+        best = [0] * m
         for _ in range(self.points):
-            point = self.draw(chart, flat)
-            r = rank_at_point(matrix, point)
-            if r > best:
-                best = r
+            values = self.draw(chart, flat)
+            ranks = _prefix_ranks([values[i * n:(i + 1) * n] for i in range(m)])
+            best = [max(a, b) for a, b in zip(best, ranks)]
+            if best[full - 1] == full:
+                break  # the first min(m, n) rows are independent: no point can do better
+        picked = [i for i in range(m) if best[i] > (best[i - 1] if i else 0)]
         if not self._crosschecked:
             self._crosschecked = True
             exact = exact_rank(matrix, chart)
-            if exact != best:
+            if exact != len(picked):
                 raise RankDisagreementError(
-                    f"sampled rank {best} != exact rank {exact}"
+                    f"sampled rank {len(picked)} != exact rank {exact}"
                 )
-        return best
+        return picked
+
+    def rank(self, matrix: Matrix, chart: Chart) -> int:
+        return len(self.independent_rows(matrix, chart))

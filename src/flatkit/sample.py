@@ -1,12 +1,22 @@
-"""Seeded rational sample points for generic-position evaluation.
+"""Seeded sample points for generic-position evaluation.
 
-Base symbols receive random rationals with numerator and denominator bounded
-by 997.  The sin/cos pair of an angle receives a rational point on the unit
-circle through the tangent half-angle parameterization, so the circle relation
-holds exactly while staying independent of the angle's own base value.
-Opaque generators receive independent nonzero rationals; decisions that rely
-on them carry declared-confidence semantics rather than field-theoretic
-exactness.
+The rank engine evaluates in the prime field F_p, p = PRIME = 2^61 - 1.  A
+point gives every base and opaque generator an independent nonzero residue
+and the sin/cos pair of an angle the half-angle point
+(2t, 1 - t^2) / (1 + t^2), so sin^2 + cos^2 = 1 holds mod p; since
+p = 3 mod 4, 1 + t^2 never vanishes.  Coefficients reduce as
+num * den^-1 mod p.  A point where a denominator or a constraint vanishes
+mod p is redrawn.  By the Schwartz-Zippel lemma (Schwartz 1980; Zippel
+1979) a nonzero polynomial of degree D vanishes at such a point with
+probability at most D/p.  So a rank read off a modular point can only be
+too low, never too high, and it is too low with probability at most D/p
+when D is the degree of a nonvanishing maximal minor.
+
+`SamplePoint`, `draw_point` and `draw_admissible` are the exact rational
+counterpart: base symbols receive random rationals with numerator and
+denominator bounded by 997, angles a rational point on the unit circle
+through the same half-angle parameterization, opaque generators independent
+nonzero rationals.  They serve as the reference evaluation in tests.
 """
 
 from __future__ import annotations
@@ -14,11 +24,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional, Sequence
 
-from .errors import PoleError, SampleExhaustedError, StaleSamplePointError
+from .errors import (
+    PoleError,
+    PrimeDenominatorError,
+    SampleExhaustedError,
+    StaleSamplePointError,
+)
 from .expr import Chart, Expr, eval_at
+from .sympoly import Poly
 
 _BOUND = 997
+
+PRIME = (1 << 61) - 1
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -101,6 +120,87 @@ def draw_admissible(
         except (PoleError, StaleSamplePointError):
             continue
         return point
+    raise SampleExhaustedError(
+        f"no admissible sample point within {tries} tries on chart "
+        f"({', '.join(chart.coordinates)})"
+    )
+
+
+# -- evaluation in F_p ---------------------------------------------------------
+
+
+def _residue(c: Fraction) -> int:
+    """c mod PRIME; raises PrimeDenominatorError when PRIME divides its denominator."""
+    den = c.denominator
+    if den == 1:
+        return c.numerator % PRIME
+    if den % PRIME == 0:
+        raise PrimeDenominatorError(c)
+    return c.numerator * pow(den, -1, PRIME) % PRIME
+
+
+def _poly_residue(poly: Poly, values: Sequence[int]) -> int:
+    total = 0
+    for m, c in poly.items():
+        term = _residue(c)
+        for i, e in enumerate(m):
+            if e:
+                term = term * (values[i] if e == 1 else pow(values[i], e, PRIME)) % PRIME
+        total += term
+    return total % PRIME
+
+
+def _expr_residue(e: Expr, values: Sequence[int]) -> Optional[int]:
+    """e mod PRIME at the residues `values` of its chart's generators, or
+    None when its denominator vanishes there."""
+    num = _poly_residue(e.num, values)
+    den = _poly_residue(e.den, values)
+    if den == 1:
+        return num
+    if den == 0:
+        return None
+    return num * pow(den, -1, PRIME) % PRIME
+
+
+def modular_point(chart: Chart, rng: random.Random) -> list[int]:
+    """Residues for every generator of the chart, circle relation included."""
+    values: list[int] = []
+    circle: dict[str, tuple[int, int]] = {}
+    for info in chart.gens():
+        if info.kind in ("sin", "cos"):
+            if info.base not in circle:
+                # t avoids 0 and +-1, so that neither coordinate vanishes.
+                t = rng.randrange(2, PRIME - 1)
+                inv = pow(1 + t * t, -1, PRIME)
+                circle[info.base] = (2 * t * inv % PRIME, (1 - t * t) * inv % PRIME)
+            s, c = circle[info.base]
+            values.append(s if info.kind == "sin" else c)
+        else:
+            values.append(rng.randrange(1, PRIME))
+    return values
+
+
+def draw_residues(
+    chart: Chart,
+    rng: random.Random,
+    exprs: Sequence[Expr],
+    constraints: Sequence[Expr] = (),
+    tries: int = 60,
+) -> list[int]:
+    """The residues of `exprs` at one point where none of them has a pole and
+    no constraint vanishes; each expression is evaluated once per point."""
+    for _ in range(tries):
+        values = modular_point(chart, rng)
+        if not all(_expr_residue(g, values) for g in constraints):
+            continue
+        out: list[int] = []
+        for e in exprs:
+            r = _expr_residue(e, values)
+            if r is None:
+                break
+            out.append(r)
+        else:
+            return out
     raise SampleExhaustedError(
         f"no admissible sample point within {tries} tries on chart "
         f"({', '.join(chart.coordinates)})"

@@ -378,10 +378,12 @@ def verify_flat_output(sys: ControlAffineSystem, phi: PhiPair) -> FlatVerdict:
     lad1 = _derivative_ladder(ch, total, cand.phi1, cand.R[0] - 1)
     lad2 = _derivative_ladder(ch, total, cand.phi2, cand.R[1] - 1)
     covs = [differential(e) for e in lad1 + lad2]
-    stacked_rank = sys.engine.rank(covectors_matrix(covs), ch)
     state_covs = [differential(ch.sym(name)) for name in sys.states]
-    joint_rank = sys.engine.rank(covectors_matrix(covs + state_covs), ch)
-    spans_states = joint_rank == stacked_rank
+    # Greedy rows of [covs; state covs]: those among covs span covs, and no
+    # state row is taken iff span{dx} lies in span{covs}.
+    picked = sys.engine.independent_rows(covectors_matrix(covs + state_covs), ch)
+    stacked_rank = sum(1 for i in picked if i < len(covs))
+    spans_states = stacked_rank == len(picked)
     required = sys.n + cand.d
     return FlatVerdict(
         spans_states and stacked_rank == required,

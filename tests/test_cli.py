@@ -166,6 +166,22 @@ def test_analyze_report_determinism(tmp_path, capsys):
     assert json.loads(first.read_text())["seed"] == 5
 
 
+@pytest.mark.parametrize(
+    "model, extra",
+    [("example1", ("--max-prolong", "2")), ("example3", ()), ("vtol", ())],
+    ids=["example1", "example3", "vtol"],
+)
+def test_analyze_report_is_seed_invariant(capsys, model, extra):
+    reports = []
+    for seed in range(8):
+        code, report, _ = run_cli(
+            capsys, "analyze", str(MODELS / f"{model}.json"), "--seed", str(seed), *extra
+        )
+        assert report.pop("seed") == seed
+        reports.append((code, report))
+    assert all(r == reports[0] for r in reports[1:])
+
+
 # --- verify -----------------------------------------------------------------------
 
 

@@ -28,7 +28,8 @@ from flatkit import (
     sum_spans,
 )
 from flatkit import VectorField
-from flatkit.errors import NotIntegrableError
+from flatkit import distributions
+from flatkit.errors import NotIntegrableError, ZeroDenominatorError
 
 from conftest import random_polynomial
 
@@ -381,3 +382,30 @@ def test_first_integrals_reports_shortfall():
     assert result.rank == 1
     assert result.shortfall == 1
     assert not result.complete()
+
+
+def test_first_integrals_pole_on_the_path_is_a_shortfall(monkeypatch):
+    # A pole met while freezing coordinates at zero blocks path integration
+    # by design; the row counts as a shortfall.
+    chart = Chart(["x", "y"])
+    q = Codistribution(chart, (differential(parse(chart, "x + y")),), RankEngine(seed=4))
+
+    def pole(*args):
+        raise ZeroDenominatorError("denominator is identically zero")
+
+    monkeypatch.setattr(distributions, "antiderivative", pole)
+    result = first_integrals(q)
+    assert result.functions == [] and result.shortfall == 1
+
+
+def test_first_integrals_unexpected_error_propagates(monkeypatch):
+    chart = Chart(["x", "y"])
+    q = Codistribution(chart, (differential(parse(chart, "x + y")),), RankEngine(seed=4))
+    assert first_integrals(q).complete()
+
+    def broken(*args):
+        raise RuntimeError("bug in the integrator")
+
+    monkeypatch.setattr(distributions, "antiderivative", broken)
+    with pytest.raises(RuntimeError, match="bug in the integrator"):
+        first_integrals(q)

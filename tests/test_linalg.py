@@ -1,4 +1,4 @@
-"""Fraction-free elimination, nullspaces, and the sampling rank engine."""
+"""Fraction-free elimination, nullspaces, and the modular rank engine."""
 
 from __future__ import annotations
 
@@ -6,10 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatkit import Chart, RankEngine, exact_rank, rank_at_point, right_nullspace
+from flatkit.errors import PrimeDenominatorError, SampleExhaustedError
 from flatkit.linalg import echelon, left_nullspace, normalize_vector
-from flatkit.sample import draw_admissible, draw_point
+from flatkit.sample import PRIME, draw_admissible, draw_residues, modular_point
 
 from conftest import random_polynomial
 
@@ -156,10 +159,8 @@ def test_rank_engine_respects_constraints():
     chart = Chart(["a"], parameters=["p"])
     engine = RankEngine(seed=5, constraints=(chart.sym("p"),))
     for _ in range(10):
-        point = engine.draw(chart, [chart.sym("p")])
-        from flatkit import eval_at
-
-        assert eval_at(chart.sym("p"), point) != 0
+        (value,) = engine.draw(chart, [chart.sym("p")])
+        assert value != 0
 
 
 def test_rank_of_zero_and_empty_matrices():
@@ -182,3 +183,168 @@ def test_rank_at_point_on_rational_entries():
     rng = random.Random(9)
     point = draw_admissible(chart, rng, [e for row in m for e in row], ())
     assert rank_at_point(m, point) == 1
+
+
+# --- the modular engine against exact references ---------------------------------
+
+# Building blocks of random entries: rational functions in a, b and the
+# circle pair of t.
+ATOMS = (
+    "1",
+    "a",
+    "b",
+    "a*b - 2",
+    "sin(t)",
+    "cos(t)",
+    "a*cos(t)",
+    "b*sin(t) + 1",
+    "1/(1 + a^2)",
+    "sin(t)/(b + 3)",
+    "cos(t)/(a - b + 5)",
+)
+
+
+@st.composite
+def structured_matrices(draw):
+    """Left factor times right factor, each entry an integer or an atom
+    product.  The generic rank is at most the inner size, and function
+    multipliers make rows depend on each other only through the field's
+    relations, the circle relation included."""
+    entry = st.one_of(
+        st.integers(-2, 2).map(str),
+        st.tuples(st.sampled_from(ATOMS), st.sampled_from(ATOMS)).map(
+            lambda pair: f"({pair[0]})*({pair[1]})"
+        ),
+    )
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 3))
+    inner = draw(st.integers(0, min(rows, cols)))
+    left = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
+    right = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+    return left, right
+
+
+def build_matrix(chart, left, right):
+    cols = len(right[0]) if right else 1
+    out = []
+    for lrow in left:
+        row = []
+        for j in range(cols):
+            acc = chart.zero
+            for k, coef in enumerate(lrow):
+                acc = acc + chart.parse(right[k][j]) * chart.parse(coef)
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def sympy_rank(matrix):
+    """Rank over Q(a, b, t, u) after sin(t), cos(t) -> the rational circle
+    parameterization in u, a field isomorphic to the one flatkit uses."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    a, b, t, u = sympy.symbols("a b t u")
+    circle = {
+        sympy.sin(t): 2 * u / (1 + u**2),
+        sympy.cos(t): (1 - u**2) / (1 + u**2),
+    }
+    names = {"a": a, "b": b, "t": t}
+    rows = [
+        [
+            sympy.sympify(e.render().replace("^", "**"), locals=names).subs(circle)
+            for e in row
+        ]
+        for row in matrix
+    ]
+    return DomainMatrix.from_Matrix(sympy.Matrix(rows)).rank()
+
+
+def exact_greedy(matrix, chart):
+    chosen: list[int] = []
+    for i, row in enumerate(matrix):
+        if exact_rank([matrix[k] for k in chosen] + [row], chart) > len(chosen):
+            chosen.append(i)
+    return chosen
+
+
+@settings(max_examples=25, deadline=None)
+@given(structured_matrices(), st.integers(0, 2**32))
+def test_modular_rank_matches_exact_and_sympy(factors, seed):
+    chart = Chart(["a", "b", "t"])
+    matrix = build_matrix(chart, *factors)
+    engine = RankEngine(seed=seed, crosscheck=False)
+    exact = exact_rank(matrix, chart)
+    assert engine.rank(matrix, chart) == exact
+    assert sympy_rank(matrix) == exact
+
+
+@settings(max_examples=20, deadline=None)
+@given(structured_matrices(), st.integers(0, 2**32))
+def test_modular_greedy_rows_match_exact_greedy(factors, seed):
+    chart = Chart(["a", "b", "t"])
+    matrix = build_matrix(chart, *factors)
+    engine = RankEngine(seed=seed, crosscheck=False)
+    assert engine.independent_rows(matrix, chart) == exact_greedy(matrix, chart)
+
+
+def test_greedy_rows_skip_rows_that_only_look_independent():
+    # (a, 0) vanishes at a = 0, where (1, 0) would be taken instead; the
+    # generic greedy choice keeps row 0 and skips row 1.
+    chart = Chart(["a"])
+    a = chart.sym("a")
+    m = [[a, chart.zero], [chart.one, chart.zero], [chart.zero, chart.one]]
+    for seed in range(5):
+        assert RankEngine(seed=seed).independent_rows(m, chart) == [0, 2]
+
+
+def test_circle_residues_satisfy_circle_relation():
+    chart = Chart(["t", "w"])
+    si, ci = chart.trig_pair("t")
+    sj, cj = chart.trig_pair("w")
+    rng = random.Random(3)
+    for _ in range(50):
+        values = modular_point(chart, rng)
+        for s_idx, c_idx in ((si, ci), (sj, cj)):
+            s, c = values[s_idx], values[c_idx]
+            assert (s * s + c * c) % PRIME == 1
+            assert s and c
+        assert all(0 < v < PRIME for v in values)
+
+
+def test_rank_sees_the_circle_relation():
+    # The rows are dependent only through sin^2 + cos^2 = 1.
+    chart = Chart(["t"])
+    m = [
+        [chart.parse("sin(t)"), chart.parse("1 - cos(t)")],
+        [chart.parse("1 + cos(t)"), chart.parse("sin(t)")],
+    ]
+    assert exact_rank(m, chart) == 1
+    for seed in range(5):
+        assert RankEngine(seed=seed, crosscheck=False).rank(m, chart) == 1
+
+
+def test_coefficient_with_prime_denominator_is_a_named_error():
+    chart = Chart(["a", "b"])
+    a = chart.sym("a")
+    (value,) = draw_residues(chart, random.Random(2), [a * Fraction(3, 7)])
+    (base,) = draw_residues(chart, random.Random(2), [a])
+    assert value * 7 % PRIME == base * 3 % PRIME
+    m = [[a * Fraction(1, PRIME), chart.sym("b")]]
+    with pytest.raises(PrimeDenominatorError):
+        RankEngine(seed=0).rank(m, chart)
+
+
+def test_constraints_vanishing_mod_p_force_a_redraw():
+    chart = Chart(["a"])
+    a = chart.sym("a")
+    ahead = random.Random(8)
+    first = modular_point(chart, ahead)[0]
+    second = modular_point(chart, ahead)[0]
+    # a - first vanishes mod p at the first point only, so that point is
+    # redrawn; the same holds for a pole of an evaluated entry.
+    assert draw_residues(chart, random.Random(8), [a], [a - first]) == [second]
+    assert draw_residues(chart, random.Random(8), [a, 1 / (a - first)])[0] == second
+    # PRIME * a vanishes mod p everywhere: no admissible point exists.
+    with pytest.raises(SampleExhaustedError):
+        draw_residues(chart, random.Random(8), [a], [a * PRIME], tries=5)
