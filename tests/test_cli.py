@@ -4,17 +4,19 @@ determinism on the bundled example models."""
 from __future__ import annotations
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from flatkit import build_system, load_model, model_output, prolonged_model
+from flatkit import build_system, load_model, model_output, prolonged_model, save_model
 from flatkit.cli import main
 from flatkit.errors import ModelFileError
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, dict, str]:
@@ -36,6 +38,15 @@ STALL_MODEL = {
     "drift": ["0", "0", "0"],
     "g1": ["1", "0", "0"],
     "g2": ["0", "1", "0"],
+}
+
+DECOUPLED_MODEL = {
+    "name": "decoupled",
+    "states": ["x1", "x2", "x3"],
+    "inputs": ["u1", "u2"],
+    "drift": ["x1", "0", "0"],
+    "g1": ["0", "1", "0"],
+    "g2": ["0", "0", "1"],
 }
 
 
@@ -228,15 +239,7 @@ def test_verify_rejected_candidate(capsys):
 
 
 def test_verify_unbounded_degree_is_negative_verdict(tmp_path, capsys):
-    model = {
-        "name": "decoupled",
-        "states": ["x1", "x2", "x3"],
-        "inputs": ["u1", "u2"],
-        "drift": ["x1", "0", "0"],
-        "g1": ["0", "1", "0"],
-        "g2": ["0", "0", "1"],
-    }
-    path = write_model(tmp_path, "decoupled", model)
+    path = write_model(tmp_path, "decoupled", DECOUPLED_MODEL)
     code, report, _ = run_cli(capsys, "verify", path, "--output", "x1", "x2")
     assert code == 3
     assert report["error"] is not None
@@ -290,6 +293,58 @@ def test_prolong_vtol_two_levels(tmp_path, capsys):
     )
     assert code == 0
     assert report["indices"] == {"K": [4, 4], "R": [6, 6], "d": 2}
+
+
+# --- pinned report bytes ----------------------------------------------------------
+
+# Each file tests/data/<id>.json is the stdout of its command, byte for byte,
+# as written by a revision whose reports are known good.  A model named
+# "m@p1p2" is the bundled model m prolonged by (p1, p2); "decoupled" is
+# DECOUPLED_MODEL.
+PINNED_REPORTS = [
+    ("analyze-example1-alg1", "analyze example1 --algorithm 1 --max-prolong 2", 3),
+    ("analyze-example1-alg2", "analyze example1 --algorithm 2 --max-prolong 2", 3),
+    ("analyze-example3-alg1", "analyze example3 --algorithm 1", 3),
+    ("analyze-example3-alg2", "analyze example3 --algorithm 2", 0),
+    ("analyze-vtol-alg1", "analyze vtol --algorithm 1", 3),
+    ("analyze-vtol-alg2", "analyze vtol --algorithm 2", 0),
+    ("verify-example1", "verify example1 --output x1 x2", 0),
+    ("verify-example3", "verify example3 --output z1 z3", 0),
+    (
+        "verify-vtol-pitch",
+        "verify vtol --output theta 'x*cos(theta)/sin(theta) + z'",
+        3,
+    ),
+    ("verify-decoupled", "verify decoupled --output x1 x2", 3),
+    ("verify-example1-p11", "verify example1@11 --output x1 x2", 0),
+    (
+        "verify-vtol-p22",
+        "verify vtol@22 --output 'x - eps*sin(theta)' 'z + eps*cos(theta)'",
+        0,
+    ),
+]
+
+
+def _pinned_model(tmp_path: Path, name: str) -> str:
+    if name == "decoupled":
+        return write_model(tmp_path, name, DECOUPLED_MODEL)
+    base, _, orders = name.partition("@")
+    if not orders:
+        return str(MODELS / f"{base}.json")
+    out = tmp_path / f"{base}_p{orders}.json"
+    model = load_model(MODELS / f"{base}.json")
+    save_model(prolonged_model(model, int(orders[0]), int(orders[1])), str(out))
+    return str(out)
+
+
+@pytest.mark.parametrize(
+    "name, command, code", PINNED_REPORTS, ids=[case[0] for case in PINNED_REPORTS]
+)
+def test_report_bytes_are_pinned(tmp_path, capsys, name, command, code):
+    expected = (DATA / f"{name}.json").read_text()
+    verb, model, *rest = shlex.split(command)
+    assert main([verb, _pinned_model(tmp_path, model), *rest]) == code
+    assert capsys.readouterr().out == expected
 
 
 # --- error handling ---------------------------------------------------------------
