@@ -1,19 +1,22 @@
 """Feedback-invariant distribution sequences and flat-output candidates.
 
-Both procedures grow a chain D_1 c D_2 c ... c T(X) from D_1 = span{g1, g2}
-on the state chart.  The basic procedure alternates drift brackets (involutive
-frontier) with single derived-flag steps.  The refined procedure examines a
-non-involutive frontier more carefully: when its Cauchy characteristic is
-informative and the predecessor window satisfies the bracket-condition lemma,
-the frontier is rebuilt from one selected direction [f, v_c], branching when
-the quadratic membership condition has two admissible solutions.  Terminal
-data F / F-perp yield candidate flat-output functions via first integrals.
+One driver grows a chain D_1 c D_2 c ... c T(X) from D_1 = span{g1, g2} on
+the state chart.  It takes a drift bracket step on an involutive frontier
+and hands a non-involutive one to a rule, the only part in which the two
+procedures differ.  The basic rule takes one derived-flag step (B).  The
+refined rule examines the frontier more carefully: when its Cauchy
+characteristic is informative and the predecessor window satisfies the
+bracket-condition lemma, the frontier is rebuilt from one selected direction
+[f, v_c], branching when the quadratic membership condition has two
+admissible solutions (C-i); otherwise the frontier is closed (B, C-ii, or D
+with the failed precondition recorded).  Terminal data F / F-perp yield
+candidate flat-output functions via first integrals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .distributions import (
     Codistribution,
@@ -35,7 +38,7 @@ from .errors import (
 from .expr import Chart, Expr
 from .fields import CovectorField, VectorField, fields_matrix, lie_bracket, pair
 from .sympoly import Poly, p_const, p_div_exact, p_mul, p_sqrt, p_sub, p_var
-from .system import ControlAffineSystem, FlatVerdict, verify_flat_output
+from .system import ControlAffineSystem, FlatVerdict, output_jets, verify_flat_output
 
 __all__ = [
     "Branch",
@@ -81,6 +84,7 @@ class StepRecord:
     cauchy: Optional[Distribution] = None
     quad: Optional[QuadraticForm] = None
     vc: Optional[VectorField] = None
+    violation: Optional[str] = None  # case D: the failed precondition
 
 
 @dataclass(frozen=True)
@@ -131,32 +135,12 @@ def _empty(chart: Chart, engine) -> Distribution:
 
 def _complement_pair(
     d0: Distribution, d1: Distribution
-) -> Optional[tuple[VectorField, VectorField]]:
-    """Two generators extending d0 to d1 (None unless exactly two are needed)."""
-    if d1.rank - d0.rank != 2:
-        return None
+) -> tuple[VectorField, VectorField]:
+    """Two generators of d1 extending a basis of d0 (d0 c d1, corank two)."""
     low, high = d0.basis(), d1.basis()
-    rows = fields_matrix(low + high)
-    picked = [
-        high[i - len(low)]
-        for i in d1.engine.independent_rows(rows, d1.chart)
-        if i >= len(low)
-    ]
-    if len(picked) < 2:
-        return None
-    return picked[0], picked[1]
-
-
-def _terminal_data(
-    sys: ControlAffineSystem, sequence: tuple[Distribution, ...], status: str
-) -> tuple[Optional[Distribution], Optional[Codistribution]]:
-    """F from the member below T(X): itself if involutive, else its Cauchy
-    characteristic.  Undefined off reached leaves and for length-one chains."""
-    if status != "reached-tangent-space" or len(sequence) < 2:
-        return None, None
-    below = sequence[-2]
-    F = below if below.is_involutive() else cauchy_characteristic(below)
-    return F, F.annihilator()
+    picked = d1.engine.independent_rows(fields_matrix(low + high), d1.chart)
+    v1, v2 = (high[i - len(low)] for i in picked if i >= len(low))
+    return v1, v2
 
 
 # --- the quadratic membership condition -------------------------------------------
@@ -255,24 +239,29 @@ def _solve_membership(
     return solutions
 
 
-def _lemma1_violation(
+def _lemma1_window(
     f: VectorField,
     d0: Distribution,
     d1: Distribution,
     d2: Distribution,
+    cauchy: Distribution,
+    drift_built: bool = False,
 ) -> Optional[str]:
-    """Name of the first failed precondition, None when all hold."""
+    """Name of the first failed precondition of the bracket-condition lemma
+    on the window d0 c d1 c d2, None when all hold.  `cauchy` is the Cauchy
+    characteristic of d2; a `drift_built` d2 is d1 + [f, d1] by construction,
+    so its drift check is skipped."""
     if d1.rank - d0.rank != 2 or d2.rank - d1.rank != 2:
         return "corank-two chain d0 c d1 c d2"
     if not (d1.contains(d0) and d2.contains(d1)):
         return "nested chain d0 c d1 c d2"
     if not d1.is_involutive():
         return "d1 involutive"
-    if cauchy_characteristic(d2).contains(d1):
+    if cauchy.contains(d1):
         return "d1 not inside the Cauchy characteristic of d2"
     if not all(d1.contains_field(lie_bracket(f, b)) for b in d0.basis()):
         return "[f, d0] inside d1"
-    if not _drift_step(f, d1).span_equal(d2):
+    if not drift_built and not _drift_step(f, d1).span_equal(d2):
         return "d2 equals d1 + [f, d1]"
     return None
 
@@ -319,7 +308,7 @@ def lemma1_candidates(
     """Candidate directions v_c = a1 v1 + a2 v2 whose double bracket with the
     drift stays inside d2 — the necessary condition for rebuilding d2 from a
     single bracket [f, v_c].  At most two non-collinear results exist."""
-    violated = _lemma1_violation(f, d0, d1, d2)
+    violated = _lemma1_window(f, d0, d1, d2, cauchy_characteristic(d2))
     if violated is None and not sum_spans(d0, [v1, v2]).span_equal(d1):
         violated = "d1 equals d0 + span{v1, v2}"
     if violated is not None:
@@ -331,57 +320,19 @@ def lemma1_candidates(
     return fields
 
 
-# --- sequence drivers -------------------------------------------------------------
+# --- the sequence driver ----------------------------------------------------------
 
 
-def _close_branch(
-    sys: ControlAffineSystem,
-    path: tuple[int, ...],
-    records: list[StepRecord],
-    sequence: list[Distribution],
-    status: str,
-) -> Branch:
-    seq = tuple(sequence)
-    F, F_perp = _terminal_data(sys, seq, status)
-    return Branch(path, tuple(records), seq, status, F, F_perp)
+class _Move(NamedTuple):
+    """What a rule makes of a non-involutive frontier: its tag, an optional
+    rebuilt frontier, and the data that decided the case."""
 
-
-def run_algorithm1(sys: ControlAffineSystem) -> BranchTree:
-    """Single chain: drift brackets on involutive frontiers, one derived-flag
-    step otherwise; stops at the tangent space, a stall, or the depth cap."""
-    f = sys.f
-    sequence = [span(sys.chart, (sys.g1, sys.g2), sys.engine)]
-    records: list[StepRecord] = []
-    cap = 2 * sys.n
-    while True:
-        frontier = sequence[-1]
-        if frontier.rank == sys.n:
-            status = "reached-tangent-space"
-            break
-        if len(records) >= cap:
-            status = "depth-capped"
-            break
-        involutive = frontier.is_involutive()
-        if involutive:
-            produced, tag = _drift_step(f, frontier), "A"
-        else:
-            produced, tag = derived_step(frontier), "B"
-        records.append(
-            StepRecord(
-                index=len(sequence),
-                tag=tag,
-                examined=frontier,
-                replaced=None,
-                produced=produced,
-                involutive=involutive,
-            )
-        )
-        if produced.rank == frontier.rank:
-            status = "stalled"
-            break
-        sequence.append(produced)
-    branch = _close_branch(sys, (), records, sequence, status)
-    return BranchTree(sys, 1, (branch,))
+    tag: str
+    replaced: Optional[Distribution] = None
+    cauchy: Optional[Distribution] = None
+    quad: Optional[QuadraticForm] = None
+    vc: Optional[VectorField] = None
+    violation: Optional[str] = None
 
 
 @dataclass
@@ -392,206 +343,147 @@ class _Frontier:
     drift_built: bool  # frontier is predecessor + [f, predecessor] by construction
 
 
-def _case_c_setup(
-    f: VectorField,
-    sequence: list[Distribution],
-    cauchy: Distribution,
-    drift_built: bool,
-) -> Optional[tuple[Distribution, VectorField, VectorField]]:
-    """The lemma window (d0, v1, v2) for the current frontier, or None when
-    its assumptions fail (case D)."""
-    chart, engine = f.chart, sequence[-1].engine
-    if len(sequence) < 2:
-        return None
-    d2, d1 = sequence[-1], sequence[-2]
-    older = sequence[-3] if len(sequence) >= 3 else _empty(chart, engine)
-    d0 = intersect(cauchy, older) if not (cauchy.is_empty() or older.is_empty()) else _empty(chart, engine)
-    if d1.rank - d0.rank != 2 or d2.rank - d1.rank != 2:
-        return None
-    if not (d1.contains(d0) and d1.is_involutive()):
-        return None
-    if cauchy.contains(d1):
-        return None
-    if not all(d1.contains_field(lie_bracket(f, b)) for b in d0.basis()):
-        return None
-    if not drift_built and not _drift_step(f, d1).span_equal(d2):
-        return None
-    pair_fields = _complement_pair(d0, d1)
-    if pair_fields is None:
-        return None
-    return d0, pair_fields[0], pair_fields[1]
+def _leaf(st: _Frontier, status: str) -> Branch:
+    """Close a branch.  F is the member below T(X): itself if involutive, else
+    its Cauchy characteristic; undefined off reached leaves and for
+    length-one chains."""
+    seq = tuple(st.sequence)
+    F: Optional[Distribution] = None
+    F_perp: Optional[Codistribution] = None
+    if status == "reached-tangent-space" and len(seq) >= 2:
+        below = seq[-2]
+        F = below if below.is_involutive() else cauchy_characteristic(below)
+        F_perp = F.annihilator()
+    return Branch(st.path, tuple(st.records), seq, status, F, F_perp)
 
 
-def run_algorithm2(
-    sys: ControlAffineSystem, fork_closure: bool = False
+def _drive(
+    sys: ControlAffineSystem,
+    algorithm: int,
+    closure: Callable[[Distribution], Distribution],
+    rule: Callable[[VectorField, list[Distribution], bool], list[_Move]],
 ) -> BranchTree:
-    """Refined chain with frontier replacement.
+    """Grow D_1 = span{g1, g2} until T(X), a stall or the depth cap 2n.
 
-    Non-involutive frontiers fall into: closure when the Cauchy characteristic
-    adds nothing over the predecessor (B); frontier rebuild from [f, v_c] per
-    admissible candidate, branching on two (C-i); closure when the lemma
-    window holds but no candidate exists (C-ii); closure otherwise (D).
-    `fork_closure` additionally explores the unreplaced closure beside C-i
-    branches (recorded with the C-ii tag)."""
+    An involutive frontier takes a drift step (A).  `rule` turns a
+    non-involutive one into moves, one branch each when there are several.
+    A move grows its base (the rebuilt frontier, else the frontier) by a
+    drift step when the base is involutive and by `closure` otherwise; the
+    branch stalls when that adds nothing or a rebuilt frontier is no larger
+    than its predecessor."""
     f = sys.f
     cap = 2 * sys.n
-    root = _Frontier(
-        [span(sys.chart, (sys.g1, sys.g2), sys.engine)], [], (), False
-    )
-    work = [root]
+    work = [_Frontier([span(sys.chart, (sys.g1, sys.g2), sys.engine)], [], (), False)]
     leaves: list[Branch] = []
     while work:
         st = work.pop()
-        status: Optional[str] = None
-        while status is None:
-            frontier = st.sequence[-1]
-            if frontier.rank == sys.n:
-                status = "reached-tangent-space"
-                break
-            if len(st.records) >= cap:
-                status = "depth-capped"
-                break
-            if frontier.is_involutive():
-                produced = _drift_step(f, frontier)
-                st.records.append(
-                    StepRecord(
-                        index=len(st.sequence),
-                        tag="A",
-                        examined=frontier,
-                        replaced=None,
-                        produced=produced,
-                        involutive=True,
-                    )
-                )
-                if produced.rank == frontier.rank:
-                    status = "stalled"
-                    break
-                st.sequence.append(produced)
-                st.drift_built = True
-                continue
-            cauchy = cauchy_characteristic(frontier)
-            predecessor = (
-                st.sequence[-2]
-                if len(st.sequence) >= 2
-                else _empty(sys.chart, sys.engine)
+        frontier = st.sequence[-1]
+        if frontier.rank == sys.n:
+            leaves.append(_leaf(st, "reached-tangent-space"))
+            continue
+        if len(st.records) >= cap:
+            leaves.append(_leaf(st, "depth-capped"))
+            continue
+        involutive = frontier.is_involutive()
+        moves = [_Move("A")] if involutive else rule(f, st.sequence, st.drift_built)
+        forks: list[_Frontier] = []
+        for ordinal, move in enumerate(moves):
+            base = frontier if move.replaced is None else move.replaced
+            base_involutive = base.is_involutive()
+            produced = _drift_step(f, base) if base_involutive else closure(base)
+            record = StepRecord(
+                index=len(st.sequence),
+                tag=move.tag,
+                examined=frontier,
+                replaced=move.replaced,
+                produced=produced,
+                involutive=involutive,
+                cauchy=move.cauchy,
+                quad=move.quad,
+                vc=move.vc,
+                violation=move.violation,
             )
-            quad: Optional[QuadraticForm] = None
-            candidates: list[VectorField] = []
-            if cauchy.span_equal(predecessor):
-                tag = "B"
-            else:
-                window = _case_c_setup(f, st.sequence, cauchy, st.drift_built)
-                if window is None:
-                    tag = "D"
-                else:
-                    d0, v1, v2 = window
-                    rows = _membership_rows(f, frontier, v1, v2)
-                    try:
-                        solutions = _solve_membership(sys.chart, rows)
-                    except AssumptionViolationError:
-                        solutions = []
-                        tag = "D"
-                    else:
-                        tag = "C-i" if solutions else "C-ii"
-                    quad = QuadraticForm(
-                        tuple(r[0] for r in rows),
-                        tuple(r[1] for r in rows),
-                        tuple(r[2] for r in rows),
-                        tuple(solutions),
-                    )
-                    candidates = _candidate_fields(v1, v2, solutions)
-            if tag != "C-i":
-                produced = involutive_closure(frontier)
-                st.records.append(
-                    StepRecord(
-                        index=len(st.sequence),
-                        tag=tag,
-                        examined=frontier,
-                        replaced=None,
-                        produced=produced,
-                        involutive=False,
-                        cauchy=cauchy,
-                        quad=quad,
-                    )
-                )
-                st.sequence.append(produced)
-                st.drift_built = False
-                continue
-            # case C-i: fork one branch per non-redundant candidate
-            replacements: list[tuple[VectorField, Distribution]] = []
-            for vc in candidates:
-                rebuilt = sum_spans(predecessor, [lie_bracket(f, vc)])
-                if any(rebuilt.span_equal(seen) for _, seen in replacements):
-                    continue
-                replacements.append((vc, rebuilt))
-            forks: list[_Frontier] = []
-            fork_paths = len(replacements) > 1 or (fork_closure and candidates)
-            for ordinal, (vc, rebuilt) in enumerate(replacements):
-                child = _Frontier(
-                    list(st.sequence),
-                    list(st.records),
-                    st.path + (ordinal,) if fork_paths else st.path,
-                    False,
-                )
-                rebuilt_involutive = rebuilt.is_involutive()
-                if rebuilt_involutive:
-                    produced = _drift_step(f, rebuilt)
-                else:
-                    produced = involutive_closure(rebuilt)
-                child.records.append(
-                    StepRecord(
-                        index=len(child.sequence),
-                        tag="C-i",
-                        examined=frontier,
-                        replaced=rebuilt,
-                        produced=produced,
-                        involutive=False,
-                        cauchy=cauchy,
-                        quad=quad,
-                        vc=vc,
-                    )
-                )
-                child.sequence[-1] = rebuilt
-                if rebuilt.rank == predecessor.rank or produced.rank == rebuilt.rank:
-                    leaves.append(
-                        _close_branch(
-                            sys, child.path, child.records, child.sequence, "stalled"
-                        )
-                    )
-                    continue
-                child.sequence.append(produced)
-                child.drift_built = rebuilt_involutive
-                forks.append(child)
-            if fork_closure and candidates:
-                extra = _Frontier(
-                    list(st.sequence),
-                    list(st.records),
-                    st.path + (len(replacements),),
-                    False,
-                )
-                produced = involutive_closure(frontier)
-                extra.records.append(
-                    StepRecord(
-                        index=len(extra.sequence),
-                        tag="C-ii",
-                        examined=frontier,
-                        replaced=None,
-                        produced=produced,
-                        involutive=False,
-                        cauchy=cauchy,
-                        quad=quad,
-                    )
-                )
-                extra.sequence.append(produced)
-                forks.append(extra)
-            work.extend(reversed(forks))
-            status = "forked"
-        if status != "forked":
-            leaves.append(
-                _close_branch(sys, st.path, st.records, st.sequence, status)
+            child = _Frontier(
+                st.sequence[:-1] + [base],
+                st.records + [record],
+                st.path + (ordinal,) if len(moves) > 1 else st.path,
+                base_involutive,
             )
+            shrunk = move.replaced is not None and base.rank == st.sequence[-2].rank
+            if shrunk or produced.rank == base.rank:
+                leaves.append(_leaf(child, "stalled"))
+                continue
+            child.sequence.append(produced)
+            forks.append(child)
+        work.extend(reversed(forks))
     leaves.sort(key=lambda b: b.path)
-    return BranchTree(sys, 2, tuple(leaves))
+    return BranchTree(sys, algorithm, tuple(leaves))
+
+
+def _derived_rule(
+    f: VectorField, sequence: list[Distribution], drift_built: bool
+) -> list[_Move]:
+    return [_Move("B")]
+
+
+def _refined_rule(
+    f: VectorField, sequence: list[Distribution], drift_built: bool
+) -> list[_Move]:
+    """B when the Cauchy characteristic of the frontier adds nothing over
+    its predecessor; otherwise the lemma window d0 c d1 c d2 with d2 the
+    frontier, d1 its predecessor and d0 = C(d2) ^ (the member before d1).
+    A failed window is D.  Else the stacked quadratic decides: one rebuilt
+    frontier d1 + [f, v_c] per admissible v_c giving a new span (C-i), C-ii
+    when none is admissible, D when it degenerates."""
+    frontier = sequence[-1]
+    chart, engine = frontier.chart, frontier.engine
+    cauchy = cauchy_characteristic(frontier)
+    predecessor = sequence[-2] if len(sequence) >= 2 else _empty(chart, engine)
+    if cauchy.span_equal(predecessor):
+        return [_Move("B", cauchy=cauchy)]
+    older = sequence[-3] if len(sequence) >= 3 else _empty(chart, engine)
+    if cauchy.is_empty() or older.is_empty():
+        d0 = _empty(chart, engine)
+    else:
+        d0 = intersect(cauchy, older)
+    violation = _lemma1_window(f, d0, predecessor, frontier, cauchy, drift_built)
+    if violation is not None:
+        return [_Move("D", cauchy=cauchy, violation=violation)]
+    v1, v2 = _complement_pair(d0, predecessor)
+    rows = _membership_rows(f, frontier, v1, v2)
+    try:
+        solutions = _solve_membership(chart, rows)
+    except AssumptionViolationError as err:
+        solutions, violation = [], err.assumption
+    quad = QuadraticForm(
+        tuple(r[0] for r in rows),
+        tuple(r[1] for r in rows),
+        tuple(r[2] for r in rows),
+        tuple(solutions),
+    )
+    if violation is not None:
+        return [_Move("D", cauchy=cauchy, quad=quad, violation=violation)]
+    if not solutions:
+        return [_Move("C-ii", cauchy=cauchy, quad=quad)]
+    moves: list[_Move] = []
+    for vc in _candidate_fields(v1, v2, solutions):
+        rebuilt = sum_spans(predecessor, [lie_bracket(f, vc)])
+        if not any(rebuilt.span_equal(m.replaced) for m in moves):
+            moves.append(_Move("C-i", rebuilt, cauchy, quad, vc))
+    return moves
+
+
+def run_algorithm1(sys: ControlAffineSystem) -> BranchTree:
+    """Single chain: drift brackets on involutive frontiers, one derived-flag
+    step (B) otherwise."""
+    return _drive(sys, 1, derived_step, _derived_rule)
+
+
+def run_algorithm2(sys: ControlAffineSystem) -> BranchTree:
+    """Refined chain with frontier replacement: non-involutive frontiers take
+    B, C-i (branching on two candidates), C-ii or D (see `_refined_rule`),
+    and every unreplaced one is closed to its involutive closure."""
+    return _drive(sys, 2, involutive_closure, _refined_rule)
 
 
 # --- candidate extraction ---------------------------------------------------------
@@ -618,7 +510,7 @@ def _verify_pair(
     sys: ControlAffineSystem, phi: tuple[Expr, Expr]
 ) -> CandidatePair:
     try:
-        verdict = verify_flat_output(sys, phi)
+        verdict = verify_flat_output(output_jets(sys, phi))
     except (
         UnboundedRelativeDegreeError,
         InvalidIndicesError,

@@ -38,7 +38,7 @@ from .modelfile import (
 )
 from .system import (
     ControlAffineSystem,
-    candidate,
+    output_jets,
     prolong,
     sfe_gtf_test,
     verify_flat_output,
@@ -194,20 +194,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "sfe": None,
     }
     try:
-        cand = candidate(sys_, phi)
+        jets = output_jets(sys_, phi)
     except _CANDIDATE_ERRORS as err:
         report["error"] = str(err)
         _emit(report, None)
         return EXIT_NEGATIVE
+    cand = jets.candidate
     report["indices"] = {"K": list(cand.K), "R": list(cand.R), "d": cand.d}
-    verdict = verify_flat_output(sys_, phi)
+    verdict = verify_flat_output(jets)
     report["rank_check"] = {
         "passed": verdict.passed,
         "spans_states": verdict.spans_states,
         "stacked_rank": verdict.stacked_rank,
         "required_rank": verdict.required_rank,
     }
-    sfe = sfe_gtf_test(sys_, phi)
+    sfe = sfe_gtf_test(jets)
     report["sfe"] = {
         "passed": sfe.passed,
         "q_sequence": [

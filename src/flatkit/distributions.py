@@ -33,7 +33,13 @@ from .fields import (
     lie_bracket,
     pair,
 )
-from .linalg import RankEngine, echelon, normalize_vector, right_nullspace
+from .linalg import (
+    RankEngine,
+    echelon,
+    left_nullspace,
+    normalize_vector,
+    right_nullspace,
+)
 
 
 class Distribution:
@@ -336,14 +342,7 @@ def intersect_with_coordinates(
     rows = covectors_matrix(q.covectors)
     if not rows:
         return Codistribution(chart, (), q.engine)
-    block = [[row[j] for j in out_cols] for row in rows]
-    if out_cols:
-        transpose = [
-            [block[i][j] for i in range(len(block))] for j in range(len(out_cols))
-        ]
-        combos = right_nullspace(transpose, chart, ncols=len(rows))
-    else:
-        combos = right_nullspace([], chart, ncols=len(rows))
+    combos = left_nullspace([[row[j] for j in out_cols] for row in rows], chart)
     covs: list[CovectorField] = []
     mat: list[list[Expr]] = []
     for c in combos:

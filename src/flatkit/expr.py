@@ -268,9 +268,6 @@ class Expr:
                 out |= info.arg.free_symbols()
         return out
 
-    def depends_only_on(self, names: Iterable[str]) -> bool:
-        return self.free_symbols() <= set(names)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other: Scalar) -> "Expr":

@@ -26,6 +26,10 @@ from . import sympoly
 
 Matrix = list[list[Expr]]
 
+# Sample points per generic-rank call at most; RankEngine stops after one
+# when the first min(m, n) rows are already independent.
+POINTS = 2
+
 
 def _clear_row_denominators(row: list[Expr], chart: Chart) -> list[Expr]:
     """Scale a row to polynomial entries (denominator 1)."""
@@ -253,11 +257,11 @@ def _prefix_ranks(rows: list[list[int]]) -> list[int]:
 class RankEngine:
     """Generic ranks of symbolic matrices from seeded points in F_p.
 
-    Each call evaluates every entry once at each of `points` fresh
+    Each call evaluates every entry once at each of POINTS fresh
     admissible points and takes, prefix by prefix, the largest rank seen:
     modular ranks never exceed generic ones, so the maximum is the generic
     rank unless every point hit a vanishing minor of that prefix (for a
-    minor of degree D, probability at most (D/p)^points).  The first
+    minor of degree D, probability at most (D/p)^POINTS).  The first
     verdict per engine is cross-checked against an exact elimination; a
     mismatch means the sampling scheme itself is broken for this problem and
     the analysis must not continue on silent guesses.
@@ -267,12 +271,10 @@ class RankEngine:
         self,
         seed: int = 0,
         constraints: Sequence[Expr] = (),
-        points: int = 2,
         crosscheck: bool = True,
     ) -> None:
         self.seed = seed
         self.rng = random.Random(seed)
-        self.points = points
         self.constraints = tuple(constraints)
         self._crosschecked = not crosscheck
         self._constraint_cache: dict[int, tuple[Expr, ...]] = {}
@@ -300,7 +302,7 @@ class RankEngine:
         full = min(m, n)
         flat = [e for row in matrix for e in row]
         best = [0] * m
-        for _ in range(self.points):
+        for _ in range(POINTS):
             values = self.draw(chart, flat)
             ranks = _prefix_ranks([values[i * n:(i + 1) * n] for i in range(m)])
             best = [max(a, b) for a, b in zip(best, ranks)]

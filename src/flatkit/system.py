@@ -6,8 +6,11 @@ Everything here works on the closed chain
     -> codistribution sequence Q on the input-jet chart
     -> triangular-form equivalence / flat-output verification,
 
-plus the structural operations feeding it: input normalization, static
-feedback, input prolongation, and recognition of the triangular normal form.
+plus the structural operations feeding it: static feedback, input
+prolongation, and recognition of the triangular normal form.  The rank check
+and the Q sequence of one output pair share one `output_jets` context: the
+candidate's indices, the jet chart and the differentials of both derivative
+ladders are built once per question.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import (
 )
 from .expr import Chart, Expr, differentiate, transfer
 from .fields import (
+    CovectorField,
     VectorField,
     covectors_matrix,
     differential,
@@ -191,33 +195,7 @@ def candidate(sys: ControlAffineSystem, phi: PhiPair) -> FlatCandidate:
     return FlatCandidate(phi1, phi2, K, R, d)
 
 
-# --- input normalization and static feedback ---------------------------------
-
-
-def normalize_input(sys: ControlAffineSystem, phi: PhiPair) -> ControlAffineSystem:
-    """Static feedback making the k1-th derivative of the first output the
-    first input; inputs are permuted when only the second one appears."""
-    phi1 = phi[0]
-    k1 = _single_relative_degree(sys, phi1, 1)
-    below = lie_derivative(phi1, sys.f, k1 - 1)
-    a = lie_derivative(below, sys.f)
-    b1 = lie_derivative(below, sys.g1)
-    b2 = lie_derivative(below, sys.g2)
-    if not b1.is_zero():
-        f = sys.f - sys.g1.scale(a / b1)
-        g1 = sys.g1.scale(sys.chart.one / b1)
-        g2 = sys.g2 - sys.g1.scale(b2 / b1)
-    elif not b2.is_zero():
-        f = sys.f - sys.g2.scale(a / b2)
-        g1 = sys.g2.scale(sys.chart.one / b2)
-        g2 = sys.g1
-    else:
-        raise InputTransformError(
-            "derivative of the first output is input-independent at its degree"
-        )
-    return ControlAffineSystem(
-        sys.chart, sys.inputs, f, g1, g2, sys.engine, sys.name
-    )
+# --- static feedback ---------------------------------------------------------
 
 
 def apply_static_feedback(
@@ -240,34 +218,47 @@ def apply_static_feedback(
 # --- the codistribution sequence ---------------------------------------------
 
 
-def _derivative_ladder(
-    ch: Chart, total: VectorField, h: Expr, orders: int
-) -> list[Expr]:
-    """h and its first `orders` total derivatives on the jet chart."""
-    out = [transfer(h, ch)]
-    for _ in range(orders):
-        out.append(lie_derivative(out[-1], total))
-    return out
+@dataclass(frozen=True)
+class OutputJets:
+    """A candidate output pair on the input-jet chart: its degrees and
+    indices, and the differentials of each output's total derivatives up to
+    order R_i - 1.  The jet chart carries max(R) derivative levels per input,
+    so every needed total derivative exists."""
+
+    system: ControlAffineSystem
+    candidate: FlatCandidate
+    chart: Chart
+    differentials: tuple[tuple[CovectorField, ...], tuple[CovectorField, ...]]
 
 
-def q_sequence(sys: ControlAffineSystem, phi: PhiPair) -> list[Codistribution]:
+def output_jets(sys: ControlAffineSystem, phi: PhiPair) -> OutputJets:
+    """Everything the rank check and the Q sequence need, built once."""
+    cand = candidate(sys, phi)
+    total = f_u(sys, max(cand.R) - 1)
+    ch = total.chart
+    ladders = []
+    for h, r in zip((cand.phi1, cand.phi2), cand.R):
+        ladder = [transfer(h, ch)]
+        for _ in range(r - 1):
+            ladder.append(lie_derivative(ladder[-1], total))
+        ladders.append(tuple(differential(e) for e in ladder))
+    return OutputJets(sys, cand, ch, (ladders[0], ladders[1]))
+
+
+def q_sequence(jets: OutputJets) -> list[Codistribution]:
     """Q_j = span{d phi_[0,j]} ^ span{dx} for j = K-1, ..., R-1.
 
-    Computed after input normalization; the jet chart carries max(R)
-    derivative levels per input so every needed total derivative exists.
+    No input normalization is needed: a regular static feedback
+    u = alpha(x) + beta(x) v changes the jet coordinates by an invertible
+    map that fixes x, so span{d phi_[0,j]}, span{dx} and with them Q_j, its
+    rank and its integrability are the same in either chart.
     """
-    cand = candidate(sys, phi)
+    sys, cand = jets.system, jets.candidate
     k1, k2 = cand.K
-    nsys = normalize_input(sys, phi)
-    total = f_u(nsys, max(cand.R) - 1)
-    ch = total.chart
-    lad1 = _derivative_ladder(ch, total, cand.phi1, cand.R[0] - 1)
-    lad2 = _derivative_ladder(ch, total, cand.phi2, cand.R[1] - 1)
+    lad1, lad2 = jets.differentials
     out: list[Codistribution] = []
     for i in range(cand.d + 1):
-        covs = [differential(e) for e in lad1[: k1 + i]]
-        covs += [differential(e) for e in lad2[: k2 + i]]
-        q = Codistribution(ch, covs, sys.engine)
+        q = Codistribution(jets.chart, lad1[: k1 + i] + lad2[: k2 + i], sys.engine)
         out.append(intersect_with_coordinates(q, sys.states))
     return out
 
@@ -292,12 +283,12 @@ class SfeGtfResult:
         return self.passed
 
 
-def sfe_gtf_test(sys: ControlAffineSystem, phi: PhiPair) -> SfeGtfResult:
+def sfe_gtf_test(jets: OutputJets) -> SfeGtfResult:
     """Equivalent to the triangular form under static feedback iff every Q_j
     in the sequence is integrable."""
-    cand = candidate(sys, phi)
+    cand = jets.candidate
     k1, k2 = cand.K
-    qs = q_sequence(sys, phi)
+    qs = q_sequence(jets)
     reports = []
     passed = True
     for i, q in enumerate(qs):
@@ -368,16 +359,12 @@ class FlatVerdict:
         return self.passed
 
 
-def verify_flat_output(sys: ControlAffineSystem, phi: PhiPair) -> FlatVerdict:
+def verify_flat_output(jets: OutputJets) -> FlatVerdict:
     """Pass iff span{dx} lies in span{d phi_[0,R-1]} and the stacked
     differentials have rank n + d (so the candidate really has n + d
     independent functions through order R - 1)."""
-    cand = candidate(sys, phi)
-    total = f_u(sys, max(cand.R) - 1)
-    ch = total.chart
-    lad1 = _derivative_ladder(ch, total, cand.phi1, cand.R[0] - 1)
-    lad2 = _derivative_ladder(ch, total, cand.phi2, cand.R[1] - 1)
-    covs = [differential(e) for e in lad1 + lad2]
+    sys, cand, ch = jets.system, jets.candidate, jets.chart
+    covs = list(jets.differentials[0] + jets.differentials[1])
     state_covs = [differential(ch.sym(name)) for name in sys.states]
     # Greedy rows of [covs; state covs]: those among covs span covs, and no
     # state row is taken iff span{dx} lies in span{covs}.

@@ -211,13 +211,49 @@ def test_refined_stalls_without_drift(drift_free3):
     assert branch.ranks == (2,)
 
 
-def test_refined_closure_fork_adds_exploratory_branch(vtol):
-    sys = as_system(vtol, "vtol")
-    tree = run_algorithm2(sys, fork_closure=True)
-    assert [b.path for b in tree.branches] == [(0,), (1,), (2,)]
-    extra = tree.branches[2]
-    assert extra.tags == ("A", "C-ii")
-    assert extra.ranks == (2, 4, 6)
+def _six_state(
+    f: list[str], g1: list[str], g2: list[str], seed: int
+) -> ControlAffineSystem:
+    chart = Chart([f"x{i}" for i in range(1, 7)])
+
+    def field(comps: list[str]):
+        return field_from_dict(chart, dict(zip(chart.coordinates, comps)))
+
+    return ControlAffineSystem(
+        chart, ("u1", "u2"), field(f), field(g1), field(g2), RankEngine(seed=seed)
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_refined_case_d_records_failed_precondition(seed):
+    sys = _six_state(
+        ["x3", "3*x1*x6", "2*x5", "0", "3*x1*x6 + 2*x5", "0"],
+        ["0", "0", "0", "x1 + 2*x6", "0", "0"],
+        ["0", "0", "0", "0", "x6 + 3", "1"],
+        seed,
+    )
+    (branch,) = run_algorithm2(sys).branches
+    assert branch.tags == ("A", "D", "A", "A")
+    assert branch.ranks == (2, 3, 4, 5)
+    assert branch.status == "stalled"
+    assert branch.records[1].violation == "corank-two chain d0 c d1 c d2"
+    assert [r.violation for r in branch.records if r.tag != "D"] == [None] * 3
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_refined_case_c_ii_closes_without_candidate(seed):
+    sys = _six_state(
+        ["2*x3*x5", "x1 + 1", "3", "2*x1 + 2*x5", "3*x2*x4 + 1", "3*x6"],
+        ["0", "0", "x3 + 3*x4", "2*x4 + 1", "0", "0"],
+        ["x2", "0", "0", "0", "0", "1"],
+        seed,
+    )
+    (branch,) = run_algorithm2(sys).branches
+    assert branch.tags == ("A", "C-ii")
+    assert branch.ranks == (2, 4, 6)
+    assert branch.status == "reached-tangent-space"
+    step = branch.records[1]
+    assert step.quad.solutions == () and step.violation is None
 
 
 # --- extraction -------------------------------------------------------------------
@@ -288,12 +324,45 @@ def test_lemma_candidates_cap(seven_state):
     assert cands[0] == sys.g2
 
 
-def test_lemma_candidates_rejects_bad_corank(vtol):
-    sys = as_system(vtol, "vtol")
-    d1 = span(sys.chart, (sys.g1, sys.g2), sys.engine)
-    d0 = span(sys.chart, (), sys.engine)
-    with pytest.raises(AssumptionViolationError, match="corank-two chain"):
-        lemma1_candidates(sys.f, d0, d1, d1, sys.g1, sys.g2)
+def _window_case(failed: str):
+    """A window d0 c d1 c d2 on six coordinates whose first failed
+    precondition is `failed`.  With e_i = d/dx_i: d0 = <e1>, d1 = <e1, e2, e3>
+    and, unless the case replaces it, d2 = d1 + <e4 + x2 e6, e5>, which is
+    not involutive since [e2, e4 + x2 e6] = e6."""
+    chart = Chart([f"x{i}" for i in range(1, 7)])
+    e = {name: coordinate_field(chart, name) for name in chart.coordinates}
+    engine = RankEngine(seed=4)
+    d0 = span(chart, (e["x1"],), engine)
+    d1 = span(chart, (e["x1"], e["x2"], e["x3"]), engine)
+    bent = e["x4"] + e["x6"].scale(chart.sym("x2"))
+    d2 = sum_spans(d1, [bent, e["x5"]])
+    f = zero_field(chart)
+    if failed.startswith("corank"):
+        d2 = d1
+    elif failed.startswith("nested"):
+        d2 = span(chart, (e["x2"], e["x3"], e["x4"], e["x5"], e["x6"]), engine)
+    elif failed.startswith("d1 not inside"):
+        d2 = sum_spans(d1, [e["x4"], e["x5"]])  # involutive: its own characteristic
+    elif failed.startswith("[f, d0]"):
+        f = field_from_dict(chart, {"x4": "x1"})  # [f, e1] = -e4
+    return f, d0, d1, d2, e["x2"], e["x3"]
+
+
+# "d1 involutive" and "d1 equals d0 + span{v1, v2}" have their own tests below.
+@pytest.mark.parametrize(
+    "failed",
+    [
+        "corank-two chain d0 c d1 c d2",
+        "nested chain d0 c d1 c d2",
+        "d1 not inside the Cauchy characteristic of d2",
+        "[f, d0] inside d1",
+        "d2 equals d1 + [f, d1]",
+    ],
+)
+def test_lemma_candidates_rejects_failed_precondition(failed):
+    with pytest.raises(AssumptionViolationError) as err:
+        lemma1_candidates(*_window_case(failed))
+    assert err.value.assumption == failed
 
 
 def test_lemma_candidates_rejects_bad_generators(vtol):

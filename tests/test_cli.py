@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import flatkit.system
 from flatkit import build_system, load_model, model_output, prolonged_model, save_model
 from flatkit.cli import main
 from flatkit.errors import ModelFileError
@@ -236,6 +237,25 @@ def test_verify_rejected_candidate(capsys):
     assert report["rank_check"]["passed"] is False
     assert report["rank_check"]["spans_states"] is False
     assert report["indices"]["K"] == [2, 2]
+
+
+def test_verify_computes_candidate_once(monkeypatch, capsys):
+    """The rank check and the Q sequence share one output context."""
+    real = flatkit.system.candidate
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "flatkit" and getattr(module, "candidate", None) is real:
+            monkeypatch.setattr(module, "candidate", counting)
+    code, report, _ = run_cli(
+        capsys, "verify", str(MODELS / "example1.json"), "--output", "x1", "x2"
+    )
+    assert code == 0 and report["sfe"] is not None
+    assert len(calls) == 1
 
 
 def test_verify_unbounded_degree_is_negative_verdict(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Control-affine system analyses: relative degrees, input normalization,
+"""Control-affine system analyses: relative degrees, static feedback,
 the invariant codistribution sequence, prolongation, and output verification."""
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from flatkit import (
     gtf_structure_check,
     jet_chart,
     lie_derivative,
-    normalize_input,
+    output_jets,
     parse,
     prolong,
     q_sequence,
@@ -196,31 +196,7 @@ def test_candidate_rejects_dependent_pair(example1):
         candidate(sys, (ch.sym("x1"), ch.sym("x1") * ch.const(3)))
 
 
-# --- input normalization and static feedback ------------------------------------
-
-
-def test_normalize_keeps_already_straight_input(example1):
-    sys = as_system(example1)
-    ch = sys.chart
-    ns = normalize_input(sys, (ch.sym("x1"), ch.sym("x2")))
-    assert (ns.f - sys.f).is_zero()
-    assert (ns.g1 - sys.g1).is_zero()
-    assert (ns.g2 - sys.g2).is_zero()
-
-
-def test_normalize_swaps_when_first_input_inert(vtol):
-    # theta is driven by the second input only, so the inputs trade places
-    sys = as_system(vtol)
-    ns = normalize_input(sys, pitch_pair(vtol))
-    assert (ns.g1 - sys.g2).is_zero()
-    assert (ns.g2 - sys.g1).is_zero()
-    assert (ns.f - sys.f).is_zero()
-
-
-def test_normalized_top_derivative_is_first_input(vtol):
-    sys = normalize_input(as_system(vtol), pitch_pair(vtol))
-    total = f_u(sys, 2)
-    assert lie_derivative(total.chart.sym("theta"), total, 2) == total.chart.sym("u1")
+# --- static feedback --------------------------------------------------------------
 
 
 def test_static_feedback_requires_invertible_matrix(seven_state):
@@ -236,7 +212,7 @@ def test_static_feedback_requires_invertible_matrix(seven_state):
 def test_q_sequence_example1_original(example1):
     sys = as_system(example1)
     ch = sys.chart
-    res = sfe_gtf_test(sys, (ch.sym("x1"), ch.sym("x2")))
+    res = sfe_gtf_test(output_jets(sys, (ch.sym("x1"), ch.sym("x2"))))
     assert not res.passed
     assert [r.index for r in res.reports] == [(0, 0), (1, 1), (2, 2), (3, 3)]
     assert [r.rank for r in res.reports] == [2, 3, 4, 5]
@@ -248,7 +224,7 @@ def test_q_sequence_example1_prolonged_spans(example1):
     every member is spanned by state differentials alone and is integrable."""
     sys = prolong(as_system(example1), 1, 1).extended
     ch = sys.chart
-    res = sfe_gtf_test(sys, (ch.sym("x1"), ch.sym("x2")))
+    res = sfe_gtf_test(output_jets(sys, (ch.sym("x1"), ch.sym("x2"))))
     assert res.passed
     assert [r.index for r in res.reports] == [(1, 1), (2, 2), (3, 3), (4, 4)]
     expected = [
@@ -268,7 +244,7 @@ def test_q_sequence_example1_prolonged_spans(example1):
 def test_sfe_seven_state(seven_state):
     sys = as_system(seven_state)
     ch = sys.chart
-    res = sfe_gtf_test(sys, (ch.sym("z1"), ch.sym("z3")))
+    res = sfe_gtf_test(output_jets(sys, (ch.sym("z1"), ch.sym("z3"))))
     assert res.passed
     assert [r.rank for r in res.reports] == [4, 5, 6, 7]
 
@@ -276,7 +252,7 @@ def test_sfe_seven_state(seven_state):
 def test_sfe_ecf8(ecf8):
     sys = as_system(ecf8)
     ch = sys.chart
-    res = sfe_gtf_test(sys, (ch.sym("z11"), ch.sym("z12")))
+    res = sfe_gtf_test(output_jets(sys, (ch.sym("z11"), ch.sym("z12"))))
     assert res.passed
     assert [r.index for r in res.reports] == [(2, 2), (3, 3), (4, 4)]
     assert [r.rank for r in res.reports] == [6, 7, 8]
@@ -288,7 +264,7 @@ def test_sequence_is_feedback_invariant(seven_state, rng):
     sys = as_system(seven_state)
     ch = sys.chart
     phi = (ch.sym("z1"), ch.sym("z3"))
-    base_ranks = [q.rank for q in q_sequence(sys, phi)]
+    base_ranks = [q.rank for q in q_sequence(output_jets(sys, phi))]
     names = list(ch.coordinates)
 
     def affine():
@@ -304,10 +280,11 @@ def test_sequence_is_feedback_invariant(seven_state, rng):
             det = beta[0][0] * beta[1][1] - beta[0][1] * beta[1][0]
             if not det.is_zero():
                 break
-        fed = apply_static_feedback(sys, alpha, beta)
-        assert [q.rank for q in q_sequence(fed, phi)] == base_ranks
-        assert sfe_gtf_test(fed, phi).passed
-        assert verify_flat_output(fed, phi).passed
+        jets = output_jets(apply_static_feedback(sys, alpha, beta), phi)
+        sfe = sfe_gtf_test(jets)
+        assert [r.rank for r in sfe.reports] == base_ranks
+        assert sfe.passed
+        assert verify_flat_output(jets).passed
 
 
 # --- prolongation ---------------------------------------------------------------
@@ -356,10 +333,11 @@ def test_prolongation_preserves_verification(seven_state, p):
     sys = as_system(seven_state)
     ch = sys.chart
     phi = (ch.sym("z1"), ch.sym("z3"))
-    base = verify_flat_output(sys, phi)
+    base = verify_flat_output(output_jets(sys, phi))
     assert base.passed
     ext = prolong(sys, p, p).extended
-    verdict = verify_flat_output(ext, (ext.chart.sym("z1"), ext.chart.sym("z3")))
+    phi = (ext.chart.sym("z1"), ext.chart.sym("z3"))
+    verdict = verify_flat_output(output_jets(ext, phi))
     assert verdict.passed
     assert verdict.candidate.K == (2 + p, 2 + p)
     assert verdict.candidate.R == (5 + p, 5 + p)
@@ -370,7 +348,7 @@ def test_prolongation_preserves_verification(seven_state, p):
 
 
 def test_verify_rejects_pitch_pair(vtol):
-    verdict = verify_flat_output(as_system(vtol), pitch_pair(vtol))
+    verdict = verify_flat_output(output_jets(as_system(vtol), pitch_pair(vtol)))
     assert not verdict.passed
     assert not verdict.spans_states
     assert verdict.candidate.R == (4, 4)
@@ -383,7 +361,7 @@ def test_verify_accepts_exactly_one_sign_variant(vtol):
         (parse(ch, "x - eps*sin(theta)"), parse(ch, "z + eps*cos(theta)")),
         (parse(ch, "x - eps*cos(theta)"), parse(ch, "z + eps*sin(theta)")),
     ]
-    verdicts = [verify_flat_output(sys, phi) for phi in variants]
+    verdicts = [verify_flat_output(output_jets(sys, phi)) for phi in variants]
     assert [v.passed for v in verdicts] == [True, False]
     assert verdicts[0].candidate.K == (2, 2)
 
@@ -391,7 +369,7 @@ def test_verify_accepts_exactly_one_sign_variant(vtol):
 def test_verify_seven_state(seven_state):
     sys = as_system(seven_state)
     ch = sys.chart
-    verdict = verify_flat_output(sys, (ch.sym("z1"), ch.sym("z3")))
+    verdict = verify_flat_output(output_jets(sys, (ch.sym("z1"), ch.sym("z3"))))
     assert verdict.passed
     assert verdict.candidate.K == (2, 2) and verdict.candidate.d == 3
     assert verdict.stacked_rank == verdict.required_rank == 10
@@ -402,13 +380,13 @@ def test_verify_example1_original(example1):
     # reach the triangular form, not for flatness itself
     sys = as_system(example1)
     ch = sys.chart
-    assert verify_flat_output(sys, (ch.sym("x1"), ch.sym("x2"))).passed
+    assert verify_flat_output(output_jets(sys, (ch.sym("x1"), ch.sym("x2")))).passed
 
 
 def test_verify_ecf8(ecf8):
     sys = as_system(ecf8)
     ch = sys.chart
-    verdict = verify_flat_output(sys, (ch.sym("z11"), ch.sym("z12")))
+    verdict = verify_flat_output(output_jets(sys, (ch.sym("z11"), ch.sym("z12"))))
     assert verdict.passed and verdict.stacked_rank == 10
 
 
@@ -460,4 +438,4 @@ def test_structure_match_implies_flat_output(seven_state, chained5, brunovsky4):
         assert gtf_structure_check(sys, sys.states, degrees).matches
         ch = sys.chart
         phi = (ch.sym(sys.states[0]), ch.sym(sys.states[degrees[0]]))
-        assert verify_flat_output(sys, phi).passed
+        assert verify_flat_output(output_jets(sys, phi)).passed
