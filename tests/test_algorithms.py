@@ -337,9 +337,7 @@ def _window_case(failed: str):
     bent = e["x4"] + e["x6"].scale(chart.sym("x2"))
     d2 = sum_spans(d1, [bent, e["x5"]])
     f = zero_field(chart)
-    if failed.startswith("corank"):
-        d2 = d1
-    elif failed.startswith("nested"):
+    if failed.startswith("nested"):
         d2 = span(chart, (e["x2"], e["x3"], e["x4"], e["x5"], e["x6"]), engine)
     elif failed.startswith("d1 not inside"):
         d2 = sum_spans(d1, [e["x4"], e["x5"]])  # involutive: its own characteristic
@@ -348,11 +346,19 @@ def _window_case(failed: str):
     return f, d0, d1, d2, e["x2"], e["x3"]
 
 
-# "d1 involutive" and "d1 equals d0 + span{v1, v2}" have their own tests below.
+def test_lemma_candidates_rejects_bad_corank(vtol):
+    sys = as_system(vtol, "vtol")
+    d1 = span(sys.chart, (sys.g1, sys.g2), sys.engine)
+    d0 = span(sys.chart, (), sys.engine)
+    with pytest.raises(AssumptionViolationError, match="corank-two chain"):
+        lemma1_candidates(sys.f, d0, d1, d1, sys.g1, sys.g2)
+
+
+# The corank, "d1 involutive" and "d1 equals d0 + span{v1, v2}" preconditions
+# have their own tests.
 @pytest.mark.parametrize(
     "failed",
     [
-        "corank-two chain d0 c d1 c d2",
         "nested chain d0 c d1 c d2",
         "d1 not inside the Cauchy characteristic of d2",
         "[f, d0] inside d1",
