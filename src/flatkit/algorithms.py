@@ -344,15 +344,14 @@ class _Frontier:
 
 
 def _leaf(st: _Frontier, status: str) -> Branch:
-    """Close a branch.  F is the member below T(X): itself if involutive, else
-    its Cauchy characteristic; undefined off reached leaves and for
-    length-one chains."""
+    """Close a branch.  F is the Cauchy characteristic of the member below
+    T(X), which is that member itself if it is involutive; undefined off
+    reached leaves and for length-one chains."""
     seq = tuple(st.sequence)
     F: Optional[Distribution] = None
     F_perp: Optional[Codistribution] = None
     if status == "reached-tangent-space" and len(seq) >= 2:
-        below = seq[-2]
-        F = below if below.is_involutive() else cauchy_characteristic(below)
+        F = cauchy_characteristic(seq[-2])
         F_perp = F.annihilator()
     return Branch(st.path, tuple(st.records), seq, status, F, F_perp)
 

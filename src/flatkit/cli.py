@@ -111,6 +111,8 @@ def _run_tree(sys: ControlAffineSystem, algorithm: int) -> BranchTree:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.max_prolong < 0:
+        raise ModelFileError("--max-prolong must be non-negative")
     model = load_model(args.model)
     base = build_system(model, args.seed)
     schedule = []

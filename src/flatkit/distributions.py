@@ -1,8 +1,17 @@
 """Distributions, codistributions, and the invariant operations on them.
 
-Ranks of spans are decided by the shared `RankEngine`; membership,
-involutivity, and integrability verdicts always go through exact annihilator
-pairings so no certificate ever rests on sampling alone.
+A distribution (a span of vector fields) and a codistribution (a span of
+covector fields) share one core.  It drops zero generators, takes the greedy
+basis and the rank from the shared `RankEngine`, builds the exact dual span
+(annihilator or coannihilator) from one nullspace, cross-checks the sampled
+rank against it, and decides membership by pairing with that dual.  The two
+classes add only their own parts: brackets and involutivity, or integrability.
+
+A dual's dual is its source: the annihilator of D records D as its
+coannihilator and the coannihilator of Q records Q as its annihilator, so
+going back costs no nullspace and reuses what the source has cached.
+Membership, involutivity and integrability verdicts always go through exact
+pairings, so no certificate ever rests on sampling alone.
 """
 
 from __future__ import annotations
@@ -29,39 +38,38 @@ from .fields import (
     VectorField,
     covectors_matrix,
     differential,
-    fields_matrix,
     lie_bracket,
     pair,
 )
 from .linalg import (
     RankEngine,
+    combine_rows,
     echelon,
+    exact_independent_rows,
     left_nullspace,
     normalize_vector,
     right_nullspace,
 )
 
 
-class Distribution:
-    """A span of vector fields with cached rank and exact annihilator."""
+class _Span:
+    """The core shared by `Distribution` and `Codistribution`: nonzero
+    generators on one chart, their greedy basis and rank, and the exact dual
+    span, built once, that cross-checks the rank and decides membership."""
 
-    def __init__(
-        self,
-        chart: Chart,
-        fields: Sequence[VectorField],
-        engine: RankEngine,
-    ) -> None:
-        for f in fields:
-            if f.chart is not chart:
-                raise ChartMismatchError("field on a different chart")
+    _element: type  # VectorField or CovectorField
+    _dual_kind: type  # the span class of the dual, bound below both classes
+
+    def __init__(self, chart: Chart, generators: Sequence, engine: RankEngine) -> None:
+        for g in generators:
+            if g.chart is not chart:
+                raise ChartMismatchError("generator on a different chart")
         self.chart = chart
-        self.fields = tuple(f for f in fields if not f.is_zero())
         self.engine = engine
+        self._generators = tuple(g for g in generators if not g.is_zero())
         self._rank: Optional[int] = None
-        self._annihilator: Optional["Codistribution"] = None
-        self._basis: Optional[tuple[VectorField, ...]] = None
-        self._involutive: Optional[bool] = None
-        self._brackets: Optional[list[VectorField]] = None
+        self._basis: Optional[tuple] = None
+        self._dual: Optional[_Span] = None
 
     @property
     def rank(self) -> int:
@@ -74,52 +82,92 @@ class Distribution:
         return self.chart.dim - self.rank
 
     def is_empty(self) -> bool:
-        return not self.fields
+        return not self._generators
 
-    def basis(self) -> tuple[VectorField, ...]:
+    def basis(self) -> tuple:
         """The greedy subset of the generators realizing the rank."""
         if self._basis is None:
-            picked = self.engine.independent_rows(fields_matrix(self.fields), self.chart)
+            rows = [list(g.components) for g in self._generators]
+            picked = self.engine.independent_rows(rows, self.chart)
             if self._rank is None:
                 self._rank = len(picked)
             elif self._rank != len(picked):
                 raise RankDisagreementError(
                     f"sampled rank {len(picked)} != exact rank {self._rank}"
                 )
-            self._basis = tuple(self.fields[i] for i in picked)
+            self._basis = tuple(self._generators[i] for i in picked)
         return self._basis
 
-    def annihilator(self) -> "Codistribution":
-        """Exact annihilating codistribution; cross-checks the sampled rank."""
-        if self._annihilator is None:
-            if not self.fields:
-                covs = [
-                    CovectorField(self.chart, tuple(row))
-                    for row in right_nullspace([], self.chart, ncols=self.chart.dim)
-                ]
-            else:
-                rows = right_nullspace(fields_matrix(self.fields), self.chart)
-                covs = [CovectorField(self.chart, tuple(r)) for r in rows]
-            exact = self.chart.dim - len(covs)
+    def _dual_span(self) -> "_Span":
+        """The exact dual span, whose rank cross-checks the sampled one."""
+        if self._dual is None:
+            rows = [list(g.components) for g in self._generators]
+            sols = right_nullspace(rows, self.chart, ncols=self.chart.dim)
+            exact = self.chart.dim - len(sols)
             if exact != self.rank:
                 raise RankDisagreementError(
                     f"sampled rank {self.rank} != exact rank {exact}"
                 )
-            self._annihilator = Codistribution(
-                self.chart, covs, self.engine, _rank=len(covs)
+            kind = self._dual_kind
+            dual = kind(
+                self.chart, [kind._element(self.chart, tuple(s)) for s in sols], self.engine
             )
-        return self._annihilator
+            dual._rank, dual._dual = len(sols), self
+            self._dual = dual
+        return self._dual
+
+    def _contains(self, x) -> bool:
+        """Exact membership: x pairs to zero with every generator of the dual."""
+        return x.is_zero() or all(
+            self._pair(x, y).is_zero() for y in self._dual_span()._generators
+        )
+
+    def contains(self, other: "_Span") -> bool:
+        return all(self._contains(x) for x in other._generators)
+
+    def span_equal(self, other: "_Span") -> bool:
+        return self.contains(other) and other.contains(self)
+
+
+class Distribution(_Span):
+    """A span of vector fields; its dual is the annihilator."""
+
+    _element = VectorField
+
+    def __init__(
+        self,
+        chart: Chart,
+        fields: Sequence[VectorField],
+        engine: RankEngine,
+    ) -> None:
+        super().__init__(chart, fields, engine)
+        self._involutive: Optional[bool] = None
+        self._brackets: Optional[list[VectorField]] = None
+        self._cauchy: Optional[Distribution] = None
+
+    @property
+    def fields(self) -> tuple[VectorField, ...]:
+        return self._generators
+
+    def basis(self) -> tuple[VectorField, ...]:
+        """The greedy subset of the fields realizing the rank."""
+        # defined on this class too: flatbench/tracer.py times it by this name
+        return super().basis()
+
+    def annihilator(self) -> "Codistribution":
+        """Exact annihilating codistribution; cross-checks the sampled rank."""
+        return self._dual_span()
+
+    @staticmethod
+    def _pair(v: VectorField, w: CovectorField) -> Expr:
+        return pair(w, v)
 
     def contains_field(self, v: VectorField) -> bool:
         """Exact membership test via the annihilator pairing."""
-        if v.is_zero():
-            return True
-        return all(pair(w, v).is_zero() for w in self.annihilator().covectors)
-
-    def contains(self, other: "Distribution") -> bool:
-        return all(self.contains_field(f) for f in other.fields)
+        return self._contains(v)
 
     def _basis_brackets(self) -> list[VectorField]:
+        """[b_i, b_j] for i < j over the basis, row by row."""
         if self._brackets is None:
             b = self.basis()
             self._brackets = [
@@ -136,22 +184,36 @@ class Distribution:
             )
         return self._involutive
 
-    def span_equal(self, other: "Distribution") -> bool:
-        return self.contains(other) and other.contains(self)
+
+class Codistribution(_Span):
+    """A span of covector fields (a Pfaffian system); its dual is the
+    coannihilator."""
+
+    _element = CovectorField
+    _pair = staticmethod(pair)
+
+    @property
+    def covectors(self) -> tuple[CovectorField, ...]:
+        return self._generators
+
+    def coannihilator(self) -> Distribution:
+        """Exact distribution of fields annihilated by every covector."""
+        return self._dual_span()
+
+    def contains_covector(self, w: CovectorField) -> bool:
+        return self._contains(w)
+
+    def is_integrable(self) -> bool:
+        """Frobenius: integrable iff the coannihilator is involutive."""
+        return self.is_empty() or self.coannihilator().is_involutive()
+
+
+Distribution._dual_kind = Codistribution
+Codistribution._dual_kind = Distribution
 
 
 def span(chart: Chart, fields: Sequence[VectorField], engine: RankEngine) -> Distribution:
     return Distribution(chart, fields, engine)
-
-
-def generic_rank(
-    items: Sequence[VectorField | CovectorField], chart: Chart, engine: RankEngine
-) -> int:
-    """Generic rank of a family of vector fields or covector fields."""
-    if not items:
-        return 0
-    rows = [list(it.components) for it in items]
-    return engine.rank(rows, chart)
 
 
 def sum_spans(a: Distribution, extra: Sequence[VectorField]) -> Distribution:
@@ -188,52 +250,40 @@ def involutive_closure(d: Distribution) -> Distribution:
 
 
 def cauchy_characteristic(d: Distribution) -> Distribution:
-    """C(D) = {v in D : [v, D] subset D}, exact over the function field.
+    """C(D) = {v in D : [v, D] subset D}, exact over the function field, and
+    computed once per distribution.
 
-    With basis fields v_a and annihilator covectors w_k, the combination
-    sum_a alpha_a v_a lies in C(D) iff sum_a alpha_a <w_k, [v_a, v_b]> = 0
-    for all k, b — a linear system over the rational-function field.
+    An involutive D, the tangent space among them, is its own characteristic.
+    Otherwise, with basis fields v_a and annihilator covectors w_k, the
+    combination sum_a alpha_a v_a lies in C(D) iff
+    sum_a alpha_a <w_k, [v_a, v_b]> = 0 for all k, b — a linear system over
+    the rational-function field, built from the brackets that the
+    involutivity test already took.
     """
-    basis = d.basis()
-    r = len(basis)
-    if r == 0:
-        return Distribution(d.chart, (), d.engine)
-    ann = d.annihilator().covectors
-    if not ann:
-        return d  # the full tangent space is its own characteristic
-    if d.is_involutive():
+    if d._cauchy is not None:
+        return d._cauchy
+    if d.is_empty() or not d.annihilator().covectors or d.is_involutive():
+        d._cauchy = d
         return d
-    table = [[None] * r for _ in range(r)]
-    rows: list[list[Expr]] = []
-    for b in range(r):
-        for w in ann:
-            row = []
-            for a in range(r):
-                if a == b:
-                    row.append(d.chart.zero)
-                    continue
-                br = table[a][b]
-                if br is None:
-                    if table[b][a] is not None:
-                        br = -table[b][a]
-                    else:
-                        br = lie_bracket(basis[a], basis[b])
-                    table[a][b] = br
-                row.append(pair(w, br))
-            rows.append(row)
-    sols = right_nullspace(rows, d.chart, ncols=r)
+    chart, basis, ann = d.chart, d.basis(), d.annihilator().covectors
+    r = len(basis)
+    bracket: dict[tuple[int, int], VectorField] = {}
+    pending = iter(d._basis_brackets())
+    for a in range(r):
+        for b in range(a + 1, r):
+            bracket[a, b] = next(pending)
+            bracket[b, a] = -bracket[a, b]
+    rows = [
+        [chart.zero if a == b else pair(w, bracket[a, b]) for a in range(r)]
+        for b in range(r)
+        for w in ann
+    ]
     fields = []
-    for alpha in sols:
-        comps = [d.chart.zero] * d.chart.dim
-        for a in range(r):
-            if not alpha[a].is_zero():
-                for i in range(d.chart.dim):
-                    c = basis[a].components[i]
-                    if not c.is_zero():
-                        comps[i] = comps[i] + alpha[a] * c
-        comps = normalize_vector(comps, d.chart)
-        fields.append(VectorField(d.chart, tuple(comps)))
-    return Distribution(d.chart, fields, d.engine)
+    for alpha in right_nullspace(rows, chart, ncols=r):
+        comps = combine_rows(alpha, [b.components for b in basis], chart)
+        fields.append(VectorField(chart, tuple(normalize_vector(comps, chart))))
+    d._cauchy = Distribution(chart, fields, d.engine)
+    return d._cauchy
 
 
 def intersect(a: Distribution, b: Distribution) -> Distribution:
@@ -243,88 +293,6 @@ def intersect(a: Distribution, b: Distribution) -> Distribution:
     stacked = list(a.annihilator().covectors) + list(b.annihilator().covectors)
     q = Codistribution(a.chart, stacked, a.engine)
     return q.coannihilator()
-
-
-class Codistribution:
-    """A span of covector fields (a Pfaffian system)."""
-
-    def __init__(
-        self,
-        chart: Chart,
-        covectors: Sequence[CovectorField],
-        engine: RankEngine,
-        _rank: Optional[int] = None,
-    ) -> None:
-        for w in covectors:
-            if w.chart is not chart:
-                raise ChartMismatchError("covector on a different chart")
-        self.chart = chart
-        self.covectors = tuple(w for w in covectors if not w.is_zero())
-        self.engine = engine
-        self._rank = _rank
-        self._coann: Optional[Distribution] = None
-
-    @property
-    def rank(self) -> int:
-        if self._rank is None:
-            self._rank = self.engine.rank(
-                covectors_matrix(self.covectors), self.chart
-            )
-        return self._rank
-
-    def is_empty(self) -> bool:
-        return not self.covectors
-
-    def coannihilator(self) -> Distribution:
-        """Exact distribution of fields annihilated by every covector."""
-        if self._coann is None:
-            if not self.covectors:
-                sols = right_nullspace([], self.chart, ncols=self.chart.dim)
-            else:
-                sols = right_nullspace(covectors_matrix(self.covectors), self.chart)
-            exact = self.chart.dim - len(sols)
-            if exact != self.rank:
-                raise RankDisagreementError(
-                    f"sampled rank {self.rank} != exact rank {exact}"
-                )
-            self._coann = Distribution(
-                self.chart,
-                [VectorField(self.chart, tuple(s)) for s in sols],
-                self.engine,
-            )
-            self._coann._rank = self.chart.dim - exact
-        return self._coann
-
-    def contains_covector(self, w: CovectorField) -> bool:
-        if w.is_zero():
-            return True
-        return all(pair(w, v).is_zero() for v in self.coannihilator().fields)
-
-    def contains(self, other: "Codistribution") -> bool:
-        return all(self.contains_covector(w) for w in other.covectors)
-
-    def span_equal(self, other: "Codistribution") -> bool:
-        return self.contains(other) and other.contains(self)
-
-    def is_integrable(self) -> bool:
-        """Frobenius: integrable iff the coannihilator is involutive."""
-        if self.is_empty():
-            return True
-        return self.coannihilator().is_involutive()
-
-    def reduced_basis(self) -> list[CovectorField]:
-        """Echelonized, normalized spanning covectors (exact)."""
-        if not self.covectors:
-            return []
-        res = echelon(covectors_matrix(self.covectors), self.chart)
-        out = []
-        for k in range(res.rank):
-            out.append(
-                CovectorField(
-                    self.chart, tuple(normalize_vector(res.rows[k], self.chart))
-                )
-            )
-        return out
 
 
 def intersect_with_coordinates(
@@ -340,29 +308,12 @@ def intersect_with_coordinates(
     keep = set(names)
     out_cols = [i for i, c in enumerate(chart.coordinates) if c not in keep]
     rows = covectors_matrix(q.covectors)
-    if not rows:
-        return Codistribution(chart, (), q.engine)
     combos = left_nullspace([[row[j] for j in out_cols] for row in rows], chart)
-    covs: list[CovectorField] = []
-    mat: list[list[Expr]] = []
-    for c in combos:
-        comp = [chart.zero] * chart.dim
-        for i, coef in enumerate(c):
-            if coef.is_zero():
-                continue
-            for j in range(chart.dim):
-                e = rows[i][j]
-                if not e.is_zero():
-                    comp[j] = comp[j] + coef * e
-        w = CovectorField(chart, tuple(normalize_vector(comp, chart)))
-        if w.is_zero():
-            continue
-        mat.append(list(w.components))
-        if len(mat) > 1 and echelon(mat, chart).rank < len(mat):
-            mat.pop()
-            continue
-        covs.append(w)
-    return Codistribution(chart, covs, q.engine, _rank=len(covs))
+    comps = [normalize_vector(combine_rows(c, rows, chart), chart) for c in combos]
+    picked = exact_independent_rows(comps, chart)
+    part = Codistribution(chart, [CovectorField(chart, tuple(comps[i])) for i in picked], q.engine)
+    part._rank = len(picked)
+    return part
 
 
 @dataclass
@@ -391,58 +342,51 @@ def first_integrals(q: Codistribution) -> FirstIntegralsResult:
     if not q.is_integrable():
         raise NotIntegrableError("codistribution fails the Frobenius test")
     chart = q.chart
-    rows = q.reduced_basis()
-    coann = q.coannihilator().fields
-    funcs: list[Expr] = []
-    frozen: set[str] = set()
     res = echelon(covectors_matrix(q.covectors), chart)
-    for k, w in enumerate(rows):
-        h = _integrate_row(chart, w, frozen)
+    funcs: list[Expr] = []
+    diffs: list[list[Expr]] = []
+    frozen: set[str] = set()
+    for row, col in zip(res.rows, res.pivot_cols):
+        h = _integrate_row(chart, normalize_vector(row, chart), frozen)
         if h is not None:
             dh = differential(h)
-            if all(pair(dh, v).is_zero() for v in coann) and not dh.is_zero():
+            if not dh.is_zero() and q.contains_covector(dh):
                 funcs.append(strip_coordinate_constant(h))
-        frozen.add(chart.coordinates[res.pivot_cols[k]])
+                diffs.append(list(dh.components))
+        frozen.add(chart.coordinates[col])
     # Differentials of the found functions must stay independent.
-    kept: list[Expr] = []
-    mat: list[list[Expr]] = []
-    for h in funcs:
-        mat.append(list(differential(h).components))
-        if echelon(mat, chart).rank < len(mat):
-            mat.pop()
-            continue
-        kept.append(h)
-    return FirstIntegralsResult(kept, q.rank)
+    kept = exact_independent_rows(diffs, chart)
+    return FirstIntegralsResult([funcs[i] for i in kept], q.rank)
 
 
 def _integrate_row(
-    chart: Chart, w: CovectorField, frozen: set[str]
+    chart: Chart, w: Sequence[Expr], frozen: set[str]
 ) -> Optional[Expr]:
     active = [
         (i, name)
         for i, name in enumerate(chart.coordinates)
-        if name not in frozen and not w.components[i].is_zero()
+        if name not in frozen and not w[i].is_zero()
     ]
     if not active:
         return None
     if len(active) == 1:
         i, name = active[0]
-        if w.components[i].is_constant():
+        if w[i].is_constant():
             return chart.sym(name)
     # Exactness on the active block (frozen coordinates ride along).
     for a in range(len(active)):
         ia, na = active[a]
         for b in range(a + 1, len(active)):
             ib, nb = active[b]
-            lhs = differentiate(w.components[ia], nb)
-            rhs = differentiate(w.components[ib], na)
+            lhs = differentiate(w[ia], nb)
+            rhs = differentiate(w[ib], na)
             if not (lhs - rhs).is_zero():
                 return None
     h = chart.zero
     names = [name for _, name in active]
     try:
         for pos, (i, name) in enumerate(active):
-            integrand = w.components[i]
+            integrand = w[i]
             later = {n: chart.const(0) for n in names[pos + 1:]}
             if later:
                 integrand = substitute(integrand, later)

@@ -443,15 +443,6 @@ def _render_poly(chart: Chart, poly: Poly) -> str:
     return "".join(pieces)
 
 
-def normalize(e: Expr) -> Expr:
-    """Canonical form of an expression.
-
-    Expressions are canonicalized at construction, so this returns its
-    argument; it exists so callers can state the intent explicitly.
-    """
-    return e
-
-
 # -- elementary functions ----------------------------------------------------
 
 

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rational-function field, plus generic ranks.
 
-Nullspaces, echelon forms and `exact_rank` are exact.  `RankEngine` finds
-generic ranks, and the greedy independent rows behind them, by evaluating a
-matrix at random points of the prime field F_p, p = 2^61 - 1 (see `sample`).
+Nullspaces, echelon forms, `exact_rank` and `exact_independent_rows` are
+exact.  `RankEngine` finds generic ranks, and the greedy independent rows
+behind them, by evaluating a matrix at random points of the prime field F_p,
+p = 2^61 - 1 (see `sample`).
 A modular rank can only fall below the generic rank, never exceed it, and by
 the Schwartz-Zippel lemma one point misses with probability at most D/p for
 a nonzero minor of degree D.  Rank decisions feed integrability verdicts, so
@@ -116,6 +117,31 @@ def exact_rank(matrix: Matrix, chart: Chart) -> int:
     if not matrix:
         return 0
     return echelon(matrix, chart).rank
+
+
+def exact_independent_rows(matrix: Matrix, chart: Chart) -> list[int]:
+    """Indices of the rows that raise the exact rank of the rows taken
+    before them: the exact counterpart of `RankEngine.independent_rows`."""
+    taken: Matrix = []
+    picked: list[int] = []
+    for i, row in enumerate(matrix):
+        if all(e.is_zero() for e in row):
+            continue
+        if not taken or echelon(taken + [row], chart).rank > len(taken):
+            taken.append(row)
+            picked.append(i)
+    return picked
+
+
+def combine_rows(coeffs: Sequence[Expr], rows: Matrix, chart: Chart) -> list[Expr]:
+    """sum_i coeffs[i] * rows[i] for rows of length chart.dim."""
+    out = [chart.zero] * chart.dim
+    for c, row in zip(coeffs, rows):
+        if not c.is_zero():
+            for j, e in enumerate(row):
+                if not e.is_zero():
+                    out[j] = out[j] + c * e
+    return out
 
 
 def normalize_vector(vec: Sequence[Expr], chart: Chart) -> list[Expr]:

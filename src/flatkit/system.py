@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .distributions import Codistribution, generic_rank, intersect_with_coordinates
+from .distributions import Codistribution, intersect_with_coordinates, span
 from .errors import (
     ChartMismatchError,
     DependentDifferentialsError,
@@ -62,7 +62,7 @@ class ControlAffineSystem:
         for u in self.inputs:
             if self.chart.has_symbol(u):
                 raise ValueError(f"input name '{u}' collides with a chart symbol")
-        if generic_rank([self.g1, self.g2], self.chart, self.engine) != 2:
+        if span(self.chart, (self.g1, self.g2), self.engine).rank != 2:
             raise ValueError("input fields g1, g2 must have generic rank 2")
 
     @property
@@ -186,7 +186,8 @@ def flat_indices(n: int, K: tuple[int, int]) -> tuple[tuple[int, int], int]:
 def candidate(sys: ControlAffineSystem, phi: PhiPair) -> FlatCandidate:
     """Degrees plus indices for an output pair, with the independence check."""
     phi1, phi2 = phi
-    if generic_rank([differential(phi1), differential(phi2)], sys.chart, sys.engine) < 2:
+    dphi = Codistribution(sys.chart, (differential(phi1), differential(phi2)), sys.engine)
+    if dphi.rank < 2:
         raise DependentDifferentialsError(
             "candidate output differentials are dependent"
         )

@@ -182,6 +182,14 @@ def test_refined_closure_on_chained(chained5):
     assert stacked.rank == branch.F_perp.rank
 
 
+def test_leaf_reuses_the_rule_characteristic_and_dual(chained5):
+    # the closed frontier is the member below T(X): its characteristic, taken
+    # by the refined rule, is the leaf's F, and F-perp links back to F
+    (branch,) = run_algorithm2(as_system(chained5, "chained5")).branches
+    assert branch.F is branch.records[-1].cauchy
+    assert branch.F_perp.coannihilator() is branch.F
+
+
 def test_refined_matches_basic_when_no_replacement_needed(brunovsky4):
     basic = run_algorithm1(brunovsky4).branches[0]
     refined = run_algorithm2(brunovsky4).branches[0]

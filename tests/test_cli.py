@@ -407,6 +407,16 @@ def test_negative_orders_are_input_error(tmp_path, capsys):
     assert "non-negative" in err
 
 
+def test_negative_max_prolong_is_input_error(capsys):
+    # a negative N would search no prolongation and still report a verdict
+    code, report, err = run_cli(
+        capsys, "analyze", str(MODELS / "vtol.json"), "--max-prolong", "-1"
+    )
+    assert code == 1
+    assert report == {}
+    assert "non-negative" in err
+
+
 def test_usage_errors_exit_with_input_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", str(MODELS / "vtol.json"), "--algorithm", "7"])

@@ -18,7 +18,6 @@ from flatkit import (
     derived_step,
     differential,
     first_integrals,
-    generic_rank,
     intersect,
     intersect_with_coordinates,
     involutive_closure,
@@ -29,7 +28,9 @@ from flatkit import (
 )
 from flatkit import VectorField
 from flatkit import distributions
-from flatkit.errors import NotIntegrableError, ZeroDenominatorError
+from flatkit.errors import NotIntegrableError, RankDisagreementError, ZeroDenominatorError
+from flatkit.fields import covectors_matrix
+from flatkit.linalg import echelon, normalize_vector
 
 from conftest import random_polynomial
 
@@ -85,8 +86,8 @@ def test_vtol_quadratic_bracket_memberships(vtol):
 
 def test_generic_rank_matches_distribution_rank(vtol):
     d2 = input_ladder(vtol, 1)[1]
-    assert generic_rank(d2.fields, vtol.chart, vtol.engine) == 4
-    assert generic_rank([], vtol.chart, vtol.engine) == 0
+    assert span(vtol.chart, d2.fields, vtol.engine).rank == 4
+    assert span(vtol.chart, [], vtol.engine).rank == 0
 
 
 def test_empty_distribution(vtol):
@@ -108,6 +109,65 @@ def test_rank_plus_annihilator_rank_is_dimension(rng):
             fields.append(VectorField(chart, comps))
         d = span(chart, fields, engine)
         assert d.rank + d.annihilator().rank == chart.dim
+
+
+# --- the dual link ---
+
+
+def _random_spans(plant, rng):
+    """Some of f, g1, g2, [f, g1], [f, g2] plus up to two fields
+    d/da + p d/db with p random and linear, and the differentials of one to
+    three random quadratics.  (Dense random fields next to the trig fields
+    of vtol send the nullspace into slow multivariate gcds.)"""
+    chart = plant.chart
+    pool = [plant.f, plant.g1, plant.g2]
+    pool += [lie_bracket(plant.f, plant.g1), lie_bracket(plant.f, plant.g2)]
+    fields = rng.sample(pool, rng.randint(1, 3))
+    for _ in range(rng.randint(0, 2)):
+        a, b = (coordinate_field(chart, rng.choice(chart.coordinates)) for _ in "ab")
+        fields.append(a + b.scale(random_polynomial(chart, rng, 1)))
+    covs = [differential(random_polynomial(chart, rng, 2)) for _ in range(rng.randint(1, 3))]
+    return span(chart, fields, plant.engine), Codistribution(chart, covs, plant.engine)
+
+
+@pytest.mark.parametrize("plant", ["vtol", "seven_state"])
+def test_dual_round_trip_recovers_the_span(request, rng, plant):
+    plant = request.getfixturevalue(plant)
+    chart, engine = plant.chart, plant.engine
+    for _ in range(6):
+        d, q = _random_spans(plant, rng)
+        ann, coann = d.annihilator(), q.coannihilator()
+        assert d.rank + ann.rank == chart.dim
+        assert q.rank + coann.rank == chart.dim
+        # through fresh spans, so that each way back runs its own nullspace
+        assert Codistribution(chart, ann.covectors, engine).coannihilator().span_equal(d)
+        assert span(chart, coann.fields, engine).annihilator().span_equal(q)
+        # through the recorded link
+        assert ann.coannihilator().span_equal(d)
+        assert coann.annihilator().span_equal(q)
+
+
+def test_dual_of_dual_is_the_source(vtol):
+    chart = vtol.chart
+    for d in input_ladder(vtol, 2):
+        assert d.annihilator().coannihilator() is d
+    q = Codistribution(chart, (coordinate_covector(chart, "x"),), vtol.engine)
+    assert q.coannihilator().annihilator() is q
+
+
+def test_sampled_rank_is_cross_checked_by_the_dual(vtol, monkeypatch):
+    chart, engine = vtol.chart, vtol.engine
+    d = span(chart, (vtol.g1, vtol.g2), engine)
+    q = Codistribution(chart, [coordinate_covector(chart, n) for n in ("x", "z")], engine)
+    exact = q.coannihilator()  # rank 4 from the nullspace, basis not yet sampled
+    # an engine that misses the last row
+    monkeypatch.setattr(engine, "independent_rows", lambda rows, ch: list(range(len(rows) - 1)))
+    with pytest.raises(RankDisagreementError):
+        d.annihilator()
+    with pytest.raises(RankDisagreementError):
+        Codistribution(chart, q.covectors, engine).coannihilator()
+    with pytest.raises(RankDisagreementError):
+        exact.basis()
 
 
 # --- derived flags and closures ---
@@ -170,6 +230,7 @@ def test_seven_state_characteristic_is_last_input_direction(seven_state):
     assert d2.rank == 4
     assert not d2.is_involutive()
     c = cauchy_characteristic(d2)
+    assert cauchy_characteristic(d2) is c  # computed once per distribution
     e7 = coordinate_field(seven_state.chart, "z7")
     assert c.rank == 1
     assert c.span_equal(span(seven_state.chart, (e7,), seven_state.engine))
@@ -255,7 +316,8 @@ def test_reduced_basis_preserves_span(seven_state):
     dz3 = coordinate_covector(ch, "z3")
     w1 = CovectorField(ch, tuple(a + b for a, b in zip(dz1.components, dz3.components)))
     q = Codistribution(ch, (w1, dz1), engine)
-    reduced = q.reduced_basis()
+    res = echelon(covectors_matrix(q.covectors), ch)
+    reduced = [CovectorField(ch, tuple(normalize_vector(row, ch))) for row in res.rows[: res.rank]]
     assert len(reduced) == 2
     assert Codistribution(ch, reduced, engine).span_equal(q)
 

@@ -20,7 +20,6 @@ from flatkit.expr import (
     differentiate,
     eval_at,
     eval_float,
-    normalize,
     strip_coordinate_constant,
     substitute,
     transfer,
@@ -134,20 +133,13 @@ def _random_expr(chart, rng, names, depth=0):
     return a + FUNCTION_TABLE[fn](arg)
 
 
-def test_normalize_identity_and_idempotent(chart):
-    e = chart.parse("(x + y)^2 / (x + y)")
-    assert normalize(e) == e
-    assert normalize(normalize(e)) == normalize(e)
-    assert (e - normalize(e)).is_zero()
-
-
 def test_additivity_of_canonical_arithmetic(chart):
     rng = random.Random(41)
     names = ["x", "y", "z", "theta", "eps"]
     for _ in range(200):
         a = _random_expr(chart, rng, names)
         b = _random_expr(chart, rng, names)
-        assert (normalize(a + b) - (normalize(a) + normalize(b))).is_zero()
+        assert ((a + b) - a - b).is_zero()
 
 
 def test_differentiate_basic(chart):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from flatkit import Chart, RankEngine, exact_rank, rank_at_point, right_nullspace
 from flatkit.errors import PrimeDenominatorError, SampleExhaustedError
-from flatkit.linalg import echelon, left_nullspace, normalize_vector
+from flatkit.linalg import echelon, exact_independent_rows, left_nullspace, normalize_vector
 from flatkit.sample import PRIME, draw_admissible, draw_residues, modular_point
 
 from conftest import random_polynomial
@@ -286,6 +286,21 @@ def test_modular_greedy_rows_match_exact_greedy(factors, seed):
     matrix = build_matrix(chart, *factors)
     engine = RankEngine(seed=seed, crosscheck=False)
     assert engine.independent_rows(matrix, chart) == exact_greedy(matrix, chart)
+
+
+@settings(max_examples=20, deadline=None)
+@given(structured_matrices())
+def test_exact_independent_rows_match_exact_greedy(factors):
+    chart = Chart(["a", "b", "t"])
+    matrix = build_matrix(chart, *factors)
+    assert exact_independent_rows(matrix, chart) == exact_greedy(matrix, chart)
+
+
+def test_exact_independent_rows_skip_zero_and_dependent_rows():
+    chart = Chart(["a"])
+    a, zero, one = chart.sym("a"), chart.zero, chart.one
+    m = [[zero, zero], [a, zero], [one, zero], [zero, one], [a, a * a]]
+    assert exact_independent_rows(m, chart) == [1, 3]
 
 
 def test_greedy_rows_skip_rows_that_only_look_independent():
