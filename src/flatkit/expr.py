@@ -8,6 +8,16 @@ sin/cos of a bare coordinate symbol (subject to the circle relation
 sin^2 + cos^2 = 1, reduced so every sine exponent is at most one) and opaque
 applications exp/ln/sqrt/sin/cos of compound arguments, which carry known
 derivatives but no algebraic relations.
+
+These results are canonical as built and skip `_canonicalize`: the sum of
+two polynomials (denominators 1), a canonical expression times a nonzero
+constant (same monic denominator, no new common factor), and the partial
+derivative of a trig-reduced polynomial by one generator.  A constant
+denominator of 1 costs no scaling pass.
+
+`differentiate` is memoized per expression, in a slot of the Expr, so each
+(expression, symbol) pair is differentiated at most once.  Charts only add
+generators, so a stored derivative stays canonical.
 """
 
 from __future__ import annotations
@@ -230,7 +240,7 @@ def _reduce_trig(poly: Poly, sin_to_cos: dict[int, int]) -> Poly:
 class Expr:
     """A canonical rational expression over a chart."""
 
-    __slots__ = ("chart", "num", "den", "_hash")
+    __slots__ = ("chart", "num", "den", "_hash", "_derivs")
 
     def __init__(self, chart: Chart, num: Poly, den: Poly, _raw: bool = False):
         if not _raw:
@@ -239,6 +249,7 @@ class Expr:
         self.num = num
         self.den = den
         self._hash: Optional[int] = None
+        self._derivs: Optional[dict[str, Expr]] = None  # see differentiate
 
     # -- predicates ---------------------------------------------------------
 
@@ -284,6 +295,9 @@ class Expr:
         if o.is_zero():
             return self
         if self.den == o.den:
+            if p_is_const(self.den):
+                # a sum of trig-reduced polynomials is trig-reduced
+                return Expr(self.chart, p_add(self.num, o.num), self.den, _raw=True)
             return Expr(self.chart, p_add(self.num, o.num), self.den)
         num = p_add(p_mul(self.num, o.den), p_mul(o.num, self.den))
         return Expr(self.chart, num, p_mul(self.den, o.den))
@@ -303,9 +317,19 @@ class Expr:
         o = self._coerce(other)
         if self.is_zero() or o.is_zero():
             return self.chart.zero
+        if o.is_constant():
+            return self._scaled(p_const_value(o.num))
+        if self.is_constant():
+            return o._scaled(p_const_value(self.num))
         return Expr(self.chart, p_mul(self.num, o.num), p_mul(self.den, o.den))
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: Fraction) -> "Expr":
+        # c * num over the same monic den is still in lowest terms
+        if c == 1:
+            return self
+        return Expr(self.chart, p_scale(self.num, c), self.den, _raw=True)
 
     def __truediv__(self, other: Scalar) -> "Expr":
         o = self._coerce(other)
@@ -379,6 +403,14 @@ def _clear_sin_denominator(s2c: dict[int, int], num: Poly, den: Poly) -> tuple[P
     return num, den
 
 
+def _over_constant(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num / c for a constant denominator c, with no pass over num when c is 1."""
+    c = p_const_value(den)
+    if c == 1:
+        return num, den
+    return p_scale(num, 1 / c), p_const(1)
+
+
 def _canonicalize(chart: Chart, num: Poly, den: Poly) -> tuple[Poly, Poly]:
     s2c = chart.sin_to_cos()
     num = _reduce_trig(num, s2c)
@@ -390,8 +422,7 @@ def _canonicalize(chart: Chart, num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if s2c:
         num, den = _clear_sin_denominator(s2c, num, den)
     if p_is_const(den):
-        c = p_const_value(den)
-        return p_scale(num, 1 / c), p_const(1)
+        return _over_constant(num, den)
     if not p_is_const(num):
         q = p_div_exact(num, den)
         if q is not None:
@@ -404,8 +435,7 @@ def _canonicalize(chart: Chart, num: Poly, den: Poly) -> tuple[Poly, Poly]:
                 assert qn is not None and qd is not None
                 num, den = qn, qd
     if p_is_const(den):
-        c = p_const_value(den)
-        return p_scale(num, 1 / c), p_const(1)
+        return _over_constant(num, den)
     lc = p_lead(den)[1]
     if lc != 1:
         num = p_scale(num, 1 / lc)
@@ -572,22 +602,35 @@ def _poly_derivative(chart: Chart, poly: Poly, sym: str) -> Expr:
             continue
         dp = p_diff(poly, idx)
         if dp:
-            total = total + Expr(chart, dp, p_const(1)) * dgen
+            # d/dg of a trig-reduced polynomial is trig-reduced
+            term = Expr(chart, dp, p_const(1), _raw=True)
+            total = total + (term if chart.gen_info(idx).kind == "base" else term * dgen)
     return total
 
 
 def differentiate(e: Expr, sym: str) -> Expr:
-    """Partial derivative with respect to a base symbol of the chart."""
+    """Partial derivative with respect to a base symbol of the chart.
+
+    Memoized per expression: repeated calls return the same object.
+    """
     chart = e.chart
     if not chart.has_symbol(sym):
         raise UnknownSymbolError(sym)
+    memo = e._derivs
+    if memo is None:
+        memo = e._derivs = {}
+    elif sym in memo:
+        return memo[sym]
     dn = _poly_derivative(chart, e.num, sym)
     if p_is_const(e.den):
-        return dn
-    dd = _poly_derivative(chart, e.den, sym)
-    den_expr = Expr(chart, e.den, p_const(1), _raw=True)
-    num_expr = Expr(chart, e.num, p_const(1), _raw=True)
-    return (dn * den_expr - num_expr * dd) / (den_expr * den_expr)
+        out = dn
+    else:
+        dd = _poly_derivative(chart, e.den, sym)
+        den_expr = Expr(chart, e.den, p_const(1), _raw=True)
+        num_expr = Expr(chart, e.num, p_const(1), _raw=True)
+        out = (dn * den_expr - num_expr * dd) / (den_expr * den_expr)
+    memo[sym] = out
+    return out
 
 
 # -- evaluation ----------------------------------------------------------------

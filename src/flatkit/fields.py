@@ -136,23 +136,24 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     chart = v.chart
     names = chart.coordinates
     out = [chart.zero] * chart.dim
-    for j, name_j in enumerate(names):
-        vj = v.components[j]
-        wj = w.components[j]
-        if not vj.is_zero():
-            for i in range(chart.dim):
-                wi = w.components[i]
-                if not wi.is_zero():
-                    d = differentiate(wi, name_j)
-                    if not d.is_zero():
-                        out[i] = out[i] + vj * d
-        if not wj.is_zero():
-            for i in range(chart.dim):
-                vi = v.components[i]
-                if not vi.is_zero():
-                    d = differentiate(vi, name_j)
-                    if not d.is_zero():
-                        out[i] = out[i] - wj * d
+    supp_v = {i: c for i, c in enumerate(v.components) if not c.is_zero()}
+    supp_w = {i: c for i, c in enumerate(w.components) if not c.is_zero()}
+    # j ascending, as in the dense double loop, so every derivative (and any
+    # generator it registers) comes in the same order
+    for j in sorted(supp_v.keys() | supp_w.keys()):
+        name_j = names[j]
+        vj = supp_v.get(j)
+        if vj is not None:
+            for i, wi in supp_w.items():
+                d = differentiate(wi, name_j)
+                if not d.is_zero():
+                    out[i] = out[i] + vj * d
+        wj = supp_w.get(j)
+        if wj is not None:
+            for i, vi in supp_v.items():
+                d = differentiate(vi, name_j)
+                if not d.is_zero():
+                    out[i] = out[i] - wj * d
     return VectorField(chart, tuple(out))
 
 

@@ -32,16 +32,15 @@ Matrix = list[list[Expr]]
 POINTS = 2
 
 
-def _clear_row_denominators(row: list[Expr], chart: Chart) -> list[Expr]:
-    """Scale a row to polynomial entries (denominator 1)."""
+def _clear_row_denominators(row: Sequence[Expr], chart: Chart) -> list[Expr]:
+    """Scale a row to polynomial entries (denominator 1) by the primitive lcm
+    of its denominators; a row of polynomials comes back as it is."""
     den = sympoly.p_const(Fraction(1))
     for e in row:
-        if not e.is_zero():
+        if not sympoly.p_is_const(e.den):
             den = sympoly.p_lcm(den, e.den)
     if sympoly.p_is_const(den):
-        scale = sympoly.p_const_value(den)
-        if scale == 1:
-            return list(row)
+        return list(row)
     factor = Expr(chart, den, sympoly.p_const(Fraction(1)))
     return [e * factor for e in row]
 
@@ -146,13 +145,8 @@ def combine_rows(coeffs: Sequence[Expr], rows: Matrix, chart: Chart) -> list[Exp
 
 def normalize_vector(vec: Sequence[Expr], chart: Chart) -> list[Expr]:
     """Scale a vector to primitive polynomial entries with a positive lead."""
-    den = sympoly.p_const(Fraction(1))
-    for e in vec:
-        if not e.is_zero():
-            den = sympoly.p_lcm(den, e.den)
     one = sympoly.p_const(Fraction(1))
-    factor = Expr(chart, den, one)
-    cleared = [e * factor for e in vec]
+    cleared = _clear_row_denominators(vec, chart)
     g: Optional[sympoly.Poly] = None
     for e in cleared:
         if not e.is_zero():

@@ -10,7 +10,7 @@ nonzero at sample points (e.g. a nonvanishing arm length).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -45,6 +45,9 @@ class ModelFile:
     g2: tuple[str, ...]
     flat_output: Optional[tuple[str, str]]
     constraints: tuple[str, ...]
+    # The parse made at load time, left for the first build_system to take;
+    # later builds parse again, so no two systems share a chart.
+    _parsed: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         data = {
@@ -118,7 +121,7 @@ def model_from_dict(data: object, source: str = "<dict>") -> ModelFile:
         flat_output,
         tuple(constraints),
     )
-    _parse_all(model, source)  # fail at load time, not first use
+    model._parsed.append(_parse_all(model, source))  # fail at load time, not first use
     return model
 
 
@@ -183,7 +186,8 @@ def _parse_all(model: ModelFile, source: str) -> tuple[Chart, VectorField, Vecto
 
 
 def build_system(model: ModelFile, seed: int = 0) -> ControlAffineSystem:
-    chart, f, g1, g2, cons = _parse_all(model, model.name)
+    parsed = model._parsed.pop() if model._parsed else _parse_all(model, model.name)
+    chart, f, g1, g2, cons = parsed
     engine = RankEngine(seed=seed, constraints=cons)
     try:
         return ControlAffineSystem(

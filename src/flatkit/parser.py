@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ParseError, UnknownSymbolError
+from .errors import ParseError, UnknownSymbolError, ZeroDenominatorError
 from .expr import FUNCTION_TABLE, Chart, Expr
 
 
@@ -106,9 +106,14 @@ class _Parser:
     def term(self) -> Expr:
         e = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
+            op = self.advance()
             rhs = self.unary()
-            e = e * rhs if op == "*" else e / rhs
+            if op.text == "*":
+                e = e * rhs
+            elif rhs.is_zero():
+                raise ParseError("division by zero", op.pos)
+            else:
+                e = e / rhs
         return e
 
     def unary(self) -> Expr:
@@ -150,7 +155,10 @@ class _Parser:
                     self.advance()
                     arg = self.expr()
                     self.expect_op(")")
-                    return FUNCTION_TABLE[name](arg)
+                    try:
+                        return FUNCTION_TABLE[name](arg)
+                    except ZeroDenominatorError:  # cot(0)
+                        raise ParseError(f"'{name}' has a pole at its argument", tok.pos) from None
                 raise ParseError(f"function '{name}' requires an argument", tok.pos)
             if self.chart.has_symbol(name):
                 return self.chart.sym(name)

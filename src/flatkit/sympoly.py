@@ -140,6 +140,10 @@ def p_mul(a: Poly, b: Poly) -> Poly:
         return {}
     if len(a) > len(b):
         a, b = b, a
+    if len(a) == 1 and () in a:
+        # a constant factor scales b; the constant 1 copies it
+        c = a[()]
+        return dict(b) if c == 1 else {m: c * v for m, v in b.items()}
     out: Poly = {}
     for ma, ca in a.items():
         for mb, cb in b.items():

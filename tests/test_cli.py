@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import flatkit.modelfile
 import flatkit.system
 from flatkit import build_system, load_model, model_output, prolonged_model, save_model
 from flatkit.cli import main
@@ -87,6 +88,29 @@ def test_dependent_inputs_rejected(tmp_path):
     path = write_model(tmp_path, "dependent", data)
     with pytest.raises(ModelFileError, match="rank"):
         build_system(load_model(path))
+
+
+def test_model_is_parsed_once_and_each_build_gets_its_own_chart(monkeypatch):
+    parses = []
+    original = flatkit.modelfile._parse_all
+    monkeypatch.setattr(
+        flatkit.modelfile, "_parse_all", lambda *a: parses.append(a) or original(*a)
+    )
+    model = load_model(MODELS / "vtol.json")
+    first = build_system(model, seed=1)
+    assert len(parses) == 1  # the first build reuses the parse made at load
+    second = build_system(model, seed=1)
+    assert len(parses) == 2
+    assert first.chart is not second.chart
+    assert first.chart._deriv_cache is not second.chart._deriv_cache
+    for ours, theirs in zip(first.g2.components, second.g2.components):
+        assert ours.chart is first.chart and theirs.chart is second.chart
+    assert [c.render() for c in first.g2.components] == [
+        c.render() for c in second.g2.components
+    ]
+    # a generator registered on one chart does not appear on the other
+    first.chart.parse("sin(x)")
+    assert len(first.chart.gens()) == len(second.chart.gens()) + 2
 
 
 def test_prolonged_model_zero_orders_is_semantically_identical():
@@ -390,6 +414,26 @@ def test_unknown_output_symbol_is_input_error(capsys):
     )
     assert code == 1
     assert "output expression" in err
+
+
+@pytest.mark.parametrize("text", ["x/0", "1/(x-x)"])
+def test_zero_denominator_in_output_is_input_error(capsys, text):
+    code, report, err = run_cli(
+        capsys, "verify", str(MODELS / "vtol.json"), "--output", "x", text
+    )
+    assert code == 1
+    assert report == {}
+    assert "output expression: division by zero (at position 1)" in err
+
+
+def test_zero_denominator_in_model_is_input_error(tmp_path, capsys):
+    data = json.loads((MODELS / "vtol.json").read_text())
+    data["drift"][0] = "vx/(x-x)"
+    path = write_model(tmp_path, "pole", data)
+    code, report, err = run_cli(capsys, "analyze", path)
+    assert code == 1
+    assert report == {}
+    assert "drift component for 'x': division by zero (at position 2)" in err
 
 
 def test_negative_orders_are_input_error(tmp_path, capsys):

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flatkit.errors import (
     ParseError,
@@ -16,6 +18,7 @@ from flatkit.errors import (
 )
 from flatkit.expr import (
     Chart,
+    Expr,
     antiderivative,
     differentiate,
     eval_at,
@@ -25,6 +28,7 @@ from flatkit.expr import (
     transfer,
 )
 from flatkit.sample import draw_admissible, draw_point, random_rational
+from flatkit.sympoly import _trim, p_add, p_const, p_mul, p_pow, p_var
 
 
 @pytest.fixture
@@ -75,8 +79,16 @@ def test_tan_cot_rewritten(chart):
 
 
 def test_zero_denominator_rejected(chart):
+    zero = chart.parse("sin(theta)^2 + cos(theta)^2 - 1")
     with pytest.raises(ZeroDenominatorError):
+        chart.parse("x") / zero
+    # in text it is an input error at the offending operator
+    with pytest.raises(ParseError) as err:
         chart.parse("x / (sin(theta)^2 + cos(theta)^2 - 1)")
+    assert err.value.position == 2
+    with pytest.raises(ParseError) as err:
+        chart.parse("1 + cot(x - x)")
+    assert err.value.position == 4
 
 
 def test_unknown_symbol_named(chart):
@@ -305,3 +317,163 @@ def test_strip_coordinate_constant(chart):
     assert strip_coordinate_constant(e) == chart.parse("z + eps*cos(theta)")
     untouched = chart.parse("z/(x+1)")
     assert strip_coordinate_constant(untouched) == untouched
+
+
+# -- derivative memo -------------------------------------------------------------
+
+
+def test_derivative_is_memoized_per_expression(chart):
+    e = chart.parse("x^2*sin(theta)/(1 + y)")
+    assert differentiate(e, "x") is differentiate(e, "x")
+    assert differentiate(e, "theta") is differentiate(e, "theta")
+    for _ in range(2):
+        with pytest.raises(UnknownSymbolError):
+            differentiate(e, "w")
+    # a fresh equal expression computes the same derivative
+    assert differentiate(chart.parse("x^2*sin(theta)/(1 + y)"), "x") == differentiate(e, "x")
+
+
+def test_derivative_memo_survives_new_trig_pair(chart):
+    e = chart.parse("x^2*cos(theta)/(z + eps)")
+    before = {s: differentiate(e, s) for s in ("x", "z", "theta")}
+    chart.parse("sin(z)*cos(x)")  # registers two more sin/cos pairs
+    for s, d in before.items():
+        assert differentiate(e, s) is d
+        assert differentiate(chart.parse("x^2*cos(theta)/(z + eps)"), s) == d
+
+
+# -- differential checks against sympy ---------------------------------------------
+#
+# sympy's rational function field QQ(...) in grlex order is the reference: its
+# elements are cancelled quotients, so a monic-denominator rescaling of one is
+# flatkit's canonical (num, den).  Every result is also checked to be a fixed
+# point of canonicalization, which guards the arithmetic that skips it.
+
+
+def _terms(ngens: int, min_size: int = 0, max_size: int = 4):
+    return st.lists(
+        st.tuples(
+            st.fractions(min_value=-9, max_value=9, max_denominator=4),
+            st.tuples(*[st.integers(0, 2)] * ngens),
+        ),
+        min_size=min_size,
+        max_size=max_size,
+    )
+
+
+def _rational(chart, gens, num_terms, den_terms):
+    """Expr(num/den) from (coefficient, exponents) terms over `gens`."""
+    polys = []
+    for terms in (num_terms, den_terms):
+        poly = {}
+        for c, exps in terms:
+            t = p_const(c)
+            for g, e in zip(gens, exps):
+                t = p_mul(t, p_pow(p_var(g), e))
+            poly = p_add(poly, t)
+        polys.append(poly)
+    return Expr(chart, *polys)
+
+
+def _ring_poly(poly, images, R):
+    """poly in sympy's polynomial ring R, generator i sent to images[i]."""
+    total = R.zero
+    for m, c in poly.items():
+        term = R(c)
+        for i, e in enumerate(m):
+            if e:
+                term *= images[i] ** e
+        total += term
+    return total
+
+
+def _assert_canonical(r):
+    again = Expr(r.chart, r.num, r.den)
+    assert (again.num, again.den) == (r.num, r.den)
+
+
+def _binary_results(a, b, fa, fb):
+    out = [(a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb)]
+    if not b.is_zero():
+        out.append((a / b, fa / fb))
+    return out
+
+
+_names = ("x", "y", "z", "eps")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_terms(4), _terms(4, 1), _terms(4), _terms(4, 1))
+def test_expr_canonical_form_matches_sympy(an, ad, bn, bd):
+    sympy = pytest.importorskip("sympy")
+    K, *gens = sympy.field(",".join(_names), sympy.QQ, sympy.grlex)
+    chart = Chart(_names[:3], _names[3:])
+    try:
+        a = _rational(chart, range(4), an, ad)
+        b = _rational(chart, range(4), bn, bd)
+    except ZeroDenominatorError:
+        assume(False)
+
+    def value(e):
+        return K.new(*(_ring_poly(p, K.ring.gens, K.ring) for p in (e.num, e.den)))
+
+    fa, fb = value(a), value(b)
+    results = _binary_results(a, b, fa, fb)
+    results += [(differentiate(a, n), fa.diff(g)) for n, g in zip(_names[:3], gens)]
+    for r, expected in [(a, fa)] + results:
+        lc = expected.denom.LC
+        for ours, theirs in ((r.num, expected.numer), (r.den, expected.denom)):
+            monic = {_trim(m): c / lc for m, c in theirs.items()}
+            assert ours == {
+                m: Fraction(int(c.numerator), int(c.denominator)) for m, c in monic.items()
+            }
+        _assert_canonical(r)
+
+
+# Three terms at most: sine-free denominators double the degree, and some
+# quotients of four-term operands send p_gcd into the slow subresultant
+# fallback for minutes.
+_circle_terms = _terms(4, 0, 3)
+_circle_dens = _terms(4, 1, 3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_circle_terms, _circle_dens, _circle_terms, _circle_dens)
+def test_trig_expr_matches_circle_parameterization(an, ad, bn, bd):
+    # sin and cos of theta become 2t/(1 + t^2) and (1 - t^2)/(1 + t^2) with
+    # t = tan(theta/2) a further symbol, so d/dtheta gains (1 + t^2)/2 * d/dt
+    sympy = pytest.importorskip("sympy")
+    K, x, theta, t = sympy.field("x,theta,t", sympy.QQ, sympy.grlex)
+    chart = Chart(["x", "theta"])
+    si, ci = chart.trig_pair("theta")
+    try:
+        a = _rational(chart, (0, 1, si, ci), an, ad)
+        b = _rational(chart, (0, 1, si, ci), bn, bd)
+    except ZeroDenominatorError:  # a multiple of sin^2 + cos^2 - 1
+        assume(False)
+    X, Theta, T = K.ring.gens
+    images = {0: X, 1: Theta, si: 2 * T, ci: 1 - T**2}
+
+    def lifted(e):
+        """(N, D) in the ring with N/D the value of e: a monomial of sin/cos
+        degree k carries 1/(1 + t^2)^k, cleared from num and den alike."""
+        top = max(sum(m[si:]) for m in (*e.num, *e.den))
+        return tuple(
+            sum(
+                (
+                    _ring_poly({m: c}, images, K.ring) * (1 + T**2) ** (top - sum(m[si:]))
+                    for m, c in poly.items()
+                ),
+                K.ring.zero,
+            )
+            for poly in (e.num, e.den)
+        )
+
+    fa, fb = K.new(*lifted(a)), K.new(*lifted(b))
+    results = _binary_results(a, b, fa, fb)
+    results.append((differentiate(a, "x"), fa.diff(x)))
+    results.append((differentiate(a, "theta"), fa.diff(theta) + fa.diff(t) * (1 + t**2) / 2))
+    for r, expected in [(a, fa)] + results:
+        num, den = lifted(r)
+        assert num * expected.denom == expected.numer * den
+        _assert_canonical(r)

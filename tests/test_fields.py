@@ -11,6 +11,7 @@ from flatkit import (
     coordinate_covector,
     coordinate_field,
     differential,
+    differentiate,
     eval_float,
     field_from_dict,
     lie_bracket,
@@ -104,6 +105,40 @@ def test_antisymmetry_on_random_fields(rng):
         v = random_field(chart, rng, degree=3)
         w = random_field(chart, rng, degree=3)
         assert (lie_bracket(v, w) + lie_bracket(w, v)).is_zero()
+
+
+def dense_bracket(v, w):
+    """[v, w]^i = sum_j v^j d_j w^i - w^j d_j v^i over every i and j."""
+    chart = v.chart
+    out = []
+    for i in range(chart.dim):
+        total = chart.zero
+        for j, name in enumerate(chart.coordinates):
+            total = total + v.components[j] * differentiate(w.components[i], name)
+            total = total - w.components[j] * differentiate(v.components[i], name)
+        out.append(total)
+    return VectorField(chart, tuple(out))
+
+
+def test_sparse_bracket_matches_dense_formula():
+    # seeded fields whose supports are disjoint or barely overlap, with
+    # rational components, so the sparse loops skip most index pairs
+    rng = random.Random(9)
+    for _ in range(20):
+        dim = rng.randint(3, 7)
+        chart = Chart([f"y{i}" for i in range(dim)], ["eps"])
+        names = list(chart.coordinates) + ["eps"]
+        cut = rng.randint(1, dim - 1)
+        comps_v = [chart.zero] * dim
+        comps_w = [chart.zero] * dim
+        for i in rng.sample(range(cut), rng.randint(1, cut)):
+            comps_v[i] = random_polynomial(chart, rng) / (chart.sym(rng.choice(names)) + 1)
+        for i in rng.sample(range(cut - 1, dim), rng.randint(1, dim - cut + 1)):
+            comps_w[i] = random_polynomial(chart, rng) * chart.sym("eps")
+        v = VectorField(chart, tuple(comps_v))
+        w = VectorField(chart, tuple(comps_w))
+        assert lie_bracket(v, w) == dense_bracket(v, w)
+        assert lie_bracket(w, v) == dense_bracket(w, v)
 
 
 def test_jacobi_identity_on_random_triples(rng):

@@ -229,6 +229,28 @@ def test_gcd_heuristic_agrees_with_prs(a, b, c):
         assert p_div_exact(g, p_primitive(c)) is not None
 
 
+@settings(max_examples=40, deadline=None)
+@given(_polys, _polys, _polys)
+def test_exact_division_matches_sympy(a, b, c):
+    sympy = pytest.importorskip("sympy")
+    R, *_ = sympy.ring("x0:3", sympy.QQ, sympy.grlex)
+
+    def to_ring(p):
+        return R({m + (0,) * (3 - len(m)): c for m, c in p.items()})
+
+    if p_is_zero(b):
+        return
+    # a product divides back to its cofactor; a + c*b is divisible iff a is
+    assert p_div_exact(p_mul(a, b), b) == a
+    for n in (a, p_add(a, p_mul(c, b))):
+        q, r = to_ring(n).div(to_ring(b))
+        ours = p_div_exact(n, b)
+        if r:
+            assert ours is None
+        else:
+            assert ours is not None and to_ring(ours) == q
+
+
 def test_lcm():
     x = p_var(0)
     a = p_sub(p_mul(x, x), p_const(1))  # (x-1)(x+1)
