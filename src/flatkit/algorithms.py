@@ -29,12 +29,7 @@ from .distributions import (
     span,
     sum_spans,
 )
-from .errors import (
-    AssumptionViolationError,
-    DependentDifferentialsError,
-    InvalidIndicesError,
-    UnboundedRelativeDegreeError,
-)
+from .errors import CANDIDATE_ERRORS, AssumptionViolationError
 from .expr import Chart, Expr
 from .fields import CovectorField, VectorField, fields_matrix, lie_bracket, pair
 from .sympoly import Poly, p_const, p_div_exact, p_mul, p_sqrt, p_sub, p_var
@@ -510,11 +505,7 @@ def _verify_pair(
 ) -> CandidatePair:
     try:
         verdict = verify_flat_output(output_jets(sys, phi))
-    except (
-        UnboundedRelativeDegreeError,
-        InvalidIndicesError,
-        DependentDifferentialsError,
-    ) as err:
+    except CANDIDATE_ERRORS as err:
         return CandidatePair(phi, False, None, str(err))
     return CandidatePair(phi, verdict.passed, verdict)
 

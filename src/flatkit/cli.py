@@ -21,14 +21,7 @@ from .algorithms import (
     run_algorithm1,
     run_algorithm2,
 )
-from .errors import (
-    DependentDifferentialsError,
-    InvalidIndicesError,
-    ModelFileError,
-    ParseError,
-    UnboundedRelativeDegreeError,
-    UnknownSymbolError,
-)
+from .errors import CANDIDATE_ERRORS, ModelFileError, ParseError, UnknownSymbolError
 from .modelfile import (
     ModelFile,
     build_system,
@@ -50,12 +43,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INTERNAL = 2
 EXIT_NEGATIVE = 3
-
-_CANDIDATE_ERRORS = (
-    UnboundedRelativeDegreeError,
-    InvalidIndicesError,
-    DependentDifferentialsError,
-)
 
 
 def _emit(report: dict, json_path: Optional[str]) -> None:
@@ -197,7 +184,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     try:
         jets = output_jets(sys_, phi)
-    except _CANDIDATE_ERRORS as err:
+    except CANDIDATE_ERRORS as err:
         report["error"] = str(err)
         _emit(report, None)
         return EXIT_NEGATIVE

@@ -82,8 +82,17 @@ class DependentDifferentialsError(FlatkitError):
     """The two candidate output differentials are linearly dependent."""
 
 
+# Each of these rejects a candidate output pair before any rank test; callers
+# report it as a negative verdict on that pair, not as a fault.
+CANDIDATE_ERRORS = (
+    UnboundedRelativeDegreeError,
+    InvalidIndicesError,
+    DependentDifferentialsError,
+)
+
+
 class InputTransformError(FlatkitError):
-    """The input normalization is not invertible."""
+    """A static-feedback matrix is singular."""
 
 
 class AssumptionViolationError(FlatkitError):

@@ -7,7 +7,13 @@ cancelled and a monic denominator.  Generators are the chart's base symbols
 sin/cos of a bare coordinate symbol (subject to the circle relation
 sin^2 + cos^2 = 1, reduced so every sine exponent is at most one) and opaque
 applications exp/ln/sqrt/sin/cos of compound arguments, which carry known
-derivatives but no algebraic relations.
+derivatives but no algebraic relations.  Each generator records the base
+symbols it depends on when it is registered; free symbols, coordinate
+dependence and the antiderivative's domain check all read that set.
+
+`substitute` and `transfer` are one generator map: each base symbol maps to
+a value, and sin/cos and opaque functions are re-applied to the mapped
+argument.
 
 These results are canonical as built and skip `_canonicalize`: the sum of
 two polynomials (denominators 1), a canonical expression times a nonzero
@@ -75,6 +81,7 @@ class GenInfo:
     base: Optional[str] = None  # angle symbol for bare-argument sin/cos
     func: Optional[str] = None  # opaque function name
     arg: Optional["Expr"] = None  # opaque function argument
+    symbols: frozenset[str] = frozenset()  # base symbols the generator depends on
 
 
 def _valid_name(name: str) -> bool:
@@ -107,12 +114,12 @@ class Chart:
             seen.add(name)
         self.coordinates = coords
         self.parameters = params
-        self._gens: list[GenInfo] = [GenInfo(n, "base", base=n) for n in coords]
-        self._gens += [GenInfo(n, "base", base=n) for n in params]
+        self._gens: list[GenInfo] = [
+            GenInfo(n, "base", base=n, symbols=frozenset((n,))) for n in coords + params
+        ]
         self._index: dict[str, int] = {g.name: i for i, g in enumerate(self._gens)}
         self._sin_to_cos: dict[int, int] = {}
         self._deriv_cache: dict[tuple[int, str], "Expr"] = {}
-        self._coord_dep: dict[int, bool] = {}
         self._zero = Expr(self, p_const(0), p_const(1), _raw=True)
         self._one = Expr(self, p_const(1), p_const(1), _raw=True)
 
@@ -165,9 +172,10 @@ class Chart:
         skey = f"sin({angle})"
         ckey = f"cos({angle})"
         if skey not in self._index:
-            self._gens.append(GenInfo(skey, "sin", base=angle))
+            syms = frozenset((angle,))
+            self._gens.append(GenInfo(skey, "sin", base=angle, symbols=syms))
             self._index[skey] = len(self._gens) - 1
-            self._gens.append(GenInfo(ckey, "cos", base=angle))
+            self._gens.append(GenInfo(ckey, "cos", base=angle, symbols=syms))
             self._index[ckey] = len(self._gens) - 1
             self._sin_to_cos = dict(self._sin_to_cos)
             self._sin_to_cos[self._index[skey]] = self._index[ckey]
@@ -179,7 +187,10 @@ class Chart:
             raise ChartMismatchError("opaque argument from another chart")
         key = f"{func}({arg.render()})"
         if key not in self._index:
-            self._gens.append(GenInfo(key, "opaque", func=func, arg=arg))
+            info = GenInfo(
+                key, "opaque", func=func, arg=arg, symbols=frozenset(arg.free_symbols())
+            )
+            self._gens.append(info)
             self._index[key] = len(self._gens) - 1
         return self._index[key]
 
@@ -187,19 +198,7 @@ class Chart:
         return Expr(self, p_var(index), p_const(1), _raw=True)
 
     def gen_depends_on_coordinates(self, index: int) -> bool:
-        cached = self._coord_dep.get(index)
-        if cached is not None:
-            return cached
-        info = self._gens[index]
-        coords = set(self.coordinates)
-        if info.kind == "base":
-            dep = info.name in coords
-        elif info.kind in ("sin", "cos"):
-            dep = info.base in coords
-        else:
-            dep = bool(info.arg.free_symbols() & coords)
-        self._coord_dep[index] = dep
-        return dep
+        return not self._gens[index].symbols.isdisjoint(self.coordinates)
 
     def extend(self, extra_coordinates: Iterable[str]) -> "Chart":
         """A fresh chart with coordinates appended after the existing ones."""
@@ -270,13 +269,7 @@ class Expr:
     def free_symbols(self) -> set[str]:
         out: set[str] = set()
         for idx in p_vars(self.num) | p_vars(self.den):
-            info = self.chart.gen_info(idx)
-            if info.kind == "base":
-                out.add(info.name)
-            elif info.kind in ("sin", "cos"):
-                out.add(info.base)
-            else:
-                out |= info.arg.free_symbols()
+            out |= self.chart.gen_info(idx).symbols
         return out
 
     # -- arithmetic ----------------------------------------------------------
@@ -702,20 +695,36 @@ def eval_float(e: Expr, base_values: dict[str, float]) -> float:
 # -- substitution and transfer --------------------------------------------------
 
 
-def _rebuild(e: Expr, gen_value: Callable[[int], Expr], zero: Expr, one: Expr) -> Expr:
+def _map_generators(e: Expr, target: Chart, repl: dict[str, Expr]) -> Expr:
+    """e on the target chart with each base symbol replaced by its value in
+    repl (by the same-named symbol of target when absent); sin/cos and
+    opaque functions are re-applied to the mapped argument.  On e's own
+    chart, a generator whose symbols repl leaves alone stays as it is."""
+    source = e.chart
+
+    def gen_value(idx: int) -> Expr:
+        info = source.gen_info(idx)
+        if target is source and info.symbols.isdisjoint(repl):
+            return source._gen_expr(idx)
+        if info.kind == "base":
+            value = repl.get(info.name)
+            return target.sym(info.name) if value is None else value
+        if info.kind in ("sin", "cos"):
+            arg = repl.get(info.base)
+            return FUNCTION_TABLE[info.kind](target.sym(info.base) if arg is None else arg)
+        return FUNCTION_TABLE[info.func](_map_generators(info.arg, target, repl))
+
     def poly_to_expr(poly: Poly) -> Expr:
-        total = zero
+        total = target.zero
         for m, c in poly.items():
-            term = one.chart.const(c)
+            term = target.const(c)
             for i, ee in enumerate(m):
                 if ee:
                     term = term * gen_value(i) ** ee
             total = total + term
         return total
 
-    num = poly_to_expr(e.num)
-    den = poly_to_expr(e.den)
-    return num / den
+    return poly_to_expr(e.num) / poly_to_expr(e.den)
 
 
 def substitute(e: Expr, mapping: dict[str, Scalar]) -> Expr:
@@ -728,41 +737,14 @@ def substitute(e: Expr, mapping: dict[str, Scalar]) -> Expr:
         repl[name] = value if isinstance(value, Expr) else chart.const(Fraction(value))
         if repl[name].chart is not chart:
             raise ChartMismatchError("substitution value on another chart")
-
-    def gen_value(idx: int) -> Expr:
-        info = chart.gen_info(idx)
-        if info.kind == "base":
-            return repl.get(info.name, chart._gen_expr(idx))
-        if info.kind in ("sin", "cos"):
-            if info.base not in repl:
-                return chart._gen_expr(idx)
-            fn = fn_sin if info.kind == "sin" else fn_cos
-            return fn(repl[info.base])
-        new_arg = substitute(info.arg, mapping)
-        if new_arg == info.arg:
-            return chart._gen_expr(idx)
-        return FUNCTION_TABLE[info.func](new_arg)
-
-    return _rebuild(e, gen_value, chart.zero, chart.one)
+    return _map_generators(e, chart, repl)
 
 
 def transfer(e: Expr, target: Chart) -> Expr:
     """Rebuild an expression on another chart that contains its base symbols."""
     if e.chart is target:
         return e
-    source = e.chart
-
-    def gen_value(idx: int) -> Expr:
-        info = source.gen_info(idx)
-        if info.kind == "base":
-            return target.sym(info.name)
-        if info.kind == "sin":
-            return fn_sin(target.sym(info.base))
-        if info.kind == "cos":
-            return fn_cos(target.sym(info.base))
-        return FUNCTION_TABLE[info.func](transfer(info.arg, target))
-
-    return _rebuild(e, gen_value, target.zero, target.one)
+    return _map_generators(e, target, {})
 
 
 # -- exact antiderivatives -------------------------------------------------------
@@ -781,12 +763,7 @@ def antiderivative(e: Expr, sym: str) -> Optional[Expr]:
         raise UnknownSymbolError(sym)
 
     def involves_sym(idx: int) -> bool:
-        info = chart.gen_info(idx)
-        if info.kind == "base":
-            return info.name == sym
-        if info.kind in ("sin", "cos"):
-            return info.base == sym
-        return sym in info.arg.free_symbols()
+        return sym in chart.gen_info(idx).symbols
 
     for idx in p_vars(e.den):
         if involves_sym(idx):

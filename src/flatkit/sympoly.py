@@ -7,6 +7,10 @@ when the generator list grows.  The monomial order is graded lexicographic;
 on trimmed tuples the plain (total degree, tuple) key realizes it because
 equal-degree monomials are never prefixes of one another.
 
+Exact division has one heap walk (`_div_walk`) for both coefficient rings:
+p_div_exact divides coefficients as Fractions, and the integer core of the
+gcd divides them with `divmod`, stopping when a remainder is left.
+
 gcds (p_gcd) run over the integers after clearing denominators, in three
 stages, each returning the same unique answer:
 
@@ -27,8 +31,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, Fraction]
@@ -220,48 +225,69 @@ def _heap_key(m: Monomial) -> tuple[int, tuple[int, ...]]:
     return (-sum(m), tuple(-e for e in m))
 
 
-def p_div_exact(a: Poly, b: Poly) -> Optional[Poly]:
+def _div_walk(
+    a: Poly, b: Poly, divide: Callable[[Fraction, Fraction], Optional[Fraction]]
+) -> Optional[Poly]:
     """Quotient a/b when b divides a exactly, else None.
 
-    Single descending pass over the remainder support: every monomial in the
-    remainder owns a live heap entry, entries for cancelled monomials are
-    skipped on pop, and products of a quotient term only land strictly below
-    the monomial being eliminated.
+    `divide(c, lc)` is one coefficient of the quotient, or None when that
+    coefficient does not exist in the ring.  A monomial divisor (a constant
+    included) divides term by term.  Otherwise a single descending pass runs
+    over the remainder support: every monomial in the remainder owns a live
+    heap entry, entries for cancelled monomials are skipped on pop, and
+    products of a quotient term only land strictly below the monomial being
+    eliminated.
     """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return {}
-    if p_is_const(b):
-        inv = 1 / p_const_value(b)
-        return p_scale(a, inv)
     mb, cb = p_lead(b)
+    quo: Poly = {}
+    if len(b) == 1:
+        for mr, cr in a.items():
+            m = mono_div(mr, mb)
+            if m is None:
+                return None
+            c = divide(cr, cb)
+            if c is None:
+                return None
+            quo[m] = c
+        return quo
     btail = [(m, c) for m, c in b.items() if m != mb]
     rem = dict(a)
-    quo: Poly = {}
     heap = [(_heap_key(m), m) for m in rem]
     heapq.heapify(heap)
     while heap:
         _, mr = heapq.heappop(heap)
-        cr = rem.pop(mr, _ZERO)
-        if not cr:
+        cr = rem.pop(mr, None)
+        if cr is None:
             continue
         m = mono_div(mr, mb)
         if m is None:
             return None
-        c = cr / cb
+        c = divide(cr, cb)
+        if c is None:
+            return None
         quo[m] = c
         for mt, ct in btail:
             mm = mono_mul(m, mt)
-            prev = rem.get(mm, _ZERO)
-            val = prev - c * ct
-            if val:
-                if not prev:
-                    heapq.heappush(heap, (_heap_key(mm), mm))
-                rem[mm] = val
-            elif prev:
-                del rem[mm]
-    return {m: c for m, c in quo.items() if c}
+            prev = rem.get(mm)
+            if prev is None:
+                heapq.heappush(heap, (_heap_key(mm), mm))
+                rem[mm] = -c * ct
+            else:
+                val = prev - c * ct
+                if val:
+                    rem[mm] = val
+                else:
+                    del rem[mm]
+    return quo
+
+
+def p_div_exact(a: Poly, b: Poly) -> Optional[Poly]:
+    """Quotient a/b over the rationals when b divides a exactly, else None."""
+    return _div_walk(a, b, operator.truediv)
 
 
 def p_content(a: Poly) -> Fraction:
@@ -312,8 +338,9 @@ def _uv_assemble(coeffs: dict[int, Poly], v: int) -> Poly:
 #
 # The remainder sequence runs on dict[Monomial, int]: Fraction arithmetic
 # renormalizes on every operation, which dominates runtime on the dense
-# intermediate products, while plain ints are cheap.  p_add/p_sub/p_mul and
-# the monomial helpers work on either coefficient ring.
+# intermediate products, while plain ints are cheap.  p_add/p_sub/p_mul/p_pow,
+# the division walk and the monomial helpers work on either coefficient ring
+# (a product with the constant 1 copies the other operand, so ints stay ints).
 
 ZPoly = Poly  # same shape, int coefficients
 
@@ -344,68 +371,14 @@ def _zposlead(a: ZPoly) -> ZPoly:
     return dict(a)
 
 
-def _zpow(a: ZPoly, n: int) -> ZPoly:
-    out: Optional[ZPoly] = None
-    base = a
-    while n:
-        if n & 1:
-            out = base if out is None else p_mul(out, base)
-        n >>= 1
-        if n:
-            base = p_mul(base, base)
-    assert out is not None, "zero power not needed here"
-    return out
+def _zdivide(c: int, lc: int) -> Optional[int]:
+    q, r = divmod(c, lc)
+    return None if r else q
 
 
 def _zdiv_exact(a: ZPoly, b: ZPoly) -> Optional[ZPoly]:
-    """Quotient a/b over the integers when exact, else None.
-
-    Same heap walk as p_div_exact, with exactness decided per quotient term.
-    """
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return {}
-    mb, cb = p_lead(b)
-    if len(b) == 1:
-        quo: ZPoly = {}
-        for mr, cr in a.items():
-            m = mono_div(mr, mb)
-            if m is None:
-                return None
-            c, leftover = divmod(cr, cb)
-            if leftover:
-                return None
-            quo[m] = c
-        return quo
-    btail = [(m, c) for m, c in b.items() if m != mb]
-    rem = dict(a)
-    quo = {}
-    heap = [(_heap_key(m), m) for m in rem]
-    heapq.heapify(heap)
-    while heap:
-        _, mr = heapq.heappop(heap)
-        cr = rem.pop(mr, 0)
-        if not cr:
-            continue
-        m = mono_div(mr, mb)
-        if m is None:
-            return None
-        c, leftover = divmod(cr, cb)
-        if leftover:
-            return None
-        quo[m] = c
-        for mt, ct in btail:
-            mm = mono_mul(m, mt)
-            prev = rem.get(mm, 0)
-            val = prev - c * ct
-            if val:
-                if not prev:
-                    heapq.heappush(heap, (_heap_key(mm), mm))
-                rem[mm] = val
-            elif prev:
-                del rem[mm]
-    return {m: c for m, c in quo.items() if c}
+    """Quotient a/b over the integers when exact, else None."""
+    return _div_walk(a, b, _zdivide)
 
 
 def _uv_zcontent(coeffs: dict[int, ZPoly]) -> ZPoly:
@@ -448,7 +421,7 @@ def _uv_prem(a: dict[int, ZPoly], b: dict[int, ZPoly]) -> dict[int, ZPoly]:
         steps -= 1
     # pad skipped degree drops so the subresultant divisibility theory applies
     if steps > 0 and r:
-        factor = _zpow(lb, steps)
+        factor = p_pow(lb, steps)
         r = {e: p_mul(factor, poly) for e, poly in r.items()}
     return r
 
@@ -625,14 +598,14 @@ def _zgcd(a: ZPoly, b: ZPoly) -> ZPoly:
         r = _uv_prem(ua, ub)
         if not r:
             break
-        divisor = p_mul(g, _zpow(h, d)) if d else g
+        divisor = p_mul(g, p_pow(h, d)) if d else g
         r = _uv_zdivide(r, divisor)
         ua, ub = ub, r
         g = ua[max(ua)]
         if d == 1:
             h = g
         elif d > 1:
-            hn = _zdiv_exact(_zpow(g, d), _zpow(h, d - 1))
+            hn = _zdiv_exact(p_pow(g, d), p_pow(h, d - 1))
             assert hn is not None, "subresultant h-sequence division must be exact"
             h = hn
     if max(ub) == 0:

@@ -7,8 +7,14 @@ Everything here works on the closed chain
     -> triangular-form equivalence / flat-output verification,
 
 plus the structural operations feeding it: static feedback, input
-prolongation, and recognition of the triangular normal form.  The rank check
-and the Q sequence of one output pair share one `output_jets` context: the
+prolongation, and recognition of the triangular normal form.
+
+The input-jet space is a prolongation: `prolong` and `output_jets` build
+their charts and drifts with one chain builder that integrates each input
+through a chain of new states.  For output indices R the jet chart is that
+of the (max R, max R) prolongation, and its drift is the total-derivative
+field along which the outputs are differentiated.  The rank check and the Q
+sequence of one output pair share one `output_jets` context: the
 candidate's indices, the jet chart and the differentials of both derivative
 ladders are built once per question.
 """
@@ -92,7 +98,7 @@ class ProlongedSystem:
     extended: ControlAffineSystem
 
 
-# --- jet charts -------------------------------------------------------------
+# --- input chains -------------------------------------------------------------
 
 _DERIV_RE = re.compile(r"^(.*)_d([0-9]+)$")
 
@@ -112,38 +118,41 @@ def _chain(name: str, length: int) -> list[str]:
     return out
 
 
-def jet_chart(sys: ControlAffineSystem, jet_order: int) -> Chart:
-    """The state chart extended by input derivatives up to the given order."""
-    if jet_order < 0:
-        raise ValueError("jet order must be nonnegative")
-    extra: list[str] = []
-    for u in sys.inputs:
-        extra.extend(_chain(u, jet_order + 1))
-    return sys.chart.extend(extra)
+def _input_chains(
+    sys: ControlAffineSystem, p1: int, p2: int
+) -> tuple[VectorField, tuple[VectorField, VectorField], tuple[str, str]]:
+    """Input j integrated through a chain of p_j new states.
 
-
-def f_u(sys: ControlAffineSystem, jet_order: int) -> VectorField:
-    """Total-derivative field on the jet chart.
-
-    State components are f + g1 u1 + g2 u2; each input derivative coordinate
-    is shifted to the next one, and the top level (never differentiated by
-    construction of the callers) gets a zero component.
+    Returns the drift on the extended chart (the lowest chain state
+    multiplies the old input field, each chain state is shifted to the next
+    and the top one gets a zero component), the input fields and the input
+    names; an input with p_j = 0 keeps its field and name.
     """
-    ch = jet_chart(sys, jet_order)
+    chains = (_chain(sys.inputs[0], p1), _chain(sys.inputs[1], p2))
+    ch = sys.chart.extend(chains[0] + chains[1])
+    dim = ch.dim
     pos = {name: i for i, name in enumerate(ch.coordinates)}
-    u1 = ch.sym(sys.inputs[0])
-    u2 = ch.sym(sys.inputs[1])
-    total = (
-        transfer_field(sys.f, ch)
-        + transfer_field(sys.g1, ch).scale(u1)
-        + transfer_field(sys.g2, ch).scale(u2)
-    )
-    comps = list(total.components)
-    for u in sys.inputs:
-        chain = _chain(u, jet_order + 1)
+    comps = list(transfer_field(sys.f, ch).components)
+    gs = []
+    for g, chain in zip((sys.g1, sys.g2), chains):
+        gt = transfer_field(g, ch)
+        if not chain:
+            gs.append(gt)
+            continue
+        u0 = ch.sym(chain[0])
+        for i in range(dim):
+            c = gt.components[i]
+            if not c.is_zero():
+                comps[i] = comps[i] + u0 * c
         for lower, upper in zip(chain, chain[1:]):
             comps[pos[lower]] = ch.sym(upper)
-    return VectorField(ch, tuple(comps))
+        top = [ch.zero] * dim
+        top[pos[chain[-1]]] = ch.one
+        gs.append(VectorField(ch, tuple(top)))
+    inputs = tuple(
+        _next_name(chain[-1]) if chain else u for u, chain in zip(sys.inputs, chains)
+    )
+    return VectorField(ch, tuple(comps)), (gs[0], gs[1]), inputs
 
 
 # --- degrees and indices ------------------------------------------------------
@@ -223,8 +232,9 @@ def apply_static_feedback(
 class OutputJets:
     """A candidate output pair on the input-jet chart: its degrees and
     indices, and the differentials of each output's total derivatives up to
-    order R_i - 1.  The jet chart carries max(R) derivative levels per input,
-    so every needed total derivative exists."""
+    order R_i - 1.  The jet chart is the chart of the (max R, max R)
+    prolongation, whose drift is the total-derivative field, so every needed
+    total derivative exists."""
 
     system: ControlAffineSystem
     candidate: FlatCandidate
@@ -235,7 +245,9 @@ class OutputJets:
 def output_jets(sys: ControlAffineSystem, phi: PhiPair) -> OutputJets:
     """Everything the rank check and the Q sequence need, built once."""
     cand = candidate(sys, phi)
-    total = f_u(sys, max(cand.R) - 1)
+    # only the drift: the prolonged system's own checks (input names, input
+    # rank) are not preconditions of the jet space
+    total = _input_chains(sys, max(cand.R), max(cand.R))[0]
     ch = total.chart
     ladders = []
     for h, r in zip((cand.phi1, cand.phi2), cand.R):
@@ -308,38 +320,8 @@ def prolong(sys: ControlAffineSystem, p1: int, p2: int) -> ProlongedSystem:
         raise ValueError("prolongation orders must be nonnegative")
     if p1 == 0 and p2 == 0:
         return ProlongedSystem(sys, (0, 0), sys)
-    chains = (_chain(sys.inputs[0], p1), _chain(sys.inputs[1], p2))
-    ch = sys.chart.extend(chains[0] + chains[1])
-    dim = ch.dim
-    pos = {name: i for i, name in enumerate(ch.coordinates)}
-    f = transfer_field(sys.f, ch)
-    comps = list(f.components)
-    gs = []
-    for g, chain, p in zip((sys.g1, sys.g2), chains, (p1, p2)):
-        gt = transfer_field(g, ch)
-        if p == 0:
-            gs.append(gt)
-            continue
-        # the lowest chain state multiplies the old input field ...
-        u0 = ch.sym(chain[0])
-        for i in range(dim):
-            c = gt.components[i]
-            if not c.is_zero():
-                comps[i] = comps[i] + u0 * c
-        # ... intermediate states shift, and the new input drives the top
-        for lower, upper in zip(chain, chain[1:]):
-            comps[pos[lower]] = ch.sym(upper)
-        top = [ch.zero] * dim
-        top[pos[chain[-1]]] = ch.one
-        gs.append(VectorField(ch, tuple(top)))
-    new_inputs = (
-        _next_name(chains[0][-1]) if p1 else sys.inputs[0],
-        _next_name(chains[1][-1]) if p2 else sys.inputs[1],
-    )
-    extended = ControlAffineSystem(
-        ch, new_inputs, VectorField(ch, tuple(comps)), gs[0], gs[1],
-        sys.engine, sys.name,
-    )
+    f, (g1, g2), inputs = _input_chains(sys, p1, p2)
+    extended = ControlAffineSystem(f.chart, inputs, f, g1, g2, sys.engine, sys.name)
     return ProlongedSystem(sys, (p1, p2), extended)
 
 

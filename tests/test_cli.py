@@ -239,6 +239,20 @@ def test_verify_example1_flat_but_not_triangular(capsys):
     ]
 
 
+def test_verify_state_named_like_an_input_derivative(tmp_path, capsys):
+    """The jet space adds u1 .. u1_d3 for R = (4, 4); a state called u1_d4,
+    the name the next prolongation would give its input, must not matter."""
+    text = (MODELS / "example1.json").read_text().replace("x5", "u1_d4")
+    path = write_model(tmp_path, "example1_u1d4", json.loads(text))
+    code, report, _ = run_cli(capsys, "verify", path, "--output", "x1", "x2")
+    _, expected, _ = run_cli(
+        capsys, "verify", str(MODELS / "example1.json"), "--output", "x1", "x2"
+    )
+    assert code == 0
+    for key in ("indices", "rank_check", "sfe"):
+        assert report[key] == expected[key]
+
+
 def test_verify_example3_passes_everything(capsys):
     code, report, _ = run_cli(
         capsys, "verify", str(MODELS / "example3.json"), "--output", "z1", "z3"

@@ -282,6 +282,24 @@ def test_transfer(chart):
     assert transfer(e, chart) is e
 
 
+def test_substitute_and_transfer_opaque_compound_arguments(chart):
+    text = "exp(x*y) + eps*sqrt(x + 1) - sin(x + theta) + ln(1 + exp(x*y))"
+    e = chart.parse(text)
+    got = substitute(e, {"x": chart.parse("y + z")})
+    assert got == chart.parse(
+        "exp((y + z)*y) + eps*sqrt(y + z + 1) - sin(y + z + theta)"
+        " + ln(1 + exp((y + z)*y))"
+    )
+    # an argument that becomes a bare angle lands on the circle generators
+    assert substitute(e, {"x": 0}) == chart.parse("1 + eps - sin(theta) + ln(2)")
+    assert substitute(e, {"z": 5}) == e
+    big = chart.extend(["w"])
+    moved = transfer(e, big)
+    assert moved == big.parse(text)
+    assert differentiate(moved, "x") == transfer(differentiate(e, "x"), big)
+    assert moved.free_symbols() == e.free_symbols() == {"x", "y", "theta", "eps"}
+
+
 def test_antiderivative_polynomial(chart):
     e = chart.parse("3*x^2 + y")
     F = antiderivative(e, "x")

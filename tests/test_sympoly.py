@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from flatkit import sympoly
 from flatkit.sympoly import (
     _to_zz,
+    _zdiv_exact,
     _zheu,
     p_add,
     p_const,
@@ -249,6 +250,67 @@ def test_exact_division_matches_sympy(a, b, c):
             assert ours is None
         else:
             assert ours is not None and to_ring(ours) == q
+
+
+_zpolys = _polys.map(lambda p: {m: int(c) for m, c in p.items() if int(c)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(_zpolys, _zpolys, _zpolys, st.integers(2, 6))
+def test_integer_division_matches_sympy(a, b, c, k):
+    sympy = pytest.importorskip("sympy")
+    R, *_ = sympy.ring("x0:3", sympy.ZZ, sympy.grlex)
+
+    def to_ring(p):
+        return R({m + (0,) * (3 - len(m)): c for m, c in p.items()})
+
+    if p_is_zero(b):
+        return
+    assert _zdiv_exact(p_mul(a, b), b) == a
+    # a + c*b divides iff a does; k*b divides a*b over Q, over Z only when k
+    # divides the content of a
+    kb = {m: k * v for m, v in b.items()}
+    for n, d in ((a, b), (p_add(a, p_mul(c, b)), b), (p_mul(a, b), kb)):
+        q, r = to_ring(n).div(to_ring(d))
+        ours = _zdiv_exact(n, d)
+        if r:
+            assert ours is None
+        else:
+            assert ours is not None and to_ring(ours) == q
+
+
+@pytest.mark.parametrize(
+    "num, den, over_q",
+    [
+        ("2*x + 2", "x + 1", 2),
+        ("x + 1", "2*x + 2", Fraction(1, 2)),  # exists over Q only
+        ("3*x**2*y", "2*x", Fraction(3, 2)),  # monomial divisor, 2 does not divide 3
+        ("4*x**2*y", "2*x", 2),
+        ("6*x*y + 3", "3", 1),
+        ("6*x*y + 3", "6", Fraction(1, 2)),
+    ],
+)
+def test_integer_division_cases_match_sympy(num, den, over_q):
+    sympy = pytest.importorskip("sympy")
+    R, x, y = sympy.ring("x, y", sympy.ZZ, sympy.grlex)
+    n, d = (R(eval(text, {"x": x, "y": y})) for text in (num, den))
+
+    def ours(p):
+        return {sympoly._trim(m): int(c) for m, c in p.terms()}
+
+    q, r = n.div(d)
+    got = _zdiv_exact(ours(n), ours(d))
+    if r:
+        assert got is None
+    else:
+        assert got == ours(q)
+    # over Q the quotient always exists; its content is over_q
+    qq = p_div_exact(
+        {m: Fraction(c) for m, c in ours(n).items()},
+        {m: Fraction(c) for m, c in ours(d).items()},
+    )
+    assert qq is not None and sympoly.p_content(qq) == over_q
+    assert (got is None) == (Fraction(over_q).denominator != 1)
 
 
 def test_lcm():

@@ -15,11 +15,9 @@ from flatkit import (
     apply_static_feedback,
     candidate,
     differential,
-    f_u,
     field_from_dict,
     flat_indices,
     gtf_structure_check,
-    jet_chart,
     lie_derivative,
     output_jets,
     parse,
@@ -83,19 +81,20 @@ def test_states_property(vtol):
 
 
 # --- jet charts and the total-derivative field ----------------------------------
+#
+# The input-jet space with J derivative levels per input is the (J+1, J+1)
+# prolongation; its drift is the total-derivative field.
 
 
 def test_jet_chart_levels(vtol):
     sys = as_system(vtol)
-    ch = jet_chart(sys, 1)
+    ch = prolong(sys, 2, 2).extended.chart
     assert ch.coordinates == sys.states + ("u1", "u1_d1", "u2", "u2_d1")
-    with pytest.raises(ValueError):
-        jet_chart(sys, -1)
 
 
 def test_total_field_shifts_input_derivatives(vtol):
     sys = as_system(vtol)
-    total = f_u(sys, 1)
+    total = prolong(sys, 2, 2).extended.f
     ch = total.chart
     pos = {name: i for i, name in enumerate(ch.coordinates)}
     assert total.components[pos["u1"]] == ch.sym("u1_d1")
@@ -104,7 +103,7 @@ def test_total_field_shifts_input_derivatives(vtol):
 
 def test_total_field_derivatives_vtol(vtol):
     sys = as_system(vtol)
-    total = f_u(sys, 2)
+    total = prolong(sys, 3, 3).extended.f
     ch = total.chart
     assert lie_derivative(ch.sym("x"), total) == ch.sym("vx")
     assert lie_derivative(ch.sym("x"), total, 2) == parse(
@@ -114,7 +113,7 @@ def test_total_field_derivatives_vtol(vtol):
 
 def test_total_field_derivatives_example1(example1):
     sys = as_system(example1)
-    total = f_u(sys, 1)
+    total = prolong(sys, 2, 2).extended.f
     ch = total.chart
     assert lie_derivative(ch.sym("x2"), total) == parse(ch, "x3 + x4*u1")
 
