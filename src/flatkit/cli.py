@@ -22,20 +22,8 @@ from .algorithms import (
     run_algorithm2,
 )
 from .errors import CANDIDATE_ERRORS, ModelFileError, ParseError, UnknownSymbolError
-from .modelfile import (
-    ModelFile,
-    build_system,
-    load_model,
-    prolonged_model,
-    save_model,
-)
-from .system import (
-    ControlAffineSystem,
-    output_jets,
-    prolong,
-    sfe_gtf_test,
-    verify_flat_output,
-)
+from .modelfile import build_system, load_model, prolonged_model, save_model
+from .system import output_jets, prolong, sfe_gtf_test, verify_flat_output
 
 __all__ = ["cmd_analyze", "cmd_prolong", "cmd_verify", "main"]
 
@@ -93,10 +81,6 @@ def _pair_payload(leaf: LeafCandidates) -> list[dict]:
     return out
 
 
-def _run_tree(sys: ControlAffineSystem, algorithm: int) -> BranchTree:
-    return run_algorithm1(sys) if algorithm == 1 else run_algorithm2(sys)
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.max_prolong < 0:
         raise ModelFileError("--max-prolong must be non-negative")
@@ -106,8 +90,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     passing: Optional[dict] = None
     full_stall = False
     for p in range(args.max_prolong + 1):
-        sys_p = base if p == 0 else prolong(base, p, p).extended
-        tree = _run_tree(sys_p, args.algorithm)
+        sys_p = prolong(base, p, p)
+        tree = run_algorithm1(sys_p) if args.algorithm == 1 else run_algorithm2(sys_p)
         leaves = extract_candidates(tree)
         candidates = []
         for leaf in leaves:

@@ -12,6 +12,10 @@ coannihilator and the coannihilator of Q records Q as its annihilator, so
 going back costs no nullspace and reuses what the source has cached.
 Membership, involutivity and integrability verdicts always go through exact
 pairings, so no certificate ever rests on sampling alone.
+
+The part of a codistribution in span{dx} (`intersect_with_coordinates`) is
+an ordinary span of unnormalized, possibly dependent combinations: its
+sampled rank becomes exact once its coannihilator is built.
 """
 
 from __future__ import annotations
@@ -225,18 +229,6 @@ def derived_step(d: Distribution) -> Distribution:
     return sum_spans(d, [b for b in d._basis_brackets() if not b.is_zero()])
 
 
-def derived_flag(d: Distribution, max_steps: Optional[int] = None) -> list[Distribution]:
-    """D = D_0 subset D_1 subset ... until the rank stalls."""
-    flag = [d]
-    steps = 0
-    while max_steps is None or steps < max_steps:
-        nxt = derived_step(flag[-1])
-        if nxt.rank == flag[-1].rank:
-            break
-        flag.append(nxt)
-        steps += 1
-    return flag
-
 def involutive_closure(d: Distribution) -> Distribution:
     """Smallest involutive distribution containing d."""
     cur = d
@@ -302,18 +294,17 @@ def intersect_with_coordinates(
 
     A combination of the spanning covectors lies in span{d(names)} iff it
     kills the complementary columns, i.e. it is a left-null combination of
-    the outside-column block.
+    the outside-column block.  The result is an ordinary span of those
+    combinations, unnormalized and possibly dependent; its rank is sampled,
+    and becomes exact once its coannihilator is built.
     """
     chart = q.chart
     keep = set(names)
     out_cols = [i for i, c in enumerate(chart.coordinates) if c not in keep]
     rows = covectors_matrix(q.covectors)
     combos = left_nullspace([[row[j] for j in out_cols] for row in rows], chart)
-    comps = [normalize_vector(combine_rows(c, rows, chart), chart) for c in combos]
-    picked = exact_independent_rows(comps, chart)
-    part = Codistribution(chart, [CovectorField(chart, tuple(comps[i])) for i in picked], q.engine)
-    part._rank = len(picked)
-    return part
+    parts = [CovectorField(chart, tuple(combine_rows(c, rows, chart))) for c in combos]
+    return Codistribution(chart, parts, q.engine)
 
 
 @dataclass

@@ -29,7 +29,7 @@ generators, so a stored derivative stays canonical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
@@ -40,11 +40,9 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .sympoly import (
-    Monomial,
     Poly,
     mono_get,
     mono_key,
-    mono_mul,
     mono_set,
     p_add,
     p_const,

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rational-function field, plus generic ranks.
 
 Nullspaces, echelon forms, `exact_rank` and `exact_independent_rows` are
-exact.  `RankEngine` finds generic ranks, and the greedy independent rows
-behind them, by evaluating a matrix at random points of the prime field F_p,
-p = 2^61 - 1 (see `sample`).
+exact; `exact_independent_rows` serves first integrals only, whose function
+list is rendered.  `RankEngine` finds generic ranks, and the greedy
+independent rows behind them, by evaluating a matrix at random points of
+the prime field F_p, p = 2^61 - 1 (see `sample`).
 A modular rank can only fall below the generic rank, never exceed it, and by
 the Schwartz-Zippel lemma one point misses with probability at most D/p for
 a nonzero minor of degree D.  Rank decisions feed integrability verdicts, so
@@ -281,22 +282,16 @@ class RankEngine:
     admissible points and takes, prefix by prefix, the largest rank seen:
     modular ranks never exceed generic ones, so the maximum is the generic
     rank unless every point hit a vanishing minor of that prefix (for a
-    minor of degree D, probability at most (D/p)^POINTS).  The first
-    verdict per engine is cross-checked against an exact elimination; a
-    mismatch means the sampling scheme itself is broken for this problem and
-    the analysis must not continue on silent guesses.
+    minor of degree D, probability at most (D/p)^POINTS).  Every engine
+    cross-checks its first call against an exact elimination; a mismatch
+    means the sampling scheme itself is broken for this problem and the
+    analysis must not continue on silent guesses.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        constraints: Sequence[Expr] = (),
-        crosscheck: bool = True,
-    ) -> None:
-        self.seed = seed
+    def __init__(self, seed: int = 0, constraints: Sequence[Expr] = ()) -> None:
         self.rng = random.Random(seed)
         self.constraints = tuple(constraints)
-        self._crosschecked = not crosscheck
+        self._crosschecked = False
         self._constraint_cache: dict[int, tuple[Expr, ...]] = {}
 
     def constraints_on(self, chart: Chart) -> tuple[Expr, ...]:

@@ -25,7 +25,6 @@ __all__ = [
     "build_system",
     "load_model",
     "model_from_dict",
-    "model_output",
     "prolonged_model",
     "save_model",
 ]
@@ -197,18 +196,10 @@ def build_system(model: ModelFile, seed: int = 0) -> ControlAffineSystem:
         raise ModelFileError(f"{model.name}: {err}") from err
 
 
-def model_output(model: ModelFile, sys: ControlAffineSystem) -> Optional[tuple[Expr, Expr]]:
-    """The declared candidate pair parsed on the system chart, if any."""
-    if model.flat_output is None:
-        return None
-    return sys.chart.parse(model.flat_output[0]), sys.chart.parse(model.flat_output[1])
-
-
 def prolonged_model(model: ModelFile, p1: int, p2: int, seed: int = 0) -> ModelFile:
     """Model file for the input-prolonged system; the original states keep
     their names, so a declared flat output carries over verbatim."""
-    pro = prolong(build_system(model, seed), p1, p2)
-    ext = pro.extended
+    ext = prolong(build_system(model, seed), p1, p2)
     return replace(
         model,
         name=f"{model.name}-prolonged-{p1}-{p2}",

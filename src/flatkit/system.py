@@ -91,30 +91,27 @@ class FlatCandidate:
     d: int
 
 
-@dataclass(frozen=True)
-class ProlongedSystem:
-    base: ControlAffineSystem
-    orders: tuple[int, int]
-    extended: ControlAffineSystem
-
-
 # --- input chains -------------------------------------------------------------
 
 _DERIV_RE = re.compile(r"^(.*)_d([0-9]+)$")
 
 
-def _next_name(name: str) -> str:
-    m = _DERIV_RE.match(name)
-    if m:
-        return f"{m.group(1)}_d{int(m.group(2)) + 1}"
-    return f"{name}_d1"
+def _next_name(name: str, taken: set[str]) -> str:
+    """The first `_d<k>` name after `name` that is not taken; it is taken now."""
+    while True:
+        m = _DERIV_RE.match(name)
+        name = f"{m.group(1)}_d{int(m.group(2)) + 1}" if m else f"{name}_d1"
+        if name not in taken:
+            taken.add(name)
+            return name
 
 
-def _chain(name: str, length: int) -> list[str]:
-    out = []
+def _chain(name: str, length: int, taken: set[str]) -> list[str]:
+    """`name` and the `length` free names after it: the chain states, then
+    the new input."""
+    out = [name]
     for _ in range(length):
-        out.append(name)
-        name = _next_name(name)
+        out.append(_next_name(out[-1], taken))
     return out
 
 
@@ -128,7 +125,9 @@ def _input_chains(
     and the top one gets a zero component), the input fields and the input
     names; an input with p_j = 0 keeps its field and name.
     """
-    chains = (_chain(sys.inputs[0], p1), _chain(sys.inputs[1], p2))
+    taken = {*sys.chart.coordinates, *sys.chart.parameters, *sys.inputs}
+    names = [_chain(u, p, taken) for u, p in zip(sys.inputs, (p1, p2))]
+    chains = [chain[:-1] for chain in names]
     ch = sys.chart.extend(chains[0] + chains[1])
     dim = ch.dim
     pos = {name: i for i, name in enumerate(ch.coordinates)}
@@ -149,10 +148,7 @@ def _input_chains(
         top = [ch.zero] * dim
         top[pos[chain[-1]]] = ch.one
         gs.append(VectorField(ch, tuple(top)))
-    inputs = tuple(
-        _next_name(chain[-1]) if chain else u for u, chain in zip(sys.inputs, chains)
-    )
-    return VectorField(ch, tuple(comps)), (gs[0], gs[1]), inputs
+    return VectorField(ch, tuple(comps)), (gs[0], gs[1]), (names[0][-1], names[1][-1])
 
 
 # --- degrees and indices ------------------------------------------------------
@@ -265,6 +261,10 @@ def q_sequence(jets: OutputJets) -> list[Codistribution]:
     u = alpha(x) + beta(x) v changes the jet coordinates by an invertible
     map that fixes x, so span{d phi_[0,j]}, span{dx} and with them Q_j, its
     rank and its integrability are the same in either chart.
+
+    Each Q_j is an ordinary span of unnormalized, possibly dependent
+    combinations (see `intersect_with_coordinates`): its rank is sampled,
+    and becomes exact once its coannihilator is built.
     """
     sys, cand = jets.system, jets.candidate
     k1, k2 = cand.K
@@ -305,6 +305,9 @@ def sfe_gtf_test(jets: OutputJets) -> SfeGtfResult:
     reports = []
     passed = True
     for i, q in enumerate(qs):
+        # is_integrable builds the exact coannihilator, which cross-checks
+        # the sampled rank: read q.rank only after it, so every reported
+        # rank is exact.
         ok = q.is_integrable()
         passed = passed and ok
         reports.append(QReport((k1 - 1 + i, k2 - 1 + i), q.rank, ok))
@@ -314,15 +317,15 @@ def sfe_gtf_test(jets: OutputJets) -> SfeGtfResult:
 # --- prolongation -------------------------------------------------------------
 
 
-def prolong(sys: ControlAffineSystem, p1: int, p2: int) -> ProlongedSystem:
-    """Integrate input j through p_j extra states; old inputs become states."""
+def prolong(sys: ControlAffineSystem, p1: int, p2: int) -> ControlAffineSystem:
+    """The system with input j integrated through p_j extra states; old
+    inputs become states.  Orders (0, 0) return `sys` itself."""
     if p1 < 0 or p2 < 0:
         raise ValueError("prolongation orders must be nonnegative")
     if p1 == 0 and p2 == 0:
-        return ProlongedSystem(sys, (0, 0), sys)
+        return sys
     f, (g1, g2), inputs = _input_chains(sys, p1, p2)
-    extended = ControlAffineSystem(f.chart, inputs, f, g1, g2, sys.engine, sys.name)
-    return ProlongedSystem(sys, (p1, p2), extended)
+    return ControlAffineSystem(f.chart, inputs, f, g1, g2, sys.engine, sys.name)
 
 
 # --- flat-output verification --------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 import flatkit.modelfile
 import flatkit.system
-from flatkit import build_system, load_model, model_output, prolonged_model, save_model
+from flatkit import build_system, load_model, prolonged_model, save_model
 from flatkit.cli import main
 from flatkit.errors import ModelFileError
 
@@ -60,7 +60,9 @@ def test_bundled_models_load_and_build():
         model = load_model(MODELS / f"{name}.json")
         sys_ = build_system(model, seed=1)
         assert sys_.n == len(model.states)
-        assert model_output(model, sys_) is not None
+        assert model.flat_output is not None
+        for text in model.flat_output:
+            sys_.chart.parse(text)
 
 
 @pytest.mark.parametrize(
@@ -239,11 +241,25 @@ def test_verify_example1_flat_but_not_triangular(capsys):
     ]
 
 
-def test_verify_state_named_like_an_input_derivative(tmp_path, capsys):
-    """The jet space adds u1 .. u1_d3 for R = (4, 4); a state called u1_d4,
-    the name the next prolongation would give its input, must not matter."""
-    text = (MODELS / "example1.json").read_text().replace("x5", "u1_d4")
-    path = write_model(tmp_path, "example1_u1d4", json.loads(text))
+# example1 with names that input chains would otherwise give their new states
+# or inputs: the jet space for R = (4, 4) adds u1 .. u1_d3 and then the input
+# u1_d4, and prolonging u1 adds the input u1_d1.
+RENAMED_EXAMPLE1 = {
+    "state-u1_d4": ("x5", "u1_d4"),
+    "state-u1_d1": ("x5", "u1_d1"),
+    "inputs-w-w_d1": ('"inputs": ["u1", "u2"]', '"inputs": ["w", "w_d1"]'),
+}
+
+
+def _renamed_example1(tmp_path: Path, key: str) -> str:
+    text = (MODELS / "example1.json").read_text().replace(*RENAMED_EXAMPLE1[key])
+    return write_model(tmp_path, f"example1-{key}", json.loads(text))
+
+
+@pytest.mark.parametrize("key", list(RENAMED_EXAMPLE1))
+def test_verify_state_named_like_an_input_derivative(tmp_path, capsys, key):
+    """Names the input chains would take must not matter."""
+    path = _renamed_example1(tmp_path, key)
     code, report, _ = run_cli(capsys, "verify", path, "--output", "x1", "x2")
     _, expected, _ = run_cli(
         capsys, "verify", str(MODELS / "example1.json"), "--output", "x1", "x2"
@@ -327,6 +343,17 @@ def test_prolong_roundtrip_example1(tmp_path, capsys):
     assert report["sfe"]["passed"] is True
 
 
+@pytest.mark.parametrize("key", ["state-u1_d1", "inputs-w-w_d1"])
+def test_prolong_takes_free_names(tmp_path, capsys, key):
+    out = tmp_path / "prolonged.json"
+    path = _renamed_example1(tmp_path, key)
+    code, _, _ = run_cli(capsys, "prolong", path, "--orders", "1", "1", "--out", str(out))
+    assert code == 0
+    written = load_model(out)
+    names = written.states + written.inputs
+    assert len(names) == len(set(names)) == 9
+
+
 def test_prolong_vtol_two_levels(tmp_path, capsys):
     out = tmp_path / "vtol_p22.json"
     code, report, _ = run_cli(
@@ -403,6 +430,25 @@ def test_report_bytes_are_pinned(tmp_path, capsys, name, command, code):
     verb, model, *rest = shlex.split(command)
     assert main([verb, _pinned_model(tmp_path, model), *rest]) == code
     assert capsys.readouterr().out == expected
+
+
+VERIFY_REPORTS = [case for case in PINNED_REPORTS if case[1].startswith("verify")]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize(
+    "name, command, code", VERIFY_REPORTS, ids=[case[0] for case in VERIFY_REPORTS]
+)
+def test_verify_report_is_seed_invariant(tmp_path, capsys, name, command, code, seed):
+    """Q ranks are sampled: every pinned verify report holds at other seeds."""
+    expected = json.loads((DATA / f"{name}.json").read_text())
+    verb, model, *rest = shlex.split(command)
+    path = _pinned_model(tmp_path, model)
+    got, report, _ = run_cli(capsys, verb, path, *rest, "--seed", str(seed))
+    assert got == code
+    assert report.pop("seed") == seed
+    expected.pop("seed")
+    assert report == expected
 
 
 # --- error handling ---------------------------------------------------------------

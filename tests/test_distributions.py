@@ -14,7 +14,6 @@ from flatkit import (
     cauchy_characteristic,
     coordinate_covector,
     coordinate_field,
-    derived_flag,
     derived_step,
     differential,
     first_integrals,
@@ -174,8 +173,9 @@ def test_sampled_rank_is_cross_checked_by_the_dual(vtol, monkeypatch):
 
 
 def test_chained_derived_flag_ranks(chained5):
-    d1 = span(chained5.chart, (chained5.g1, chained5.g2), chained5.engine)
-    flag = derived_flag(d1)
+    flag = [span(chained5.chart, (chained5.g1, chained5.g2), chained5.engine)]
+    for _ in range(3):
+        flag.append(derived_step(flag[-1]))
     assert [d.rank for d in flag] == [2, 3, 4, 5]
     for prev, nxt in zip(flag, flag[1:]):
         assert nxt.contains(prev)
@@ -190,18 +190,13 @@ def test_chained_derived_step_adds_one_direction(chained5):
     assert not d2.contains_field(coordinate_field(chained5.chart, "z3"))
 
 
-def test_derived_flag_respects_max_steps(chained5):
-    d1 = span(chained5.chart, (chained5.g1, chained5.g2), chained5.engine)
-    assert len(derived_flag(d1, max_steps=1)) == 2
-
-
 def test_derived_flag_of_involutive_is_trivial(chained5):
     d = span(
         chained5.chart,
         (coordinate_field(chained5.chart, "z1"), coordinate_field(chained5.chart, "z2")),
         chained5.engine,
     )
-    assert len(derived_flag(d)) == 1
+    assert derived_step(d).rank == d.rank
 
 
 def test_involutive_closure_of_chained_input_pair(chained5):

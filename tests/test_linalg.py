@@ -273,7 +273,7 @@ def exact_greedy(matrix, chart):
 def test_modular_rank_matches_exact_and_sympy(factors, seed):
     chart = Chart(["a", "b", "t"])
     matrix = build_matrix(chart, *factors)
-    engine = RankEngine(seed=seed, crosscheck=False)
+    engine = RankEngine(seed=seed)
     exact = exact_rank(matrix, chart)
     assert engine.rank(matrix, chart) == exact
     assert sympy_rank(matrix) == exact
@@ -284,7 +284,7 @@ def test_modular_rank_matches_exact_and_sympy(factors, seed):
 def test_modular_greedy_rows_match_exact_greedy(factors, seed):
     chart = Chart(["a", "b", "t"])
     matrix = build_matrix(chart, *factors)
-    engine = RankEngine(seed=seed, crosscheck=False)
+    engine = RankEngine(seed=seed)
     assert engine.independent_rows(matrix, chart) == exact_greedy(matrix, chart)
 
 
@@ -336,7 +336,7 @@ def test_rank_sees_the_circle_relation():
     ]
     assert exact_rank(m, chart) == 1
     for seed in range(5):
-        assert RankEngine(seed=seed, crosscheck=False).rank(m, chart) == 1
+        assert RankEngine(seed=seed).rank(m, chart) == 1
 
 
 def test_coefficient_with_prime_denominator_is_a_named_error():

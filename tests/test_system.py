@@ -31,6 +31,7 @@ from flatkit.errors import (
     DependentDifferentialsError,
     InputTransformError,
     InvalidIndicesError,
+    RankDisagreementError,
     UnboundedRelativeDegreeError,
 )
 
@@ -88,13 +89,13 @@ def test_states_property(vtol):
 
 def test_jet_chart_levels(vtol):
     sys = as_system(vtol)
-    ch = prolong(sys, 2, 2).extended.chart
+    ch = prolong(sys, 2, 2).chart
     assert ch.coordinates == sys.states + ("u1", "u1_d1", "u2", "u2_d1")
 
 
 def test_total_field_shifts_input_derivatives(vtol):
     sys = as_system(vtol)
-    total = prolong(sys, 2, 2).extended.f
+    total = prolong(sys, 2, 2).f
     ch = total.chart
     pos = {name: i for i, name in enumerate(ch.coordinates)}
     assert total.components[pos["u1"]] == ch.sym("u1_d1")
@@ -103,7 +104,7 @@ def test_total_field_shifts_input_derivatives(vtol):
 
 def test_total_field_derivatives_vtol(vtol):
     sys = as_system(vtol)
-    total = prolong(sys, 3, 3).extended.f
+    total = prolong(sys, 3, 3).f
     ch = total.chart
     assert lie_derivative(ch.sym("x"), total) == ch.sym("vx")
     assert lie_derivative(ch.sym("x"), total, 2) == parse(
@@ -113,7 +114,7 @@ def test_total_field_derivatives_vtol(vtol):
 
 def test_total_field_derivatives_example1(example1):
     sys = as_system(example1)
-    total = prolong(sys, 2, 2).extended.f
+    total = prolong(sys, 2, 2).f
     ch = total.chart
     assert lie_derivative(ch.sym("x2"), total) == parse(ch, "x3 + x4*u1")
 
@@ -221,7 +222,7 @@ def test_q_sequence_example1_original(example1):
 def test_q_sequence_example1_prolonged_spans(example1):
     """After one integrator per input the sequence straightens out:
     every member is spanned by state differentials alone and is integrable."""
-    sys = prolong(as_system(example1), 1, 1).extended
+    sys = prolong(as_system(example1), 1, 1)
     ch = sys.chart
     res = sfe_gtf_test(output_jets(sys, (ch.sym("x1"), ch.sym("x2"))))
     assert res.passed
@@ -238,6 +239,25 @@ def test_q_sequence_example1_prolonged_spans(example1):
             jc, [differential(parse(jc, text)) for text in names], sys.engine
         )
         assert q.span_equal(want)
+
+
+def test_sampled_q_rank_is_checked_by_its_coannihilator(example1, monkeypatch):
+    """A Q_j rank is sampled; the exact coannihilator that the integrability
+    test builds catches a sampled rank that came out one too low."""
+    sys = prolong(as_system(example1), 1, 1)
+    ch = sys.chart
+    q = q_sequence(output_jets(sys, (ch.sym("x1"), ch.sym("x2"))))[-1]
+    engine = q.engine
+    sampled = engine.independent_rows
+
+    def drop_last_pick(rows, chart):  # for one call
+        monkeypatch.setattr(engine, "independent_rows", sampled)
+        return sampled(rows, chart)[:-1]
+
+    monkeypatch.setattr(engine, "independent_rows", drop_last_pick)
+    assert q.rank == sys.n - 1
+    with pytest.raises(RankDisagreementError):
+        q.is_integrable()
 
 
 def test_sfe_seven_state(seven_state):
@@ -291,8 +311,7 @@ def test_sequence_is_feedback_invariant(seven_state, rng):
 
 def test_prolong_zero_orders_is_identity(example1):
     sys = as_system(example1)
-    pro = prolong(sys, 0, 0)
-    assert pro.extended is sys and pro.orders == (0, 0)
+    assert prolong(sys, 0, 0) is sys
 
 
 def test_prolong_rejects_negative_order(example1):
@@ -302,7 +321,7 @@ def test_prolong_rejects_negative_order(example1):
 
 def test_prolong_names_and_dynamics(example1):
     sys = as_system(example1)
-    ext = prolong(sys, 1, 1).extended
+    ext = prolong(sys, 1, 1)
     assert ext.states == ("x1", "x2", "x3", "x4", "x5", "u1", "u2")
     assert ext.inputs == ("u1_d1", "u2_d1")
     ch = ext.chart
@@ -314,14 +333,14 @@ def test_prolong_names_and_dynamics(example1):
 
 
 def test_prolong_mixed_orders(example1):
-    ext = prolong(as_system(example1), 1, 0).extended
+    ext = prolong(as_system(example1), 1, 0)
     assert ext.states == ("x1", "x2", "x3", "x4", "x5", "u1")
     assert ext.inputs == ("u1_d1", "u2")
 
 
 def test_prolong_raises_relative_degree(vtol):
     sys = as_system(vtol)
-    ext = prolong(sys, 2, 2).extended
+    ext = prolong(sys, 2, 2)
     assert ext.n == 10
     phi = (ext.chart.sym("theta"), parse(ext.chart, "x*cos(theta)/sin(theta) + z"))
     assert relative_degree(ext, phi) == (4, 4)
@@ -334,7 +353,7 @@ def test_prolongation_preserves_verification(seven_state, p):
     phi = (ch.sym("z1"), ch.sym("z3"))
     base = verify_flat_output(output_jets(sys, phi))
     assert base.passed
-    ext = prolong(sys, p, p).extended
+    ext = prolong(sys, p, p)
     phi = (ext.chart.sym("z1"), ext.chart.sym("z3"))
     verdict = verify_flat_output(output_jets(ext, phi))
     assert verdict.passed
