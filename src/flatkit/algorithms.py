@@ -43,7 +43,6 @@ __all__ = [
     "QuadraticForm",
     "StepRecord",
     "extract_candidates",
-    "lemma1_candidates",
     "run_algorithm1",
     "run_algorithm2",
 ]
@@ -245,7 +244,9 @@ def _lemma1_window(
     """Name of the first failed precondition of the bracket-condition lemma
     on the window d0 c d1 c d2, None when all hold.  `cauchy` is the Cauchy
     characteristic of d2; a `drift_built` d2 is d1 + [f, d1] by construction,
-    so its drift check is skipped."""
+    so its drift check is skipped.  The lemma's directions v1, v2 with
+    d1 = d0 + span{v1, v2} need no check either: `_complement_pair` takes
+    them from d1 to extend a basis of d0, so that holds by construction."""
     if d1.rank - d0.rank != 2 or d2.rank - d1.rank != 2:
         return "corank-two chain d0 c d1 c d2"
     if not (d1.contains(d0) and d2.contains(d1)):
@@ -290,29 +291,6 @@ def _candidate_fields(
         )
         out.append(v1.scale(a1 * scale) + v2.scale(a2 * scale))
     return out
-
-
-def lemma1_candidates(
-    f: VectorField,
-    d0: Distribution,
-    d1: Distribution,
-    d2: Distribution,
-    v1: VectorField,
-    v2: VectorField,
-) -> list[VectorField]:
-    """Candidate directions v_c = a1 v1 + a2 v2 whose double bracket with the
-    drift stays inside d2 — the necessary condition for rebuilding d2 from a
-    single bracket [f, v_c].  At most two non-collinear results exist."""
-    violated = _lemma1_window(f, d0, d1, d2, cauchy_characteristic(d2))
-    if violated is None and not sum_spans(d0, [v1, v2]).span_equal(d1):
-        violated = "d1 equals d0 + span{v1, v2}"
-    if violated is not None:
-        raise AssumptionViolationError(violated)
-    rows = _membership_rows(f, d2, v1, v2)
-    solutions = _solve_membership(f.chart, rows)
-    fields = _candidate_fields(v1, v2, solutions)
-    assert len(fields) <= 2
-    return fields
 
 
 # --- the sequence driver ----------------------------------------------------------

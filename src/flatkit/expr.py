@@ -82,12 +82,17 @@ class GenInfo:
     symbols: frozenset[str] = frozenset()  # base symbols the generator depends on
 
 
-def _valid_name(name: str) -> bool:
-    return (
-        bool(name)
+def check_symbol_name(name: str, role: str = "symbol") -> None:
+    """Raise ValueError unless `name` is an identifier that shadows no
+    function of the expression grammar; `role` says what the name is for."""
+    if not (
+        name
         and (name[0].isalpha() or name[0] == "_")
         and all(ch in _IDENT_OK for ch in name)
-    )
+    ):
+        raise ValueError(f"invalid {role} name '{name}'")
+    if name in FUNCTIONS:
+        raise ValueError(f"{role} name '{name}' shadows a function")
 
 
 class Chart:
@@ -103,10 +108,7 @@ class Chart:
         params = tuple(parameters)
         seen: set[str] = set()
         for name in coords + params:
-            if not _valid_name(name):
-                raise ValueError(f"invalid symbol name '{name}'")
-            if name in FUNCTIONS:
-                raise ValueError(f"symbol name '{name}' shadows a function")
+            check_symbol_name(name)
             if name in seen:
                 raise ValueError(f"duplicate symbol name '{name}'")
             seen.add(name)

@@ -170,9 +170,13 @@ def _parse_all(model: ModelFile, source: str) -> tuple[Chart, VectorField, Vecto
     cons = []
     for text in model.constraints:
         try:
-            cons.append(chart.parse(text))
+            con = chart.parse(text)
         except (ParseError, UnknownSymbolError) as err:
             raise ModelFileError(f"{source}: constraint '{text}': {err}") from err
+        # no sample point keeps a zero constraint nonzero
+        if con.is_zero():
+            raise ModelFileError(f"{source}: constraint '{text}' is identically zero")
+        cons.append(con)
     if model.flat_output is not None:
         for text in model.flat_output:
             try:

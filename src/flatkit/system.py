@@ -6,8 +6,8 @@ Everything here works on the closed chain
     -> codistribution sequence Q on the input-jet chart
     -> triangular-form equivalence / flat-output verification,
 
-plus the structural operations feeding it: static feedback, input
-prolongation, and recognition of the triangular normal form.
+plus the structural operations feeding it: static feedback and input
+prolongation.  `sfe_gtf_test` is the triangular-form test.
 
 The input-jet space is a prolongation: `prolong` and `output_jets` build
 their charts and drifts with one chain builder that integrates each input
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .distributions import Codistribution, intersect_with_coordinates, span
 from .errors import (
@@ -33,7 +33,7 @@ from .errors import (
     InvalidIndicesError,
     UnboundedRelativeDegreeError,
 )
-from .expr import Chart, Expr, differentiate, transfer
+from .expr import Chart, Expr, check_symbol_name, transfer
 from .fields import (
     CovectorField,
     VectorField,
@@ -66,6 +66,7 @@ class ControlAffineSystem:
         if len(self.inputs) != 2 or self.inputs[0] == self.inputs[1]:
             raise ValueError("exactly two distinct input names are required")
         for u in self.inputs:
+            check_symbol_name(u, "input")
             if self.chart.has_symbol(u):
                 raise ValueError(f"input name '{u}' collides with a chart symbol")
         if span(self.chart, (self.g1, self.g2), self.engine).rank != 2:
@@ -365,99 +366,3 @@ def verify_flat_output(jets: OutputJets) -> FlatVerdict:
         stacked_rank,
         required,
     )
-
-
-# --- triangular-form structure recognition -------------------------------------
-
-
-@dataclass(frozen=True)
-class GtfStructureReport:
-    matches: bool
-    label: Optional[str]
-    violation: Optional[str]
-
-    def __bool__(self) -> bool:
-        return self.matches
-
-
-def gtf_structure_check(
-    sys: ControlAffineSystem, order: Sequence[str], K: tuple[int, int]
-) -> GtfStructureReport:
-    """Structural match against the triangular normal form in the given
-    coordinate order: two integrator chains, a triangular bottom block whose
-    rows each depend on (and actually use) the next coordinate, and the last
-    state driven directly by the second input."""
-    if sorted(order) != sorted(sys.chart.coordinates):
-        raise ValueError("state order must be a permutation of the chart")
-    n = sys.n
-    k1, k2 = K
-    _, d = flat_indices(n, K)
-
-    idx = {name: i for i, name in enumerate(sys.chart.coordinates)}
-    rows = [
-        (sys.f.components[idx[name]], sys.g1.components[idx[name]],
-         sys.g2.components[idx[name]])
-        for name in order
-    ]
-    allowed_syms = [set(sys.chart.parameters)]
-    for name in order:
-        allowed_syms.append(allowed_syms[-1] | {name})
-    # allowed_syms[l] = parameters plus the first l ordered coordinates
-
-    def fail(l: int, what: str) -> GtfStructureReport:
-        return GtfStructureReport(False, None, f"row {l} ({order[l - 1]}): {what}")
-
-    def expect_chain_row(l: int) -> Optional[GtfStructureReport]:
-        fc, g1c, g2c = rows[l - 1]
-        nxt = sys.chart.sym(order[l])
-        if not (fc - nxt).is_zero():
-            return fail(l, f"drift component is not {order[l]}")
-        if not g1c.is_zero() or not g2c.is_zero():
-            return fail(l, "inputs enter an integrator row")
-        return None
-
-    for l in range(1, k1):
-        bad = expect_chain_row(l)
-        if bad:
-            return bad
-    fc, g1c, g2c = rows[k1 - 1]
-    if not fc.is_zero() or not (g1c - sys.chart.one).is_zero() or not g2c.is_zero():
-        return fail(k1, "chain must end with the first input alone")
-    for l in range(k1 + 1, k1 + k2):
-        bad = expect_chain_row(l)
-        if bad:
-            return bad
-
-    fc, g1c, g2c = rows[n - 1]
-    if not fc.is_zero() or not g1c.is_zero() or not (g2c - sys.chart.one).is_zero():
-        return fail(n, "last row must be the second input alone")
-
-    pure_chained = True
-    if d > 0:
-        for l in range(k1 + k2, n):
-            fc, g1c, g2c = rows[l - 1]
-            if not g2c.is_zero():
-                return fail(l, "second input enters above the last row")
-            used = fc.free_symbols() | g1c.free_symbols()
-            beyond = used - allowed_syms[l + 1]
-            if beyond:
-                return fail(l, f"depends on later coordinates {sorted(beyond)}")
-            nxt = order[l]
-            if l == k1 + k2:
-                if g1c.is_zero():
-                    return fail(l, "first input must enter the pivot row")
-            else:
-                df = differentiate(fc, nxt)
-                dg = differentiate(g1c, nxt)
-                if df.is_zero() and dg.is_zero():
-                    return fail(l, f"row does not use {nxt}")
-            if not (fc.is_zero() and (g1c - sys.chart.sym(nxt)).is_zero()):
-                pure_chained = False
-
-    if d == 0:
-        label = "brunovsky"
-    elif pure_chained:
-        label = "chained" if k1 == 1 and k2 == 1 else "extended-chained"
-    else:
-        label = "general"
-    return GtfStructureReport(True, label, None)

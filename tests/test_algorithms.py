@@ -1,5 +1,7 @@
 """Distribution-sequence construction, branch bookkeeping, the candidate
-direction selection, and flat-output extraction from terminal data."""
+direction selection, and flat-output extraction from terminal data.  The
+Lemma-1 preconditions are exercised on `_lemma1_window`, the check the
+refined rule runs."""
 
 from __future__ import annotations
 
@@ -13,17 +15,17 @@ from flatkit import (
     ControlAffineSystem,
     RankEngine,
     apply_static_feedback,
+    cauchy_characteristic,
     differential,
     extract_candidates,
     field_from_dict,
-    lemma1_candidates,
     lie_bracket,
     run_algorithm1,
     run_algorithm2,
     span,
     sum_spans,
 )
-from flatkit.algorithms import _expr_sqrt, _solve_membership
+from flatkit.algorithms import _expr_sqrt, _lemma1_window, _solve_membership
 from flatkit.errors import AssumptionViolationError
 from flatkit.fields import CovectorField, coordinate_field, zero_field
 
@@ -309,29 +311,6 @@ def test_extract_functions_only_above_corank_two(chained5):
 # --- candidate direction selection ------------------------------------------------
 
 
-def test_lemma_candidates_vtol_window(vtol):
-    sys = as_system(vtol, "vtol")
-    d1 = span(sys.chart, (sys.g1, sys.g2), sys.engine)
-    d2 = sum_spans(
-        d1, [lie_bracket(sys.f, sys.g1), lie_bracket(sys.f, sys.g2)]
-    )
-    d0 = span(sys.chart, (), sys.engine)
-    cands = lemma1_candidates(sys.f, d0, d1, d2, sys.g1, sys.g2)
-    assert cands == [sys.g1, sys.g2]
-
-
-def test_lemma_candidates_cap(seven_state):
-    sys = as_system(seven_state, "seven")
-    d1 = span(sys.chart, (sys.g1, sys.g2), sys.engine)
-    d2 = sum_spans(
-        d1, [lie_bracket(sys.f, sys.g1), lie_bracket(sys.f, sys.g2)]
-    )
-    d0 = span(sys.chart, (), sys.engine)
-    cands = lemma1_candidates(sys.f, d0, d1, d2, sys.g1, sys.g2)
-    assert len(cands) == 1
-    assert cands[0] == sys.g2
-
-
 def _window_case(failed: str):
     """A window d0 c d1 c d2 on six coordinates whose first failed
     precondition is `failed`.  With e_i = d/dx_i: d0 = <e1>, d1 = <e1, e2, e3>
@@ -351,19 +330,18 @@ def _window_case(failed: str):
         d2 = sum_spans(d1, [e["x4"], e["x5"]])  # involutive: its own characteristic
     elif failed.startswith("[f, d0]"):
         f = field_from_dict(chart, {"x4": "x1"})  # [f, e1] = -e4
-    return f, d0, d1, d2, e["x2"], e["x3"]
+    return f, d0, d1, d2
 
 
 def test_lemma_candidates_rejects_bad_corank(vtol):
     sys = as_system(vtol, "vtol")
     d1 = span(sys.chart, (sys.g1, sys.g2), sys.engine)
     d0 = span(sys.chart, (), sys.engine)
-    with pytest.raises(AssumptionViolationError, match="corank-two chain"):
-        lemma1_candidates(sys.f, d0, d1, d1, sys.g1, sys.g2)
+    failed = _lemma1_window(sys.f, d0, d1, d1, cauchy_characteristic(d1))
+    assert failed == "corank-two chain d0 c d1 c d2"
 
 
-# The corank, "d1 involutive" and "d1 equals d0 + span{v1, v2}" preconditions
-# have their own tests.
+# The corank and "d1 involutive" preconditions have their own tests.
 @pytest.mark.parametrize(
     "failed",
     [
@@ -374,21 +352,8 @@ def test_lemma_candidates_rejects_bad_corank(vtol):
     ],
 )
 def test_lemma_candidates_rejects_failed_precondition(failed):
-    with pytest.raises(AssumptionViolationError) as err:
-        lemma1_candidates(*_window_case(failed))
-    assert err.value.assumption == failed
-
-
-def test_lemma_candidates_rejects_bad_generators(vtol):
-    sys = as_system(vtol, "vtol")
-    d1 = span(sys.chart, (sys.g1, sys.g2), sys.engine)
-    d2 = sum_spans(
-        d1, [lie_bracket(sys.f, sys.g1), lie_bracket(sys.f, sys.g2)]
-    )
-    d0 = span(sys.chart, (), sys.engine)
-    doubled = sys.g1.scale(sys.chart.const(2))
-    with pytest.raises(AssumptionViolationError, match="span"):
-        lemma1_candidates(sys.f, d0, d1, d2, sys.g1, doubled)
+    f, d0, d1, d2 = _window_case(failed)
+    assert _lemma1_window(f, d0, d1, d2, cauchy_characteristic(d2)) == failed
 
 
 def test_lemma_candidates_rejects_non_involutive_middle():
@@ -399,8 +364,8 @@ def test_lemma_candidates_rejects_non_involutive_middle():
     d1 = span(chart, (g1, g2), engine)
     d2 = sum_spans(d1, [coordinate_field(chart, "z2"), coordinate_field(chart, "z4")])
     d0 = span(chart, (), engine)
-    with pytest.raises(AssumptionViolationError, match="involutive"):
-        lemma1_candidates(zero_field(chart), d0, d1, d2, g1, g2)
+    failed = _lemma1_window(zero_field(chart), d0, d1, d2, cauchy_characteristic(d2))
+    assert failed == "d1 involutive"
 
 
 def test_membership_solver_paths():

@@ -496,6 +496,38 @@ def test_zero_denominator_in_model_is_input_error(tmp_path, capsys):
     assert "drift component for 'x': division by zero (at position 2)" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze", "prolong"])
+@pytest.mark.parametrize("name", ["u-1", "sin", "1u"])
+def test_invalid_input_name_is_input_error(tmp_path, capsys, name, command):
+    data = json.loads((MODELS / "example1.json").read_text())
+    data["inputs"] = [name, "u2"]
+    path = write_model(tmp_path, "bad-input", data)
+    extra = {
+        "verify": ["--output", "x1", "x2"],
+        "analyze": ["--max-prolong", "1"],
+        "prolong": ["--orders", "1", "1", "--out", str(tmp_path / "out.json")],
+    }[command]
+    code, report, err = run_cli(capsys, command, path, *extra)
+    assert code == 1
+    assert report == {}
+    assert f"input name '{name}'" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize("text", ["0", "eps - eps", "x - x"])
+def test_zero_constraint_is_input_error(tmp_path, capsys, text, command):
+    # no sample point keeps it nonzero: without the load-time check every
+    # rank call exhausts its redraws
+    data = json.loads((MODELS / "vtol.json").read_text())
+    data["constraints"] = [text]
+    path = write_model(tmp_path, "zero-constraint", data)
+    extra = ["--output", "theta", "x"] if command == "verify" else []
+    code, report, err = run_cli(capsys, command, path, *extra)
+    assert code == 1
+    assert report == {}
+    assert f"constraint '{text}' is identically zero" in err
+
+
 def test_negative_orders_are_input_error(tmp_path, capsys):
     code, _, err = run_cli(
         capsys,

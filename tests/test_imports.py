@@ -1,4 +1,5 @@
-"""Every module-level import of a flatkit module is used by that module.
+"""Every module-level import of a flatkit module is used by that module, and
+every public top-level function and class is used somewhere in `src/`.
 
 `__init__.py` is left out: its imports are the package's re-exports.
 """
@@ -25,6 +26,24 @@ def _annotation_names(node: ast.AST) -> set[str]:
     return out
 
 
+def _used_names(node: ast.AST, modules: frozenset[str] = frozenset()) -> set[str]:
+    """Names used under `node`: loaded names, names in annotations and
+    `module.name` attributes of `modules`.  Other strings, such as docstrings
+    and `__all__` entries, do not count."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            if sub.value.id in modules:
+                out.add(sub.attr)
+        elif isinstance(sub, (ast.arg, ast.AnnAssign)) and sub.annotation is not None:
+            out |= _annotation_names(sub.annotation)
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub.returns:
+            out |= _annotation_names(sub.returns)
+    return out
+
+
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported = set()
@@ -33,15 +52,9 @@ def unused_imports(source: str) -> list[str]:
             imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {a.asname or a.name for a in node.names}
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
-            used |= _annotation_names(node.annotation)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
-            used |= _annotation_names(node.returns)
-        elif isinstance(node, ast.Assign) and any(
+    used = _used_names(tree)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             used |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
@@ -64,3 +77,75 @@ def test_unused_import_finder():
         "    return json.dumps(x)\n"
     )
     assert unused_imports(source) == ["Sequence", "c", "os"]
+
+
+# Public names that no code in src/ uses, each kept for a reason.
+UNREFERENCED_ALLOWED = {
+    "eval_float": "the real-point guard on opaque functions (ROADMAP item 5)",
+    "coordinate_field": "constructor in the public field API",
+    "coordinate_covector": "constructor in the public field API",
+    "field_from_dict": "constructor in the public field API",
+    "zero_field": "constructor in the public field API",
+    "apply_static_feedback": "the transformation the invariance tests apply",
+    "rank_at_point": "resolved by flatbench/tracer.py; ROADMAP item 4 retires it",
+    "draw_admissible": "resolved by flatbench/tracer.py; ROADMAP item 4 retires it",
+}
+
+
+def unreferenced_names(sources: dict[str, str]) -> list[str]:
+    """Public top-level functions and classes of `sources` (module name to
+    text) that no statement but their own definition references.  An
+    imported name counts as referenced: an unused import fails the test
+    above."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    modules = frozenset(trees)
+    defined = []  # (public name, its defining statement)
+    refs = []  # (statement, names it references)
+    for tree in trees.values():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not stmt.name.startswith("_"):
+                    defined.append((stmt.name, stmt))
+            used = _used_names(stmt, modules)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.ImportFrom):
+                    used |= {a.name for a in node.names}
+            refs.append((stmt, used))
+    return sorted(
+        name
+        for name, own in defined
+        if not any(name in used for stmt, used in refs if stmt is not own)
+    )
+
+
+def test_every_public_name_is_used():
+    sources = {Path(m).stem: (SRC / m).read_text() for m in MODULES}
+    unused = unreferenced_names(sources)
+    assert [n for n in unused if n not in UNREFERENCED_ALLOWED] == []
+    # a listed name that gains a caller or is deleted leaves the list
+    assert sorted(UNREFERENCED_ALLOWED) == unused
+
+
+def test_unreferenced_name_finder():
+    sources = {
+        "a": (
+            "__all__ = ['dead', 'alive']\n"
+            "def dead():\n"
+            "    return dead()\n"
+            "def alive():\n"
+            "    \"Not dead.\"\n"
+            "    return 1\n"
+            "class Hinted:\n"
+            "    pass\n"
+            "def _private():\n"
+            "    return 0\n"
+        ),
+        "b": (
+            "from . import a\n"
+            "def g(x: 'Hinted'):\n"
+            "    from .c import late\n"
+            "    return a.alive() + late()\n"
+        ),
+        "c": "def late():\n    return 2\n",
+    }
+    assert unreferenced_names(sources) == ["dead", "g"]

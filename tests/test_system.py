@@ -17,7 +17,6 @@ from flatkit import (
     differential,
     field_from_dict,
     flat_indices,
-    gtf_structure_check,
     lie_derivative,
     output_jets,
     parse,
@@ -260,21 +259,36 @@ def test_sampled_q_rank_is_checked_by_its_coannihilator(example1, monkeypatch):
         q.is_integrable()
 
 
+def _assert_triangular(sys, output, K, d, ranks):
+    """The triangular form contains the established normal forms (Brunovsky
+    for d = 0, chained, a general triangular block): the output has degrees
+    K and index d, each Q_j has the given rank and is integrable, and the
+    rank check passes."""
+    jets = output_jets(sys, tuple(sys.chart.sym(name) for name in output))
+    res = sfe_gtf_test(jets)
+    assert res.candidate.K == K and res.candidate.d == d
+    indices = [(K[0] - 1 + i, K[1] - 1 + i) for i in range(d + 1)]
+    assert [r.index for r in res.reports] == indices
+    assert [r.rank for r in res.reports] == ranks
+    assert all(r.integrable for r in res.reports) and res.passed
+    assert verify_flat_output(jets).passed
+
+
+def test_sfe_brunovsky4(brunovsky4):
+    _assert_triangular(brunovsky4, ("z1", "z3"), (2, 2), 0, [4])
+
+
+def test_sfe_chained5(chained5):
+    _assert_triangular(as_system(chained5), ("z1", "z2"), (1, 1), 3, [2, 3, 4, 5])
+
+
 def test_sfe_seven_state(seven_state):
-    sys = as_system(seven_state)
-    ch = sys.chart
-    res = sfe_gtf_test(output_jets(sys, (ch.sym("z1"), ch.sym("z3"))))
-    assert res.passed
-    assert [r.rank for r in res.reports] == [4, 5, 6, 7]
+    _assert_triangular(as_system(seven_state), ("z1", "z3"), (2, 2), 3, [4, 5, 6, 7])
 
 
 def test_sfe_ecf8(ecf8):
-    sys = as_system(ecf8)
-    ch = sys.chart
-    res = sfe_gtf_test(output_jets(sys, (ch.sym("z11"), ch.sym("z12"))))
-    assert res.passed
-    assert [r.index for r in res.reports] == [(2, 2), (3, 3), (4, 4)]
-    assert [r.rank for r in res.reports] == [6, 7, 8]
+    # not written in the layout of the form; the test is geometric
+    _assert_triangular(as_system(ecf8), ("z11", "z12"), (3, 3), 2, [6, 7, 8])
 
 
 def test_sequence_is_feedback_invariant(seven_state, rng):
@@ -406,54 +420,3 @@ def test_verify_ecf8(ecf8):
     ch = sys.chart
     verdict = verify_flat_output(output_jets(sys, (ch.sym("z11"), ch.sym("z12"))))
     assert verdict.passed and verdict.stacked_rank == 10
-
-
-# --- triangular-structure recognition -------------------------------------------
-
-
-def test_structure_seven_state_natural_order(seven_state):
-    sys = as_system(seven_state)
-    report = gtf_structure_check(sys, sys.states, (2, 2))
-    assert report.matches and report.label == "general"
-
-
-def test_structure_detects_masked_dependency(seven_state):
-    sys = as_system(seven_state)
-    order = ["z1", "z2", "z3", "z4", "z6", "z5", "z7"]
-    report = gtf_structure_check(sys, order, (2, 2))
-    assert not report.matches
-    assert "z4" in report.violation
-
-
-def test_structure_chained(chained5):
-    sys = as_system(chained5)
-    report = gtf_structure_check(sys, sys.states, (1, 1))
-    assert report.matches and report.label == "chained"
-
-
-def test_structure_brunovsky(brunovsky4):
-    report = gtf_structure_check(brunovsky4, brunovsky4.states, (2, 2))
-    assert report.matches and report.label == "brunovsky"
-
-
-def test_structure_rejects_bad_permutation(seven_state):
-    sys = as_system(seven_state)
-    with pytest.raises(ValueError):
-        gtf_structure_check(sys, ["z1", "z2"], (2, 2))
-    with pytest.raises(ValueError):
-        gtf_structure_check(sys, ["z1"] * 7, (2, 2))
-
-
-def test_structure_match_implies_flat_output(seven_state, chained5, brunovsky4):
-    """Whenever the check succeeds with degrees (k1, k2), the pair of ordered
-    coordinates (first, (k1+1)-th) must verify as a flat output."""
-    cases = [
-        (as_system(seven_state), (2, 2)),
-        (as_system(chained5), (1, 1)),
-        (brunovsky4, (2, 2)),
-    ]
-    for sys, degrees in cases:
-        assert gtf_structure_check(sys, sys.states, degrees).matches
-        ch = sys.chart
-        phi = (ch.sym(sys.states[0]), ch.sym(sys.states[degrees[0]]))
-        assert verify_flat_output(output_jets(sys, phi)).passed
