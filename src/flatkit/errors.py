@@ -24,6 +24,14 @@ class UnknownSymbolError(FlatkitError):
         self.name = name
 
 
+class UnsupportedFunctionError(FlatkitError):
+    """A function application outside the expression field (see `expr`)."""
+
+    def __init__(self, application: str, reason: str) -> None:
+        super().__init__(f"{application} is not supported: {reason}")
+        self.reason = reason
+
+
 class ChartMismatchError(FlatkitError):
     """Raised when expressions from different charts are combined."""
 

@@ -3,17 +3,24 @@
 An Expr is always stored in canonical form: a quotient of two trig-reduced
 multivariate polynomials over the rationals with the common polynomial factor
 cancelled and a monic denominator.  Generators are the chart's base symbols
-(coordinates and parameters) plus extension symbols created on demand:
-sin/cos of a bare coordinate symbol (subject to the circle relation
-sin^2 + cos^2 = 1, reduced so every sine exponent is at most one) and opaque
-applications exp/ln/sqrt/sin/cos of compound arguments, which carry known
-derivatives but no algebraic relations.  Each generator records the base
-symbols it depends on when it is registered; free symbols, coordinate
-dependence and the antiderivative's domain check all read that set.
+(coordinates and parameters) plus the sin/cos pair of each angle, a base
+symbol registered on demand.  The pair obeys the circle relation
+sin^2 + cos^2 = 1, reduced so every sine exponent is at most one.  Each
+generator records its base symbol, the symbol itself or the angle; free
+symbols, coordinate dependence and the antiderivative's domain check all
+read it.
+
+sin and cos of an integer combination k_1*s_1 + ... + k_m*s_m of base
+symbols expand onto the pairs of s_1, ..., s_m by the addition formula, so
+sin(-x), sin(2*x) and cos(theta - x) are polynomials in the generators.
+Every other application is refused with UnsupportedFunctionError, because
+no generator could carry its algebraic relations and `is_zero` could not
+decide expressions built on it: sin/cos of a non-integer multiple, a
+product or a constant offset, exp except exp(0), ln except ln(1), and sqrt
+except of a constant with a rational root.
 
 `substitute` and `transfer` are one generator map: each base symbol maps to
-a value, and sin/cos and opaque functions are re-applied to the mapped
-argument.
+a value, and sin/cos are re-applied to the mapped angle.
 
 These results are canonical as built and skip `_canonicalize`: the sum of
 two polynomials (denominators 1), a canonical expression times a nonzero
@@ -37,10 +44,12 @@ from .errors import (
     ChartMismatchError,
     PoleError,
     UnknownSymbolError,
+    UnsupportedFunctionError,
     ZeroDenominatorError,
 )
 from .sympoly import (
     Poly,
+    _frac_sqrt,
     mono_get,
     mono_key,
     mono_set,
@@ -67,19 +76,14 @@ Scalar = Union["Expr", Fraction, int]
 
 _IDENT_OK = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
 
-FUNCTIONS = ("sin", "cos", "tan", "cot", "exp", "ln", "sqrt")
-
 
 @dataclass(frozen=True)
 class GenInfo:
     """One generator of the polynomial ring underlying a chart."""
 
     name: str
-    kind: str  # "base" | "sin" | "cos" | "opaque"
-    base: Optional[str] = None  # angle symbol for bare-argument sin/cos
-    func: Optional[str] = None  # opaque function name
-    arg: Optional["Expr"] = None  # opaque function argument
-    symbols: frozenset[str] = frozenset()  # base symbols the generator depends on
+    kind: str  # "base" | "sin" | "cos"
+    base: str  # the base symbol itself, or the angle of sin/cos
 
 
 def check_symbol_name(name: str, role: str = "symbol") -> None:
@@ -91,7 +95,7 @@ def check_symbol_name(name: str, role: str = "symbol") -> None:
         and all(ch in _IDENT_OK for ch in name)
     ):
         raise ValueError(f"invalid {role} name '{name}'")
-    if name in FUNCTIONS:
+    if name in FUNCTION_TABLE:
         raise ValueError(f"{role} name '{name}' shadows a function")
 
 
@@ -114,9 +118,7 @@ class Chart:
             seen.add(name)
         self.coordinates = coords
         self.parameters = params
-        self._gens: list[GenInfo] = [
-            GenInfo(n, "base", base=n, symbols=frozenset((n,))) for n in coords + params
-        ]
+        self._gens: list[GenInfo] = [GenInfo(n, "base", n) for n in coords + params]
         self._index: dict[str, int] = {g.name: i for i, g in enumerate(self._gens)}
         self._sin_to_cos: dict[int, int] = {}
         self._deriv_cache: dict[tuple[int, str], "Expr"] = {}
@@ -172,33 +174,19 @@ class Chart:
         skey = f"sin({angle})"
         ckey = f"cos({angle})"
         if skey not in self._index:
-            syms = frozenset((angle,))
-            self._gens.append(GenInfo(skey, "sin", base=angle, symbols=syms))
+            self._gens.append(GenInfo(skey, "sin", angle))
             self._index[skey] = len(self._gens) - 1
-            self._gens.append(GenInfo(ckey, "cos", base=angle, symbols=syms))
+            self._gens.append(GenInfo(ckey, "cos", angle))
             self._index[ckey] = len(self._gens) - 1
             self._sin_to_cos = dict(self._sin_to_cos)
             self._sin_to_cos[self._index[skey]] = self._index[ckey]
         return self._index[skey], self._index[ckey]
 
-    def opaque(self, func: str, arg: "Expr") -> int:
-        """Generator index of an opaque function application."""
-        if arg.chart is not self:
-            raise ChartMismatchError("opaque argument from another chart")
-        key = f"{func}({arg.render()})"
-        if key not in self._index:
-            info = GenInfo(
-                key, "opaque", func=func, arg=arg, symbols=frozenset(arg.free_symbols())
-            )
-            self._gens.append(info)
-            self._index[key] = len(self._gens) - 1
-        return self._index[key]
-
     def _gen_expr(self, index: int) -> "Expr":
         return Expr(self, p_var(index), p_const(1), _raw=True)
 
     def gen_depends_on_coordinates(self, index: int) -> bool:
-        return not self._gens[index].symbols.isdisjoint(self.coordinates)
+        return self._gens[index].base in self.coordinates
 
     def extend(self, extra_coordinates: Iterable[str]) -> "Chart":
         """A fresh chart with coordinates appended after the existing ones."""
@@ -267,10 +255,8 @@ class Expr:
         return max(p_total_degree(self.num), p_total_degree(self.den))
 
     def free_symbols(self) -> set[str]:
-        out: set[str] = set()
-        for idx in p_vars(self.num) | p_vars(self.den):
-            out |= self.chart.gen_info(idx).symbols
-        return out
+        gens = p_vars(self.num) | p_vars(self.den)
+        return {self.chart.gen_info(idx).base for idx in gens}
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -469,37 +455,53 @@ def _render_poly(chart: Chart, poly: Poly) -> str:
 # -- elementary functions ----------------------------------------------------
 
 
-def _as_bare_symbol(e: Expr) -> Optional[str]:
-    if not p_is_const(e.den) or p_const_value(e.den) != 1:
-        return None
-    if len(e.num) != 1:
-        return None
-    m, c = next(iter(e.num.items()))
-    if c != 1 or sum(m) != 1:
-        return None
-    idx = [i for i, ee in enumerate(m) if ee][0]
-    info = e.chart.gen_info(idx)
-    return info.name if info.kind == "base" else None
+def _angle_terms(func: str, arg: Expr) -> list[tuple[str, int]]:
+    """(s_i, k_i) with arg = sum of k_i*s_i over base symbols and integer k_i."""
+    terms = []
+    if p_is_const(arg.den):  # canonical: a constant denominator is 1
+        for m, c in arg.num.items():
+            # a trimmed monomial of degree one ends in the exponent of its generator
+            if sum(m) != 1 or c.denominator != 1:
+                break
+            info = arg.chart.gen_info(len(m) - 1)
+            if info.kind != "base":
+                break
+            terms.append((info.name, c.numerator))
+        else:
+            return terms
+    raise UnsupportedFunctionError(
+        f"{func}({arg.render()})",
+        "sin and cos take only integer combinations of symbols",
+    )
+
+
+def _sin_or_cos(func: str, arg: Expr) -> Expr:
+    """sin or cos of an integer combination of base symbols, expanded by the
+    addition formula onto the sin/cos pair of each symbol."""
+    chart = arg.chart
+    terms = _angle_terms(func, arg)
+    if len(terms) == 1 and terms[0][1] == 1:  # a bare angle is a generator
+        si, ci = chart.trig_pair(terms[0][0])
+        return chart._gen_expr(si if func == "sin" else ci)
+    s, c = chart.zero, chart.one
+    for name, k in terms:
+        si, ci = chart.trig_pair(name)
+        s1, c1 = chart._gen_expr(si), chart._gen_expr(ci)
+        sk, ck = s1, c1
+        for _ in range(abs(k) - 1):
+            sk, ck = sk * c1 + ck * s1, ck * c1 - sk * s1
+        if k < 0:
+            sk = -sk
+        s, c = s * ck + c * sk, c * ck - s * sk
+    return s if func == "sin" else c
 
 
 def fn_sin(arg: Expr) -> Expr:
-    if arg.is_zero():
-        return arg.chart.zero
-    name = _as_bare_symbol(arg)
-    if name is not None:
-        si, _ = arg.chart.trig_pair(name)
-        return arg.chart._gen_expr(si)
-    return arg.chart._gen_expr(arg.chart.opaque("sin", arg))
+    return _sin_or_cos("sin", arg)
 
 
 def fn_cos(arg: Expr) -> Expr:
-    if arg.is_zero():
-        return arg.chart.one
-    name = _as_bare_symbol(arg)
-    if name is not None:
-        _, ci = arg.chart.trig_pair(name)
-        return arg.chart._gen_expr(ci)
-    return arg.chart._gen_expr(arg.chart.opaque("cos", arg))
+    return _sin_or_cos("cos", arg)
 
 
 def fn_tan(arg: Expr) -> Expr:
@@ -513,23 +515,23 @@ def fn_cot(arg: Expr) -> Expr:
 def fn_exp(arg: Expr) -> Expr:
     if arg.is_zero():
         return arg.chart.one
-    return arg.chart._gen_expr(arg.chart.opaque("exp", arg))
+    raise UnsupportedFunctionError(f"exp({arg.render()})", "exp is rational only at 0")
 
 
 def fn_ln(arg: Expr) -> Expr:
     if arg == 1:
         return arg.chart.zero
-    return arg.chart._gen_expr(arg.chart.opaque("ln", arg))
+    raise UnsupportedFunctionError(f"ln({arg.render()})", "ln is rational only at 1")
 
 
 def fn_sqrt(arg: Expr) -> Expr:
     if arg.is_constant():
-        from .sympoly import _frac_sqrt
-
         r = _frac_sqrt(arg.as_fraction())
         if r is not None:
             return arg.chart.const(r)
-    return arg.chart._gen_expr(arg.chart.opaque("sqrt", arg))
+    raise UnsupportedFunctionError(
+        f"sqrt({arg.render()})", "sqrt is taken only of constants with a rational root"
+    )
 
 
 FUNCTION_TABLE: dict[str, Callable[[Expr], Expr]] = {
@@ -551,38 +553,13 @@ def _gen_derivative(chart: Chart, index: int, sym: str) -> Expr:
     if cached is not None:
         return cached
     info = chart.gen_info(index)
-    if info.kind == "base":
-        out = chart.one if info.name == sym else chart.zero
-    elif info.kind == "sin":
-        if info.base == sym:
-            _, ci = chart.trig_pair(info.base)
-            out = chart._gen_expr(ci)
-        else:
-            out = chart.zero
-    elif info.kind == "cos":
-        if info.base == sym:
-            si, _ = chart.trig_pair(info.base)
-            out = -chart._gen_expr(si)
-        else:
-            out = chart.zero
+    if info.base != sym:
+        out = chart.zero
+    elif info.kind == "base":
+        out = chart.one
     else:
-        darg = differentiate(info.arg, sym)
-        if darg.is_zero():
-            out = chart.zero
-        else:
-            self_expr = chart._gen_expr(index)
-            if info.func == "exp":
-                out = self_expr * darg
-            elif info.func == "ln":
-                out = darg / info.arg
-            elif info.func == "sqrt":
-                out = darg / (chart.const(2) * self_expr)
-            elif info.func == "sin":
-                out = fn_cos(info.arg) * darg
-            elif info.func == "cos":
-                out = -fn_sin(info.arg) * darg
-            else:
-                raise ValueError(f"no derivative rule for '{info.func}'")
+        si, ci = chart.trig_pair(sym)
+        out = chart._gen_expr(ci) if info.kind == "sin" else -chart._gen_expr(si)
     chart._deriv_cache[(index, sym)] = out
     return out
 
@@ -650,15 +627,6 @@ def _eval_poly(poly: Poly, point) -> Fraction:
     return total
 
 
-_FLOAT_FUNCS = {
-    "exp": math.exp,
-    "ln": math.log,
-    "sqrt": math.sqrt,
-    "sin": math.sin,
-    "cos": math.cos,
-}
-
-
 def eval_float(e: Expr, base_values: dict[str, float]) -> float:
     """Float shadow evaluation from base-symbol values.
 
@@ -672,9 +640,7 @@ def eval_float(e: Expr, base_values: dict[str, float]) -> float:
             return base_values[info.name]
         if info.kind == "sin":
             return math.sin(base_values[info.base])
-        if info.kind == "cos":
-            return math.cos(base_values[info.base])
-        return _FLOAT_FUNCS[info.func](eval_float(info.arg, base_values))
+        return math.cos(base_values[info.base])
 
     def poly_value(poly: Poly) -> float:
         total = 0.0
@@ -697,22 +663,19 @@ def eval_float(e: Expr, base_values: dict[str, float]) -> float:
 
 def _map_generators(e: Expr, target: Chart, repl: dict[str, Expr]) -> Expr:
     """e on the target chart with each base symbol replaced by its value in
-    repl (by the same-named symbol of target when absent); sin/cos and
-    opaque functions are re-applied to the mapped argument.  On e's own
-    chart, a generator whose symbols repl leaves alone stays as it is."""
+    repl (by the same-named symbol of target when absent); sin/cos are
+    re-applied to the mapped angle.  On e's own chart, a generator whose
+    base symbol repl leaves alone stays as it is."""
     source = e.chart
 
     def gen_value(idx: int) -> Expr:
         info = source.gen_info(idx)
-        if target is source and info.symbols.isdisjoint(repl):
+        if target is source and info.base not in repl:
             return source._gen_expr(idx)
-        if info.kind == "base":
-            value = repl.get(info.name)
-            return target.sym(info.name) if value is None else value
-        if info.kind in ("sin", "cos"):
-            arg = repl.get(info.base)
-            return FUNCTION_TABLE[info.kind](target.sym(info.base) if arg is None else arg)
-        return FUNCTION_TABLE[info.func](_map_generators(info.arg, target, repl))
+        value = repl.get(info.base)
+        if value is None:
+            value = target.sym(info.base)
+        return value if info.kind == "base" else FUNCTION_TABLE[info.kind](value)
 
     def poly_to_expr(poly: Poly) -> Expr:
         total = target.zero
@@ -763,7 +726,7 @@ def antiderivative(e: Expr, sym: str) -> Optional[Expr]:
         raise UnknownSymbolError(sym)
 
     def involves_sym(idx: int) -> bool:
-        return sym in chart.gen_info(idx).symbols
+        return chart.gen_info(idx).base == sym
 
     for idx in p_vars(e.den):
         if involves_sym(idx):

@@ -10,7 +10,9 @@ Grammar (all binary operators left-associative):
 
 Precedence is ^ > unary minus > * / > + -, so -x^2 parses as -(x^2).
 Exponents must be integer constants; decimal literals are exact rationals
-(0.5 is 1/2).  Known functions: sin, cos, tan, cot, exp, ln, sqrt.
+(0.5 is 1/2).  Known functions: sin, cos, tan, cot, exp, ln, sqrt, within
+the arguments `expr` accepts; any other application is a ParseError at the
+function's name.
 """
 
 from __future__ import annotations
@@ -18,7 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ParseError, UnknownSymbolError, ZeroDenominatorError
+from .errors import (
+    ParseError,
+    UnknownSymbolError,
+    UnsupportedFunctionError,
+    ZeroDenominatorError,
+)
 from .expr import FUNCTION_TABLE, Chart, Expr
 
 
@@ -159,6 +166,10 @@ class _Parser:
                         return FUNCTION_TABLE[name](arg)
                     except ZeroDenominatorError:  # cot(0)
                         raise ParseError(f"'{name}' has a pole at its argument", tok.pos) from None
+                    except UnsupportedFunctionError as err:
+                        raise ParseError(
+                            f"{name}({arg.render()}) is not supported: {err.reason}", tok.pos
+                        ) from None
                 raise ParseError(f"function '{name}' requires an argument", tok.pos)
             if self.chart.has_symbol(name):
                 return self.chart.sym(name)

@@ -1,22 +1,22 @@
 """Seeded sample points for generic-position evaluation.
 
 The rank engine evaluates in the prime field F_p, p = PRIME = 2^61 - 1.  A
-point gives every base and opaque generator an independent nonzero residue
-and the sin/cos pair of an angle the half-angle point
-(2t, 1 - t^2) / (1 + t^2), so sin^2 + cos^2 = 1 holds mod p; since
-p = 3 mod 4, 1 + t^2 never vanishes.  Coefficients reduce as
-num * den^-1 mod p.  A point where a denominator or a constraint vanishes
-mod p is redrawn.  By the Schwartz-Zippel lemma (Schwartz 1980; Zippel
-1979) a nonzero polynomial of degree D vanishes at such a point with
-probability at most D/p.  So a rank read off a modular point can only be
-too low, never too high, and it is too low with probability at most D/p
-when D is the degree of a nonvanishing maximal minor.
+point gives every base symbol an independent nonzero residue and the
+sin/cos pair of an angle the half-angle point (2t, 1 - t^2) / (1 + t^2), so
+sin^2 + cos^2 = 1 holds mod p; since p = 3 mod 4, 1 + t^2 never vanishes.
+Coefficients reduce as num * den^-1 mod p.  A point where a denominator or
+a constraint vanishes mod p is redrawn.  By the Schwartz-Zippel lemma
+(Schwartz 1980; Zippel 1979) a nonzero polynomial of degree D vanishes at
+such a point with probability at most D/p.  So a rank read off a modular
+point can only be too low, never too high, and it is too low with
+probability at most D/p when D is the degree of a nonvanishing maximal
+minor.
 
 `SamplePoint`, `draw_point` and `draw_admissible` are the exact rational
 counterpart: base symbols receive random rationals with numerator and
 denominator bounded by 997, angles a rational point on the unit circle
-through the same half-angle parameterization, opaque generators independent
-nonzero rationals.  They serve as the reference evaluation in tests.
+through the same half-angle parameterization.  They serve as the reference
+evaluation in tests.
 """
 
 from __future__ import annotations
@@ -42,13 +42,6 @@ PRIME = (1 << 61) - 1
 
 def random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-_BOUND, _BOUND), rng.randint(1, _BOUND))
-
-
-def _nonzero_rational(rng: random.Random) -> Fraction:
-    while True:
-        q = random_rational(rng)
-        if q != 0:
-            return q
 
 
 def _circle_point(rng: random.Random) -> tuple[Fraction, Fraction]:
@@ -91,13 +84,11 @@ def draw_point(chart: Chart, rng: random.Random) -> SamplePoint:
     for info in gens:
         if info.kind == "base":
             values.append(random_rational(rng))
-        elif info.kind in ("sin", "cos"):
+        else:
             if info.base not in circle:
                 circle[info.base] = _circle_point(rng)
             s, c = circle[info.base]
             values.append(s if info.kind == "sin" else c)
-        else:
-            values.append(_nonzero_rational(rng))
     return SamplePoint(chart, tuple(values))
 
 

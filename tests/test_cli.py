@@ -13,7 +13,7 @@ import pytest
 
 import flatkit.modelfile
 import flatkit.system
-from flatkit import build_system, load_model, prolonged_model, save_model
+from flatkit import build_system, load_model, model_from_dict, prolonged_model, save_model
 from flatkit.cli import main
 from flatkit.errors import ModelFileError
 
@@ -155,6 +155,37 @@ def test_analyze_basic_vtol_is_negative(capsys):
     (leaf,) = report["schedule"][0]["candidates"]
     assert leaf["pairs"] == []
     assert report["result"]["passed"] is False
+
+
+def _vtol_in_new_angle(
+    tmp_path: Path, old_theta: str, theta_rate: str
+) -> tuple[str, list[str]]:
+    """vtol pushed forward by a change of its angle coordinate: the old angle
+    is `old_theta` in the new coordinates, whose angle moves at `theta_rate`.
+    Returns the model path and the carried flat output."""
+    data = json.loads((MODELS / "vtol.json").read_text())
+    for key in ("g1", "g2", "flat_output"):
+        data[key] = [text.replace("theta", f"({old_theta})") for text in data[key]]
+    data["drift"][2] = theta_rate
+    model = model_from_dict(data)
+    path = tmp_path / "vtol-new-angle.json"
+    save_model(model, path)
+    return str(path), list(model.flat_output)
+
+
+def test_analyze_vtol_with_negated_angle(tmp_path, capsys):
+    # sin(-theta) and cos(-theta) expand onto the pair of theta
+    path, _ = _vtol_in_new_angle(tmp_path, "-theta", "-omega")
+    code, report, _ = run_cli(capsys, "analyze", path)
+    assert code == 0
+    assert report["result"]["output"] == ["eps*sin(theta) + x", "eps*cos(theta) + z"]
+
+
+def test_verify_vtol_with_shifted_angle(tmp_path, capsys):
+    path, output = _vtol_in_new_angle(tmp_path, "theta + x", "omega - vx")
+    code, report, _ = run_cli(capsys, "verify", path, "--output", *output)
+    assert code == 0
+    assert report["indices"] == {"K": [2, 2], "R": [4, 4], "d": 2}
 
 
 def test_analyze_example3(capsys):
@@ -484,6 +515,25 @@ def test_zero_denominator_in_output_is_input_error(capsys, text):
     assert code == 1
     assert report == {}
     assert "output expression: division by zero (at position 1)" in err
+
+
+def test_unsupported_function_in_output_is_input_error(capsys):
+    code, report, err = run_cli(
+        capsys, "verify", str(MODELS / "vtol.json"), "--output", "exp(x)", "z"
+    )
+    assert code == 1
+    assert report == {}
+    assert "output expression: exp(x) is not supported" in err
+
+
+def test_unsupported_function_in_model_is_input_error(tmp_path, capsys):
+    data = json.loads((MODELS / "vtol.json").read_text())
+    data["g1"][3] = "sqrt(x)"
+    path = write_model(tmp_path, "sqrt", data)
+    code, report, err = run_cli(capsys, "analyze", path)
+    assert code == 1
+    assert report == {}
+    assert "g1 component for 'vx': sqrt(x) is not supported" in err
 
 
 def test_zero_denominator_in_model_is_input_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Every module-level import of a flatkit module is used by that module, and
-every public top-level function and class is used somewhere in `src/`.
+"""Every module-level import of a flatkit module is used by that module,
+every public top-level function and class is used somewhere in `src/`, and
+so is every private top-level function, class and constant.
 
 `__init__.py` is left out: its imports are the package's re-exports.
 """
@@ -81,7 +82,7 @@ def test_unused_import_finder():
 
 # Public names that no code in src/ uses, each kept for a reason.
 UNREFERENCED_ALLOWED = {
-    "eval_float": "the real-point guard on opaque functions (ROADMAP item 5)",
+    "eval_float": "float reference that the finite-difference tests compare against",
     "coordinate_field": "constructor in the public field API",
     "coordinate_covector": "constructor in the public field API",
     "field_from_dict": "constructor in the public field API",
@@ -92,20 +93,32 @@ UNREFERENCED_ALLOWED = {
 }
 
 
+def _private_constants(stmt: ast.stmt) -> list[str]:
+    """`_`-prefixed names bound by a module-level assignment, dunders aside."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
 def unreferenced_names(sources: dict[str, str]) -> list[str]:
-    """Public top-level functions and classes of `sources` (module name to
-    text) that no statement but their own definition references.  An
-    imported name counts as referenced: an unused import fails the test
-    above."""
+    """Top-level functions and classes, and private constants, of `sources`
+    (module name to text) that no statement but their own definition
+    references.  An imported name counts as referenced: an unused import
+    fails the test above."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     modules = frozenset(trees)
-    defined = []  # (public name, its defining statement)
+    defined = []  # (name, its defining statement)
     refs = []  # (statement, names it references)
     for tree in trees.values():
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not stmt.name.startswith("_"):
-                    defined.append((stmt.name, stmt))
+                defined.append((stmt.name, stmt))
+            defined += [(name, stmt) for name in _private_constants(stmt)]
             used = _used_names(stmt, modules)
             for node in ast.walk(stmt):
                 if isinstance(node, ast.ImportFrom):
@@ -118,12 +131,20 @@ def unreferenced_names(sources: dict[str, str]) -> list[str]:
     )
 
 
+def _unreferenced_in_src() -> list[str]:
+    return unreferenced_names({Path(m).stem: (SRC / m).read_text() for m in MODULES})
+
+
 def test_every_public_name_is_used():
-    sources = {Path(m).stem: (SRC / m).read_text() for m in MODULES}
-    unused = unreferenced_names(sources)
+    unused = [n for n in _unreferenced_in_src() if not n.startswith("_")]
     assert [n for n in unused if n not in UNREFERENCED_ALLOWED] == []
     # a listed name that gains a caller or is deleted leaves the list
     assert sorted(UNREFERENCED_ALLOWED) == unused
+
+
+def test_every_private_name_is_used():
+    # no allowlist: a private helper that nothing calls is deleted
+    assert [n for n in _unreferenced_in_src() if n.startswith("_")] == []
 
 
 def test_unreferenced_name_finder():
@@ -139,13 +160,17 @@ def test_unreferenced_name_finder():
             "    pass\n"
             "def _private():\n"
             "    return 0\n"
+            "_LIMIT: int = 3\n"
+            "_UNUSED, __doc__ = 4, 'x'\n"
+            "def _limited():\n"
+            "    return _LIMIT\n"
         ),
         "b": (
             "from . import a\n"
             "def g(x: 'Hinted'):\n"
             "    from .c import late\n"
-            "    return a.alive() + late()\n"
+            "    return a.alive() + late() + a._limited()\n"
         ),
         "c": "def late():\n    return 2\n",
     }
-    assert unreferenced_names(sources) == ["dead", "g"]
+    assert unreferenced_names(sources) == ["_UNUSED", "_private", "dead", "g"]
