@@ -7,9 +7,10 @@ basis and the rank from the shared `RankEngine`, builds the exact dual span
 rank against it, and decides membership by pairing with that dual.  The two
 classes add only their own parts: brackets and involutivity, or integrability.
 
-A dual's dual is its source: the annihilator of D records D as its
-coannihilator and the coannihilator of Q records Q as its annihilator, so
-going back costs no nullspace and reuses what the source has cached.
+A dual's basis is its nullspace, whose solutions are independent, so only
+source spans are sampled.  A dual's dual is its source: the annihilator of D
+records D as its coannihilator and the coannihilator of Q records Q as its
+annihilator, so going back costs no nullspace and reuses the source's cache.
 Membership, involutivity and integrability verdicts always go through exact
 pairings, so no certificate ever rests on sampling alone.
 
@@ -71,15 +72,12 @@ class _Span:
         self.chart = chart
         self.engine = engine
         self._generators = tuple(g for g in generators if not g.is_zero())
-        self._rank: Optional[int] = None
         self._basis: Optional[tuple] = None
         self._dual: Optional[_Span] = None
 
     @property
     def rank(self) -> int:
-        if self._rank is None:
-            self.basis()
-        return self._rank
+        return len(self.basis())
 
     @property
     def corank(self) -> int:
@@ -93,12 +91,6 @@ class _Span:
         if self._basis is None:
             rows = [list(g.components) for g in self._generators]
             picked = self.engine.independent_rows(rows, self.chart)
-            if self._rank is None:
-                self._rank = len(picked)
-            elif self._rank != len(picked):
-                raise RankDisagreementError(
-                    f"sampled rank {len(picked)} != exact rank {self._rank}"
-                )
             self._basis = tuple(self._generators[i] for i in picked)
         return self._basis
 
@@ -116,7 +108,8 @@ class _Span:
             dual = kind(
                 self.chart, [kind._element(self.chart, tuple(s)) for s in sols], self.engine
             )
-            dual._rank, dual._dual = len(sols), self
+            # independent: each solution alone is nonzero in its free column
+            dual._basis, dual._dual = dual._generators, self
             self._dual = dual
         return self._dual
 

@@ -19,8 +19,11 @@ decide expressions built on it: sin/cos of a non-integer multiple, a
 product or a constant offset, exp except exp(0), ln except ln(1), and sqrt
 except of a constant with a rational root.
 
-`substitute` and `transfer` are one generator map: each base symbol maps to
-a value, and sin/cos are re-applied to the mapped angle.
+`substitute` maps each base symbol to a value and re-applies sin/cos to the
+mapped angle.  `transfer` only re-indexes the generators: a renaming of
+variables keeps numerator and denominator coprime and trig-reduced, so the
+result is canonical once its denominator is made monic under the target's
+order.
 
 These results are canonical as built and skip `_canonicalize`: the sum of
 two polynomials (denominators 1), a canonical expression times a nonzero
@@ -30,7 +33,8 @@ denominator of 1 costs no scaling pass.
 
 `differentiate` is memoized per expression, in a slot of the Expr, so each
 (expression, symbol) pair is differentiated at most once.  Charts only add
-generators, so a stored derivative stays canonical.
+generators, so a stored derivative stays canonical.  Each Expr also keeps
+its base symbols; the derivative by any other symbol is zero without a walk.
 """
 
 from __future__ import annotations
@@ -48,8 +52,10 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .sympoly import (
+    Monomial,
     Poly,
     _frac_sqrt,
+    _trim,
     mono_get,
     mono_key,
     mono_set,
@@ -227,7 +233,7 @@ def _reduce_trig(poly: Poly, sin_to_cos: dict[int, int]) -> Poly:
 class Expr:
     """A canonical rational expression over a chart."""
 
-    __slots__ = ("chart", "num", "den", "_hash", "_derivs")
+    __slots__ = ("chart", "num", "den", "_hash", "_derivs", "_symbols")
 
     def __init__(self, chart: Chart, num: Poly, den: Poly, _raw: bool = False):
         if not _raw:
@@ -237,6 +243,7 @@ class Expr:
         self.den = den
         self._hash: Optional[int] = None
         self._derivs: Optional[dict[str, Expr]] = None  # see differentiate
+        self._symbols: Optional[frozenset[str]] = None  # see _symbol_set
 
     # -- predicates ---------------------------------------------------------
 
@@ -254,9 +261,14 @@ class Expr:
     def total_degree(self) -> int:
         return max(p_total_degree(self.num), p_total_degree(self.den))
 
+    def _symbol_set(self) -> frozenset[str]:
+        if self._symbols is None:
+            gens = p_vars(self.num) | p_vars(self.den)
+            self._symbols = frozenset(self.chart.gen_info(idx).base for idx in gens)
+        return self._symbols
+
     def free_symbols(self) -> set[str]:
-        gens = p_vars(self.num) | p_vars(self.den)
-        return {self.chart.gen_info(idx).base for idx in gens}
+        return set(self._symbol_set())
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -586,6 +598,8 @@ def differentiate(e: Expr, sym: str) -> Expr:
     chart = e.chart
     if not chart.has_symbol(sym):
         raise UnknownSymbolError(sym)
+    if sym not in e._symbol_set():
+        return chart.zero
     memo = e._derivs
     if memo is None:
         memo = e._derivs = {}
@@ -704,10 +718,38 @@ def substitute(e: Expr, mapping: dict[str, Scalar]) -> Expr:
 
 
 def transfer(e: Expr, target: Chart) -> Expr:
-    """Rebuild an expression on another chart that contains its base symbols."""
+    """Re-index onto a chart holding e's base symbols; sin/cos pairs are
+    registered on it in the order the monomials meet them."""
     if e.chart is target:
         return e
-    return _map_generators(e, target, {})
+    index: dict[int, int] = {}
+    for m in (*e.num, *e.den):
+        for i, k in enumerate(m):
+            if k and i not in index:
+                info = e.chart.gen_info(i)
+                if not target.has_symbol(info.base):
+                    raise UnknownSymbolError(info.base)
+                if info.kind == "base":
+                    index[i] = target._index[info.base]
+                else:
+                    index[i] = target.trig_pair(info.base)[info.kind == "cos"]
+    width = 1 + max(index.values(), default=-1)
+
+    def rename(m: Monomial) -> Monomial:
+        exps = [0] * width
+        for i, k in enumerate(m):
+            if k:
+                exps[index[i]] = k
+        return _trim(exps)
+
+    num = {rename(m): c for m, c in e.num.items()}
+    den = {rename(m): c for m, c in e.den.items()}
+    lc = p_lead(den)[1]
+    if lc != 1:
+        num, den = p_scale(num, 1 / lc), p_scale(den, 1 / lc)
+    out = Expr(target, num, den, _raw=True)
+    out._symbols = e._symbols
+    return out
 
 
 # -- exact antiderivatives -------------------------------------------------------

@@ -2,11 +2,14 @@
 
 Components are indexed by the chart's coordinates; parameters never carry
 components and are treated as constants by every derivative.
+Each field's support, its nonzero components, is computed once; a
+bracket's support is read off the only entries its loops can write.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ChartMismatchError
@@ -25,6 +28,11 @@ def _check_components(chart: Chart, components: Sequence[Expr]) -> tuple[Expr, .
     return comps
 
 
+def _support(field) -> tuple[int, ...]:
+    """Ascending indices of the nonzero components."""
+    return tuple(i for i, c in enumerate(field.components) if not c.is_zero())
+
+
 @dataclass(frozen=True)
 class VectorField:
     chart: Chart
@@ -35,8 +43,10 @@ class VectorField:
             self, "components", _check_components(self.chart, self.components)
         )
 
+    support = cached_property(_support)
+
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
+        return not self.support
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if other.chart is not self.chart:
@@ -73,8 +83,10 @@ class CovectorField:
             self, "components", _check_components(self.chart, self.components)
         )
 
+    support = cached_property(_support)
+
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
+        return not self.support
 
     def render(self) -> str:
         parts = []
@@ -123,9 +135,9 @@ def pair(omega: CovectorField, v: VectorField) -> Expr:
     if omega.chart is not v.chart:
         raise ChartMismatchError("pairing across charts")
     total = omega.chart.zero
-    for a, b in zip(omega.components, v.components):
-        if not (a.is_zero() or b.is_zero()):
-            total = total + a * b
+    for i in omega.support:
+        if i in v.support:
+            total = total + omega.components[i] * v.components[i]
     return total
 
 
@@ -136,11 +148,12 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     chart = v.chart
     names = chart.coordinates
     out = [chart.zero] * chart.dim
-    supp_v = {i: c for i, c in enumerate(v.components) if not c.is_zero()}
-    supp_w = {i: c for i, c in enumerate(w.components) if not c.is_zero()}
+    supp_v = {i: v.components[i] for i in v.support}
+    supp_w = {i: w.components[i] for i in w.support}
     # j ascending, as in the dense double loop, so every derivative (and any
     # generator it registers) comes in the same order
-    for j in sorted(supp_v.keys() | supp_w.keys()):
+    union = sorted(supp_v.keys() | supp_w.keys())
+    for j in union:
         name_j = names[j]
         vj = supp_v.get(j)
         if vj is not None:
@@ -154,7 +167,10 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
                 d = differentiate(vi, name_j)
                 if not d.is_zero():
                     out[i] = out[i] - wj * d
-    return VectorField(chart, tuple(out))
+    bracket = VectorField(chart, tuple(out))
+    # the loops write only entries in the union; fill the support cache
+    bracket.__dict__["support"] = tuple(i for i in union if not out[i].is_zero())
+    return bracket
 
 
 def lie_derivative(h: Expr, v: VectorField, order: int = 1) -> Expr:
@@ -164,11 +180,10 @@ def lie_derivative(h: Expr, v: VectorField, order: int = 1) -> Expr:
     out = h
     for _ in range(order):
         total = v.chart.zero
-        for name, comp in zip(v.chart.coordinates, v.components):
-            if not comp.is_zero():
-                d = differentiate(out, name)
-                if not d.is_zero():
-                    total = total + comp * d
+        for j in v.support:
+            d = differentiate(out, v.chart.coordinates[j])
+            if not d.is_zero():
+                total = total + v.components[j] * d
         out = total
     return out
 

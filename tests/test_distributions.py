@@ -29,7 +29,7 @@ from flatkit import VectorField
 from flatkit import distributions
 from flatkit.errors import NotIntegrableError, RankDisagreementError, ZeroDenominatorError
 from flatkit.fields import covectors_matrix
-from flatkit.linalg import echelon, normalize_vector
+from flatkit.linalg import echelon, normalize_vector, right_nullspace
 
 from conftest import random_polynomial
 
@@ -158,15 +158,21 @@ def test_sampled_rank_is_cross_checked_by_the_dual(vtol, monkeypatch):
     chart, engine = vtol.chart, vtol.engine
     d = span(chart, (vtol.g1, vtol.g2), engine)
     q = Codistribution(chart, [coordinate_covector(chart, n) for n in ("x", "z")], engine)
-    exact = q.coannihilator()  # rank 4 from the nullspace, basis not yet sampled
+    exact = q.coannihilator()  # rank 4 from the nullspace, basis not yet read
     # an engine that misses the last row
     monkeypatch.setattr(engine, "independent_rows", lambda rows, ch: list(range(len(rows) - 1)))
     with pytest.raises(RankDisagreementError):
         d.annihilator()
     with pytest.raises(RankDisagreementError):
         Codistribution(chart, q.covectors, engine).coannihilator()
-    with pytest.raises(RankDisagreementError):
-        exact.basis()
+    # a dual's basis is its nullspace, never sampled
+    def refuse(rows, ch):
+        raise AssertionError("a dual span was sampled")
+
+    monkeypatch.setattr(engine, "independent_rows", refuse)
+    sols = right_nullspace(covectors_matrix(q.covectors), chart, ncols=chart.dim)
+    assert [b.components for b in exact.basis()] == [tuple(s) for s in sols]
+    assert exact.rank == len(sols) == 4
 
 
 # --- derived flags and closures ---

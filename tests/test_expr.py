@@ -8,7 +8,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flatkit.errors import (
@@ -18,9 +18,11 @@ from flatkit.errors import (
     UnsupportedFunctionError,
     ZeroDenominatorError,
 )
+from flatkit import expr as expr_module
 from flatkit.expr import (
     Chart,
     Expr,
+    _map_generators,
     antiderivative,
     differentiate,
     eval_at,
@@ -392,6 +394,26 @@ def test_derivative_memo_survives_new_trig_pair(chart):
         assert differentiate(chart.parse("x^2*cos(theta)/(z + eps)"), s) == d
 
 
+def test_derivative_by_an_absent_symbol_walks_nothing(chart, monkeypatch):
+    e = chart.parse("x^2*sin(theta)/(1 + eps*x)")
+    differentiate(e, "x")  # the symbol set is known from here on
+    calls = []
+    real = expr_module.p_vars
+    monkeypatch.setattr(expr_module, "p_vars", lambda p: calls.append(p) or real(p))
+    assert differentiate(e, "y") is chart.zero
+    assert differentiate(e, "z") is chart.zero
+    assert calls == []
+    assert differentiate(e, "theta") == chart.parse("x^2*cos(theta)/(1 + eps*x)")
+
+
+def test_free_symbols_is_a_fresh_set(chart):
+    e = chart.parse("x*cos(theta) + eps")
+    got = e.free_symbols()
+    got.add("y")
+    got.discard("x")
+    assert e.free_symbols() == {"x", "theta", "eps"}
+
+
 # -- differential checks against sympy ---------------------------------------------
 #
 # sympy's rational function field QQ(...) in grlex order is the reference: its
@@ -540,3 +562,51 @@ def test_compound_angle_matches_sympy_expand_trig(ks):
         expanded = sympy.expand_trig(getattr(sympy, func)(arg))
         reference = chart.parse(sympy.sstr(expanded).replace("**", "^"))
         assert chart.parse(f"{func}({arg})") == reference
+
+
+# -- transfer against the generator map ---------------------------------------------
+
+def _twin_transfer(e, make_target):
+    """transfer and the generator map on two fresh, equal target charts."""
+    a, b = make_target(), make_target()
+    moved, mapped = transfer(e, a), _map_generators(e, b, {})
+    assert a.gens() == b.gens()  # the same pairs, registered in the same order
+    assert (moved.num, moved.den) == (mapped.num, mapped.den)
+    _assert_canonical(moved)
+
+
+# x, theta, eps, then the pairs of theta and of x
+_SOURCE_GENS = 7
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_terms(_SOURCE_GENS, 0, 2), _terms(_SOURCE_GENS, 1, 2))
+# 1/(x + 2*theta): the target orders theta above x, so the lead changes
+@example([(Fraction(1), (0,) * _SOURCE_GENS)], [(Fraction(1), (1,)), (Fraction(2), (0, 1))])
+# sin(x)/cos(theta): the numerator's pair is met, and registered, first
+@example([(Fraction(1), (0, 0, 0, 0, 0, 1))], [(Fraction(1), (0, 0, 0, 0, 1))])
+def test_transfer_reindexes_like_the_generator_map(num_terms, den_terms):
+    source = Chart(["x", "theta"], ["eps"])
+    gens = (0, 1, 2, *source.trig_pair("theta"), *source.trig_pair("x"))
+    try:
+        e = _rational(source, gens, num_terms, den_terms)
+    except ZeroDenominatorError:
+        assume(False)
+
+    def extended():  # eps moves from index 2 to 3; only theta's pair is known
+        target = source.extend(["w"])
+        target.trig_pair("theta")
+        return target
+
+    def reordered():  # theta above x, and another pair registered first
+        target = Chart(["w", "theta", "x"], ["mu", "eps"])
+        target.trig_pair("w")
+        return target
+
+    _twin_transfer(e, extended)
+    _twin_transfer(e, reordered)
+    if "x" in e.free_symbols():
+        with pytest.raises(UnknownSymbolError, match="x"):
+            transfer(e, Chart(["theta"], ["eps"]))
+    else:
+        _twin_transfer(e, lambda: Chart(["theta"], ["eps"]))

@@ -21,7 +21,7 @@ from flatkit import (
     zero_field,
 )
 from flatkit.errors import ChartMismatchError
-from flatkit.fields import VectorField
+from flatkit.fields import CovectorField, VectorField
 
 from conftest import random_field, random_polynomial
 
@@ -120,6 +120,35 @@ def dense_bracket(v, w):
     return VectorField(chart, tuple(out))
 
 
+def nonzero_indices(field):
+    return tuple(i for i, c in enumerate(field.components) if not c.is_zero())
+
+
+def test_support_is_the_nonzero_components(vtol, rng):
+    chart = vtol.chart
+    x = chart.sym("x")
+    fields = [
+        vtol.f,
+        zero_field(chart),
+        coordinate_field(chart, "z"),
+        coordinate_covector(chart, "theta"),
+        field_from_dict(chart, {"x": "vx", "vz": 0, "theta": x - x}),
+        VectorField(chart, (chart.zero, x, chart.zero, x * x, chart.zero, chart.one)),
+        CovectorField(chart, (x, chart.zero, chart.zero, chart.zero, chart.zero, chart.zero)),
+        differential(chart.parse("x*vz + sin(theta)")),
+        vtol.f - vtol.f,
+        vtol.g1 + vtol.g2,
+        vtol.g2.scale(x),
+        -vtol.g2,
+        transfer_field(vtol.f, chart.extend(["w"])),
+        lie_bracket(vtol.f, vtol.g1),
+        lie_bracket(vtol.g1, vtol.g2),
+    ]
+    for field in fields:
+        assert field.support == nonzero_indices(field)
+        assert field.is_zero() == (not nonzero_indices(field))
+
+
 def test_sparse_bracket_matches_dense_formula():
     # seeded fields whose supports are disjoint or barely overlap, with
     # rational components, so the sparse loops skip most index pairs
@@ -137,8 +166,10 @@ def test_sparse_bracket_matches_dense_formula():
             comps_w[i] = random_polynomial(chart, rng) * chart.sym("eps")
         v = VectorField(chart, tuple(comps_v))
         w = VectorField(chart, tuple(comps_w))
-        assert lie_bracket(v, w) == dense_bracket(v, w)
-        assert lie_bracket(w, v) == dense_bracket(w, v)
+        for a, b in ((v, w), (w, v), (v, v)):
+            br = lie_bracket(a, b)
+            assert br == dense_bracket(a, b)
+            assert br.support == nonzero_indices(br)
 
 
 def test_jacobi_identity_on_random_triples(rng):
