@@ -147,7 +147,7 @@ class Chart:
         return Expr(self, p_var(self._index[name]), p_const(1), _raw=True)
 
     def const(self, value: Fraction | int) -> "Expr":
-        return Expr(self, p_const(Fraction(value)), p_const(1), _raw=True)
+        return Expr(self, p_const(value), p_const(1), _raw=True)
 
     @property
     def zero(self) -> "Expr":
@@ -256,7 +256,7 @@ class Expr:
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self.render()}")
-        return p_const_value(self.num) / p_const_value(self.den)
+        return Fraction(p_const_value(self.num), p_const_value(self.den))
 
     def total_degree(self) -> int:
         return max(p_total_degree(self.num), p_total_degree(self.den))
@@ -277,7 +277,7 @@ class Expr:
             if other.chart is not self.chart:
                 raise ChartMismatchError("operands on different charts")
             return other
-        return self.chart.const(Fraction(other))
+        return self.chart.const(other)
 
     def __add__(self, other: Scalar) -> "Expr":
         o = self._coerce(other)
@@ -316,7 +316,7 @@ class Expr:
 
     __rmul__ = __mul__
 
-    def _scaled(self, c: Fraction) -> "Expr":
+    def _scaled(self, c: int | Fraction) -> "Expr":
         # c * num over the same monic den is still in lowest terms
         if c == 1:
             return self
@@ -399,7 +399,7 @@ def _over_constant(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     c = p_const_value(den)
     if c == 1:
         return num, den
-    return p_scale(num, 1 / c), p_const(1)
+    return p_scale(num, Fraction(1) / c), p_const(1)
 
 
 def _canonicalize(chart: Chart, num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -429,12 +429,13 @@ def _canonicalize(chart: Chart, num: Poly, den: Poly) -> tuple[Poly, Poly]:
         return _over_constant(num, den)
     lc = p_lead(den)[1]
     if lc != 1:
-        num = p_scale(num, 1 / lc)
-        den = p_scale(den, 1 / lc)
+        inv = Fraction(1) / lc
+        num = p_scale(num, inv)
+        den = p_scale(den, inv)
     return num, den
 
 
-def _render_coeff(c: Fraction) -> str:
+def _render_coeff(c: int | Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
@@ -711,7 +712,7 @@ def substitute(e: Expr, mapping: dict[str, Scalar]) -> Expr:
     for name, value in mapping.items():
         if not chart.has_symbol(name):
             raise UnknownSymbolError(name)
-        repl[name] = value if isinstance(value, Expr) else chart.const(Fraction(value))
+        repl[name] = value if isinstance(value, Expr) else chart.const(value)
         if repl[name].chart is not chart:
             raise ChartMismatchError("substitution value on another chart")
     return _map_generators(e, chart, repl)
@@ -746,7 +747,8 @@ def transfer(e: Expr, target: Chart) -> Expr:
     den = {rename(m): c for m, c in e.den.items()}
     lc = p_lead(den)[1]
     if lc != 1:
-        num, den = p_scale(num, 1 / lc), p_scale(den, 1 / lc)
+        inv = Fraction(1) / lc
+        num, den = p_scale(num, inv), p_scale(den, inv)
     out = Expr(target, num, den, _raw=True)
     out._symbols = e._symbols
     return out

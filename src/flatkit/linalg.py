@@ -8,9 +8,13 @@ the prime field F_p, p = 2^61 - 1 (see `sample`).
 A modular rank can only fall below the generic rank, never exceed it, and by
 the Schwartz-Zippel lemma one point misses with probability at most D/p for
 a nonzero minor of degree D.  Rank decisions feed integrability verdicts, so
-they are never left to chance alone: each engine cross-checks its first
-sampled rank against an exact elimination, and the exact annihilators and
-coannihilators cross-check every rank they are built for.
+they are never left to chance alone.  The exact duals of `distributions`
+check the sequence ranks: the annihilator or coannihilator of a span
+cross-checks its sampled rank when it is built.  Each engine also checks its
+first sampled rank against an exact elimination, but that first call is the
+2-row input-field rank `ControlAffineSystem.__post_init__` takes when the
+model is built (2 x 6 for vtol, 2 x 7 for example3), never an analysis
+matrix; ROADMAP item 7 moves this guard to the matrix behind a verdict.
 `rank_at_point` is the exact rational counterpart, kept as a reference.
 """
 
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import RankDisagreementError
@@ -36,13 +39,13 @@ POINTS = 2
 def _clear_row_denominators(row: Sequence[Expr], chart: Chart) -> list[Expr]:
     """Scale a row to polynomial entries (denominator 1) by the primitive lcm
     of its denominators; a row of polynomials comes back as it is."""
-    den = sympoly.p_const(Fraction(1))
+    den = sympoly.p_const(1)
     for e in row:
         if not sympoly.p_is_const(e.den):
             den = sympoly.p_lcm(den, e.den)
     if sympoly.p_is_const(den):
         return list(row)
-    factor = Expr(chart, den, sympoly.p_const(Fraction(1)))
+    factor = Expr(chart, den, sympoly.p_const(1))
     return [e * factor for e in row]
 
 
@@ -146,7 +149,7 @@ def combine_rows(coeffs: Sequence[Expr], rows: Matrix, chart: Chart) -> list[Exp
 
 def normalize_vector(vec: Sequence[Expr], chart: Chart) -> list[Expr]:
     """Scale a vector to primitive polynomial entries with a positive lead."""
-    one = sympoly.p_const(Fraction(1))
+    one = sympoly.p_const(1)
     cleared = _clear_row_denominators(vec, chart)
     g: Optional[sympoly.Poly] = None
     for e in cleared:
@@ -285,7 +288,10 @@ class RankEngine:
     minor of degree D, probability at most (D/p)^POINTS).  Every engine
     cross-checks its first call against an exact elimination; a mismatch
     means the sampling scheme itself is broken for this problem and the
-    analysis must not continue on silent guesses.
+    analysis must not continue on silent guesses.  That first call is the
+    2-row input-field rank of `ControlAffineSystem.__post_init__`, so the
+    check covers no sequence or rank-check matrix; the exact duals of
+    `distributions` check those (ROADMAP item 7 moves this guard).
     """
 
     def __init__(self, seed: int = 0, constraints: Sequence[Expr] = ()) -> None:

@@ -120,8 +120,10 @@ def draw_admissible(
 # -- evaluation in F_p ---------------------------------------------------------
 
 
-def _residue(c: Fraction) -> int:
+def _residue(c: int | Fraction) -> int:
     """c mod PRIME; raises PrimeDenominatorError when PRIME divides its denominator."""
+    if type(c) is int:
+        return c % PRIME
     den = c.denominator
     if den == 1:
         return c.numerator % PRIME

@@ -1,6 +1,15 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a dict mapping monomials to nonzero Fraction coefficients.
+A polynomial is a dict mapping monomials to nonzero rational coefficients.
+A coefficient is an int when its value is an integer and a Fraction
+otherwise, never a float or a bool: almost every coefficient of a control
+system is an integer, and int arithmetic skips the gcd that every Fraction
+operation pays to renormalize.  Int-only operands stay int under add, neg,
+mul, pow and p_diff; the routines that make new coefficients (p_const,
+p_scale, p_div_exact, p_content, p_primitive, p_gcd) store an integral
+value as an int.  A sum or product of Fractions may still leave an
+integral Fraction; since Fraction(2) == 2 and hash(Fraction(2)) == hash(2),
+that changes neither Poly equality nor hashing nor any rendered string.
 A monomial is a tuple of nonnegative exponents indexed by generator number,
 stored with trailing zeros trimmed so the representation stays canonical
 when the generator list grows.  The monomial order is graded lexicographic;
@@ -8,8 +17,8 @@ on trimmed tuples the plain (total degree, tuple) key realizes it because
 equal-degree monomials are never prefixes of one another.
 
 Exact division has one heap walk (`_div_walk`) for both coefficient rings:
-p_div_exact divides coefficients as Fractions, and the integer core of the
-gcd divides them with `divmod`, stopping when a remainder is left.
+p_div_exact divides coefficients over the rationals, and the integer core of
+the gcd divides them with `divmod`, stopping when a remainder is left.
 
 gcds (p_gcd) run over the integers after clearing denominators, in three
 stages, each returning the same unique answer:
@@ -31,15 +40,14 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 Monomial = tuple[int, ...]
-Poly = dict[Monomial, Fraction]
+Poly = dict[Monomial, int | Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 def _trim(exps: Iterable[int]) -> Monomial:
@@ -88,8 +96,17 @@ def mono_set(m: Monomial, i: int, e: int) -> Monomial:
     return _trim(out)
 
 
-def p_const(c: Fraction | int) -> Poly:
-    c = Fraction(c)
+def _coeff(c: int | Fraction) -> int | Fraction:
+    """c as a coefficient: an int when its value is an integer."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def p_const(c: int | Fraction) -> Poly:
+    c = _coeff(c)
     return {} if c == 0 else {(): c}
 
 
@@ -105,7 +122,7 @@ def p_is_const(p: Poly) -> bool:
     return not p or (len(p) == 1 and () in p)
 
 
-def p_const_value(p: Poly) -> Fraction:
+def p_const_value(p: Poly) -> int | Fraction:
     if not p:
         return _ZERO
     return p[()]
@@ -134,10 +151,15 @@ def p_sub(a: Poly, b: Poly) -> Poly:
     return p_add(a, p_neg(b))
 
 
-def p_scale(a: Poly, c: Fraction) -> Poly:
+def p_scale(a: Poly, c: int | Fraction) -> Poly:
+    c = _coeff(c)
     if not c:
         return {}
-    return {m: c * v for m, v in a.items()}
+    out: Poly = {}
+    for m, v in a.items():
+        v *= c
+        out[m] = v.numerator if type(v) is not int and v.denominator == 1 else v
+    return out
 
 
 def p_mul(a: Poly, b: Poly) -> Poly:
@@ -200,7 +222,7 @@ def p_vars(a: Poly) -> set[int]:
     return out
 
 
-def p_lead(a: Poly) -> tuple[Monomial, Fraction]:
+def p_lead(a: Poly) -> tuple[Monomial, int | Fraction]:
     m = max(a, key=mono_key)
     return m, a[m]
 
@@ -226,7 +248,9 @@ def _heap_key(m: Monomial) -> tuple[int, tuple[int, ...]]:
 
 
 def _div_walk(
-    a: Poly, b: Poly, divide: Callable[[Fraction, Fraction], Optional[Fraction]]
+    a: Poly,
+    b: Poly,
+    divide: Callable[[int | Fraction, int | Fraction], Optional[int | Fraction]],
 ) -> Optional[Poly]:
     """Quotient a/b when b divides a exactly, else None.
 
@@ -285,12 +309,21 @@ def _div_walk(
     return quo
 
 
+def _qdivide(c: int | Fraction, lc: int | Fraction) -> int | Fraction:
+    """c / lc over the rationals; an int when the quotient is integral."""
+    if type(c) is int and type(lc) is int:
+        if c % lc == 0:
+            return c // lc
+        return Fraction(c, lc)
+    return _coeff(c / lc)  # at least one operand is a Fraction, so c / lc is one
+
+
 def p_div_exact(a: Poly, b: Poly) -> Optional[Poly]:
     """Quotient a/b over the rationals when b divides a exactly, else None."""
-    return _div_walk(a, b, operator.truediv)
+    return _div_walk(a, b, _qdivide)
 
 
-def p_content(a: Poly) -> Fraction:
+def p_content(a: Poly) -> int | Fraction:
     """Rational content; the primitive part has positive leading coefficient."""
     if not a:
         return _ZERO
@@ -299,16 +332,15 @@ def p_content(a: Poly) -> Fraction:
     for c in a.values():
         num = math.gcd(num, c.numerator)
         den = den * c.denominator // math.gcd(den, c.denominator)
-    content = Fraction(num, den)
     if p_lead(a)[1] < 0:
-        content = -content
-    return content
+        num = -num
+    return num if den == 1 else Fraction(num, den)
 
 
 def p_primitive(a: Poly) -> Poly:
     if not a:
         return {}
-    return p_scale(a, 1 / p_content(a))
+    return p_scale(a, Fraction(1) / p_content(a))
 
 
 def _uv_coeffs(a: Poly, v: int) -> dict[int, Poly]:
@@ -346,10 +378,13 @@ ZPoly = Poly  # same shape, int coefficients
 
 
 def _to_zz(a: Poly) -> ZPoly:
-    den = 1
-    for c in a.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    out = {m: int(c * den) for m, c in a.items()}
+    if all(type(c) is int for c in a.values()):
+        out = a
+    else:
+        den = 1
+        for c in a.values():
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        out = {m: int(c * den) for m, c in a.items()}
     g = _zcontent(out)
     if g > 1:
         out = {m: v // g for m, v in out.items()}
@@ -633,7 +668,7 @@ def p_gcd(a: Poly, b: Poly) -> Poly:
     g = _zgcd(_to_zz(a), _to_zz(b))
     if p_is_const(g):
         return p_const(1)
-    return p_primitive({m: Fraction(c) for m, c in g.items()})
+    return p_primitive(g)
 
 
 def p_lcm(a: Poly, b: Poly) -> Poly:
@@ -644,7 +679,7 @@ def p_lcm(a: Poly, b: Poly) -> Poly:
     return p_primitive(q)
 
 
-def _frac_sqrt(c: Fraction) -> Optional[Fraction]:
+def _frac_sqrt(c: int | Fraction) -> Optional[Fraction]:
     if c < 0:
         return None
     ns = math.isqrt(c.numerator)
@@ -671,7 +706,7 @@ def p_sqrt(a: Poly) -> Optional[Poly]:
     if qm is None:
         return None
     q: dict[int, Poly] = {m: qm}
-    two_qm = p_scale(qm, Fraction(2))
+    two_qm = p_scale(qm, 2)
     for k in range(m - 1, -1, -1):
         s = cf.get(m + k, {})
         for i in range(k + 1, m):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from flatkit.errors import (
     ParseError,
     PoleError,
+    PrimeDenominatorError,
     UnknownSymbolError,
     UnsupportedFunctionError,
     ZeroDenominatorError,
@@ -31,7 +32,7 @@ from flatkit.expr import (
     substitute,
     transfer,
 )
-from flatkit.sample import draw_admissible, draw_point, random_rational
+from flatkit.sample import PRIME, _residue, draw_admissible, draw_point, random_rational
 from flatkit.sympoly import _trim, p_add, p_const, p_mul, p_pow, p_var
 
 
@@ -44,6 +45,21 @@ def test_parse_literals(chart):
     assert chart.parse("3").as_fraction() == 3
     assert chart.parse("0.5").as_fraction() == Fraction(1, 2)
     assert chart.parse("2.25").as_fraction() == Fraction(9, 4)
+
+
+def test_integral_constants_are_one_expression(chart):
+    forms = [chart.const(3), chart.const(Fraction(6, 2)), chart.parse("6/2")]
+    assert all(e == forms[0] and hash(e) == hash(forms[0]) for e in forms)
+    for e, value in ((forms[0], 3), (chart.parse("3/4"), Fraction(3, 4))):
+        assert type(e.as_fraction()) is Fraction and e.as_fraction() == value
+    assert chart.parse("0.5*x + x/4").render() == "3/4*x"
+
+
+def test_residue_of_integral_values():
+    assert _residue(3) == _residue(Fraction(3)) == _residue(Fraction(6, 2)) == 3
+    for den in (PRIME, 2 * PRIME):
+        with pytest.raises(PrimeDenominatorError):
+            _residue(Fraction(1, den))
 
 
 def test_parse_precedence(chart):

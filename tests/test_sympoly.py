@@ -17,6 +17,7 @@ from flatkit.sympoly import (
     _zheu,
     p_add,
     p_const,
+    p_content,
     p_diff,
     p_div_exact,
     p_gcd,
@@ -25,6 +26,7 @@ from flatkit.sympoly import (
     p_mul,
     p_pow,
     p_primitive,
+    p_scale,
     p_sqrt,
     p_sub,
     p_total_degree,
@@ -349,3 +351,64 @@ def test_sqrt_rejects_non_squares():
     assert p_sqrt(p_add(p_mul(x, x), p_const(1))) is None
     assert p_sqrt(p_const(Fraction(2))) is None
     assert p_sqrt(p_const(Fraction(9, 4))) == p_const(Fraction(3, 2))
+
+
+# --- the coefficient rule: an int when integral, else a Fraction ---
+
+_coeffs = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(min_value=-12, max_value=12, max_denominator=6),
+    # integral Fractions, such as Fraction(6, 2)
+    st.integers(-6, 6).map(lambda k: Fraction(2 * k, 2)),
+)
+
+_mixed_polys = st.lists(
+    st.tuples(_coeffs, st.tuples(*[st.integers(0, 2)] * 3)), max_size=4
+).map(lambda terms: {sympoly._trim(exps): c for c, exps in terms if c})
+
+
+def _is_coeff(c) -> bool:
+    return type(c) is int or type(c) is Fraction
+
+
+def _is_stored(c) -> bool:
+    """The stored form: an int when integral, a Fraction otherwise."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def _as_fractions(p):
+    return {m: Fraction(c) for m, c in p.items()}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_mixed_polys, _mixed_polys, _coeffs, st.integers(0, 3), st.integers(0, 2))
+def test_coefficients_are_int_or_fraction(a, b, s, n, i):
+    fa, fb, fs = _as_fractions(a), _as_fractions(b), Fraction(s)
+    # (result on the mixed operands, result on all-Fraction copies, stored form)
+    cases = [
+        (p_const(s), p_const(fs), True),
+        (p_add(a, b), p_add(fa, fb), False),
+        (p_sub(a, b), p_sub(fa, fb), False),
+        (p_mul(a, b), p_mul(fa, fb), False),
+        (p_pow(a, n), p_pow(fa, n), False),
+        (p_scale(a, s), p_scale(fa, fs), True),
+        (p_diff(a, i), p_diff(fa, i), False),
+        (p_primitive(a), p_primitive(fa), True),
+        (p_gcd(a, b), p_gcd(fa, fb), True),
+        (p_sqrt(a), p_sqrt(fa), True),
+        (p_sqrt(p_mul(a, a)), p_sqrt(p_mul(fa, fa)), True),
+    ]
+    if b:
+        cases += [
+            (p_div_exact(a, b), p_div_exact(fa, fb), True),
+            (p_div_exact(p_mul(a, b), b), p_div_exact(p_mul(fa, fb), fb), True),
+        ]
+    for got, want, stored in cases:
+        assert got == want
+        if got is None:
+            continue
+        assert all(_is_coeff(c) for c in got.values())
+        if stored:
+            assert all(_is_stored(c) for c in got.values())
+    content = p_content(a)
+    assert content == p_content(fa) and _is_stored(content)
