@@ -173,19 +173,16 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     return bracket
 
 
-def lie_derivative(h: Expr, v: VectorField, order: int = 1) -> Expr:
-    """Iterated Lie derivative of a function along a field."""
+def lie_derivative(h: Expr, v: VectorField) -> Expr:
+    """The Lie derivative L_v h of a function along a field."""
     if h.chart is not v.chart:
         raise ChartMismatchError("derivative across charts")
-    out = h
-    for _ in range(order):
-        total = v.chart.zero
-        for j in v.support:
-            d = differentiate(out, v.chart.coordinates[j])
-            if not d.is_zero():
-                total = total + v.components[j] * d
-        out = total
-    return out
+    total = v.chart.zero
+    for j in v.support:
+        d = differentiate(h, v.chart.coordinates[j])
+        if not d.is_zero():
+            total = total + v.components[j] * d
+    return total
 
 
 def differential(h: Expr) -> CovectorField:

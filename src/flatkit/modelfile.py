@@ -200,10 +200,10 @@ def build_system(model: ModelFile, seed: int = 0) -> ControlAffineSystem:
         raise ModelFileError(f"{model.name}: {err}") from err
 
 
-def prolonged_model(model: ModelFile, p1: int, p2: int, seed: int = 0) -> ModelFile:
+def prolonged_model(model: ModelFile, p1: int, p2: int) -> ModelFile:
     """Model file for the input-prolonged system; the original states keep
     their names, so a declared flat output carries over verbatim."""
-    ext = prolong(build_system(model, seed), p1, p2)
+    ext = prolong(build_system(model), p1, p2)
     return replace(
         model,
         name=f"{model.name}-prolonged-{p1}-{p2}",

@@ -13,10 +13,12 @@ The input-jet space is a prolongation: `prolong` and `output_jets` build
 their charts and drifts with one chain builder that integrates each input
 through a chain of new states.  For output indices R the jet chart is that
 of the (max R, max R) prolongation, and its drift is the total-derivative
-field along which the outputs are differentiated.  The rank check and the Q
-sequence of one output pair share one `output_jets` context: the
-candidate's indices, the jet chart and the differentials of both derivative
-ladders are built once per question.
+field.  Each output has one derivative ladder, extended on the jet chart:
+`candidate` climbs phi_i, L_f phi_i, ... until an input appears (K_i rungs),
+and `output_jets` moves those rungs to the jet chart and climbs on along the
+total-derivative field to order R_i - 1; below K_i both climbs agree, since
+L_g L_f^j phi_i = 0.  The rank check and the Q sequence of one output pair
+share one `output_jets` context, built once per question.
 """
 
 from __future__ import annotations
@@ -83,13 +85,17 @@ class ControlAffineSystem:
 
 @dataclass(frozen=True)
 class FlatCandidate:
-    """A candidate output pair with its degrees and index data."""
+    """A candidate output pair with its index data.  `ladders[i]` holds the
+    rungs phi_i, L_f phi_i, ..., L_f^(K_i - 1) phi_i on the system chart,
+    the drift derivatives that see no input, so K_i is its length."""
 
-    phi1: Expr
-    phi2: Expr
-    K: tuple[int, int]
+    ladders: tuple[tuple[Expr, ...], tuple[Expr, ...]]
     R: tuple[int, int]
     d: int
+
+    @property
+    def K(self) -> tuple[int, int]:
+        return len(self.ladders[0]), len(self.ladders[1])
 
 
 # --- input chains -------------------------------------------------------------
@@ -155,26 +161,18 @@ def _input_chains(
 # --- degrees and indices ------------------------------------------------------
 
 
-def _single_relative_degree(sys: ControlAffineSystem, h: Expr, which: int) -> int:
+def _ladder(sys: ControlAffineSystem, h: Expr, which: int) -> tuple[Expr, ...]:
+    """The rungs h, L_f h, ..., L_f^(K-1) h below the first drift derivative
+    that sees an input; K is the relative degree of h."""
     if h.chart is not sys.chart:
         raise ChartMismatchError("candidate output on a different chart")
-    cur = h
-    for t in range(1, sys.n + 1):
-        if not lie_derivative(cur, sys.g1).is_zero():
-            return t
-        if not lie_derivative(cur, sys.g2).is_zero():
-            return t
-        cur = lie_derivative(cur, sys.f)
+    rungs = [h]
+    for _ in range(sys.n):
+        cur = rungs[-1]
+        if any(not lie_derivative(cur, g).is_zero() for g in (sys.g1, sys.g2)):
+            return tuple(rungs)
+        rungs.append(lie_derivative(cur, sys.f))
     raise UnboundedRelativeDegreeError(which, sys.n)
-
-
-def relative_degree(sys: ControlAffineSystem, phi: PhiPair) -> tuple[int, int]:
-    """Smallest derivative orders of the outputs that see an input."""
-    phi1, phi2 = phi
-    return (
-        _single_relative_degree(sys, phi1, 1),
-        _single_relative_degree(sys, phi2, 2),
-    )
 
 
 def flat_indices(n: int, K: tuple[int, int]) -> tuple[tuple[int, int], int]:
@@ -197,9 +195,9 @@ def candidate(sys: ControlAffineSystem, phi: PhiPair) -> FlatCandidate:
         raise DependentDifferentialsError(
             "candidate output differentials are dependent"
         )
-    K = relative_degree(sys, phi)
-    R, d = flat_indices(sys.n, K)
-    return FlatCandidate(phi1, phi2, K, R, d)
+    ladders = (_ladder(sys, phi1, 1), _ladder(sys, phi2, 2))
+    R, d = flat_indices(sys.n, (len(ladders[0]), len(ladders[1])))
+    return FlatCandidate(ladders, R, d)
 
 
 # --- static feedback ---------------------------------------------------------
@@ -231,7 +229,8 @@ class OutputJets:
     indices, and the differentials of each output's total derivatives up to
     order R_i - 1.  The jet chart is the chart of the (max R, max R)
     prolongation, whose drift is the total-derivative field, so every needed
-    total derivative exists."""
+    total derivative exists.  Each output has one ladder, extended on the
+    jet chart: the candidate's rungs below K_i, then total derivatives."""
 
     system: ControlAffineSystem
     candidate: FlatCandidate
@@ -247,9 +246,10 @@ def output_jets(sys: ControlAffineSystem, phi: PhiPair) -> OutputJets:
     total = _input_chains(sys, max(cand.R), max(cand.R))[0]
     ch = total.chart
     ladders = []
-    for h, r in zip((cand.phi1, cand.phi2), cand.R):
-        ladder = [transfer(h, ch)]
-        for _ in range(r - 1):
+    for rungs, r in zip(cand.ladders, cand.R):
+        # below K the total derivative is the drift's (L_g L_f^j phi = 0)
+        ladder = [transfer(h, ch) for h in rungs]
+        while len(ladder) < r:
             ladder.append(lie_derivative(ladder[-1], total))
         ladders.append(tuple(differential(e) for e in ladder))
     return OutputJets(sys, cand, ch, (ladders[0], ladders[1]))

@@ -4,26 +4,30 @@ the invariant codistribution sequence, prolongation, and output verification."""
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
+import flatkit.system
 from flatkit import (
     Chart,
     Codistribution,
     ControlAffineSystem,
     RankEngine,
     apply_static_feedback,
+    build_system,
     candidate,
     differential,
     field_from_dict,
     flat_indices,
     lie_derivative,
+    load_model,
     output_jets,
     parse,
     prolong,
     q_sequence,
-    relative_degree,
     sfe_gtf_test,
+    transfer,
     verify_flat_output,
 )
 from flatkit.errors import (
@@ -35,6 +39,8 @@ from flatkit.errors import (
 )
 
 from conftest import as_system
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def pitch_pair(plant):
@@ -106,7 +112,7 @@ def test_total_field_derivatives_vtol(vtol):
     total = prolong(sys, 3, 3).f
     ch = total.chart
     assert lie_derivative(ch.sym("x"), total) == ch.sym("vx")
-    assert lie_derivative(ch.sym("x"), total, 2) == parse(
+    assert lie_derivative(lie_derivative(ch.sym("x"), total), total) == parse(
         ch, "eps*cos(theta)*u2 - sin(theta)*u1"
     )
 
@@ -124,17 +130,17 @@ def test_total_field_derivatives_example1(example1):
 def test_relative_degree_example1(example1):
     sys = as_system(example1)
     ch = sys.chart
-    assert relative_degree(sys, (ch.sym("x1"), ch.sym("x2"))) == (1, 1)
+    assert candidate(sys, (ch.sym("x1"), ch.sym("x2"))).K == (1, 1)
 
 
 def test_relative_degree_vtol_pitch_pair(vtol):
-    assert relative_degree(as_system(vtol), pitch_pair(vtol)) == (2, 2)
+    assert candidate(as_system(vtol), pitch_pair(vtol)).K == (2, 2)
 
 
 def test_relative_degree_seven_state(seven_state):
     sys = as_system(seven_state)
     ch = sys.chart
-    assert relative_degree(sys, (ch.sym("z1"), ch.sym("z3"))) == (2, 2)
+    assert candidate(sys, (ch.sym("z1"), ch.sym("z3"))).K == (2, 2)
 
 
 def test_relative_degree_matches_chain_lengths(ecf8):
@@ -142,7 +148,7 @@ def test_relative_degree_matches_chain_lengths(ecf8):
     # so each output needs three derivatives to reach an input
     sys = as_system(ecf8)
     ch = sys.chart
-    assert relative_degree(sys, (ch.sym("z11"), ch.sym("z12"))) == (3, 3)
+    assert candidate(sys, (ch.sym("z11"), ch.sym("z12"))).K == (3, 3)
 
 
 def test_relative_degree_unbounded_for_autonomous_coordinate():
@@ -152,7 +158,7 @@ def test_relative_degree_unbounded_for_autonomous_coordinate():
     g2 = field_from_dict(chart, {"x3": "1"})
     sys = ControlAffineSystem(chart, ("u1", "u2"), f, g1, g2, RankEngine(seed=2))
     with pytest.raises(UnboundedRelativeDegreeError):
-        relative_degree(sys, (chart.sym("x1"), chart.sym("x2")))
+        candidate(sys, (chart.sym("x1"), chart.sym("x2")))
 
 
 # --- index bookkeeping ----------------------------------------------------------
@@ -193,6 +199,71 @@ def test_candidate_rejects_dependent_pair(example1):
     ch = sys.chart
     with pytest.raises(DependentDifferentialsError):
         candidate(sys, (ch.sym("x1"), ch.sym("x1") * ch.const(3)))
+
+
+# --- one derivative ladder per output ---------------------------------------------
+
+
+def test_output_jets_climbs_each_jet_rung_once(vtol, monkeypatch):
+    """The rungs below K come from the candidate's drift ladder; only the
+    R_i - K_i rungs above it are total derivatives on the jet chart."""
+    real = flatkit.system.lie_derivative
+    charts = []
+
+    def counting(h, v):
+        charts.append(v.chart)
+        return real(h, v)
+
+    monkeypatch.setattr(flatkit.system, "lie_derivative", counting)
+    jets = output_jets(as_system(vtol), pitch_pair(vtol))
+    cand = jets.candidate
+    on_jets = sum(1 for ch in charts if ch is jets.chart)
+    assert on_jets == sum(r - k for r, k in zip(cand.R, cand.K)) == 4
+
+
+@pytest.mark.parametrize(
+    "source, orders, output",
+    [
+        ("example1", (1, 0), ("x1", "x2")),
+        ("example1", (2, 1), ("x1", "x2")),
+        ("example3", (0, 0), ("z1", "z3")),
+        ("vtol", (0, 0), ("x - eps*sin(theta)", "z + eps*cos(theta)")),
+        ("vtol", (0, 0), ("theta", "x*cos(theta)/sin(theta) + z")),
+        ("seven_state", (0, 0), ("z1", "z3")),
+        ("ecf8", (0, 0), ("z11", "z12")),
+    ],
+    ids=[
+        "example1-p10",
+        "example1-p21",
+        "example3",
+        "vtol",
+        "vtol-pitch",
+        "seven_state",
+        "ecf8",
+    ],
+)
+def test_jet_ladder_matches_the_total_derivative_climb(request, source, orders, output):
+    """The reference climbs every rung from phi_i along the total-derivative
+    field; it agrees with the drift rungs below K (L_g L_f^j phi_i = 0
+    there) extended on the jet chart."""
+    if source == "example3":
+        sys = build_system(load_model(MODELS / "example3.json"))
+    else:
+        sys = as_system(request.getfixturevalue(source))
+    sys = prolong(sys, *orders)
+    phi = tuple(parse(sys.chart, text) for text in output)
+    jets = output_jets(sys, phi)
+    r = max(jets.candidate.R)
+    total = prolong(sys, r, r).f
+    assert total.chart.coordinates == jets.chart.coordinates
+    for h, r_i, got in zip(phi, jets.candidate.R, jets.differentials):
+        ladder = [transfer(h, total.chart)]
+        while len(ladder) < r_i:
+            ladder.append(lie_derivative(ladder[-1], total))
+        assert len(got) == r_i
+        for e, cov in zip(ladder, got):
+            ref = differential(e).components
+            assert [transfer(c, jets.chart) for c in ref] == list(cov.components)
 
 
 # --- static feedback --------------------------------------------------------------
@@ -357,7 +428,7 @@ def test_prolong_raises_relative_degree(vtol):
     ext = prolong(sys, 2, 2)
     assert ext.n == 10
     phi = (ext.chart.sym("theta"), parse(ext.chart, "x*cos(theta)/sin(theta) + z"))
-    assert relative_degree(ext, phi) == (4, 4)
+    assert candidate(ext, phi).K == (4, 4)
 
 
 @pytest.mark.parametrize("p", [1, 2])
