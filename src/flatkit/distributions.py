@@ -11,12 +11,20 @@ A dual's basis is its nullspace, whose solutions are independent, so only
 source spans are sampled.  A dual's dual is its source: the annihilator of D
 records D as its coannihilator and the coannihilator of Q records Q as its
 annihilator, so going back costs no nullspace and reuses the source's cache.
-Membership, involutivity and integrability verdicts always go through exact
-pairings, so no certificate ever rests on sampling alone.
+Membership, involutivity and integrability verdicts go through exact
+pairings, so no certificate ever rests on sampling alone, with one exact
+shortcut: a coordinate span.  When the rank equals the number of columns the
+generators touch (the union of their supports), the span is span{d/dx_c} or
+span{dx_c} over those columns, which is involutive and integrable.  That rank
+is then exact: a sampled rank is a proven lower bound (a nonzero modular
+minor means a nonzero generic minor) and the touched columns an upper bound.
+An engine that under-reports misses the shortcut and meets the dual's
+cross-check instead.
 
 The part of a codistribution in span{dx} (`intersect_with_coordinates`) is
 an ordinary span of unnormalized, possibly dependent combinations: its
-sampled rank becomes exact once its coannihilator is built.
+sampled rank becomes exact once `is_integrable` has answered, by the
+coordinate-span certificate or by building the coannihilator.
 """
 
 from __future__ import annotations
@@ -93,6 +101,12 @@ class _Span:
             picked = self.engine.independent_rows(rows, self.chart)
             self._basis = tuple(self._generators[i] for i in picked)
         return self._basis
+
+    def _is_coordinate_span(self) -> bool:
+        """The rank reaches the number of touched columns, so the span is the
+        coordinate span over them (see the module docstring)."""
+        touched = set().union(*(g.support for g in self._generators))
+        return self.rank == len(touched)
 
     def _dual_span(self) -> "_Span":
         """The exact dual span, whose rank cross-checks the sampled one."""
@@ -176,7 +190,7 @@ class Distribution(_Span):
 
     def is_involutive(self) -> bool:
         if self._involutive is None:
-            self._involutive = all(
+            self._involutive = self._is_coordinate_span() or all(
                 self.contains_field(br) for br in self._basis_brackets()
             )
         return self._involutive
@@ -201,8 +215,9 @@ class Codistribution(_Span):
         return self._contains(w)
 
     def is_integrable(self) -> bool:
-        """Frobenius: integrable iff the coannihilator is involutive."""
-        return self.is_empty() or self.coannihilator().is_involutive()
+        """Frobenius: integrable iff the coannihilator is involutive; a
+        coordinate span is integrable without it."""
+        return self._is_coordinate_span() or self.coannihilator().is_involutive()
 
 
 Distribution._dual_kind = Codistribution
@@ -289,7 +304,7 @@ def intersect_with_coordinates(
     kills the complementary columns, i.e. it is a left-null combination of
     the outside-column block.  The result is an ordinary span of those
     combinations, unnormalized and possibly dependent; its rank is sampled,
-    and becomes exact once its coannihilator is built.
+    and becomes exact once `is_integrable` has answered.
     """
     chart = q.chart
     keep = set(names)

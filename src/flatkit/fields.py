@@ -4,6 +4,10 @@ Components are indexed by the chart's coordinates; parameters never carry
 components and are treated as constants by every derivative.
 Each field's support, its nonzero components, is computed once; a
 bracket's support is read off the only entries its loops can write.
+A vector field also keeps its directions (the coordinates of its support)
+and its symbols (those its components depend on).  When neither of v, w
+moves along a symbol of the other, every derivative in [v, w] is zero, so
+the bracket is zero with no derivative taken.
 """
 
 from __future__ import annotations
@@ -44,6 +48,15 @@ class VectorField:
         )
 
     support = cached_property(_support)
+
+    @cached_property
+    def directions(self) -> frozenset[str]:
+        names = self.chart.coordinates
+        return frozenset(names[i] for i in self.support)
+
+    @cached_property
+    def symbols(self) -> frozenset[str]:
+        return frozenset().union(*(self.components[i]._symbol_set() for i in self.support))
 
     def is_zero(self) -> bool:
         return not self.support
@@ -146,6 +159,8 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     if v.chart is not w.chart:
         raise ChartMismatchError("bracket across charts")
     chart = v.chart
+    if v.directions.isdisjoint(w.symbols) and w.directions.isdisjoint(v.symbols):
+        return zero_field(chart)  # every derivative below would be zero
     names = chart.coordinates
     out = [chart.zero] * chart.dim
     supp_v = {i: v.components[i] for i in v.support}

@@ -191,7 +191,8 @@ def right_nullspace(matrix: Matrix, chart: Chart, ncols: Optional[int] = None) -
     live = [
         j for j in range(ncols) if any(not row[j].is_zero() for row in matrix)
     ]
-    dead = [j for j in range(ncols) if j not in set(live)]
+    live_set = set(live)
+    dead = [j for j in range(ncols) if j not in live_set]
     out = [_unit(chart, ncols, j) for j in dead]
     if not live:
         return out

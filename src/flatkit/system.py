@@ -265,7 +265,7 @@ def q_sequence(jets: OutputJets) -> list[Codistribution]:
 
     Each Q_j is an ordinary span of unnormalized, possibly dependent
     combinations (see `intersect_with_coordinates`): its rank is sampled,
-    and becomes exact once its coannihilator is built.
+    and becomes exact once `is_integrable` has answered.
     """
     sys, cand = jets.system, jets.candidate
     k1, k2 = cand.K
@@ -306,9 +306,11 @@ def sfe_gtf_test(jets: OutputJets) -> SfeGtfResult:
     reports = []
     passed = True
     for i, q in enumerate(qs):
-        # is_integrable builds the exact coannihilator, which cross-checks
-        # the sampled rank: read q.rank only after it, so every reported
-        # rank is exact.
+        # Read q.rank only after is_integrable, so every reported rank is
+        # exact.  Either the rank equals the number of columns the
+        # generators touch, an upper bound, while a sampled rank is a proven
+        # lower bound (a coordinate span, integrable with no dual), or the
+        # exact coannihilator is built and cross-checks it.
         ok = q.is_integrable()
         passed = passed and ok
         reports.append(QReport((k1 - 1 + i, k2 - 1 + i), q.rank, ok))

@@ -175,6 +175,105 @@ def test_sampled_rank_is_cross_checked_by_the_dual(vtol, monkeypatch):
     assert exact.rank == len(sols) == 4
 
 
+# --- coordinate spans ---
+
+
+def _jet_chart():
+    """Four states and two input jets of order three, as in a Q sequence."""
+    jets = [f"u{j}_{k}" for j in (1, 2) for k in range(4)]
+    return Chart([f"x{i}" for i in range(1, 5)] + jets)
+
+
+def _rows(chart, entries):
+    """Component tuples from {coordinate: text} dicts."""
+    return [
+        tuple(parse(chart, e.get(name, "0")) for name in chart.coordinates)
+        for e in entries
+    ]
+
+
+def _fields(chart, entries):
+    return [VectorField(chart, r) for r in _rows(chart, entries)]
+
+
+# span{dx1, dx3} and span{d/dx1, d/dx3}, with non-constant coefficients
+_COORDINATE_SPAN = [{"x1": "x2 + u1_0", "x3": "x4^2"}, {"x3": "u2_1*x1"}]
+
+
+def test_coordinate_spans_need_no_dual(monkeypatch):
+    chart = _jet_chart()
+    engine = RankEngine(seed=19)
+    rows = _rows(chart, _COORDINATE_SPAN)
+    q = Codistribution(chart, [CovectorField(chart, r) for r in rows], engine)
+    d = span(chart, [VectorField(chart, r) for r in rows], engine)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact dual or a bracket was built")
+
+    monkeypatch.setattr(distributions, "right_nullspace", refuse)
+    monkeypatch.setattr(distributions, "lie_bracket", refuse)
+    assert q.is_integrable() and q.rank == 2
+    assert d.is_involutive() and d.rank == 2
+    # the first generator alone is no coordinate span, so it needs the dual
+    w1 = Codistribution(chart, q.covectors[:1], engine)
+    with pytest.raises(AssertionError, match="exact dual"):
+        w1.is_integrable()
+
+
+def test_coordinate_span_under_a_lying_engine_meets_the_cross_check(monkeypatch):
+    chart = _jet_chart()
+    engine = RankEngine(seed=19)
+    rows = _rows(chart, _COORDINATE_SPAN)
+    q = Codistribution(chart, [CovectorField(chart, r) for r in rows], engine)
+    # three fields touching three columns; the first two do not commute
+    d = span(chart, _fields(chart, [{"x1": "1"}, {"x2": "x1"}, {"x3": "1"}]), engine)
+    # an engine that misses the last row sees no coordinate span
+    monkeypatch.setattr(engine, "independent_rows", lambda rows, ch: list(range(len(rows) - 1)))
+    with pytest.raises(RankDisagreementError):
+        q.is_integrable()
+    with pytest.raises(RankDisagreementError):
+        d.is_involutive()
+
+
+def test_coordinate_span_verdicts_match_the_exact_dual():
+    # random spans on a few columns, some of them coordinate spans, some
+    # exact differentials; the references decide through the exact dual and
+    # its brackets
+    rng = random.Random(23)
+    chart = Chart(["a", "b", "c", "d", "e"])
+    engine = RankEngine(seed=29)
+
+    def row(cols):
+        if rng.random() < 0.5:
+            a, b, c = (chart.sym(rng.choice(cols)) for _ in "abc")
+            return differential(a * b + chart.const(rng.randint(1, 3)) * c).components
+        return tuple(
+            random_polynomial(chart, rng, 1) if name in cols else chart.zero
+            for name in chart.coordinates
+        )
+
+    seen = set()
+    for _ in range(40):
+        cols = rng.sample(chart.coordinates, rng.randint(1, 4))
+        rows = [row(cols) for _ in range(rng.randint(1, len(cols)))]
+        q = Codistribution(chart, [CovectorField(chart, r) for r in rows], engine)
+        d = span(chart, [VectorField(chart, r) for r in rows], engine)
+        coann = Codistribution(chart, q.covectors, engine).coannihilator()
+        b = coann.fields
+        expect_q = all(
+            coann.contains_field(lie_bracket(b[i], b[j]))
+            for i in range(len(b))
+            for j in range(i + 1, len(b))
+        )
+        expect_d = all(d.contains_field(br) for br in d._basis_brackets())
+        assert q.is_integrable() == expect_q
+        assert q.rank == chart.dim - coann.rank
+        assert d.is_involutive() == expect_d
+        seen.add((q._is_coordinate_span(), expect_q, expect_d))
+    # coordinate spans, and other spans with either verdict
+    assert {(True, True, True), (False, True, True), (False, False, False)} <= seen
+
+
 # --- derived flags and closures ---
 
 

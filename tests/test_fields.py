@@ -20,6 +20,7 @@ from flatkit import (
     transfer_field,
     zero_field,
 )
+from flatkit import fields
 from flatkit.errors import ChartMismatchError
 from flatkit.fields import CovectorField, VectorField
 
@@ -166,10 +167,53 @@ def test_sparse_bracket_matches_dense_formula():
             comps_w[i] = random_polynomial(chart, rng) * chart.sym("eps")
         v = VectorField(chart, tuple(comps_v))
         w = VectorField(chart, tuple(comps_w))
-        for a, b in ((v, w), (w, v), (v, v)):
+        # a constant field, and two fields that depend on and move along
+        # disjoint coordinates, so that the zero-bracket exit meets the formula
+        const = VectorField(chart, tuple(chart.const(rng.randint(-2, 2)) for _ in range(dim)))
+        low = field_on(chart, chart.coordinates[:cut], rng)
+        high = field_on(chart, chart.coordinates[cut:], rng)
+        assert lie_bracket(low, high).is_zero()
+        pairs = (
+            (v, w), (w, v), (v, v), (const, v), (w, const), (const, const),
+            (low, high), (high, low), (low, v), (const, high),
+        )
+        for a, b in pairs:
             br = lie_bracket(a, b)
             assert br == dense_bracket(a, b)
             assert br.support == nonzero_indices(br)
+
+
+def field_on(chart, names, rng):
+    """A field along `names` whose components are polynomials in `names`
+    and eps only."""
+    def poly():
+        total = chart.const(rng.randint(-3, 3))
+        for _ in range(2):
+            term = chart.const(rng.randint(1, 2)) * chart.sym(rng.choice(names))
+            total = total + term * chart.sym(rng.choice(list(names) + ["eps"]))
+        return total
+
+    return field_from_dict(chart, {name: poly() for name in names})
+
+
+def test_zero_bracket_takes_no_derivative(monkeypatch):
+    chart = Chart(["a", "b", "c", "d"], ["eps"])
+
+    def refuse(e, name):
+        raise AssertionError(f"a derivative by {name} was taken")
+
+    monkeypatch.setattr(fields, "differentiate", refuse)
+    da, db = coordinate_field(chart, "a"), coordinate_field(chart, "b")
+    assert lie_bracket(da, db).is_zero()
+    v = field_from_dict(chart, {"a": "a*b + eps", "b": "b^2"})
+    w = field_from_dict(chart, {"c": "d*eps", "d": "c*d - 1"})
+    assert lie_bracket(v, w).is_zero()
+    assert lie_bracket(w, v).is_zero()
+    assert v.directions == {"a", "b"} and v.symbols == {"a", "b", "eps"}
+    # one coordinate that w moves along and u depends on is enough
+    u = field_from_dict(chart, {"a": "c"})
+    with pytest.raises(AssertionError, match="was taken"):
+        lie_bracket(w, u)
 
 
 def test_jacobi_identity_on_random_triples(rng):

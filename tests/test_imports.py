@@ -86,7 +86,6 @@ UNREFERENCED_ALLOWED = {
     "coordinate_field": "constructor in the public field API",
     "coordinate_covector": "constructor in the public field API",
     "field_from_dict": "constructor in the public field API",
-    "zero_field": "constructor in the public field API",
     "apply_static_feedback": "the transformation the invariance tests apply",
     "rank_at_point": "resolved by flatbench/tracer.py; ROADMAP item 4 retires it",
     "draw_admissible": "resolved by flatbench/tracer.py; ROADMAP item 4 retires it",
