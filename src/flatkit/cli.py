@@ -21,7 +21,13 @@ from .algorithms import (
     run_algorithm1,
     run_algorithm2,
 )
-from .errors import CANDIDATE_ERRORS, ModelFileError, ParseError, UnknownSymbolError
+from .errors import (
+    CANDIDATE_ERRORS,
+    ModelFileError,
+    MonomialLimitError,
+    ParseError,
+    UnknownSymbolError,
+)
 from .modelfile import build_system, load_model, prolonged_model, save_model
 from .system import output_jets, prolong, sfe_gtf_test, verify_flat_output
 
@@ -251,7 +257,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ModelFileError, OSError) as err:
+    # a monomial past the packed format's limits comes from the input's size:
+    # too many symbols, or a power such as x^100000
+    except (ModelFileError, MonomialLimitError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as err:  # rank disagreements and other internal faults

@@ -32,6 +32,11 @@ class UnsupportedFunctionError(FlatkitError):
         self.reason = reason
 
 
+class MonomialLimitError(FlatkitError):
+    """A monomial needs more generators or a larger exponent than the packed
+    format of `sympoly` holds (SLOTS, MAX_EXP)."""
+
+
 class ChartMismatchError(FlatkitError):
     """Raised when expressions from different charts are combined."""
 

@@ -31,10 +31,18 @@ constant (same monic denominator, no new common factor), and the partial
 derivative of a trig-reduced polynomial by one generator.  A constant
 denominator of 1 costs no scaling pass.
 
+Numerator and denominator are `sympoly` polynomials, whose monomials are
+packed ints (graded lex is int order).  This module reads a monomial only
+through sympoly's helpers: `mono_items` for rendering, evaluation and the
+generator map, `p_rename` for `transfer`, `p_circle_reduce` and
+`p_reflect` for the circle relation.  A chart holds at most
+`sympoly.SLOTS` generators; registering one more raises MonomialLimitError.
+
 `differentiate` is memoized per expression, in a slot of the Expr, so each
 (expression, symbol) pair is differentiated at most once.  Charts only add
 generators, so a stored derivative stays canonical.  Each Expr also keeps
 its base symbols; the derivative by any other symbol is zero without a walk.
+A third slot keeps the F_p evaluation program that `sample` decodes once.
 """
 
 from __future__ import annotations
@@ -46,22 +54,25 @@ from typing import Callable, Iterable, Optional, Union
 
 from .errors import (
     ChartMismatchError,
+    MonomialLimitError,
     PoleError,
     UnknownSymbolError,
     UnsupportedFunctionError,
     ZeroDenominatorError,
 )
 from .sympoly import (
-    Monomial,
+    SLOTS,
     Poly,
     _frac_sqrt,
-    _trim,
+    mono_degree,
     mono_get,
-    mono_key,
+    mono_items,
     mono_set,
     p_add,
+    p_circle_reduce,
     p_const,
     p_const_value,
+    p_degree_in,
     p_diff,
     p_div_exact,
     p_gcd,
@@ -71,11 +82,14 @@ from .sympoly import (
     p_mul,
     p_neg,
     p_pow,
+    p_reflect,
+    p_rename,
     p_scale,
     p_sub,
     p_total_degree,
     p_var,
     p_vars,
+    p_vars_in_order,
 )
 
 Scalar = Union["Expr", Fraction, int]
@@ -122,6 +136,7 @@ class Chart:
             if name in seen:
                 raise ValueError(f"duplicate symbol name '{name}'")
             seen.add(name)
+        _check_slots(len(seen))
         self.coordinates = coords
         self.parameters = params
         self._gens: list[GenInfo] = [GenInfo(n, "base", n) for n in coords + params]
@@ -180,6 +195,7 @@ class Chart:
         skey = f"sin({angle})"
         ckey = f"cos({angle})"
         if skey not in self._index:
+            _check_slots(len(self._gens) + 2)
             self._gens.append(GenInfo(skey, "sin", angle))
             self._index[skey] = len(self._gens) - 1
             self._gens.append(GenInfo(ckey, "cos", angle))
@@ -199,41 +215,17 @@ class Chart:
         return Chart(tuple(self.coordinates) + tuple(extra_coordinates), self.parameters)
 
 
-def _reduce_trig(poly: Poly, sin_to_cos: dict[int, int]) -> Poly:
-    """Normal form modulo sin^2 = 1 - cos^2 for every registered angle."""
-    if not sin_to_cos:
-        return poly
-    needs = False
-    for m in poly:
-        for si in sin_to_cos:
-            if mono_get(m, si) >= 2:
-                needs = True
-                break
-        if needs:
-            break
-    if not needs:
-        return poly
-    out: Poly = {}
-    for m, c in poly.items():
-        term: Poly = {m: c}
-        for si, ci in sin_to_cos.items():
-            e = mono_get(m, si)
-            if e >= 2:
-                reduced: Poly = {}
-                for tm, tc in term.items():
-                    te = mono_get(tm, si)
-                    base = {mono_set(tm, si, te % 2): tc}
-                    one_minus_c2 = p_sub(p_const(1), p_pow(p_var(ci), 2))
-                    reduced = p_add(reduced, p_mul(base, p_pow(one_minus_c2, te // 2)))
-                term = reduced
-        out = p_add(out, term)
-    return out
+def _check_slots(count: int) -> None:
+    if count > SLOTS:
+        raise MonomialLimitError(
+            f"a chart of {count} generators passes the limit of {SLOTS}"
+        )
 
 
 class Expr:
     """A canonical rational expression over a chart."""
 
-    __slots__ = ("chart", "num", "den", "_hash", "_derivs", "_symbols")
+    __slots__ = ("chart", "num", "den", "_hash", "_derivs", "_symbols", "_program")
 
     def __init__(self, chart: Chart, num: Poly, den: Poly, _raw: bool = False):
         if not _raw:
@@ -244,6 +236,7 @@ class Expr:
         self._hash: Optional[int] = None
         self._derivs: Optional[dict[str, Expr]] = None  # see differentiate
         self._symbols: Optional[frozenset[str]] = None  # see _symbol_set
+        self._program: Optional[tuple] = None  # see sample._residue_program
 
     # -- predicates ---------------------------------------------------------
 
@@ -371,14 +364,6 @@ class Expr:
     __str__ = render
 
 
-def _sin_conjugate(poly: Poly, si: int) -> Poly:
-    """Image under sin -> -sin for one angle (an automorphism of the ring)."""
-    out: Poly = {}
-    for m, c in poly.items():
-        out[m] = -c if mono_get(m, si) % 2 else c
-    return out
-
-
 def _clear_sin_denominator(s2c: dict[int, int], num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Multiply through by conjugates until the denominator is sine-free.
 
@@ -387,10 +372,11 @@ def _clear_sin_denominator(s2c: dict[int, int], num: Poly, den: Poly) -> tuple[P
     even though the circle ring is not a UFD.
     """
     for si in s2c:
-        if any(mono_get(m, si) for m in den):
-            conj = _sin_conjugate(den, si)
-            num = _reduce_trig(p_mul(num, conj), s2c)
-            den = _reduce_trig(p_mul(den, conj), s2c)
+        if p_degree_in(den, si):
+            # sin -> -sin for one angle is an automorphism of the ring
+            conj = p_reflect(den, si)
+            num = p_circle_reduce(p_mul(num, conj), s2c)
+            den = p_circle_reduce(p_mul(den, conj), s2c)
     return num, den
 
 
@@ -404,8 +390,8 @@ def _over_constant(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 def _canonicalize(chart: Chart, num: Poly, den: Poly) -> tuple[Poly, Poly]:
     s2c = chart.sin_to_cos()
-    num = _reduce_trig(num, s2c)
-    den = _reduce_trig(den, s2c)
+    num = p_circle_reduce(num, s2c)
+    den = p_circle_reduce(den, s2c)
     if p_is_zero(den):
         raise ZeroDenominatorError("denominator is identically zero")
     if p_is_zero(num):
@@ -444,14 +430,13 @@ def _render_coeff(c: int | Fraction) -> str:
 def _render_poly(chart: Chart, poly: Poly) -> str:
     if p_is_zero(poly):
         return "0"
-    terms = sorted(poly.items(), key=lambda kv: mono_key(kv[0]), reverse=True)
     pieces: list[str] = []
-    for m, c in terms:
+    for m in sorted(poly, reverse=True):  # graded lex, the largest first
+        c = poly[m]
         factors = []
-        for i, e in enumerate(m):
-            if e:
-                name = chart.gen_info(i).name
-                factors.append(name if e == 1 else f"{name}^{e}")
+        for i, e in mono_items(m):
+            name = chart.gen_info(i).name
+            factors.append(name if e == 1 else f"{name}^{e}")
         if not factors:
             body = _render_coeff(abs(c))
         elif abs(c) == 1:
@@ -473,10 +458,10 @@ def _angle_terms(func: str, arg: Expr) -> list[tuple[str, int]]:
     terms = []
     if p_is_const(arg.den):  # canonical: a constant denominator is 1
         for m, c in arg.num.items():
-            # a trimmed monomial of degree one ends in the exponent of its generator
-            if sum(m) != 1 or c.denominator != 1:
+            if mono_degree(m) != 1 or c.denominator != 1:
                 break
-            info = arg.chart.gen_info(len(m) - 1)
+            [(i, _)] = mono_items(m)
+            info = arg.chart.gen_info(i)
             if info.kind != "base":
                 break
             terms.append((info.name, c.numerator))
@@ -635,9 +620,8 @@ def _eval_poly(poly: Poly, point) -> Fraction:
     total = Fraction(0)
     for m, c in poly.items():
         term = c
-        for i, ee in enumerate(m):
-            if ee:
-                term *= point.value(i) ** ee
+        for i, ee in mono_items(m):
+            term *= point.value(i) ** ee
         total += term
     return total
 
@@ -661,9 +645,8 @@ def eval_float(e: Expr, base_values: dict[str, float]) -> float:
         total = 0.0
         for m, c in poly.items():
             term = float(c)
-            for i, ee in enumerate(m):
-                if ee:
-                    term *= gen_value(i) ** ee
+            for i, ee in mono_items(m):
+                term *= gen_value(i) ** ee
             total += term
         return total
 
@@ -696,9 +679,8 @@ def _map_generators(e: Expr, target: Chart, repl: dict[str, Expr]) -> Expr:
         total = target.zero
         for m, c in poly.items():
             term = target.const(c)
-            for i, ee in enumerate(m):
-                if ee:
-                    term = term * gen_value(i) ** ee
+            for i, ee in mono_items(m):
+                term = term * gen_value(i) ** ee
             total = total + term
         return total
 
@@ -724,27 +706,16 @@ def transfer(e: Expr, target: Chart) -> Expr:
     if e.chart is target:
         return e
     index: dict[int, int] = {}
-    for m in (*e.num, *e.den):
-        for i, k in enumerate(m):
-            if k and i not in index:
-                info = e.chart.gen_info(i)
-                if not target.has_symbol(info.base):
-                    raise UnknownSymbolError(info.base)
-                if info.kind == "base":
-                    index[i] = target._index[info.base]
-                else:
-                    index[i] = target.trig_pair(info.base)[info.kind == "cos"]
-    width = 1 + max(index.values(), default=-1)
-
-    def rename(m: Monomial) -> Monomial:
-        exps = [0] * width
-        for i, k in enumerate(m):
-            if k:
-                exps[index[i]] = k
-        return _trim(exps)
-
-    num = {rename(m): c for m, c in e.num.items()}
-    den = {rename(m): c for m, c in e.den.items()}
+    for i in p_vars_in_order(e.num, e.den):
+        info = e.chart.gen_info(i)
+        if not target.has_symbol(info.base):
+            raise UnknownSymbolError(info.base)
+        if info.kind == "base":
+            index[i] = target._index[info.base]
+        else:
+            index[i] = target.trig_pair(info.base)[info.kind == "cos"]
+    num = p_rename(e.num, index)
+    den = p_rename(e.den, index)
     lc = p_lead(den)[1]
     if lc != 1:
         inv = Fraction(1) / lc
@@ -792,8 +763,8 @@ def antiderivative(e: Expr, sym: str) -> Optional[Expr]:
             rest = mono_set(rest, si, 0)
         if ci is not None:
             rest = mono_set(rest, ci, 0)
-        for idx, ee in enumerate(rest):
-            if ee and involves_sym(idx):
+        for idx, _ in mono_items(rest):
+            if involves_sym(idx):
                 return None
         piece = _integrate_monomial(chart, sym, p, a, b)
         if piece is None:
@@ -844,9 +815,7 @@ def strip_coordinate_constant(e: Expr) -> Expr:
             return e
     const_part: Poly = {}
     for m, c in e.num.items():
-        if not any(
-            ee and chart.gen_depends_on_coordinates(i) for i, ee in enumerate(m)
-        ):
+        if not any(chart.gen_depends_on_coordinates(i) for i, _ in mono_items(m)):
             const_part[m] = c
     if not const_part:
         return e

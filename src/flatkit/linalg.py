@@ -261,20 +261,27 @@ def rank_at_point(matrix: Matrix, point: SamplePoint) -> int:
     return rank
 
 
-def _prefix_ranks(rows: list[list[int]]) -> list[int]:
-    """Ranks mod PRIME of rows[:1], rows[:2], ... by one forward elimination."""
-    pivots: list[tuple[int, list[int]]] = []
+def _prefix_ranks(rows: list[dict[int, int]]) -> list[int]:
+    """Ranks mod PRIME of rows[:1], rows[:2], ... by one forward elimination
+    on sparse rows, {column: nonzero residue}; the rows are reduced in place.
+    Each pivot row is scaled to 1 in its pivot column and is zero in every
+    earlier pivot column, so reducing by the pivots in turn clears them all."""
+    pivots: list[tuple[int, dict[int, int]]] = []
     out: list[int] = []
     for row in rows:
         for col, prow in pivots:
-            f = row[col]
+            f = row.get(col)
             if f:
-                row = [(a - f * b) % PRIME for a, b in zip(row, prow)]
-        for col, v in enumerate(row):
-            if v:
-                inv = pow(v, -1, PRIME)
-                pivots.append((col, [a * inv % PRIME for a in row]))
-                break
+                for c, b in prow.items():
+                    v = (row.get(c, 0) - f * b) % PRIME
+                    if v:
+                        row[c] = v
+                    else:
+                        row.pop(c, None)
+        if row:
+            col, v = next(iter(row.items()))
+            inv = pow(v, -1, PRIME)
+            pivots.append((col, {c: a * inv % PRIME for c, a in row.items()}))
         out.append(len(pivots))
     return out
 
@@ -282,7 +289,7 @@ def _prefix_ranks(rows: list[list[int]]) -> list[int]:
 class RankEngine:
     """Generic ranks of symbolic matrices from seeded points in F_p.
 
-    Each call evaluates every entry once at each of POINTS fresh
+    Each call evaluates every nonzero entry once at each of POINTS fresh
     admissible points and takes, prefix by prefix, the largest rank seen:
     modular ranks never exceed generic ones, so the maximum is the generic
     rank unless every point hit a vanishing minor of that prefix (for a
@@ -318,15 +325,22 @@ class RankEngine:
         raises the generic rank of the rows before it.  Their number is the
         generic rank of the matrix."""
         m = len(matrix)
-        if all(e.is_zero() for row in matrix for e in row):
+        # only nonzero entries are evaluated and eliminated: a zero entry
+        # has no pole and no residue, so the points drawn stay the same
+        cells = [
+            (i, j) for i, row in enumerate(matrix) for j, e in enumerate(row) if not e.is_zero()
+        ]
+        if not cells:
             return []
-        n = len(matrix[0])
-        full = min(m, n)
-        flat = [e for row in matrix for e in row]
+        full = min(m, len(matrix[0]))
+        entries = [matrix[i][j] for i, j in cells]
         best = [0] * m
         for _ in range(POINTS):
-            values = self.draw(chart, flat)
-            ranks = _prefix_ranks([values[i * n:(i + 1) * n] for i in range(m)])
+            rows: list[dict[int, int]] = [{} for _ in range(m)]
+            for (i, j), v in zip(cells, self.draw(chart, entries)):
+                if v:
+                    rows[i][j] = v
+            ranks = _prefix_ranks(rows)
             best = [max(a, b) for a, b in zip(best, ranks)]
             if best[full - 1] == full:
                 break  # the first min(m, n) rows are independent: no point can do better

@@ -12,7 +12,8 @@ Precedence is ^ > unary minus > * / > + -, so -x^2 parses as -(x^2).
 Exponents must be integer constants; decimal literals are exact rationals
 (0.5 is 1/2).  Known functions: sin, cos, tan, cot, exp, ln, sqrt, within
 the arguments `expr` accepts; any other application is a ParseError at the
-function's name.
+function's name.  A product or power with an exponent past the polynomial
+format's limit (`sympoly.MAX_EXP`) is a ParseError at the token just read.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
+    MonomialLimitError,
     ParseError,
     UnknownSymbolError,
     UnsupportedFunctionError,
@@ -96,7 +98,10 @@ class _Parser:
             raise ParseError(f"expected '{op}'", tok.pos)
 
     def parse(self) -> Expr:
-        e = self.expr()
+        try:
+            e = self.expr()
+        except MonomialLimitError as err:  # a power such as x^100000
+            raise ParseError(str(err), self.tokens[self.k - 1].pos) from None
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing input '{tok.text}'", tok.pos)

@@ -12,6 +12,11 @@ point can only be too low, never too high, and it is too low with
 probability at most D/p when D is the degree of a nonvanishing maximal
 minor.
 
+An expression is decoded once, at its first evaluation: each term becomes
+its coefficient's residue and the (generator, exponent) pairs of its packed
+monomial, kept in the Expr's `_program` slot.  Every later point only
+multiplies residues.  The rank engine passes only nonzero entries.
+
 `SamplePoint`, `draw_point` and `draw_admissible` are the exact rational
 counterpart: base symbols receive random rationals with numerator and
 denominator bounded by 997, angles a rational point on the unit circle
@@ -33,7 +38,7 @@ from .errors import (
     StaleSamplePointError,
 )
 from .expr import Chart, Expr, eval_at
-from .sympoly import Poly
+from .sympoly import Poly, mono_items
 
 _BOUND = 997
 
@@ -132,13 +137,28 @@ def _residue(c: int | Fraction) -> int:
     return c.numerator * pow(den, -1, PRIME) % PRIME
 
 
-def _poly_residue(poly: Poly, values: Sequence[int]) -> int:
+_Program = list[tuple[int, list[tuple[int, int]]]]
+
+
+def _poly_program(poly: Poly) -> _Program:
+    """Each term as its coefficient's residue and its (generator, exponent)
+    pairs."""
+    return [(_residue(c), mono_items(m)) for m, c in poly.items()]
+
+
+def _residue_program(e: Expr) -> tuple[_Program, _Program]:
+    """The decoded terms of e's numerator and denominator, built at e's
+    first evaluation and kept in its `_program` slot."""
+    if e._program is None:
+        e._program = (_poly_program(e.num), _poly_program(e.den))
+    return e._program
+
+
+def _run(program: _Program, values: Sequence[int]) -> int:
     total = 0
-    for m, c in poly.items():
-        term = _residue(c)
-        for i, e in enumerate(m):
-            if e:
-                term = term * (values[i] if e == 1 else pow(values[i], e, PRIME)) % PRIME
+    for term, factors in program:
+        for i, k in factors:
+            term = term * (values[i] if k == 1 else pow(values[i], k, PRIME)) % PRIME
         total += term
     return total % PRIME
 
@@ -146,8 +166,9 @@ def _poly_residue(poly: Poly, values: Sequence[int]) -> int:
 def _expr_residue(e: Expr, values: Sequence[int]) -> Optional[int]:
     """e mod PRIME at the residues `values` of its chart's generators, or
     None when its denominator vanishes there."""
-    num = _poly_residue(e.num, values)
-    den = _poly_residue(e.den, values)
+    num_program, den_program = _residue_program(e)
+    num = _run(num_program, values)
+    den = _run(den_program, values)
     if den == 1:
         return num
     if den == 0:

@@ -10,11 +10,57 @@ p_scale, p_div_exact, p_content, p_primitive, p_gcd) store an integral
 value as an int.  A sum or product of Fractions may still leave an
 integral Fraction; since Fraction(2) == 2 and hash(Fraction(2)) == hash(2),
 that changes neither Poly equality nor hashing nor any rendered string.
-A monomial is a tuple of nonnegative exponents indexed by generator number,
-stored with trailing zeros trimmed so the representation stays canonical
-when the generator list grows.  The monomial order is graded lexicographic;
-on trimmed tuples the plain (total degree, tuple) key realizes it because
-equal-degree monomials are never prefixes of one another.
+
+A monomial is one nonnegative int, its exponent vector packed (Monagan &
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).  From the most significant end:
+
+    | total degree | e_0 | e_1 | ... | e_(SLOTS-1) |
+
+The total degree takes every bit above SLOTS * FIELD_BITS, so it is never
+bounded.  Below it sit SLOTS fields of FIELD_BITS bits, generator 0 in the
+most significant one.  The top bit of each field is a guard bit, always
+clear in a monomial, so an exponent is at most MAX_EXP = 2^(FIELD_BITS-1) - 1.
+The constant monomial is 0; `mono_set(m, i, e)` gives generator i the
+exponent e, and `mono_items(m)` lists the (generator, exponent) pairs.
+
+* Order.  Comparing two such ints compares the degrees first, then e_0,
+  e_1, ... in turn: graded lexicographic order with generator 0 first,
+  which is the order rendering and every leading term use.  So `p_lead` is
+  `max`, the division walk's heap key is `-m` and rendering sorts by `m`.
+* Product.  a * b is a + b: each field sum stays below 2^FIELD_BITS, so no
+  carry reaches the next field, and the degree fields add.  A sum whose
+  field reached MAX_EXP + 1 shows it in that field's guard bit.
+* Quotient.  b divides a iff (a - b) & guard bits is 0: the lowest field
+  where b's exponent is larger borrows from the field above and leaves its
+  own guard bit set.
+
+Two limits follow, both checked, neither silent:
+
+* SLOTS = 64 generators per chart.  `expr.Chart` refuses to register the
+  65th.  The largest charts measured have 25 generators in the tier-1 tests
+  and in one round of each flatbench workload, and 40 on the two-chain
+  models of ROADMAP item 3 (20 states; `analyze` and `verify` of tc5 to
+  tc10).  A two-input system of 20 states without parameters or angles has
+  an input-jet chart of at most 20 + 2 * 19 = 58 coordinates (R_i <= n - 1).
+* FIELD_BITS = 8, so MAX_EXP = 127.  The largest exponents measured are 31
+  in the tier-1 tests, 16 in flatbench and 27 on the two-chain models.  A
+  wider field costs on every product: a 900-product `p_mul` on 64 slots
+  took 281 us at 8 bits, 395 us at 16 bits and 2.9 ms on the trimmed
+  exponent tuples this format replaced (Python 3.11, 2-vCPU x86 VM).
+
+`p_mul` (and so `p_pow`) checks its product's fields whenever the operands'
+degrees add past MAX_EXP, and raises MonomialLimitError on a set guard bit;
+`mono_set` and `p_var` refuse what does not fit.  The division walk needs
+no check of its own: each quotient monomial passes the divisibility test,
+so it is a valid monomial, and its products with the divisor's terms carry
+into no other field.  A product past MAX_EXP shows that the division is
+inexact (in an exact one no product has an exponent above the dividend's
+degree in that generator), and the quotient monomial it leads to fails the
+test.
+
+Outside this module monomials are read only through `mono_items`,
+`mono_degree`, `mono_get`, `mono_set` and the `p_*` functions.
 
 Exact division has one heap walk (`_div_walk`) for both coefficient rings:
 p_div_exact divides coefficients over the rationals, and the integer core of
@@ -41,59 +87,68 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-Monomial = tuple[int, ...]
+from .errors import MonomialLimitError
+
+Monomial = int
 Poly = dict[Monomial, int | Fraction]
+
+SLOTS = 64
+FIELD_BITS = 8
+MAX_EXP = (1 << (FIELD_BITS - 1)) - 1
+
+_FIELD = (1 << FIELD_BITS) - 1
+_DEG_SHIFT = SLOTS * FIELD_BITS
+_EXPS = (1 << _DEG_SHIFT) - 1
+# the bit offset of generator i's field, and the monomial x_i itself
+_SHIFT = tuple((SLOTS - 1 - i) * FIELD_BITS for i in range(SLOTS))
+_VAR = tuple((1 << _DEG_SHIFT) + (1 << s) for s in _SHIFT)
+_GUARDS = sum(1 << (s + FIELD_BITS - 1) for s in _SHIFT)
+# monomials from here up have a degree, and maybe an exponent, past MAX_EXP
+_DEG_PAST = (MAX_EXP + 1) << _DEG_SHIFT
 
 _ZERO = 0
 _ONE = 1
 
 
-def _trim(exps: Iterable[int]) -> Monomial:
-    out = list(exps)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+def _exponent_overflow() -> MonomialLimitError:
+    return MonomialLimitError(f"an exponent passes the limit of {MAX_EXP}")
 
 
-def mono_key(m: Monomial) -> tuple[int, Monomial]:
-    return (sum(m), m)
+def _slot(i: int) -> int:
+    """The field offset of generator i; raises past SLOTS generators."""
+    if i >= SLOTS:
+        raise MonomialLimitError(f"generator {i} passes the limit of {SLOTS} generators")
+    return _SHIFT[i]
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, e in enumerate(b):
-        out[i] += e
-    return tuple(out)
+def mono_items(m: Monomial) -> list[tuple[int, int]]:
+    """(generator, exponent) for each generator of m, in generator order."""
+    x = m & _EXPS
+    out = []
+    while x:
+        # the highest set bit lies in the field of the next generator
+        i = (_DEG_SHIFT - x.bit_length()) // FIELD_BITS
+        s = _SHIFT[i]
+        e = x >> s
+        out.append((i, e))
+        x -= e << s
+    return out
 
 
-def mono_div(a: Monomial, b: Monomial) -> Optional[Monomial]:
-    """a / b componentwise, or None when b does not divide a."""
-    if len(b) > len(a):
-        return None
-    out = list(a)
-    for i, e in enumerate(b):
-        out[i] -= e
-        if out[i] < 0:
-            return None
-    return _trim(out)
+def mono_degree(m: Monomial) -> int:
+    return m >> _DEG_SHIFT
 
 
 def mono_get(m: Monomial, i: int) -> int:
-    return m[i] if i < len(m) else 0
+    return (m >> _slot(i)) & _FIELD
 
 
 def mono_set(m: Monomial, i: int, e: int) -> Monomial:
-    out = list(m) + [0] * max(0, i + 1 - len(m))
-    out[i] = e
-    return _trim(out)
+    if e > MAX_EXP:
+        raise _exponent_overflow()
+    return m + (e - ((m >> _slot(i)) & _FIELD)) * _VAR[i]
 
 
 def _coeff(c: int | Fraction) -> int | Fraction:
@@ -107,11 +162,12 @@ def _coeff(c: int | Fraction) -> int | Fraction:
 
 def p_const(c: int | Fraction) -> Poly:
     c = _coeff(c)
-    return {} if c == 0 else {(): c}
+    return {} if c == 0 else {0: c}
 
 
 def p_var(i: int) -> Poly:
-    return {mono_set((), i, 1): _ONE}
+    _slot(i)
+    return {_VAR[i]: _ONE}
 
 
 def p_is_zero(p: Poly) -> bool:
@@ -119,13 +175,13 @@ def p_is_zero(p: Poly) -> bool:
 
 
 def p_is_const(p: Poly) -> bool:
-    return not p or (len(p) == 1 and () in p)
+    return not p or (len(p) == 1 and 0 in p)
 
 
 def p_const_value(p: Poly) -> int | Fraction:
     if not p:
         return _ZERO
-    return p[()]
+    return p[0]
 
 
 def p_add(a: Poly, b: Poly) -> Poly:
@@ -167,19 +223,22 @@ def p_mul(a: Poly, b: Poly) -> Poly:
         return {}
     if len(a) > len(b):
         a, b = b, a
-    if len(a) == 1 and () in a:
+    if len(a) == 1 and 0 in a:
         # a constant factor scales b; the constant 1 copies it
-        c = a[()]
+        c = a[0]
         return dict(b) if c == 1 else {m: c * v for m, v in b.items()}
     out: Poly = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = mono_mul(ma, mb)
+            m = ma + mb
             s = out.get(m, 0) + ca * cb
             if s:
                 out[m] = s
             else:
                 out.pop(m, None)
+    # in a product of degree MAX_EXP or less every exponent fits its field
+    if max(a) + max(b) >= _DEG_PAST and any(m & _GUARDS for m in out):
+        raise _exponent_overflow()
     return out
 
 
@@ -201,50 +260,88 @@ def p_pow(a: Poly, n: int) -> Poly:
 def p_total_degree(a: Poly) -> int:
     if not a:
         return 0
-    return max(sum(m) for m in a)
+    return max(a) >> _DEG_SHIFT
 
 
 def p_degree_in(a: Poly, i: int) -> int:
-    d = 0
-    for m in a:
-        e = mono_get(m, i)
-        if e > d:
-            d = e
-    return d
+    s = _slot(i)
+    return max((m >> s) & _FIELD for m in a) if a else 0
 
 
 def p_vars(a: Poly) -> set[int]:
-    out: set[int] = set()
+    seen = 0
     for m in a:
-        for i, e in enumerate(m):
-            if e:
-                out.add(i)
+        seen |= m
+    return {i for i, _ in mono_items(seen)}
+
+
+def p_vars_in_order(*polys: Poly) -> list[int]:
+    """The generators of the polys in the order their monomials meet them:
+    poly by poly, monomial by monomial, and by index within a monomial."""
+    seen = 0  # the union of the monomials so far: a field is set iff met
+    out: list[int] = []
+    for poly in polys:
+        for m in poly:
+            if m & ~seen & _EXPS:
+                out.extend(i for i, _ in mono_items(m) if not (seen >> _SHIFT[i]) & _FIELD)
+                seen |= m
     return out
 
 
 def p_lead(a: Poly) -> tuple[Monomial, int | Fraction]:
-    m = max(a, key=mono_key)
+    m = max(a)
     return m, a[m]
 
 
 def p_diff(a: Poly, i: int) -> Poly:
     """Formal partial derivative treating all generators as independent."""
+    s = _slot(i)
+    unit = _VAR[i]
     out: Poly = {}
     for m, c in a.items():
-        e = mono_get(m, i)
+        e = (m >> s) & _FIELD
         if e:
-            dm = mono_set(m, i, e - 1)
-            s = out.get(dm, _ZERO) + c * e
-            if s:
-                out[dm] = s
-            else:
-                out.pop(dm, None)
+            # m -> m / x_i is one-to-one, so no two terms meet
+            out[m - unit] = c * e
     return out
 
 
-def _heap_key(m: Monomial) -> tuple[int, tuple[int, ...]]:
-    """mono_key negated so a min-heap pops the graded-lex largest first."""
-    return (-sum(m), tuple(-e for e in m))
+def p_reflect(a: Poly, i: int) -> Poly:
+    """a with generator i replaced by its negative."""
+    s = _slot(i)
+    return {m: -c if (m >> s) & 1 else c for m, c in a.items()}
+
+
+def p_rename(a: Poly, index: dict[int, int]) -> Poly:
+    """a with generator i renamed index[i]; the renaming must be one-to-one
+    on the generators of a."""
+    var = {i: _VAR[j] for i, j in index.items()}
+    return {sum(e * var[i] for i, e in mono_items(m)): c for m, c in a.items()}
+
+
+def p_circle_reduce(a: Poly, pairs: dict[int, int]) -> Poly:
+    """Normal form modulo s^2 + c^2 - 1 for each pair (s, c) of generators:
+    every power s^e with e >= 2 becomes s^(e mod 2) * (1 - c^2)^(e div 2)."""
+    if not pairs:
+        return a
+    # bits 1 and up of the s fields: set exactly when some exponent is >= 2
+    high = sum((_FIELD ^ 1) << _slot(si) for si in pairs)
+    if not any(m & high for m in a):
+        return a
+    out: Poly = {}
+    for m, c in a.items():
+        term: Poly = {m: c}
+        for si, ci in pairs.items():
+            if mono_get(m, si) >= 2:
+                reduced: Poly = {}
+                for tm, tc in term.items():
+                    te = mono_get(tm, si)
+                    base = {mono_set(tm, si, te % 2): tc}
+                    one_minus_c2 = p_sub(p_const(1), p_pow(p_var(ci), 2))
+                    reduced = p_add(reduced, p_mul(base, p_pow(one_minus_c2, te // 2)))
+                term = reduced
+        out = p_add(out, term)
+    return out
 
 
 def _div_walk(
@@ -270,8 +367,8 @@ def _div_walk(
     quo: Poly = {}
     if len(b) == 1:
         for mr, cr in a.items():
-            m = mono_div(mr, mb)
-            if m is None:
+            m = mr - mb
+            if m & _GUARDS:
                 return None
             c = divide(cr, cb)
             if c is None:
@@ -280,25 +377,25 @@ def _div_walk(
         return quo
     btail = [(m, c) for m, c in b.items() if m != mb]
     rem = dict(a)
-    heap = [(_heap_key(m), m) for m in rem]
+    heap = [-m for m in rem]
     heapq.heapify(heap)
     while heap:
-        _, mr = heapq.heappop(heap)
+        mr = -heapq.heappop(heap)
         cr = rem.pop(mr, None)
         if cr is None:
             continue
-        m = mono_div(mr, mb)
-        if m is None:
+        m = mr - mb
+        if m & _GUARDS:
             return None
         c = divide(cr, cb)
         if c is None:
             return None
         quo[m] = c
         for mt, ct in btail:
-            mm = mono_mul(m, mt)
+            mm = m + mt
             prev = rem.get(mm)
             if prev is None:
-                heapq.heappush(heap, (_heap_key(mm), mm))
+                heapq.heappush(heap, -mm)
                 rem[mm] = -c * ct
             else:
                 val = prev - c * ct
@@ -345,14 +442,15 @@ def p_primitive(a: Poly) -> Poly:
 
 def _uv_coeffs(a: Poly, v: int) -> dict[int, Poly]:
     """View a as univariate in generator v with polynomial coefficients."""
+    s = _slot(v)
     out: dict[int, Poly] = {}
     for m, c in a.items():
-        e = mono_get(m, v)
-        base = mono_set(m, v, 0)
+        e = (m >> s) & _FIELD
+        base = m - e * _VAR[v]
         coeff = out.setdefault(e, {})
-        s = coeff.get(base, 0) + c
-        if s:
-            coeff[base] = s
+        t = coeff.get(base, 0) + c
+        if t:
+            coeff[base] = t
         else:
             coeff.pop(base, None)
     return {e: c for e, c in out.items() if c}
@@ -420,13 +518,13 @@ def _uv_zcontent(coeffs: dict[int, ZPoly]) -> ZPoly:
     g: ZPoly = {}
     for p in coeffs.values():
         g = _zgcd(g, p)
-        if g == {(): 1}:
+        if g == {0: 1}:
             return g
     return g
 
 
 def _uv_zdivide(coeffs: dict[int, ZPoly], d: ZPoly) -> dict[int, ZPoly]:
-    if d == {(): 1}:
+    if d == {0: 1}:
         return coeffs
     out: dict[int, ZPoly] = {}
     for e, poly in coeffs.items():
@@ -461,20 +559,25 @@ def _uv_prem(a: dict[int, ZPoly], b: dict[int, ZPoly]) -> dict[int, ZPoly]:
     return r
 
 
+def _mono_gcd(a: Monomial, b: Monomial) -> Monomial:
+    """Componentwise minimum of two exponent vectors."""
+    out = 0
+    for i, e in mono_items(a):
+        f = (b >> _SHIFT[i]) & _FIELD
+        if f:
+            out += min(e, f) * _VAR[i]
+    return out
+
+
 def _mono_content(a: Poly) -> Monomial:
     """Componentwise minimum exponent vector over the support of a."""
     it = iter(a)
-    mins = list(next(it))
+    g = next(it)
     for m in it:
-        if not mins:
+        if not g:
             break
-        for i in range(len(mins)):
-            e = m[i] if i < len(m) else 0
-            if e < mins[i]:
-                mins[i] = e
-        while mins and mins[-1] == 0:
-            mins.pop()
-    return tuple(mins)
+        g = _mono_gcd(g, m)
+    return g
 
 
 def _mono_shift_down(a: Poly, m: Monomial) -> Poly:
@@ -482,8 +585,8 @@ def _mono_shift_down(a: Poly, m: Monomial) -> Poly:
         return a
     out: Poly = {}
     for mm, c in a.items():
-        q = mono_div(mm, m)
-        assert q is not None
+        q = mm - m
+        assert not q & _GUARDS
         out[q] = c
     return out
 
@@ -511,18 +614,21 @@ _HEU_MAX_BITS = 100_000
 
 def _zeval(a: ZPoly, v: int, xi: int) -> ZPoly:
     """a with generator v replaced by the integer xi."""
+    s = _slot(v)
     out: ZPoly = {}
     for m, c in a.items():
-        e = mono_get(m, v)
+        e = (m >> s) & _FIELD
         if e:
-            m = mono_set(m, v, 0)
+            m -= e * _VAR[v]
             c *= xi**e
         out[m] = out.get(m, 0) + c
     return {m: c for m, c in out.items() if c}
 
 
-def _zadic(g: ZPoly, v: int, xi: int) -> ZPoly:
-    """Symmetric xi-adic expansion: digit k of each coefficient goes to v^k."""
+def _zadic(g: ZPoly, v: int, xi: int, top: int) -> Optional[ZPoly]:
+    """Symmetric xi-adic expansion: digit k of each coefficient goes to v^k.
+    None when a digit lands above v^top: such a candidate has a larger
+    degree in v than an operand of degree top, so it divides neither."""
     half = xi // 2
     out: ZPoly = {}
     for m, c in g.items():
@@ -532,6 +638,8 @@ def _zadic(g: ZPoly, v: int, xi: int) -> ZPoly:
             if d > half:
                 d -= xi
             if d:
+                if e > top:
+                    return None
                 out[mono_set(m, v, e)] = d
             c = (c - d) // xi
             e += 1
@@ -544,24 +652,25 @@ def _zheu(a: ZPoly, b: ZPoly) -> Optional[ZPoly]:
     ia = _zcontent(a)
     ib = _zcontent(b)
     if p_is_const(a) or p_is_const(b):
-        return {(): math.gcd(ia, ib)}
+        return {0: math.gcd(ia, ib)}
     a = {m: c // ia for m, c in a.items()}
     b = {m: c // ib for m, c in b.items()}
     v = max(p_vars(a) | p_vars(b))
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
-    deg = max(p_degree_in(a, v), p_degree_in(b, v))
+    da, db = p_degree_in(a, v), p_degree_in(b, v)
     for _ in range(_HEU_TRIES):
-        if xi.bit_length() * deg > _HEU_MAX_BITS:
+        if xi.bit_length() * max(da, db) > _HEU_MAX_BITS:
             return None
         gamma = _zheu(_zeval(a, v, xi), _zeval(b, v, xi))
         if gamma is None:
             return None
-        h = _zadic(gamma, v, xi)
-        ih = _zcontent(h)
-        h = _zposlead({m: c // ih for m, c in h.items()})
-        if _zdiv_exact(a, h) is not None and _zdiv_exact(b, h) is not None:
-            ig = math.gcd(ia, ib)
-            return {m: c * ig for m, c in h.items()} if ig > 1 else h
+        h = _zadic(gamma, v, xi, min(da, db))
+        if h is not None:
+            ih = _zcontent(h)
+            h = _zposlead({m: c // ih for m, c in h.items()})
+            if _zdiv_exact(a, h) is not None and _zdiv_exact(b, h) is not None:
+                ig = math.gcd(ia, ib)
+                return {m: c * ig for m, c in h.items()} if ig > 1 else h
         xi = xi * 73794 // 27011
     return None
 
@@ -573,9 +682,9 @@ def _zgcd(a: ZPoly, b: ZPoly) -> ZPoly:
     if not b:
         return _zposlead(a)
     if p_is_const(a):
-        return {(): math.gcd(a[()], _zcontent(b))}
+        return {0: math.gcd(a[0], _zcontent(b))}
     if p_is_const(b):
-        return {(): math.gcd(b[()], _zcontent(a))}
+        return {0: math.gcd(b[0], _zcontent(a))}
     if a == b:
         return _zposlead(a)
     ia = _zcontent(a)
@@ -588,24 +697,22 @@ def _zgcd(a: ZPoly, b: ZPoly) -> ZPoly:
     # the monomial content splits off cheaply and shrinks everything below
     ma = _mono_content(a)
     mb = _mono_content(b)
-    mg = tuple(min(x, y) for x, y in zip(ma, mb))
-    while mg and mg[-1] == 0:
-        mg = mg[:-1]
+    mg = _mono_gcd(ma, mb)
     a = _mono_shift_down(a, ma)
     b = _mono_shift_down(b, mb)
 
     def lift(g: ZPoly) -> ZPoly:
         if mg:
-            g = {mono_mul(m, mg): c for m, c in g.items()}
+            g = {m + mg: c for m, c in g.items()}
         if ig > 1:
             g = {m: c * ig for m, c in g.items()}
         return g
 
     if p_is_const(a) or p_is_const(b):
-        return lift({(): 1})
+        return lift({0: 1})
     common = p_vars(a) & p_vars(b)
     if not common:
-        return lift({(): 1})
+        return lift({0: 1})
     # trial divisions catch the frequent "one operand divides the other" case
     if len(b) <= len(a) and _zdiv_exact(a, b) is not None:
         return _zposlead(lift(b))
@@ -626,8 +733,8 @@ def _zgcd(a: ZPoly, b: ZPoly) -> ZPoly:
         ua, ub = ub, ua
     # subresultant sequence: divide each remainder by the known factor g*h^d
     # instead of recomputing multivariate contents at every step
-    g: ZPoly = {(): 1}
-    h: ZPoly = {(): 1}
+    g: ZPoly = {0: 1}
+    h: ZPoly = {0: 1}
     while max(ub) > 0:
         d = max(ua) - max(ub)
         r = _uv_prem(ua, ub)

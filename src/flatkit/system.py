@@ -265,7 +265,9 @@ def q_sequence(jets: OutputJets) -> list[Codistribution]:
 
     Each Q_j is an ordinary span of unnormalized, possibly dependent
     combinations (see `intersect_with_coordinates`): its rank is sampled,
-    and becomes exact once `is_integrable` has answered.
+    and becomes exact once `is_integrable` has answered.  A Q_j whose
+    covectors equal those of Q_(j-1) is that same object, so its rank,
+    coannihilator and brackets are built once.
     """
     sys, cand = jets.system, jets.candidate
     k1, k2 = cand.K
@@ -273,7 +275,10 @@ def q_sequence(jets: OutputJets) -> list[Codistribution]:
     out: list[Codistribution] = []
     for i in range(cand.d + 1):
         q = Codistribution(jets.chart, lad1[: k1 + i] + lad2[: k2 + i], sys.engine)
-        out.append(intersect_with_coordinates(q, sys.states))
+        q = intersect_with_coordinates(q, sys.states)
+        if out and q.covectors == out[-1].covectors:
+            q = out[-1]
+        out.append(q)
     return out
 
 

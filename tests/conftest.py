@@ -9,6 +9,7 @@ import pytest
 
 from flatkit import Chart, ControlAffineSystem, RankEngine, VectorField, field_from_dict
 from flatkit.fields import zero_field
+from flatkit.sympoly import mono_items, mono_set
 
 
 @dataclass(frozen=True)
@@ -139,3 +140,22 @@ def random_polynomial(chart: Chart, rng: random.Random, degree: int = 2):
 def random_field(chart: Chart, rng: random.Random, degree: int = 2) -> VectorField:
     comps = [random_polynomial(chart, rng, degree) for _ in chart.coordinates]
     return VectorField(chart, tuple(comps))
+
+
+def mono(exps) -> int:
+    """The packed monomial with exponent exps[i] on generator i, for
+    polynomials written out term by term (sympy's exponent tuples among
+    them)."""
+    m = 0
+    for i, e in enumerate(exps):
+        if e:
+            m = mono_set(m, i, e)
+    return m
+
+
+def exponents(m: int, n: int) -> tuple[int, ...]:
+    """The exponents of generators 0, ..., n - 1 in a packed monomial."""
+    out = [0] * n
+    for i, e in mono_items(m):
+        out[i] = e
+    return tuple(out)

@@ -16,6 +16,7 @@ import flatkit.system
 from flatkit import build_system, load_model, model_from_dict, prolonged_model, save_model
 from flatkit.cli import main
 from flatkit.errors import ModelFileError
+from flatkit.sympoly import MAX_EXP, SLOTS
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 DATA = Path(__file__).resolve().parent / "data"
@@ -544,6 +545,41 @@ def test_zero_denominator_in_model_is_input_error(tmp_path, capsys):
     assert code == 1
     assert report == {}
     assert "drift component for 'x': division by zero (at position 2)" in err
+
+
+def test_exponent_past_the_limit_in_output_is_input_error(capsys):
+    code, report, err = run_cli(
+        capsys, "verify", str(MODELS / "vtol.json"), "--output", "x^100000", "z"
+    )
+    assert code == 1
+    assert report == {}
+    assert f"output expression: an exponent passes the limit of {MAX_EXP} (at position 2)" in err
+
+
+def test_exponent_past_the_limit_in_model_is_input_error(tmp_path, capsys):
+    data = json.loads((MODELS / "vtol.json").read_text())
+    data["drift"][0] = "vx*x^100*x^100"
+    path = write_model(tmp_path, "power", data)
+    code, report, err = run_cli(capsys, "analyze", path)
+    assert code == 1
+    assert report == {}
+    assert "drift component for 'x': an exponent passes the limit" in err
+
+
+def test_chart_past_the_slots_is_input_error(tmp_path, capsys):
+    states = [f"x{i}" for i in range(SLOTS + 1)]
+    data = {
+        "name": "wide",
+        "states": states,
+        "inputs": ["u1", "u2"],
+        "drift": ["0"] * len(states),
+        "g1": ["1"] + ["0"] * SLOTS,
+        "g2": ["0", "1"] + ["0"] * (SLOTS - 1),
+    }
+    code, report, err = run_cli(capsys, "analyze", write_model(tmp_path, "wide", data))
+    assert code == 1
+    assert report == {}
+    assert f"error: a chart of {SLOTS + 1} generators passes the limit of {SLOTS}" in err
 
 
 @pytest.mark.parametrize("command", ["verify", "analyze", "prolong"])

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flatkit.errors import (
+    MonomialLimitError,
     ParseError,
     PoleError,
     PrimeDenominatorError,
@@ -33,7 +34,9 @@ from flatkit.expr import (
     transfer,
 )
 from flatkit.sample import PRIME, _residue, draw_admissible, draw_point, random_rational
-from flatkit.sympoly import _trim, p_add, p_const, p_mul, p_pow, p_var
+from flatkit.sympoly import SLOTS, mono_items, p_add, p_const, p_mul, p_pow, p_var
+
+from conftest import mono
 
 
 @pytest.fixture
@@ -85,6 +88,16 @@ def test_trig_pythagoras(chart):
     assert one.as_fraction() == 1
     e = chart.parse("cot(theta) * sin(theta)")
     assert e == chart.parse("cos(theta)")
+
+
+def test_chart_refuses_generators_past_the_slots():
+    names = [f"x{i}" for i in range(SLOTS)]
+    with pytest.raises(MonomialLimitError, match=f"{SLOTS + 1} generators"):
+        Chart(names + ["y"])
+    full = Chart(names[:-1])
+    with pytest.raises(MonomialLimitError):
+        full.trig_pair("x0")  # sin and cos need two slots, one is left
+    assert Chart(names[:-2]).trig_pair("x0") == (SLOTS - 2, SLOTS - 1)
 
 
 def test_sin_cubed_reduces(chart):
@@ -468,9 +481,8 @@ def _ring_poly(poly, images, R):
     total = R.zero
     for m, c in poly.items():
         term = R(c)
-        for i, e in enumerate(m):
-            if e:
-                term *= images[i] ** e
+        for i, e in mono_items(m):
+            term *= images[i] ** e
         total += term
     return total
 
@@ -511,7 +523,7 @@ def test_expr_canonical_form_matches_sympy(an, ad, bn, bd):
     for r, expected in [(a, fa)] + results:
         lc = expected.denom.LC
         for ours, theirs in ((r.num, expected.numer), (r.den, expected.denom)):
-            monic = {_trim(m): c / lc for m, c in theirs.items()}
+            monic = {mono(m): c / lc for m, c in theirs.items()}
             assert ours == {
                 m: Fraction(int(c.numerator), int(c.denominator)) for m, c in monic.items()
             }
@@ -545,11 +557,14 @@ def test_trig_expr_matches_circle_parameterization(an, ad, bn, bd):
     def lifted(e):
         """(N, D) in the ring with N/D the value of e: a monomial of sin/cos
         degree k carries 1/(1 + t^2)^k, cleared from num and den alike."""
-        top = max(sum(m[si:]) for m in (*e.num, *e.den))
+        def trig_degree(m):
+            return sum(k for i, k in mono_items(m) if i >= si)
+
+        top = max(trig_degree(m) for m in (*e.num, *e.den))
         return tuple(
             sum(
                 (
-                    _ring_poly({m: c}, images, K.ring) * (1 + T**2) ** (top - sum(m[si:]))
+                    _ring_poly({m: c}, images, K.ring) * (1 + T**2) ** (top - trig_degree(m))
                     for m, c in poly.items()
                 ),
                 K.ring.zero,

@@ -4,17 +4,22 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flatkit.linalg
 from flatkit import Chart, RankEngine, exact_rank, rank_at_point, right_nullspace
+from flatkit.cli import main
 from flatkit.errors import PrimeDenominatorError, SampleExhaustedError
 from flatkit.linalg import echelon, exact_independent_rows, left_nullspace, normalize_vector
 from flatkit.sample import PRIME, draw_admissible, draw_residues, modular_point
 
 from conftest import random_polynomial
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def random_matrix_of_rank(chart, rng, rows, cols, rank):
@@ -363,3 +368,20 @@ def test_constraints_vanishing_mod_p_force_a_redraw():
     # PRIME * a vanishes mod p everywhere: no admissible point exists.
     with pytest.raises(SampleExhaustedError):
         draw_residues(chart, random.Random(8), [a], [a * PRIME], tries=5)
+
+
+def test_no_zero_entry_reaches_the_evaluator(monkeypatch, capsys):
+    """The rank engine evaluates only nonzero entries; a zero has no pole
+    and no residue, so leaving it out draws the same points."""
+    evaluated = []
+    draw = flatkit.linalg.draw_residues
+
+    def recording(chart, rng, exprs, *args, **kw):
+        evaluated.extend(exprs)
+        return draw(chart, rng, exprs, *args, **kw)
+
+    monkeypatch.setattr(flatkit.linalg, "draw_residues", recording)
+    assert main(["analyze", str(MODELS / "vtol.json")]) == 0
+    capsys.readouterr()
+    assert evaluated and not any(e.is_zero() for e in evaluated)
+

@@ -11,10 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatkit import sympoly
+from flatkit.errors import MonomialLimitError
 from flatkit.sympoly import (
+    MAX_EXP,
+    SLOTS,
     _to_zz,
     _zdiv_exact,
     _zheu,
+    mono_degree,
+    mono_get,
+    mono_items,
+    mono_set,
     p_add,
     p_const,
     p_content,
@@ -31,7 +38,10 @@ from flatkit.sympoly import (
     p_sub,
     p_total_degree,
     p_var,
+    p_vars,
 )
+
+from conftest import exponents, mono
 
 
 def rand_poly(rng: random.Random, nvars: int = 3, terms: int = 4, deg: int = 3):
@@ -185,14 +195,14 @@ def test_gcd_matches_sympy_random():
 
     def to_sympy(p):
         return sympy.Poly.from_dict(
-            {m + (0,) * (5 - len(m)): sympy.Rational(c.numerator, c.denominator)
+            {exponents(m, 5): sympy.Rational(c.numerator, c.denominator)
              for m, c in p.items()},
             gens, domain="QQ",
         )
 
     def from_sympy(p):
         return p_primitive(
-            {sympoly._trim(m): Fraction(int(c.p), int(c.q)) for m, c in p.terms()}
+            {mono(m): Fraction(int(c.p), int(c.q)) for m, c in p.terms()}
         )
 
     rng = random.Random(23)
@@ -209,7 +219,7 @@ def test_gcd_matches_sympy_random():
 def _from_terms(terms):
     out = p_const(0)
     for c, exps in terms:
-        out = p_add(out, p_mul(p_const(c), {sympoly._trim(exps): Fraction(1)}))
+        out = p_add(out, p_mul(p_const(c), {mono(exps): Fraction(1)}))
     return out
 
 
@@ -239,7 +249,7 @@ def test_exact_division_matches_sympy(a, b, c):
     R, *_ = sympy.ring("x0:3", sympy.QQ, sympy.grlex)
 
     def to_ring(p):
-        return R({m + (0,) * (3 - len(m)): c for m, c in p.items()})
+        return R({exponents(m, 3): c for m, c in p.items()})
 
     if p_is_zero(b):
         return
@@ -264,7 +274,7 @@ def test_integer_division_matches_sympy(a, b, c, k):
     R, *_ = sympy.ring("x0:3", sympy.ZZ, sympy.grlex)
 
     def to_ring(p):
-        return R({m + (0,) * (3 - len(m)): c for m, c in p.items()})
+        return R({exponents(m, 3): c for m, c in p.items()})
 
     if p_is_zero(b):
         return
@@ -298,7 +308,7 @@ def test_integer_division_cases_match_sympy(num, den, over_q):
     n, d = (R(eval(text, {"x": x, "y": y})) for text in (num, den))
 
     def ours(p):
-        return {sympoly._trim(m): int(c) for m, c in p.terms()}
+        return {mono(m): int(c) for m, c in p.terms()}
 
     q, r = n.div(d)
     got = _zdiv_exact(ours(n), ours(d))
@@ -364,7 +374,7 @@ _coeffs = st.one_of(
 
 _mixed_polys = st.lists(
     st.tuples(_coeffs, st.tuples(*[st.integers(0, 2)] * 3)), max_size=4
-).map(lambda terms: {sympoly._trim(exps): c for c, exps in terms if c})
+).map(lambda terms: {mono(exps): c for c, exps in terms if c})
 
 
 def _is_coeff(c) -> bool:
@@ -412,3 +422,88 @@ def test_coefficients_are_int_or_fraction(a, b, s, n, i):
             assert all(_is_stored(c) for c in got.values())
     content = p_content(a)
     assert content == p_content(fa) and _is_stored(content)
+
+
+# -- the packed monomial format -----------------------------------------------------
+
+_exponent_vectors = st.lists(st.integers(0, MAX_EXP), max_size=SLOTS)
+
+
+def _tuple_key(exps):
+    """The graded-lex key of the tuple format the packed ints replaced:
+    (total degree, exponent tuple with trailing zeros trimmed)."""
+    exps = list(exps)
+    while exps and exps[-1] == 0:
+        exps.pop()
+    return (sum(exps), tuple(exps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponent_vectors, _exponent_vectors)
+def test_packed_order_is_the_tuple_order(a, b):
+    ma, mb = mono(a), mono(b)
+    assert (ma < mb) == (_tuple_key(a) < _tuple_key(b))
+    assert (ma == mb) == (_tuple_key(a) == _tuple_key(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exponent_vectors)
+def test_encoding_then_decoding_gives_the_exponents_back(exps):
+    m = mono(exps)
+    assert exponents(m, len(exps)) == tuple(exps)
+    assert mono_items(m) == [(i, e) for i, e in enumerate(exps) if e]
+    assert mono_degree(m) == sum(exps)
+    assert all(mono_get(m, i) == e for i, e in enumerate(exps))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exponent_vectors, st.integers(0, SLOTS - 1), st.integers(0, MAX_EXP))
+def test_mono_set_touches_one_field(exps, i, e):
+    dense = list(exps) + [0] * (SLOTS - len(exps))
+    dense[i] = e
+    assert mono_set(mono(exps), i, e) == mono(dense)
+
+
+def test_products_up_to_the_limit_carry_into_no_other_field():
+    top = p_pow(p_var(SLOTS - 1), MAX_EXP)
+    full = p_mul(top, p_pow(p_var(0), MAX_EXP))
+    (m,) = full
+    assert mono_items(m) == [(0, MAX_EXP), (SLOTS - 1, MAX_EXP)]
+    assert p_div_exact(full, top) == p_pow(p_var(0), MAX_EXP)
+    assert p_vars(full) == {0, SLOTS - 1}
+
+
+def test_exponent_overflow_raises():
+    x, y = p_var(0), p_var(SLOTS - 1)
+    with pytest.raises(MonomialLimitError, match=str(MAX_EXP)):
+        p_pow(x, MAX_EXP + 1)
+    with pytest.raises(MonomialLimitError):
+        p_pow(p_add(x, y), 100_000)
+    with pytest.raises(MonomialLimitError):
+        p_mul(p_pow(y, MAX_EXP), p_add(y, p_const(1)))
+    with pytest.raises(MonomialLimitError):
+        mono_set(0, 3, MAX_EXP + 1)
+
+
+def test_generators_past_the_slots_are_refused():
+    with pytest.raises(MonomialLimitError, match=str(SLOTS)):
+        p_var(SLOTS)
+    with pytest.raises(MonomialLimitError):
+        mono_get(0, SLOTS)
+
+
+def test_division_past_the_limit_fails_cleanly():
+    # the remainder of x^100*y^100 / (x + y^2) climbs to x^150: the walk
+    # meets exponents past MAX_EXP and reports the inexact division
+    x, y = p_var(0), p_var(1)
+    b = p_add(x, p_pow(y, 2))
+    assert p_div_exact(p_mul(p_pow(x, 100), p_pow(y, 100)), b) is None
+    q = p_mul(p_pow(x, 60), p_pow(y, 60))
+    assert p_div_exact(p_mul(q, b), b) == q
+
+
+def test_generators_in_the_order_the_monomials_meet_them():
+    x, y, z = p_var(0), p_var(1), p_var(2)
+    # y^2 then y*z: y's field changes bits, and is still not new
+    a = {next(iter(p_pow(y, 2))): 1, next(iter(p_mul(y, z))): 1}
+    assert sympoly.p_vars_in_order(a, p_add(x, z)) == [1, 2, 0]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import flatkit.distributions
 import flatkit.system
 from flatkit import (
     Chart,
@@ -328,6 +329,26 @@ def test_sampled_q_rank_is_checked_by_its_coannihilator(example1, monkeypatch):
     assert q.rank == sys.n - 1
     with pytest.raises(RankDisagreementError):
         q.is_integrable()
+
+
+def test_repeated_q_is_decided_once(monkeypatch):
+    """On the pinned vtol pitch question Q_2 has the covectors of Q_1, so it
+    is the same object, and only Q_0 and Q_1 build a coannihilator."""
+    sys = build_system(load_model(MODELS / "vtol.json"))
+    phi = (sys.chart.parse("theta"), sys.chart.parse("x*cos(theta)/sin(theta) + z"))
+    jets = output_jets(sys, phi)
+    builds = []
+    nullspace = flatkit.distributions.right_nullspace
+    monkeypatch.setattr(
+        flatkit.distributions,
+        "right_nullspace",
+        lambda *args, **kw: builds.append(args) or nullspace(*args, **kw),
+    )
+    res = sfe_gtf_test(jets)
+    q0, q1, q2 = res.codistributions
+    assert q2 is q1 and q1 is not q0
+    assert [r.rank for r in res.reports] == [4, 5, 5]
+    assert len(builds) == 2
 
 
 def _assert_triangular(sys, output, K, d, ranks):
