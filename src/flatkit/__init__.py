@@ -1,57 +1,25 @@
-"""Exact symbolic flatness analysis for two-input control-affine systems."""
+"""Exact symbolic flatness analysis for two-input control-affine systems.
 
-from __future__ import annotations
+The package exports what the `flatkit analyze | verify | prolong` commands
+call, so that a program can run them in-process:
 
+- models: `load_model`, `model_from_dict`, `save_model`, `ModelFile`,
+  `build_system`, `prolonged_model`;
+- systems: `ControlAffineSystem`, `prolong`;
+- analyze: `run_algorithm1`, `run_algorithm2`, `extract_candidates`;
+- verify: `output_jets`, `verify_flat_output`, `sfe_gtf_test`;
+- errors: `FlatkitError`, the base of every error the toolkit raises, and
+  `ModelFileError`, an unreadable or invalid input.
+
+Everything else (expressions, fields, distributions, the rank engine, the
+polynomial kernel) is imported from its submodule, as the tests do.
+"""
+
+# defined before any submodule import: cli imports it from the package
 __version__ = "0.1.0"
 
-from .algorithms import (
-    Branch,
-    BranchTree,
-    CandidatePair,
-    LeafCandidates,
-    QuadraticForm,
-    StepRecord,
-    extract_candidates,
-    run_algorithm1,
-    run_algorithm2,
-)
-from .distributions import (
-    Codistribution,
-    Distribution,
-    FirstIntegralsResult,
-    cauchy_characteristic,
-    derived_step,
-    first_integrals,
-    intersect,
-    intersect_with_coordinates,
-    involutive_closure,
-    span,
-    sum_spans,
-)
-from .expr import (
-    Chart,
-    Expr,
-    antiderivative,
-    differentiate,
-    eval_at,
-    eval_float,
-    substitute,
-    transfer,
-)
-from .fields import (
-    CovectorField,
-    VectorField,
-    coordinate_covector,
-    coordinate_field,
-    differential,
-    field_from_dict,
-    lie_bracket,
-    lie_derivative,
-    pair,
-    transfer_field,
-    zero_field,
-)
-from .linalg import RankEngine, exact_rank, rank_at_point, right_nullspace
+from .algorithms import extract_candidates, run_algorithm1, run_algorithm2
+from .errors import FlatkitError, ModelFileError
 from .modelfile import (
     ModelFile,
     build_system,
@@ -60,92 +28,30 @@ from .modelfile import (
     prolonged_model,
     save_model,
 )
-from .parser import parse
-from .sample import SamplePoint, draw_admissible, draw_point
 from .system import (
     ControlAffineSystem,
-    FlatCandidate,
-    FlatVerdict,
-    OutputJets,
-    QReport,
-    SfeGtfResult,
-    apply_static_feedback,
-    candidate,
-    flat_indices,
     output_jets,
     prolong,
-    q_sequence,
     sfe_gtf_test,
     verify_flat_output,
 )
 
 __all__ = [
-    "Branch",
-    "BranchTree",
-    "CandidatePair",
-    "Chart",
-    "Codistribution",
-    "ControlAffineSystem",
-    "CovectorField",
-    "Distribution",
-    "Expr",
-    "LeafCandidates",
+    "__version__",
+    "FlatkitError",
+    "ModelFileError",
     "ModelFile",
-    "OutputJets",
-    "QuadraticForm",
-    "StepRecord",
-    "FirstIntegralsResult",
-    "FlatCandidate",
-    "FlatVerdict",
-    "QReport",
-    "RankEngine",
-    "SamplePoint",
-    "SfeGtfResult",
-    "VectorField",
-    "apply_static_feedback",
-    "build_system",
-    "candidate",
-    "antiderivative",
-    "cauchy_characteristic",
-    "coordinate_covector",
-    "coordinate_field",
-    "derived_step",
-    "differential",
-    "differentiate",
-    "draw_admissible",
-    "draw_point",
-    "eval_at",
-    "eval_float",
-    "exact_rank",
-    "extract_candidates",
-    "field_from_dict",
-    "first_integrals",
-    "flat_indices",
-    "intersect",
-    "intersect_with_coordinates",
-    "involutive_closure",
-    "lie_bracket",
-    "lie_derivative",
     "load_model",
     "model_from_dict",
-    "output_jets",
-    "pair",
-    "parse",
-    "prolong",
-    "prolonged_model",
-    "q_sequence",
-    "rank_at_point",
     "save_model",
-    "right_nullspace",
+    "build_system",
+    "prolonged_model",
+    "ControlAffineSystem",
+    "prolong",
     "run_algorithm1",
     "run_algorithm2",
-    "sfe_gtf_test",
-    "span",
-    "substitute",
-    "sum_spans",
-    "transfer",
-    "transfer_field",
+    "extract_candidates",
+    "output_jets",
     "verify_flat_output",
-    "zero_field",
-    "__version__",
+    "sfe_gtf_test",
 ]

@@ -1,9 +1,14 @@
 """Command line: analyze / verify / prolong on JSON model files.
 
 Reports are JSON with sorted keys and no volatile fields, so identical inputs
-and seed produce identical bytes.  Exit codes: 0 success or positive verdict,
-1 unreadable or invalid input, 2 internal diagnostic (the sequence stalled on
-every branch), 3 negative verdict.
+and seed produce identical bytes.  Exit codes:
+
+  0  success or positive verdict;
+  1  unreadable or invalid input, an input too large for the polynomial
+     kernel (MonomialLimitError), or an OS error such as an unwritable path;
+  2  internal fault: the sequence stalled on every branch, the sampled and
+     exact ranks disagree (RankDisagreementError), or any other error;
+  3  negative verdict.
 """
 
 from __future__ import annotations
@@ -31,8 +36,6 @@ from .errors import (
 from .modelfile import build_system, load_model, prolonged_model, save_model
 from .system import output_jets, prolong, sfe_gtf_test, verify_flat_output
 
-__all__ = ["cmd_analyze", "cmd_prolong", "cmd_verify", "main"]
-
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INTERNAL = 2
@@ -40,11 +43,12 @@ EXIT_NEGATIVE = 3
 
 
 def _emit(report: dict, json_path: Optional[str]) -> None:
+    # the file first: a failed write exits 1 with nothing on stdout
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
     if json_path:
         with open(json_path, "w") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _branch_payload(tree: BranchTree) -> list[dict]:

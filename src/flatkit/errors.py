@@ -104,10 +104,6 @@ CANDIDATE_ERRORS = (
 )
 
 
-class InputTransformError(FlatkitError):
-    """A static-feedback matrix is singular."""
-
-
 class AssumptionViolationError(FlatkitError):
     """A named precondition of a lemma or algorithm step fails."""
 

@@ -47,7 +47,6 @@ A third slot keeps the F_p evaluation program that `sample` decodes once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
@@ -624,36 +623,6 @@ def _eval_poly(poly: Poly, point) -> Fraction:
             term *= point.value(i) ** ee
         total += term
     return total
-
-
-def eval_float(e: Expr, base_values: dict[str, float]) -> float:
-    """Float shadow evaluation from base-symbol values.
-
-    Trig extension generators take their real values sin(theta), cos(theta),
-    unlike exact sample points, which assign independent circle coordinates.
-    """
-
-    def gen_value(idx: int) -> float:
-        info = e.chart.gen_info(idx)
-        if info.kind == "base":
-            return base_values[info.name]
-        if info.kind == "sin":
-            return math.sin(base_values[info.base])
-        return math.cos(base_values[info.base])
-
-    def poly_value(poly: Poly) -> float:
-        total = 0.0
-        for m, c in poly.items():
-            term = float(c)
-            for i, ee in mono_items(m):
-                term *= gen_value(i) ** ee
-            total += term
-        return total
-
-    den = poly_value(e.den)
-    if abs(den) < 1e-300:
-        raise PoleError(_render_poly(e.chart, e.den))
-    return poly_value(e.num) / den
 
 
 # -- substitution and transfer --------------------------------------------------

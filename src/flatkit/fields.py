@@ -114,35 +114,6 @@ def zero_field(chart: Chart) -> VectorField:
     return VectorField(chart, tuple(chart.zero for _ in chart.coordinates))
 
 
-def coordinate_field(chart: Chart, name: str) -> VectorField:
-    """The unit field d/d(name)."""
-    idx = chart.coordinates.index(name)
-    comps = [chart.zero] * chart.dim
-    comps[idx] = chart.one
-    return VectorField(chart, tuple(comps))
-
-
-def coordinate_covector(chart: Chart, name: str) -> CovectorField:
-    """The coordinate differential d(name)."""
-    idx = chart.coordinates.index(name)
-    comps = [chart.zero] * chart.dim
-    comps[idx] = chart.one
-    return CovectorField(chart, tuple(comps))
-
-
-def field_from_dict(chart: Chart, entries: dict[str, Expr | str | int]) -> VectorField:
-    comps = [chart.zero] * chart.dim
-    for name, value in entries.items():
-        idx = chart.coordinates.index(name)
-        if isinstance(value, str):
-            comps[idx] = chart.parse(value)
-        elif isinstance(value, Expr):
-            comps[idx] = value
-        else:
-            comps[idx] = chart.const(value)
-    return VectorField(chart, tuple(comps))
-
-
 def pair(omega: CovectorField, v: VectorField) -> Expr:
     """The pointwise pairing <omega, v>."""
     if omega.chart is not v.chart:

@@ -18,16 +18,8 @@ from .errors import ModelFileError, ParseError, UnknownSymbolError
 from .expr import Chart, Expr
 from .fields import VectorField
 from .linalg import RankEngine
+from .parser import parse
 from .system import ControlAffineSystem, prolong
-
-__all__ = [
-    "ModelFile",
-    "build_system",
-    "load_model",
-    "model_from_dict",
-    "prolonged_model",
-    "save_model",
-]
 
 _REQUIRED = ("name", "states", "inputs", "drift", "g1", "g2")
 _OPTIONAL = ("parameters", "flat_output", "constraints")
@@ -151,7 +143,7 @@ def _parse_field(
     out = []
     for name, text in zip(names, comps):
         try:
-            out.append(chart.parse(text))
+            out.append(parse(chart, text))
         except (ParseError, UnknownSymbolError) as err:
             raise ModelFileError(
                 f"{source}: {label} component for '{name}': {err}"
@@ -170,7 +162,7 @@ def _parse_all(model: ModelFile, source: str) -> tuple[Chart, VectorField, Vecto
     cons = []
     for text in model.constraints:
         try:
-            con = chart.parse(text)
+            con = parse(chart, text)
         except (ParseError, UnknownSymbolError) as err:
             raise ModelFileError(f"{source}: constraint '{text}': {err}") from err
         # no sample point keeps a zero constraint nonzero
@@ -180,7 +172,7 @@ def _parse_all(model: ModelFile, source: str) -> tuple[Chart, VectorField, Vecto
     if model.flat_output is not None:
         for text in model.flat_output:
             try:
-                chart.parse(text)
+                parse(chart, text)
             except (ParseError, UnknownSymbolError) as err:
                 raise ModelFileError(
                     f"{source}: flat_output '{text}': {err}"

@@ -6,8 +6,8 @@ Everything here works on the closed chain
     -> codistribution sequence Q on the input-jet chart
     -> triangular-form equivalence / flat-output verification,
 
-plus the structural operations feeding it: static feedback and input
-prolongation.  `sfe_gtf_test` is the triangular-form test.
+plus input prolongation, the structural operation feeding it.
+`sfe_gtf_test` is the triangular-form test.
 
 The input-jet space is a prolongation: `prolong` and `output_jets` build
 their charts and drifts with one chain builder that integrates each input
@@ -31,7 +31,6 @@ from .distributions import Codistribution, intersect_with_coordinates, span
 from .errors import (
     ChartMismatchError,
     DependentDifferentialsError,
-    InputTransformError,
     InvalidIndicesError,
     UnboundedRelativeDegreeError,
 )
@@ -198,26 +197,6 @@ def candidate(sys: ControlAffineSystem, phi: PhiPair) -> FlatCandidate:
     ladders = (_ladder(sys, phi1, 1), _ladder(sys, phi2, 2))
     R, d = flat_indices(sys.n, (len(ladders[0]), len(ladders[1])))
     return FlatCandidate(ladders, R, d)
-
-
-# --- static feedback ---------------------------------------------------------
-
-
-def apply_static_feedback(
-    sys: ControlAffineSystem,
-    alpha: Sequence[Expr],
-    beta: Sequence[Sequence[Expr]],
-) -> ControlAffineSystem:
-    """Replace u by alpha(x) + beta(x) v for an invertible matrix beta."""
-    det = beta[0][0] * beta[1][1] - beta[0][1] * beta[1][0]
-    if det.is_zero():
-        raise InputTransformError("feedback matrix is singular")
-    f = sys.f + sys.g1.scale(alpha[0]) + sys.g2.scale(alpha[1])
-    g1 = sys.g1.scale(beta[0][0]) + sys.g2.scale(beta[1][0])
-    g2 = sys.g1.scale(beta[0][1]) + sys.g2.scale(beta[1][1])
-    return ControlAffineSystem(
-        sys.chart, sys.inputs, f, g1, g2, sys.engine, sys.name
-    )
 
 
 # --- the codistribution sequence ---------------------------------------------

@@ -1,15 +1,85 @@
-"""Shared fixtures: the worked example systems and seeded rank engines."""
+"""Shared fixtures and helpers: the worked example systems, seeded rank
+engines, field constructors and the static-feedback transformation the
+invariance tests apply."""
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 import pytest
+from hypothesis import settings
 
-from flatkit import Chart, ControlAffineSystem, RankEngine, VectorField, field_from_dict
-from flatkit.fields import zero_field
+from flatkit.expr import Chart, Expr
+from flatkit.fields import CovectorField, VectorField, zero_field
+from flatkit.linalg import RankEngine
 from flatkit.sympoly import mono_items, mono_set
+from flatkit.system import ControlAffineSystem
+
+# Every property test draws the same examples on every run, so the tier-1
+# time does not depend on which examples hypothesis happens to pick; each
+# test sets its own max_examples.
+settings.register_profile("flatkit", derandomize=True, deadline=None)
+settings.load_profile("flatkit")
+
+
+def coordinate_field(chart: Chart, name: str) -> VectorField:
+    """The unit field d/d(name)."""
+    comps = [chart.zero] * chart.dim
+    comps[chart.coordinates.index(name)] = chart.one
+    return VectorField(chart, tuple(comps))
+
+
+def coordinate_covector(chart: Chart, name: str) -> CovectorField:
+    """The coordinate differential d(name)."""
+    comps = [chart.zero] * chart.dim
+    comps[chart.coordinates.index(name)] = chart.one
+    return CovectorField(chart, tuple(comps))
+
+
+def field_from_dict(chart: Chart, entries: dict[str, Expr | str | int]) -> VectorField:
+    """The field with the given components (parsed text, Expr or integer);
+    every other component is zero."""
+    comps = [chart.zero] * chart.dim
+    for name, value in entries.items():
+        if isinstance(value, str):
+            value = chart.parse(value)
+        elif not isinstance(value, Expr):
+            value = chart.const(value)
+        comps[chart.coordinates.index(name)] = value
+    return VectorField(chart, tuple(comps))
+
+
+@functools.lru_cache(maxsize=None)
+def _sympy_function(text: str, names: tuple[str, ...]):
+    sympy = pytest.importorskip("sympy")
+    symbols = [sympy.Symbol(n) for n in names]
+    parsed = sympy.sympify(text.replace("^", "**"), locals=dict(zip(names, symbols)))
+    return sympy.lambdify(symbols, parsed, "math")
+
+
+def sympy_value(e: Expr, values: dict[str, float]) -> float:
+    """e at real values of its base symbols (sin and cos of an angle take
+    their real values), evaluated by sympy from the rendered text, so the
+    reference shares no arithmetic with flatkit."""
+    return float(_sympy_function(e.render(), tuple(values))(*values.values()))
+
+
+def apply_static_feedback(
+    sys: ControlAffineSystem,
+    alpha: Sequence[Expr],
+    beta: Sequence[Sequence[Expr]],
+) -> ControlAffineSystem:
+    """Replace u by alpha(x) + beta(x) v for an invertible matrix beta."""
+    det = beta[0][0] * beta[1][1] - beta[0][1] * beta[1][0]
+    if det.is_zero():
+        raise ValueError("feedback matrix is singular")
+    f = sys.f + sys.g1.scale(alpha[0]) + sys.g2.scale(alpha[1])
+    g1 = sys.g1.scale(beta[0][0]) + sys.g2.scale(beta[1][0])
+    g2 = sys.g1.scale(beta[0][1]) + sys.g2.scale(beta[1][1])
+    return ControlAffineSystem(sys.chart, sys.inputs, f, g1, g2, sys.engine, sys.name)
 
 
 @dataclass(frozen=True)

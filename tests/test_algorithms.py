@@ -9,27 +9,15 @@ import random
 
 import pytest
 
-from flatkit import (
-    Chart,
-    Codistribution,
-    ControlAffineSystem,
-    RankEngine,
-    apply_static_feedback,
-    cauchy_characteristic,
-    differential,
-    extract_candidates,
-    field_from_dict,
-    lie_bracket,
-    run_algorithm1,
-    run_algorithm2,
-    span,
-    sum_spans,
-)
+from flatkit import ControlAffineSystem, extract_candidates, run_algorithm1, run_algorithm2
 from flatkit.algorithms import _expr_sqrt, _lemma1_window, _solve_membership
+from flatkit.distributions import Codistribution, cauchy_characteristic, span, sum_spans
 from flatkit.errors import AssumptionViolationError
-from flatkit.fields import CovectorField, coordinate_field, zero_field
+from flatkit.expr import Chart
+from flatkit.fields import CovectorField, differential, lie_bracket, zero_field
+from flatkit.linalg import RankEngine
 
-from conftest import as_system
+from conftest import apply_static_feedback, as_system, coordinate_field, field_from_dict
 
 
 def _covspan(sys: ControlAffineSystem, names: list[str]) -> Codistribution:

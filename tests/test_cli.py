@@ -225,6 +225,15 @@ def test_analyze_writes_json_copy(tmp_path, capsys):
     assert json.loads(out.read_text()) == report
 
 
+def test_analyze_failed_json_write_prints_no_report(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "report.json"
+    code = main(["analyze", str(MODELS / "example3.json"), "--json", str(out)])
+    stdout, err = capsys.readouterr()
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and "report.json" in err
+
+
 def test_analyze_report_determinism(tmp_path, capsys):
     args = ("analyze", str(MODELS / "vtol.json"), "--seed", "5")
     first = tmp_path / "a.json"

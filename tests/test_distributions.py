@@ -6,32 +6,25 @@ import random
 
 import pytest
 
-from flatkit import (
-    Chart,
+from flatkit.distributions import (
     Codistribution,
-    CovectorField,
-    RankEngine,
     cauchy_characteristic,
-    coordinate_covector,
-    coordinate_field,
     derived_step,
-    differential,
     first_integrals,
     intersect,
     intersect_with_coordinates,
     involutive_closure,
-    lie_bracket,
-    parse,
     span,
     sum_spans,
 )
-from flatkit import VectorField
 from flatkit import distributions
 from flatkit.errors import NotIntegrableError, RankDisagreementError, ZeroDenominatorError
-from flatkit.fields import covectors_matrix
-from flatkit.linalg import echelon, normalize_vector, right_nullspace
+from flatkit.expr import Chart
+from flatkit.fields import CovectorField, VectorField, covectors_matrix, differential, lie_bracket
+from flatkit.linalg import RankEngine, echelon, normalize_vector, right_nullspace
+from flatkit.parser import parse
 
-from conftest import random_polynomial
+from conftest import coordinate_covector, coordinate_field, random_polynomial
 
 
 def input_ladder(plant, steps):

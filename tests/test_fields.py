@@ -6,25 +6,28 @@ import random
 
 import pytest
 
-from flatkit import (
-    Chart,
-    coordinate_covector,
-    coordinate_field,
+from flatkit import fields
+from flatkit.errors import ChartMismatchError
+from flatkit.expr import Chart, differentiate
+from flatkit.fields import (
+    CovectorField,
+    VectorField,
     differential,
-    differentiate,
-    eval_float,
-    field_from_dict,
     lie_bracket,
     lie_derivative,
     pair,
     transfer_field,
     zero_field,
 )
-from flatkit import fields
-from flatkit.errors import ChartMismatchError
-from flatkit.fields import CovectorField, VectorField
 
-from conftest import random_field, random_polynomial
+from conftest import (
+    coordinate_covector,
+    coordinate_field,
+    field_from_dict,
+    random_field,
+    random_polynomial,
+    sympy_value,
+)
 
 
 def numeric_bracket(v, w, values, h=1e-5):
@@ -38,10 +41,10 @@ def numeric_bracket(v, w, values, h=1e-5):
             dn = dict(values)
             up[nj] += h
             dn[nj] -= h
-            dw = (eval_float(w.components[i], up) - eval_float(w.components[i], dn)) / (2 * h)
-            dv = (eval_float(v.components[i], up) - eval_float(v.components[i], dn)) / (2 * h)
-            total += eval_float(v.components[j], values) * dw
-            total -= eval_float(w.components[j], values) * dv
+            dw = (sympy_value(w.components[i], up) - sympy_value(w.components[i], dn)) / (2 * h)
+            dv = (sympy_value(v.components[i], up) - sympy_value(v.components[i], dn)) / (2 * h)
+            total += sympy_value(v.components[j], values) * dw
+            total -= sympy_value(w.components[j], values) * dv
         out.append(total)
     return out
 
@@ -89,7 +92,7 @@ def test_seven_state_bracket_against_finite_differences(seven_state, rng):
     values = {name: rng.uniform(-2, 2) for name in seven_state.chart.coordinates}
     approx = numeric_bracket(seven_state.f, seven_state.g1, values)
     for comp, num in zip(sym.components, approx):
-        assert abs(eval_float(comp, values) - num) < 1e-4
+        assert abs(sympy_value(comp, values) - num) < 1e-4
 
 
 def test_drift_bracket_with_last_coordinate_direction(seven_state):

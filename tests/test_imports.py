@@ -1,18 +1,26 @@
-"""Every module-level import of a flatkit module is used by that module,
-every public top-level function and class is used somewhere in `src/`, and
-so is every private top-level function, class and constant.
+"""The package exports exactly what the command line calls; every
+module-level import of a flatkit module is used by that module, every public
+top-level function and class is used somewhere in `src/`, and so is every
+private top-level function, class and constant.
 
-`__init__.py` is left out: its imports are the package's re-exports.
+`__init__.py` is left out of the usage checks: its imports are the package's
+re-exports.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "flatkit"
+import flatkit
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "flatkit"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -80,16 +88,74 @@ def test_unused_import_finder():
     assert unused_imports(source) == ["Sequence", "c", "os"]
 
 
-# Public names that no code in src/ uses, each kept for a reason.
+# What a program needs to run analyze, verify and prolong in-process.
+PUBLIC = [
+    "__version__",
+    "FlatkitError",
+    "ModelFileError",
+    "ModelFile",
+    "load_model",
+    "model_from_dict",
+    "save_model",
+    "build_system",
+    "prolonged_model",
+    "ControlAffineSystem",
+    "prolong",
+    "run_algorithm1",
+    "run_algorithm2",
+    "extract_candidates",
+    "output_jets",
+    "verify_flat_output",
+    "sfe_gtf_test",
+]
+
+
+def test_package_exports_the_command_surface():
+    assert flatkit.__all__ == PUBLIC
+    exec("from flatkit import *", {})  # every listed name exists
+    # nothing else is defined or re-exported; the submodules are attributes
+    # of the package once imported
+    own = {
+        n
+        for n, v in vars(flatkit).items()
+        if not n.startswith("__") and not isinstance(v, types.ModuleType)
+    }
+    assert own | {"__version__"} == set(PUBLIC)
+
+
+# Public names that no code in src/ uses.  Only names the benchmark's tracer
+# resolves may stay, until the benchmark stops resolving them (ROADMAP item 4).
 UNREFERENCED_ALLOWED = {
-    "eval_float": "float reference that the finite-difference tests compare against",
-    "coordinate_field": "constructor in the public field API",
-    "coordinate_covector": "constructor in the public field API",
-    "field_from_dict": "constructor in the public field API",
-    "apply_static_feedback": "the transformation the invariance tests apply",
     "rank_at_point": "resolved by flatbench/tracer.py; ROADMAP item 4 retires it",
     "draw_admissible": "resolved by flatbench/tracer.py; ROADMAP item 4 retires it",
 }
+
+
+def tracer_constants() -> dict[str, tuple]:
+    """The module-level tuple constants of flatbench/tracer.py, read from its
+    source without importing it."""
+    tree = ast.parse((ROOT / "flatbench" / "tracer.py").read_text())
+    return {
+        t.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+        for t in node.targets
+        if isinstance(t, ast.Name)
+    }
+
+
+def test_allowlist_holds_only_traced_names():
+    consts = tracer_constants()
+    traced = consts["TIMED"] + consts["SECONDS_ONLY"] + consts["CALLS_ONLY"]
+    assert set(UNREFERENCED_ALLOWED) <= {name.rsplit(".", 1)[-1] for name in traced}
+
+
+def test_cli_import_loads_every_traced_layer():
+    # the tracer wraps the modules the command line has loaded
+    code = "import sys, flatkit.cli; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    loaded = set(proc.stdout.split())
+    assert {f"flatkit.{m}" for m in tracer_constants()["LAYERS"]} <= loaded
 
 
 def _private_constants(stmt: ast.stmt) -> list[str]:

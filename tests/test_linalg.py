@@ -11,10 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flatkit.linalg
-from flatkit import Chart, RankEngine, exact_rank, rank_at_point, right_nullspace
 from flatkit.cli import main
 from flatkit.errors import PrimeDenominatorError, SampleExhaustedError
-from flatkit.linalg import echelon, exact_independent_rows, left_nullspace, normalize_vector
+from flatkit.expr import Chart
+from flatkit.linalg import (
+    RankEngine,
+    echelon,
+    exact_independent_rows,
+    exact_rank,
+    left_nullspace,
+    normalize_vector,
+    rank_at_point,
+    right_nullspace,
+)
 from flatkit.sample import PRIME, draw_admissible, draw_residues, modular_point
 
 from conftest import random_polynomial
@@ -273,7 +282,7 @@ def exact_greedy(matrix, chart):
     return chosen
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(structured_matrices(), st.integers(0, 2**32))
 def test_modular_rank_matches_exact_and_sympy(factors, seed):
     chart = Chart(["a", "b", "t"])
@@ -284,7 +293,7 @@ def test_modular_rank_matches_exact_and_sympy(factors, seed):
     assert sympy_rank(matrix) == exact
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(structured_matrices(), st.integers(0, 2**32))
 def test_modular_greedy_rows_match_exact_greedy(factors, seed):
     chart = Chart(["a", "b", "t"])
@@ -293,7 +302,7 @@ def test_modular_greedy_rows_match_exact_greedy(factors, seed):
     assert engine.independent_rows(matrix, chart) == exact_greedy(matrix, chart)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(structured_matrices())
 def test_exact_independent_rows_match_exact_greedy(factors):
     chart = Chart(["a", "b", "t"])

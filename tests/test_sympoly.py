@@ -232,7 +232,7 @@ _polys = st.lists(
 ).map(_from_terms)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_polys, _polys, _polys)
 def test_gcd_heuristic_agrees_with_prs(a, b, c):
     a, b = p_mul(a, c), p_mul(b, c)
@@ -242,7 +242,7 @@ def test_gcd_heuristic_agrees_with_prs(a, b, c):
         assert p_div_exact(g, p_primitive(c)) is not None
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(_polys, _polys, _polys)
 def test_exact_division_matches_sympy(a, b, c):
     sympy = pytest.importorskip("sympy")
@@ -267,7 +267,7 @@ def test_exact_division_matches_sympy(a, b, c):
 _zpolys = _polys.map(lambda p: {m: int(c) for m, c in p.items() if int(c)})
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(_zpolys, _zpolys, _zpolys, st.integers(2, 6))
 def test_integer_division_matches_sympy(a, b, c, k):
     sympy = pytest.importorskip("sympy")
@@ -390,7 +390,7 @@ def _as_fractions(p):
     return {m: Fraction(c) for m, c in p.items()}
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(_mixed_polys, _mixed_polys, _coeffs, st.integers(0, 3), st.integers(0, 2))
 def test_coefficients_are_int_or_fraction(a, b, s, n, i):
     fa, fb, fs = _as_fractions(a), _as_fractions(b), Fraction(s)
@@ -438,7 +438,7 @@ def _tuple_key(exps):
     return (sum(exps), tuple(exps))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_exponent_vectors, _exponent_vectors)
 def test_packed_order_is_the_tuple_order(a, b):
     ma, mb = mono(a), mono(b)
@@ -446,7 +446,7 @@ def test_packed_order_is_the_tuple_order(a, b):
     assert (ma == mb) == (_tuple_key(a) == _tuple_key(b))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_exponent_vectors)
 def test_encoding_then_decoding_gives_the_exponents_back(exps):
     m = mono(exps)
@@ -456,7 +456,7 @@ def test_encoding_then_decoding_gives_the_exponents_back(exps):
     assert all(mono_get(m, i) == e for i, e in enumerate(exps))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(_exponent_vectors, st.integers(0, SLOTS - 1), st.integers(0, MAX_EXP))
 def test_mono_set_touches_one_field(exps, i, e):
     dense = list(exps) + [0] * (SLOTS - len(exps))

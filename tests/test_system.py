@@ -11,35 +11,28 @@ import pytest
 import flatkit.distributions
 import flatkit.system
 from flatkit import (
-    Chart,
-    Codistribution,
     ControlAffineSystem,
-    RankEngine,
-    apply_static_feedback,
     build_system,
-    candidate,
-    differential,
-    field_from_dict,
-    flat_indices,
-    lie_derivative,
     load_model,
     output_jets,
-    parse,
     prolong,
-    q_sequence,
     sfe_gtf_test,
-    transfer,
     verify_flat_output,
 )
+from flatkit.distributions import Codistribution
 from flatkit.errors import (
     DependentDifferentialsError,
-    InputTransformError,
     InvalidIndicesError,
     RankDisagreementError,
     UnboundedRelativeDegreeError,
 )
+from flatkit.expr import Chart, transfer
+from flatkit.fields import differential, lie_derivative
+from flatkit.linalg import RankEngine
+from flatkit.parser import parse
+from flatkit.system import candidate, flat_indices, q_sequence
 
-from conftest import as_system
+from conftest import apply_static_feedback, as_system, field_from_dict
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -273,7 +266,7 @@ def test_jet_ladder_matches_the_total_derivative_climb(request, source, orders, 
 def test_static_feedback_requires_invertible_matrix(seven_state):
     sys = as_system(seven_state)
     one, zero = sys.chart.one, sys.chart.zero
-    with pytest.raises(InputTransformError):
+    with pytest.raises(ValueError):
         apply_static_feedback(sys, (zero, zero), ((one, one), (one, one)))
 
 
