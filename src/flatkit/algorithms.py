@@ -15,7 +15,6 @@ candidate flat-output functions via first integrals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .distributions import (
@@ -51,8 +50,7 @@ __all__ = [
 # --- step and branch records -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(NamedTuple):
     """Membership residual of the candidate direction, stacked row-wise over
     the annihilator of the examined frontier: for each annihilator covector,
     q(a) = c11 a1^2 + 2 c12 a1 a2 + c22 a2^2 must vanish."""
@@ -63,8 +61,7 @@ class QuadraticForm:
     solutions: tuple[tuple[Expr, Expr], ...]
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One update of the sequence: the frontier examined, the rule applied,
     and the produced successor.  C-i steps additionally rebuild the frontier
     (`replaced`) before the successor is formed."""
@@ -81,8 +78,7 @@ class StepRecord:
     violation: Optional[str] = None  # case D: the failed precondition
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """One explored path: its final (post-replacement) sequence and records."""
 
     path: tuple[int, ...]
@@ -106,8 +102,7 @@ class Branch:
         return tuple(rec.tag for rec in self.records)
 
 
-@dataclass(frozen=True)
-class BranchTree:
+class BranchTree(NamedTuple):
     system: ControlAffineSystem
     algorithm: int
     branches: tuple[Branch, ...]
@@ -308,8 +303,7 @@ class _Move(NamedTuple):
     violation: Optional[str] = None
 
 
-@dataclass
-class _Frontier:
+class _Frontier(NamedTuple):
     sequence: list[Distribution]
     records: list[StepRecord]
     path: tuple[int, ...]
@@ -461,16 +455,14 @@ def run_algorithm2(sys: ControlAffineSystem) -> BranchTree:
 # --- candidate extraction ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CandidatePair:
+class CandidatePair(NamedTuple):
     functions: tuple[Expr, Expr]
     passed: bool
     verdict: Optional[FlatVerdict]
     reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class LeafCandidates:
+class LeafCandidates(NamedTuple):
     branch: Branch
     functions: tuple[Expr, ...]
     shortfall: int

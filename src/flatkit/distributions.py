@@ -29,8 +29,7 @@ coordinate-span certificate or by building the coannihilator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     ChartMismatchError,
@@ -315,8 +314,7 @@ def intersect_with_coordinates(
     return Codistribution(chart, parts, q.engine)
 
 
-@dataclass
-class FirstIntegralsResult:
+class FirstIntegralsResult(NamedTuple):
     functions: list[Expr]
     rank: int
 

@@ -47,9 +47,8 @@ A third slot keeps the F_p evaluation program that `sample` decodes once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .errors import (
     ChartMismatchError,
@@ -96,8 +95,7 @@ Scalar = Union["Expr", Fraction, int]
 _IDENT_OK = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
 
 
-@dataclass(frozen=True)
-class GenInfo:
+class GenInfo(NamedTuple):
     """One generator of the polynomial ring underlying a chart."""
 
     name: str

@@ -12,7 +12,6 @@ the bracket is zero with no derivative taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -32,23 +31,32 @@ def _check_components(chart: Chart, components: Sequence[Expr]) -> tuple[Expr, .
     return comps
 
 
-def _support(field) -> tuple[int, ...]:
-    """Ascending indices of the nonzero components."""
-    return tuple(i for i, c in enumerate(field.components) if not c.is_zero())
+class _Field:
+    """Components on a chart.  Equal to a field of the same kind on the same
+    chart with equal components, and hashed to match."""
+
+    def __init__(self, chart: Chart, components: Sequence[Expr]) -> None:
+        self.chart = chart
+        self.components = _check_components(chart, components)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.chart is other.chart and self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash((self.chart, self.components))
+
+    @cached_property
+    def support(self) -> tuple[int, ...]:
+        """Ascending indices of the nonzero components."""
+        return tuple(i for i, c in enumerate(self.components) if not c.is_zero())
+
+    def is_zero(self) -> bool:
+        return not self.support
 
 
-@dataclass(frozen=True)
-class VectorField:
-    chart: Chart
-    components: tuple[Expr, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "components", _check_components(self.chart, self.components)
-        )
-
-    support = cached_property(_support)
-
+class VectorField(_Field):
     @cached_property
     def directions(self) -> frozenset[str]:
         names = self.chart.coordinates
@@ -57,9 +65,6 @@ class VectorField:
     @cached_property
     def symbols(self) -> frozenset[str]:
         return frozenset().union(*(self.components[i]._symbol_set() for i in self.support))
-
-    def is_zero(self) -> bool:
-        return not self.support
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if other.chart is not self.chart:
@@ -86,21 +91,7 @@ class VectorField:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class CovectorField:
-    chart: Chart
-    components: tuple[Expr, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "components", _check_components(self.chart, self.components)
-        )
-
-    support = cached_property(_support)
-
-    def is_zero(self) -> bool:
-        return not self.support
-
+class CovectorField(_Field):
     def render(self) -> str:
         parts = []
         for name, c in zip(self.chart.coordinates, self.components):

@@ -12,7 +12,7 @@ they are never left to chance alone.  The exact duals of `distributions`
 check the sequence ranks: the annihilator or coannihilator of a span
 cross-checks its sampled rank when it is built.  Each engine also checks its
 first sampled rank against an exact elimination, but that first call is the
-2-row input-field rank `ControlAffineSystem.__post_init__` takes when the
+2-row input-field rank `ControlAffineSystem.__init__` takes when the
 model is built (2 x 6 for vtol, 2 x 7 for example3), never an analysis
 matrix; ROADMAP item 7 moves this guard to the matrix behind a verdict.
 `rank_at_point` is the exact rational counterpart, kept as a reference.
@@ -21,8 +21,7 @@ matrix; ROADMAP item 7 moves this guard to the matrix behind a verdict.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import RankDisagreementError
 from .expr import Chart, Expr, eval_at, transfer
@@ -49,8 +48,7 @@ def _clear_row_denominators(row: Sequence[Expr], chart: Chart) -> list[Expr]:
     return [e * factor for e in row]
 
 
-@dataclass
-class EchelonResult:
+class EchelonResult(NamedTuple):
     rank: int
     rows: Matrix            # eliminated rows, pivot rows first in pivot order
     pivot_cols: list[int]   # pivot column of rows[k]
@@ -297,7 +295,7 @@ class RankEngine:
     cross-checks its first call against an exact elimination; a mismatch
     means the sampling scheme itself is broken for this problem and the
     analysis must not continue on silent guesses.  That first call is the
-    2-row input-field rank of `ControlAffineSystem.__post_init__`, so the
+    2-row input-field rank of `ControlAffineSystem.__init__`, so the
     check covers no sequence or rank-check matrix; the exact duals of
     `distributions` check those (ROADMAP item 7 moves this guard).
     """

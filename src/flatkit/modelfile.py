@@ -10,7 +10,6 @@ nonzero at sample points (e.g. a nonvanishing arm length).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -25,20 +24,55 @@ _REQUIRED = ("name", "states", "inputs", "drift", "g1", "g2")
 _OPTIONAL = ("parameters", "flat_output", "constraints")
 
 
-@dataclass(frozen=True)
 class ModelFile:
-    name: str
-    states: tuple[str, ...]
-    inputs: tuple[str, str]
-    parameters: tuple[str, ...]
-    drift: tuple[str, ...]
-    g1: tuple[str, ...]
-    g2: tuple[str, ...]
-    flat_output: Optional[tuple[str, str]]
-    constraints: tuple[str, ...]
-    # The parse made at load time, left for the first build_system to take;
-    # later builds parse again, so no two systems share a chart.
-    _parsed: list = field(default_factory=list, init=False, compare=False, repr=False)
+    """The fields of a model file.  Two model files are equal when their
+    fields are; the parse kept for `build_system` does not count."""
+
+    def __init__(
+        self,
+        name: str,
+        states: tuple[str, ...],
+        inputs: tuple[str, str],
+        parameters: tuple[str, ...],
+        drift: tuple[str, ...],
+        g1: tuple[str, ...],
+        g2: tuple[str, ...],
+        flat_output: Optional[tuple[str, str]],
+        constraints: tuple[str, ...],
+    ) -> None:
+        self.name = name
+        self.states = states
+        self.inputs = inputs
+        self.parameters = parameters
+        self.drift = drift
+        self.g1 = g1
+        self.g2 = g2
+        self.flat_output = flat_output
+        self.constraints = constraints
+        # The parse made at load time, left for the first build_system to
+        # take; later builds parse again, so no two systems share a chart.
+        self._parsed: list = []
+
+    def _key(self) -> tuple:
+        return (
+            self.name,
+            self.states,
+            self.inputs,
+            self.parameters,
+            self.drift,
+            self.g1,
+            self.g2,
+            self.flat_output,
+            self.constraints,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def to_dict(self) -> dict:
         data = {
@@ -196,12 +230,14 @@ def prolonged_model(model: ModelFile, p1: int, p2: int) -> ModelFile:
     """Model file for the input-prolonged system; the original states keep
     their names, so a declared flat output carries over verbatim."""
     ext = prolong(build_system(model), p1, p2)
-    return replace(
-        model,
-        name=f"{model.name}-prolonged-{p1}-{p2}",
-        states=ext.states,
-        inputs=ext.inputs,
-        drift=tuple(c.render() for c in ext.f.components),
-        g1=tuple(c.render() for c in ext.g1.components),
-        g2=tuple(c.render() for c in ext.g2.components),
+    return ModelFile(
+        f"{model.name}-prolonged-{p1}-{p2}",
+        ext.states,
+        ext.inputs,
+        model.parameters,
+        tuple(c.render() for c in ext.f.components),
+        tuple(c.render() for c in ext.g1.components),
+        tuple(c.render() for c in ext.g2.components),
+        model.flat_output,
+        model.constraints,
     )

@@ -27,9 +27,8 @@ evaluation in tests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     PoleError,
@@ -59,8 +58,7 @@ def _circle_point(rng: random.Random) -> tuple[Fraction, Fraction]:
         return Fraction(2) * t / den, (1 - t * t) / den
 
 
-@dataclass(frozen=True)
-class SamplePoint:
+class SamplePoint(NamedTuple):
     """A total assignment of rationals to every generator known at draw time."""
 
     chart: Chart

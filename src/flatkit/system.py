@@ -24,8 +24,7 @@ share one `output_jets` context, built once per question.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .distributions import Codistribution, intersect_with_coordinates, span
 from .errors import (
@@ -48,30 +47,37 @@ from .linalg import RankEngine
 PhiPair = Sequence[Expr]
 
 
-@dataclass(frozen=True)
 class ControlAffineSystem:
     """x' = f(x) + g1(x) u1 + g2(x) u2 with two named scalar inputs."""
 
-    chart: Chart
-    inputs: tuple[str, str]
-    f: VectorField
-    g1: VectorField
-    g2: VectorField
-    engine: RankEngine
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        for v in (self.f, self.g1, self.g2):
-            if v.chart is not self.chart:
+    def __init__(
+        self,
+        chart: Chart,
+        inputs: tuple[str, str],
+        f: VectorField,
+        g1: VectorField,
+        g2: VectorField,
+        engine: RankEngine,
+        name: str = "",
+    ) -> None:
+        for v in (f, g1, g2):
+            if v.chart is not chart:
                 raise ChartMismatchError("system fields on a different chart")
-        if len(self.inputs) != 2 or self.inputs[0] == self.inputs[1]:
+        if len(inputs) != 2 or inputs[0] == inputs[1]:
             raise ValueError("exactly two distinct input names are required")
-        for u in self.inputs:
+        for u in inputs:
             check_symbol_name(u, "input")
-            if self.chart.has_symbol(u):
+            if chart.has_symbol(u):
                 raise ValueError(f"input name '{u}' collides with a chart symbol")
-        if span(self.chart, (self.g1, self.g2), self.engine).rank != 2:
+        if span(chart, (g1, g2), engine).rank != 2:
             raise ValueError("input fields g1, g2 must have generic rank 2")
+        self.chart = chart
+        self.inputs = inputs
+        self.f = f
+        self.g1 = g1
+        self.g2 = g2
+        self.engine = engine
+        self.name = name
 
     @property
     def n(self) -> int:
@@ -82,8 +88,7 @@ class ControlAffineSystem:
         return self.chart.coordinates
 
 
-@dataclass(frozen=True)
-class FlatCandidate:
+class FlatCandidate(NamedTuple):
     """A candidate output pair with its index data.  `ladders[i]` holds the
     rungs phi_i, L_f phi_i, ..., L_f^(K_i - 1) phi_i on the system chart,
     the drift derivatives that see no input, so K_i is its length."""
@@ -202,8 +207,7 @@ def candidate(sys: ControlAffineSystem, phi: PhiPair) -> FlatCandidate:
 # --- the codistribution sequence ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class OutputJets:
+class OutputJets(NamedTuple):
     """A candidate output pair on the input-jet chart: its degrees and
     indices, and the differentials of each output's total derivatives up to
     order R_i - 1.  The jet chart is the chart of the (max R, max R)
@@ -261,15 +265,13 @@ def q_sequence(jets: OutputJets) -> list[Codistribution]:
     return out
 
 
-@dataclass(frozen=True)
-class QReport:
+class QReport(NamedTuple):
     index: tuple[int, int]
     rank: int
     integrable: bool
 
 
-@dataclass(frozen=True)
-class SfeGtfResult:
+class SfeGtfResult(NamedTuple):
     """Outcome of the triangular-form equivalence test with per-Q detail."""
 
     passed: bool
@@ -318,8 +320,7 @@ def prolong(sys: ControlAffineSystem, p1: int, p2: int) -> ControlAffineSystem:
 # --- flat-output verification --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlatVerdict:
+class FlatVerdict(NamedTuple):
     """Result of the reconstruction test for a candidate output pair."""
 
     passed: bool

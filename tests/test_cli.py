@@ -114,6 +114,10 @@ def test_model_is_parsed_once_and_each_build_gets_its_own_chart(monkeypatch):
     # a generator registered on one chart does not appear on the other
     first.chart.parse("sin(x)")
     assert len(first.chart.gens()) == len(second.chart.gens()) + 2
+    # equality ignores the parse: a consumed model equals a fresh load
+    fresh = load_model(MODELS / "vtol.json")
+    assert model._parsed == [] and fresh._parsed != []
+    assert model == fresh and hash(model) == hash(fresh)
 
 
 def test_prolonged_model_zero_orders_is_semantically_identical():
@@ -378,6 +382,15 @@ def test_prolong_roundtrip_example1(tmp_path, capsys):
     )
     assert code == 0
     assert report["states"] == 7
+    # the model built in-process: it builds, and saving and loading it
+    # gives back an equal model, the one the command wrote
+    model = load_model(MODELS / "example1.json")
+    prolonged = prolonged_model(model, 1, 1)
+    assert prolonged != model
+    assert prolonged.flat_output == model.flat_output
+    assert build_system(prolonged).n == 7
+    save_model(prolonged, tmp_path / "saved.json")
+    assert load_model(tmp_path / "saved.json") == prolonged == load_model(out)
     code, report, _ = run_cli(capsys, "verify", str(out), "--output", "x1", "x2")
     assert code == 0
     assert report["indices"] == {"K": [2, 2], "R": [5, 5], "d": 3}

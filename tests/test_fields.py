@@ -293,9 +293,29 @@ def test_chart_mismatch_is_rejected(seven_state, vtol):
         lie_bracket(seven_state.f, vtol.f)
     with pytest.raises(ChartMismatchError):
         pair(differential(vtol.chart.sym("x")), seven_state.g1)
+    foreign = (vtol.chart.zero,) * seven_state.chart.dim
+    for kind in (VectorField, CovectorField):
+        with pytest.raises(ChartMismatchError, match="component on a different chart"):
+            kind(seven_state.chart, foreign)
 
 
 def test_component_count_is_validated():
     chart = Chart(["a", "b"])
-    with pytest.raises(ValueError):
-        VectorField(chart, (chart.zero,))
+    for kind in (VectorField, CovectorField):
+        with pytest.raises(ValueError, match="expected 2 components, got 1"):
+            kind(chart, (chart.zero,))
+
+
+def test_fields_equal_by_kind_chart_and_components():
+    chart, twin = Chart(["a", "b"]), Chart(["a", "b"])
+    v = field_from_dict(chart, {"a": "b"})
+    same = VectorField(chart, [chart.sym("b"), chart.zero])
+    assert v == same and hash(v) == hash(same) and len({v, same}) == 1
+    assert v != field_from_dict(twin, {"a": "b"})  # charts compare by identity
+    assert v != field_from_dict(chart, {"b": "b"})
+    w = CovectorField(chart, v.components)
+    w_same = CovectorField(chart, same.components)
+    assert w == w_same and hash(w) == hash(w_same)
+    assert (w, w) == (w_same, w_same)  # as q_sequence compares covector tuples
+    assert v != w and w != v  # the other kind
+    assert w != CovectorField(twin, (twin.sym("b"), twin.zero))

@@ -158,6 +158,26 @@ def test_cli_import_loads_every_traced_layer():
     assert {f"flatkit.{m}" for m in tracer_constants()["LAYERS"]} <= loaded
 
 
+def test_cold_start_loads_no_code_generation_modules():
+    # dataclasses exec-generates methods on every import and pulls in
+    # inspect (with ast, dis, tokenize); the command line needs neither.
+    # -S keeps a site hook from preloading either module.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import flatkit, flatkit.cli; "
+        "from flatkit import build_system, load_model; "
+        "build_system(load_model(sys.argv[2])); "
+        "print(*(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(ROOT / "src"), str(ROOT / "models" / "vtol.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def _private_constants(stmt: ast.stmt) -> list[str]:
     """`_`-prefixed names bound by a module-level assignment, dunders aside."""
     if isinstance(stmt, ast.Assign):

@@ -21,6 +21,7 @@ from flatkit import (
 )
 from flatkit.distributions import Codistribution
 from flatkit.errors import (
+    ChartMismatchError,
     DependentDifferentialsError,
     InvalidIndicesError,
     RankDisagreementError,
@@ -49,21 +50,32 @@ def pitch_pair(plant):
 
 
 def test_system_requires_distinct_inputs(vtol):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exactly two distinct input names"):
         ControlAffineSystem(
             vtol.chart, ("u1", "u1"), vtol.f, vtol.g1, vtol.g2, vtol.engine
         )
 
 
 def test_system_rejects_input_colliding_with_state(vtol):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="input name 'theta' collides"):
         ControlAffineSystem(
             vtol.chart, ("theta", "u2"), vtol.f, vtol.g1, vtol.g2, vtol.engine
+        )
+    with pytest.raises(ValueError, match="invalid input name '2u'"):
+        ControlAffineSystem(
+            vtol.chart, ("2u", "u2"), vtol.f, vtol.g1, vtol.g2, vtol.engine
+        )
+
+
+def test_system_rejects_fields_on_another_chart(vtol, seven_state):
+    with pytest.raises(ChartMismatchError, match="system fields on a different chart"):
+        ControlAffineSystem(
+            vtol.chart, ("u1", "u2"), vtol.f, vtol.g1, seven_state.g2, vtol.engine
         )
 
 
 def test_system_rejects_dependent_input_fields(vtol):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="generic rank 2"):
         ControlAffineSystem(
             vtol.chart,
             ("u1", "u2"),
