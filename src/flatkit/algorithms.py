@@ -28,7 +28,7 @@ from .distributions import (
     span,
     sum_spans,
 )
-from .errors import CANDIDATE_ERRORS, AssumptionViolationError
+from .errors import CANDIDATE_ERRORS
 from .expr import Chart, Expr
 from .fields import CovectorField, VectorField, fields_matrix, lie_bracket, pair
 from .sympoly import Poly, p_const, p_div_exact, p_mul, p_sqrt, p_sub, p_var
@@ -66,12 +66,10 @@ class StepRecord(NamedTuple):
     and the produced successor.  C-i steps additionally rebuild the frontier
     (`replaced`) before the successor is formed."""
 
-    index: int
     tag: str  # "A" | "B" | "C-i" | "C-ii" | "D"
     examined: Distribution
     replaced: Optional[Distribution]
     produced: Distribution
-    involutive: bool
     cauchy: Optional[Distribution] = None
     quad: Optional[QuadraticForm] = None
     vc: Optional[VectorField] = None
@@ -194,15 +192,13 @@ def _t_gcd(a: list[Expr], b: list[Expr]) -> list[Expr]:
 def _solve_membership(
     chart: Chart,
     rows: list[tuple[Expr, Expr, Expr]],
-) -> list[tuple[Expr, Expr]]:
+) -> Optional[list[tuple[Expr, Expr]]]:
     """All projective solutions a = (a1, a2) of the stacked quadratics
-    c11 a1^2 + 2 c12 a1 a2 + c22 a2^2 = 0, as rational functions."""
+    c11 a1^2 + 2 c12 a1 a2 + c22 a2^2 = 0, as rational functions; None when
+    every quadratic vanishes identically."""
     live = [r for r in rows if not all(c.is_zero() for c in r)]
     if not live:
-        raise AssumptionViolationError(
-            "nondegenerate membership condition",
-            "every stacked quadratic vanishes identically",
-        )
+        return None
     solutions: list[tuple[Expr, Expr]] = []
     # a = (1, t): common roots of c11 + 2 c12 t + c22 t^2 over the field
     g: list[Expr] = []
@@ -234,26 +230,25 @@ def _lemma1_window(
     d1: Distribution,
     d2: Distribution,
     cauchy: Distribution,
-    drift_built: bool = False,
 ) -> Optional[str]:
     """Name of the first failed precondition of the bracket-condition lemma
     on the window d0 c d1 c d2, None when all hold.  `cauchy` is the Cauchy
-    characteristic of d2; a `drift_built` d2 is d1 + [f, d1] by construction,
-    so its drift check is skipped.  The lemma's directions v1, v2 with
-    d1 = d0 + span{v1, v2} need no check either: `_complement_pair` takes
-    them from d1 to extend a basis of d0, so that holds by construction."""
+    characteristic of d2.  Four preconditions are checked: corank two, d1
+    involutive, d1 not inside `cauchy`, and [f, d0] inside d1.  Three hold
+    by construction in `_drive` and `_refined_rule`:
+      nested chain: each member contains its base, a rebuilt frontier its
+        predecessor, and d0 = C(d2) ^ older lies in older c d1;
+      d2 = d1 + [f, d1]: an involutive d1 is the base whose drift step made d2;
+      d1 = d0 + span{v1, v2}: `_complement_pair` takes v1, v2 from d1 to
+        extend a basis of d0."""
     if d1.rank - d0.rank != 2 or d2.rank - d1.rank != 2:
         return "corank-two chain d0 c d1 c d2"
-    if not (d1.contains(d0) and d2.contains(d1)):
-        return "nested chain d0 c d1 c d2"
     if not d1.is_involutive():
         return "d1 involutive"
     if cauchy.contains(d1):
         return "d1 not inside the Cauchy characteristic of d2"
     if not all(d1.contains_field(lie_bracket(f, b)) for b in d0.basis()):
         return "[f, d0] inside d1"
-    if not drift_built and not _drift_step(f, d1).span_equal(d2):
-        return "d2 equals d1 + [f, d1]"
     return None
 
 
@@ -307,7 +302,6 @@ class _Frontier(NamedTuple):
     sequence: list[Distribution]
     records: list[StepRecord]
     path: tuple[int, ...]
-    drift_built: bool  # frontier is predecessor + [f, predecessor] by construction
 
 
 def _leaf(st: _Frontier, status: str) -> Branch:
@@ -327,7 +321,7 @@ def _drive(
     sys: ControlAffineSystem,
     algorithm: int,
     closure: Callable[[Distribution], Distribution],
-    rule: Callable[[VectorField, list[Distribution], bool], list[_Move]],
+    rule: Callable[[VectorField, list[Distribution]], list[_Move]],
 ) -> BranchTree:
     """Grow D_1 = span{g1, g2} until T(X), a stall or the depth cap 2n.
 
@@ -339,7 +333,7 @@ def _drive(
     than its predecessor."""
     f = sys.f
     cap = 2 * sys.n
-    work = [_Frontier([span(sys.chart, (sys.g1, sys.g2), sys.engine)], [], (), False)]
+    work = [_Frontier([span(sys.chart, (sys.g1, sys.g2), sys.engine)], [], ())]
     leaves: list[Branch] = []
     while work:
         st = work.pop()
@@ -350,20 +344,16 @@ def _drive(
         if len(st.records) >= cap:
             leaves.append(_leaf(st, "depth-capped"))
             continue
-        involutive = frontier.is_involutive()
-        moves = [_Move("A")] if involutive else rule(f, st.sequence, st.drift_built)
+        moves = [_Move("A")] if frontier.is_involutive() else rule(f, st.sequence)
         forks: list[_Frontier] = []
         for ordinal, move in enumerate(moves):
             base = frontier if move.replaced is None else move.replaced
-            base_involutive = base.is_involutive()
-            produced = _drift_step(f, base) if base_involutive else closure(base)
+            produced = _drift_step(f, base) if base.is_involutive() else closure(base)
             record = StepRecord(
-                index=len(st.sequence),
                 tag=move.tag,
                 examined=frontier,
                 replaced=move.replaced,
                 produced=produced,
-                involutive=involutive,
                 cauchy=move.cauchy,
                 quad=move.quad,
                 vc=move.vc,
@@ -373,7 +363,6 @@ def _drive(
                 st.sequence[:-1] + [base],
                 st.records + [record],
                 st.path + (ordinal,) if len(moves) > 1 else st.path,
-                base_involutive,
             )
             shrunk = move.replaced is not None and base.rank == st.sequence[-2].rank
             if shrunk or produced.rank == base.rank:
@@ -386,15 +375,11 @@ def _drive(
     return BranchTree(sys, algorithm, tuple(leaves))
 
 
-def _derived_rule(
-    f: VectorField, sequence: list[Distribution], drift_built: bool
-) -> list[_Move]:
+def _derived_rule(f: VectorField, sequence: list[Distribution]) -> list[_Move]:
     return [_Move("B")]
 
 
-def _refined_rule(
-    f: VectorField, sequence: list[Distribution], drift_built: bool
-) -> list[_Move]:
+def _refined_rule(f: VectorField, sequence: list[Distribution]) -> list[_Move]:
     """B when the Cauchy characteristic of the frontier adds nothing over
     its predecessor; otherwise the lemma window d0 c d1 c d2 with d2 the
     frontier, d1 its predecessor and d0 = C(d2) ^ (the member before d1).
@@ -412,22 +397,20 @@ def _refined_rule(
         d0 = _empty(chart, engine)
     else:
         d0 = intersect(cauchy, older)
-    violation = _lemma1_window(f, d0, predecessor, frontier, cauchy, drift_built)
+    violation = _lemma1_window(f, d0, predecessor, frontier, cauchy)
     if violation is not None:
         return [_Move("D", cauchy=cauchy, violation=violation)]
     v1, v2 = _complement_pair(d0, predecessor)
     rows = _membership_rows(f, frontier, v1, v2)
-    try:
-        solutions = _solve_membership(chart, rows)
-    except AssumptionViolationError as err:
-        solutions, violation = [], err.assumption
+    solutions = _solve_membership(chart, rows)
     quad = QuadraticForm(
         tuple(r[0] for r in rows),
         tuple(r[1] for r in rows),
         tuple(r[2] for r in rows),
-        tuple(solutions),
+        tuple(solutions or ()),
     )
-    if violation is not None:
+    if solutions is None:
+        violation = "nondegenerate membership condition"
         return [_Move("D", cauchy=cauchy, quad=quad, violation=violation)]
     if not solutions:
         return [_Move("C-ii", cauchy=cauchy, quad=quad)]

@@ -4,7 +4,9 @@ Reports are JSON with sorted keys and no volatile fields, so identical inputs
 and seed produce identical bytes.  Exit codes:
 
   0  success or positive verdict;
-  1  unreadable or invalid input, an input too large for the polynomial
+  1  unreadable or invalid input, such as an expression nested past the
+     interpreter's recursion limit, a number literal past its integer-string
+     limit or a non-ASCII character; an input too large for the polynomial
      kernel (MonomialLimitError), or an OS error such as an unwritable path;
   2  internal fault: the sequence stalled on every branch, the sampled and
      exact ranks disagree (RankDisagreementError), or any other error;

@@ -48,8 +48,8 @@ from .expr import (
 from .fields import (
     CovectorField,
     VectorField,
-    covectors_matrix,
     differential,
+    fields_matrix,
     lie_bracket,
     pair,
 )
@@ -86,17 +86,13 @@ class _Span:
     def rank(self) -> int:
         return len(self.basis())
 
-    @property
-    def corank(self) -> int:
-        return self.chart.dim - self.rank
-
     def is_empty(self) -> bool:
         return not self._generators
 
     def basis(self) -> tuple:
         """The greedy subset of the generators realizing the rank."""
         if self._basis is None:
-            rows = [list(g.components) for g in self._generators]
+            rows = fields_matrix(self._generators)
             picked = self.engine.independent_rows(rows, self.chart)
             self._basis = tuple(self._generators[i] for i in picked)
         return self._basis
@@ -110,7 +106,7 @@ class _Span:
     def _dual_span(self) -> "_Span":
         """The exact dual span, whose rank cross-checks the sampled one."""
         if self._dual is None:
-            rows = [list(g.components) for g in self._generators]
+            rows = fields_matrix(self._generators)
             sols = right_nullspace(rows, self.chart, ncols=self.chart.dim)
             exact = self.chart.dim - len(sols)
             if exact != self.rank:
@@ -308,7 +304,7 @@ def intersect_with_coordinates(
     chart = q.chart
     keep = set(names)
     out_cols = [i for i, c in enumerate(chart.coordinates) if c not in keep]
-    rows = covectors_matrix(q.covectors)
+    rows = fields_matrix(q.covectors)
     combos = left_nullspace([[row[j] for j in out_cols] for row in rows], chart)
     parts = [CovectorField(chart, tuple(combine_rows(c, rows, chart))) for c in combos]
     return Codistribution(chart, parts, q.engine)
@@ -339,7 +335,7 @@ def first_integrals(q: Codistribution) -> FirstIntegralsResult:
     if not q.is_integrable():
         raise NotIntegrableError("codistribution fails the Frobenius test")
     chart = q.chart
-    res = echelon(covectors_matrix(q.covectors), chart)
+    res = echelon(fields_matrix(q.covectors), chart)
     funcs: list[Expr] = []
     diffs: list[list[Expr]] = []
     frozen: set[str] = set()

@@ -104,14 +104,5 @@ CANDIDATE_ERRORS = (
 )
 
 
-class AssumptionViolationError(FlatkitError):
-    """A named precondition of a lemma or algorithm step fails."""
-
-    def __init__(self, name: str, detail: str = "") -> None:
-        extra = f": {detail}" if detail else ""
-        super().__init__(f"assumption '{name}' violated{extra}")
-        self.assumption = name
-
-
 class ModelFileError(FlatkitError):
     """Raised on malformed or inconsistent model files."""

@@ -257,9 +257,6 @@ class Expr:
             self._symbols = frozenset(self.chart.gen_info(idx).base for idx in gens)
         return self._symbols
 
-    def free_symbols(self) -> set[str]:
-        return set(self._symbol_set())
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other: Scalar) -> "Expr":

@@ -183,9 +183,6 @@ def transfer_field(v: VectorField, target: Chart) -> VectorField:
     return VectorField(target, tuple(comps))
 
 
-def fields_matrix(fields: Iterable[VectorField]) -> list[list[Expr]]:
+def fields_matrix(fields: Iterable[_Field]) -> list[list[Expr]]:
+    """One row of components per vector or covector field."""
     return [list(f.components) for f in fields]
-
-
-def covectors_matrix(covs: Iterable[CovectorField]) -> list[list[Expr]]:
-    return [list(w.components) for w in covs]

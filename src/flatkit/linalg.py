@@ -10,11 +10,7 @@ the Schwartz-Zippel lemma one point misses with probability at most D/p for
 a nonzero minor of degree D.  Rank decisions feed integrability verdicts, so
 they are never left to chance alone.  The exact duals of `distributions`
 check the sequence ranks: the annihilator or coannihilator of a span
-cross-checks its sampled rank when it is built.  Each engine also checks its
-first sampled rank against an exact elimination, but that first call is the
-2-row input-field rank `ControlAffineSystem.__init__` takes when the
-model is built (2 x 6 for vtol, 2 x 7 for example3), never an analysis
-matrix; ROADMAP item 7 moves this guard to the matrix behind a verdict.
+cross-checks its sampled rank when it is built.
 `rank_at_point` is the exact rational counterpart, kept as a reference.
 """
 
@@ -52,7 +48,6 @@ class EchelonResult(NamedTuple):
     rank: int
     rows: Matrix            # eliminated rows, pivot rows first in pivot order
     pivot_cols: list[int]   # pivot column of rows[k]
-    ncols: int
 
 
 def echelon(matrix: Matrix, chart: Chart) -> EchelonResult:
@@ -111,7 +106,7 @@ def echelon(matrix: Matrix, chart: Chart) -> EchelonResult:
         pivot_cols.append(pj)
         used_cols.add(pj)
         k += 1
-    return EchelonResult(rank=len(pivot_cols), rows=rows, pivot_cols=pivot_cols, ncols=ncols)
+    return EchelonResult(rank=len(pivot_cols), rows=rows, pivot_cols=pivot_cols)
 
 
 def exact_rank(matrix: Matrix, chart: Chart) -> int:

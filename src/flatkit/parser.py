@@ -13,7 +13,9 @@ Exponents must be integer constants; decimal literals are exact rationals
 (0.5 is 1/2).  Known functions: sin, cos, tan, cot, exp, ln, sqrt, within
 the arguments `expr` accepts; any other application is a ParseError at the
 function's name.  A product or power with an exponent past the polynomial
-format's limit (`sympoly.MAX_EXP`) is a ParseError at the token just read.
+format's limit (`sympoly.MAX_EXP`) is a ParseError at the token just read,
+and so is nesting deeper than the interpreter's recursion limit.  Tokens are
+ASCII: digits 0-9 and identifiers over `expr._IDENT_OK`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     UnsupportedFunctionError,
     ZeroDenominatorError,
 )
-from .expr import FUNCTION_TABLE, Chart, Expr
+from .expr import _IDENT_OK, FUNCTION_TABLE, Chart, Expr
 
 
 class _Token(NamedTuple):
@@ -38,6 +40,7 @@ class _Token(NamedTuple):
 
 
 _OPS = set("+-*/^()")
+_DIGITS = "0123456789"
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -53,22 +56,22 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                if j >= n or not text[j].isdigit():
+                if j >= n or text[j] not in _DIGITS:
                     raise ParseError("malformed number", i)
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             tokens.append(_Token("num", text[i:j], i))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _IDENT_OK:  # not a digit: those start a number
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _IDENT_OK:
                 j += 1
             tokens.append(_Token("ident", text[i:j], i))
             i = j
@@ -102,6 +105,9 @@ class _Parser:
             e = self.expr()
         except MonomialLimitError as err:  # a power such as x^100000
             raise ParseError(str(err), self.tokens[self.k - 1].pos) from None
+        except RecursionError:  # parentheses, arguments or minus signs
+            at = self.tokens[self.k - 1].pos
+            raise ParseError("expression nested too deeply", at) from None
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing input '{tok.text}'", tok.pos)
@@ -154,7 +160,11 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.advance()
         if tok.kind == "num":
-            return self.chart.const(Fraction(tok.text))
+            try:
+                value = Fraction(tok.text)
+            except ValueError:  # past the interpreter's integer-string limit
+                raise ParseError("number literal too long", tok.pos) from None
+            return self.chart.const(value)
         if tok.kind == "op" and tok.text == "(":
             e = self.expr()
             self.expect_op(")")

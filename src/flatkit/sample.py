@@ -71,14 +71,6 @@ class SamplePoint(NamedTuple):
             )
         return self.values[index]
 
-    def base_values(self) -> dict[str, Fraction]:
-        out = {}
-        for i, v in enumerate(self.values):
-            info = self.chart.gen_info(i)
-            if info.kind == "base":
-                out[info.name] = v
-        return out
-
 
 def draw_point(chart: Chart, rng: random.Random) -> SamplePoint:
     gens = chart.gens()

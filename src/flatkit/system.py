@@ -37,8 +37,8 @@ from .expr import Chart, Expr, check_symbol_name, transfer
 from .fields import (
     CovectorField,
     VectorField,
-    covectors_matrix,
     differential,
+    fields_matrix,
     lie_derivative,
     transfer_field,
 )
@@ -342,7 +342,7 @@ def verify_flat_output(jets: OutputJets) -> FlatVerdict:
     state_covs = [differential(ch.sym(name)) for name in sys.states]
     # Greedy rows of [covs; state covs]: those among covs span covs, and no
     # state row is taken iff span{dx} lies in span{covs}.
-    picked = sys.engine.independent_rows(covectors_matrix(covs + state_covs), ch)
+    picked = sys.engine.independent_rows(fields_matrix(covs + state_covs), ch)
     stacked_rank = sum(1 for i in picked if i < len(covs))
     spans_states = stacked_rank == len(picked)
     required = sys.n + cand.d

@@ -1,21 +1,31 @@
 """Distribution-sequence construction, branch bookkeeping, the candidate
 direction selection, and flat-output extraction from terminal data.  The
-Lemma-1 preconditions are exercised on `_lemma1_window`, the check the
-refined rule runs."""
+Lemma-1 preconditions `_lemma1_window` checks are exercised on it directly;
+the ones `_drive` guarantees by construction are asserted on every window
+it builds for the bundled models."""
 
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
-from flatkit import ControlAffineSystem, extract_candidates, run_algorithm1, run_algorithm2
-from flatkit.algorithms import _expr_sqrt, _lemma1_window, _solve_membership
+from flatkit import (
+    ControlAffineSystem,
+    build_system,
+    extract_candidates,
+    load_model,
+    run_algorithm1,
+    run_algorithm2,
+)
+from flatkit import algorithms
+from flatkit.algorithms import _drift_step, _expr_sqrt, _lemma1_window, _solve_membership
 from flatkit.distributions import Codistribution, cauchy_characteristic, span, sum_spans
-from flatkit.errors import AssumptionViolationError
 from flatkit.expr import Chart
 from flatkit.fields import CovectorField, differential, lie_bracket, zero_field
 from flatkit.linalg import RankEngine
+from flatkit.system import prolong
 
 from conftest import apply_static_feedback, as_system, coordinate_field, field_from_dict
 
@@ -51,7 +61,7 @@ def test_basic_sequence_vtol(vtol):
     assert branch.tags == ("A", "B")
     # the drift step lands on a non-involutive member whose characteristic
     # directions vanish, so the terminal data degenerates to the whole chart
-    assert branch.records[1].involutive is False
+    assert branch.records[1].examined.is_involutive() is False
     assert branch.F is not None and branch.F.rank == 0
     assert branch.F_perp.rank == 6
 
@@ -312,9 +322,7 @@ def _window_case(failed: str):
     bent = e["x4"] + e["x6"].scale(chart.sym("x2"))
     d2 = sum_spans(d1, [bent, e["x5"]])
     f = zero_field(chart)
-    if failed.startswith("nested"):
-        d2 = span(chart, (e["x2"], e["x3"], e["x4"], e["x5"], e["x6"]), engine)
-    elif failed.startswith("d1 not inside"):
+    if failed.startswith("d1 not inside"):
         d2 = sum_spans(d1, [e["x4"], e["x5"]])  # involutive: its own characteristic
     elif failed.startswith("[f, d0]"):
         f = field_from_dict(chart, {"x4": "x1"})  # [f, e1] = -e4
@@ -332,12 +340,7 @@ def test_lemma_candidates_rejects_bad_corank(vtol):
 # The corank and "d1 involutive" preconditions have their own tests.
 @pytest.mark.parametrize(
     "failed",
-    [
-        "nested chain d0 c d1 c d2",
-        "d1 not inside the Cauchy characteristic of d2",
-        "[f, d0] inside d1",
-        "d2 equals d1 + [f, d1]",
-    ],
+    ["d1 not inside the Cauchy characteristic of d2", "[f, d0] inside d1"],
 )
 def test_lemma_candidates_rejects_failed_precondition(failed):
     f, d0, d1, d2 = _window_case(failed)
@@ -356,13 +359,44 @@ def test_lemma_candidates_rejects_non_involutive_middle():
     assert failed == "d1 involutive"
 
 
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def test_refined_windows_hold_the_unchecked_preconditions(monkeypatch):
+    """`_lemma1_window` leaves the nested chain and the drift step unchecked:
+    on every window the refined rule hands it, over the bundled models, their
+    prolongations and three seeds, d0 c d1 c d2 and an involutive d1 drift
+    steps to d2.  Every branch's final sequence is nested too."""
+    calls = []
+
+    def window(f, d0, d1, d2, cauchy):
+        calls.append(d2)
+        assert d1.contains(d0) and d2.contains(d1)
+        if d1.is_involutive():
+            assert _drift_step(f, d1).span_equal(d2)
+        return _lemma1_window(f, d0, d1, d2, cauchy)
+
+    monkeypatch.setattr(algorithms, "_lemma1_window", window)
+    orders = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (1, 2), (2, 2)]
+    for name in ("vtol", "example3", "example1"):
+        model = load_model(MODELS / f"{name}.json")
+        for seed in range(3):
+            base = build_system(model, seed)
+            for p1, p2 in orders:
+                for b in run_algorithm2(prolong(base, p1, p2)).branches:
+                    assert all(
+                        hi.contains(lo) for lo, hi in zip(b.sequence, b.sequence[1:])
+                    )
+    assert len(calls) == 66
+
+
 def test_membership_solver_paths():
     chart = Chart(["z1", "z2"])
     one, zero = chart.one, chart.zero
     z1 = chart.sym("z1")
 
-    with pytest.raises(AssumptionViolationError, match="nondegenerate"):
-        _solve_membership(chart, [(zero, zero, zero)])
+    # every quadratic vanishes identically: the condition degenerates
+    assert _solve_membership(chart, [(zero, zero, zero)]) is None
 
     # 1 + t^2 has no admissible root and the second direction is blocked
     assert _solve_membership(chart, [(one, zero, one)]) == []

@@ -578,6 +578,36 @@ def test_exponent_past_the_limit_in_output_is_input_error(capsys):
     assert f"output expression: an exponent passes the limit of {MAX_EXP} (at position 2)" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x*" + "1" * 5000, "number literal too long (at position 2)"),
+        ("x*²", "unexpected character '²' (at position 2)"),
+        ("x*٣", "unexpected character '٣' (at position 2)"),  # not read as 3
+        # at the parenthesis reached when the interpreter's stack ran out
+        ("(" * 300 + "x" + ")" * 300, "expression nested too deeply (at position "),
+    ],
+    ids=["long-number", "superscript-digit", "arabic-indic-digit", "deep-nesting"],
+)
+def test_unreadable_output_is_input_error(capsys, text, message):
+    code, report, err = run_cli(
+        capsys, "verify", str(MODELS / "vtol.json"), "--output", text, "z"
+    )
+    assert code == 1
+    assert report == {}
+    assert f"error: output expression: {message}" in err
+
+
+def test_deep_nesting_in_model_is_input_error(tmp_path, capsys):
+    data = json.loads((MODELS / "vtol.json").read_text())
+    data["drift"][0] = "(" * 300 + "vx" + ")" * 300
+    path = write_model(tmp_path, "deep", data)
+    code, report, err = run_cli(capsys, "analyze", path)
+    assert code == 1
+    assert report == {}
+    assert "drift component for 'x': expression nested too deeply (at position" in err
+
+
 def test_exponent_past_the_limit_in_model_is_input_error(tmp_path, capsys):
     data = json.loads((MODELS / "vtol.json").read_text())
     data["drift"][0] = "vx*x^100*x^100"

@@ -20,7 +20,7 @@ from flatkit.distributions import (
 from flatkit import distributions
 from flatkit.errors import NotIntegrableError, RankDisagreementError, ZeroDenominatorError
 from flatkit.expr import Chart
-from flatkit.fields import CovectorField, VectorField, covectors_matrix, differential, lie_bracket
+from flatkit.fields import CovectorField, VectorField, differential, fields_matrix, lie_bracket
 from flatkit.linalg import RankEngine, echelon, normalize_vector, right_nullspace
 from flatkit.parser import parse
 
@@ -43,7 +43,7 @@ def input_ladder(plant, steps):
 def test_vtol_input_distribution(vtol):
     d1 = span(vtol.chart, (vtol.g1, vtol.g2), vtol.engine)
     assert d1.rank == 2
-    assert d1.corank == 4
+    assert d1.chart.dim - d1.rank == 4
     assert d1.is_involutive()
     assert d1.annihilator().rank == 4
 
@@ -163,7 +163,7 @@ def test_sampled_rank_is_cross_checked_by_the_dual(vtol, monkeypatch):
         raise AssertionError("a dual span was sampled")
 
     monkeypatch.setattr(engine, "independent_rows", refuse)
-    sols = right_nullspace(covectors_matrix(q.covectors), chart, ncols=chart.dim)
+    sols = right_nullspace(fields_matrix(q.covectors), chart, ncols=chart.dim)
     assert [b.components for b in exact.basis()] == [tuple(s) for s in sols]
     assert exact.rank == len(sols) == 4
 
@@ -409,7 +409,7 @@ def test_reduced_basis_preserves_span(seven_state):
     dz3 = coordinate_covector(ch, "z3")
     w1 = CovectorField(ch, tuple(a + b for a, b in zip(dz1.components, dz3.components)))
     q = Codistribution(ch, (w1, dz1), engine)
-    res = echelon(covectors_matrix(q.covectors), ch)
+    res = echelon(fields_matrix(q.covectors), ch)
     reduced = [CovectorField(ch, tuple(normalize_vector(row, ch))) for row in res.rows[: res.rank]]
     assert len(reduced) == 2
     assert Codistribution(ch, reduced, engine).span_equal(q)

@@ -1,7 +1,9 @@
 """The package exports exactly what the command line calls; every
 module-level import of a flatkit module is used by that module, every public
 top-level function and class is used somewhere in `src/`, and so is every
-private top-level function, class and constant.
+private top-level function, class and constant.  Every public method or
+property of a class is read as an attribute somewhere in `src/` outside its
+own body, unless it overrides a method of a base class.
 
 `__init__.py` is left out of the usage checks: its imports are the package's
 re-exports.
@@ -10,9 +12,11 @@ re-exports.
 from __future__ import annotations
 
 import ast
+import importlib
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -259,3 +263,74 @@ def test_unreferenced_name_finder():
         "c": "def late():\n    return 2\n",
     }
     assert unreferenced_names(sources) == ["_UNUSED", "_private", "dead", "g"]
+
+
+def _attribute_reads(node: ast.AST) -> Counter:
+    return Counter(
+        sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    )
+
+
+def unread_methods(sources: dict[str, str], namespaces: dict[str, dict]) -> list[str]:
+    """`Class.method` for each public method or property of a top-level class
+    of `sources` (module name to text) whose name no attribute read outside
+    its own body takes.  Dunders count as private.  A method that overrides
+    one of a base class, found in the MRO of the live class in `namespaces`
+    (module name to its globals), is called through the base and exempt."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    out = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bases = namespaces[module][cls.name].__mro__[1:]
+            for fn in cls.body:
+                if (
+                    isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not fn.name.startswith("_")
+                    and not any(fn.name in vars(base) for base in bases)
+                    and reads[fn.name] == _attribute_reads(fn)[fn.name]
+                ):
+                    out.append(f"{cls.name}.{fn.name}")
+    return sorted(out)
+
+
+def test_every_public_method_is_read():
+    sources = {Path(m).stem: (SRC / m).read_text() for m in MODULES}
+    namespaces = {m: vars(importlib.import_module(f"flatkit.{m}")) for m in sources}
+    assert unread_methods(sources, namespaces) == []
+
+
+def test_unread_method_finder():
+    sources = {
+        "a": (
+            "class Base:\n"
+            "    def run(self):\n"
+            "        return self.step()\n"
+            "    def step(self):\n"
+            "        return 1\n"
+            "    def dead(self):\n"
+            "        return self.dead()\n"
+            "    @property\n"
+            "    def size(self):\n"
+            "        self.gone = 0\n"
+            "        return 0\n"
+            "    def gone(self):\n"
+            "        return 0\n"
+            "    def _hidden(self):\n"
+            "        return 0\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+            "class Loud(Exception):\n"
+            "    def with_traceback(self, tb):\n"
+            "        return self\n"
+        ),
+        "b": "def use(x):\n    return x.run() + x.size\n",
+    }
+    namespaces: dict[str, dict] = {}
+    for name, text in sources.items():
+        exec(text, namespaces.setdefault(name, {}))
+    assert unread_methods(sources, namespaces) == ["Base.dead", "Base.gone"]
