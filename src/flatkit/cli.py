@@ -11,11 +11,18 @@ and seed produce identical bytes.  Exit codes:
   2  internal fault: the sequence stalled on every branch, the sampled and
      exact ranks disagree (RankDisagreementError), or any other error;
   3  negative verdict.
+
+In process, `main(argv)` returns the exit code for every outcome, usage
+errors (1) and -h (0) included.  It builds its argument parser once per
+process, on the first call, and keeps nothing else between calls: each call
+reads, parses and builds its own model.  It writes to the sys.stdout and
+sys.stderr current at the call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -232,6 +239,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="flatkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -259,8 +267,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as stop:  # usage errors and -h
+        return stop.code
     try:
         return args.func(args)
     # a monomial past the packed format's limits comes from the input's size:

@@ -3,6 +3,9 @@ determinism on the bundled example models."""
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 import shlex
 import subprocess
@@ -692,10 +695,47 @@ def test_negative_max_prolong_is_input_error(capsys):
 
 
 def test_usage_errors_exit_with_input_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", str(MODELS / "vtol.json"), "--algorithm", "7"])
-    assert exc.value.code == 1
-    capsys.readouterr()
+    code = main(["analyze", str(MODELS / "vtol.json"), "--algorithm", "7"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: flatkit analyze")
+    assert "invalid choice: 7" in err
+
+
+def test_help_returns_success(capsys):
+    assert main(["-h"]) == 0
+    out, _ = capsys.readouterr()
+    assert out.startswith("usage: flatkit")
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    good = ["analyze", str(MODELS / "example3.json")]
+    bad = ["analyze", str(MODELS / "example3.json"), "--algorithm", "7"]
+    # the first call writes elsewhere: the parser may be built here, and the
+    # later calls must still write to capsys's streams
+    with contextlib.redirect_stdout(io.StringIO()) as first_out:
+        with contextlib.redirect_stderr(io.StringIO()):
+            first = main(good)
+    answers = []
+    for argv in (bad, good, bad, good):
+        code = main(argv)
+        answers.append((code, *capsys.readouterr()))
+    assert len(built) <= 4  # the top parser and its three subcommands
+    assert first == 0 and json.loads(first_out.getvalue())["result"]["passed"]
+    assert answers[1] == answers[3] == (0, first_out.getvalue(), "")
+    assert answers[0] == answers[2]
+    code, out, err = answers[0]
+    assert code == 1 and out == ""
+    assert err.startswith("usage: flatkit analyze") and "invalid choice: 7" in err
 
 
 def test_console_entry_point():
