@@ -11,12 +11,6 @@ and seed produce identical bytes.  Exit codes:
   2  internal fault: the sequence stalled on every branch, the sampled and
      exact ranks disagree (RankDisagreementError), or any other error;
   3  negative verdict.
-
-In process, `main(argv)` returns the exit code for every outcome, usage
-errors (1) and -h (0) included.  It builds its argument parser once per
-process, on the first call, and keeps nothing else between calls: each call
-reads, parses and builds its own model.  It writes to the sys.stdout and
-sys.stderr current at the call.
 """
 
 from __future__ import annotations
@@ -267,6 +261,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code, for every outcome: usage
+    errors (1) and -h (0) return too instead of raising SystemExit.
+
+    The argument parser is built once per process, on the first call; it is
+    the only object kept between calls, and each call reads, parses and
+    builds its own model.  Output goes to the sys.stdout and sys.stderr
+    current at the call.
+    """
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as stop:  # usage errors and -h

@@ -163,14 +163,11 @@ def lie_derivative(h: Expr, v: VectorField) -> Expr:
 
 
 def differential(h: Expr) -> CovectorField:
-    """The coordinate differential dh of a function.
-
-    Only the coordinates h depends on are differentiated; every other
-    component is `chart.zero`, the object `differentiate` returns for them.
-    """
-    chart, syms = h.chart, h._symbol_set()
-    comps = (differentiate(h, c) if c in syms else chart.zero for c in chart.coordinates)
-    return CovectorField(chart, tuple(comps))
+    """The coordinate differential dh of a function."""
+    chart = h.chart
+    return CovectorField(
+        chart, tuple(differentiate(h, name) for name in chart.coordinates)
+    )
 
 
 def transfer_field(v: VectorField, target: Chart) -> VectorField:

@@ -160,9 +160,8 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.advance()
         if tok.kind == "num":
-            # int reads a digits-only literal without Fraction's string parse
             try:
-                value = Fraction(tok.text) if "." in tok.text else int(tok.text)
+                value = Fraction(tok.text)
             except ValueError:  # past the interpreter's integer-string limit
                 raise ParseError("number literal too long", tok.pos) from None
             return self.chart.const(value)

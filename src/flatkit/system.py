@@ -336,18 +336,13 @@ class FlatVerdict(NamedTuple):
 def verify_flat_output(jets: OutputJets) -> FlatVerdict:
     """Pass iff span{dx} lies in span{d phi_[0,R-1]} and the stacked
     differentials have rank n + d (so the candidate really has n + d
-    independent functions through order R - 1).
-
-    Each dx_i is the unit row `ch.one` at x_i's column and `ch.zero`
-    elsewhere, built without differentiating."""
+    independent functions through order R - 1)."""
     sys, cand, ch = jets.system, jets.candidate, jets.chart
     covs = list(jets.differentials[0] + jets.differentials[1])
-    state_rows = [
-        [ch.one if c == name else ch.zero for c in ch.coordinates] for name in sys.states
-    ]
-    # Greedy rows of [covs; dx]: those among covs span covs, and no state
-    # row is taken iff span{dx} lies in span{covs}.
-    picked = sys.engine.independent_rows(fields_matrix(covs) + state_rows, ch)
+    state_covs = [differential(ch.sym(name)) for name in sys.states]
+    # Greedy rows of [covs; state covs]: those among covs span covs, and no
+    # state row is taken iff span{dx} lies in span{covs}.
+    picked = sys.engine.independent_rows(fields_matrix(covs + state_covs), ch)
     stacked_rank = sum(1 for i in picked if i < len(covs))
     spans_states = stacked_rank == len(picked)
     required = sys.n + cand.d

@@ -32,7 +32,7 @@ from flatkit.expr import (
     transfer,
 )
 from flatkit.sample import PRIME, _residue, draw_admissible, draw_point, random_rational
-from flatkit.sympoly import SLOTS, mono_items, p_add, p_const, p_const_value, p_mul, p_pow, p_var
+from flatkit.sympoly import SLOTS, mono_items, p_add, p_const, p_mul, p_pow, p_var
 
 from conftest import mono, sympy_value
 
@@ -46,14 +46,6 @@ def test_parse_literals(chart):
     assert chart.parse("3").as_fraction() == 3
     assert chart.parse("0.5").as_fraction() == Fraction(1, 2)
     assert chart.parse("2.25").as_fraction() == Fraction(9, 4)
-    # a digits-only literal is read as an int, a decimal as a Fraction
-    for text in ("7", "007"):
-        value = p_const_value(chart.parse(text).num)
-        assert type(value) is int and value == 7
-    half = p_const_value(chart.parse("0.5").num)
-    assert type(half) is Fraction and half == Fraction(1, 2)
-    with pytest.raises(ParseError, match="malformed number"):
-        chart.parse("3.")
 
 
 def test_integral_constants_are_one_expression(chart):

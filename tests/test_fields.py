@@ -5,8 +5,6 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from flatkit import fields
 from flatkit.errors import ChartMismatchError
@@ -261,31 +259,6 @@ def test_differential_pairs_like_lie_derivative(rng):
         h = random_polynomial(chart, rng, degree=2)
         v = random_field(chart, rng, degree=2)
         assert pair(differential(h), v) == lie_derivative(h, v)
-
-
-# a jet chart: states, an angle, input jets, and the parameter eps
-_JET_COORDINATES = ("x", "theta", "u1", "u1_1", "u2")
-_JET_ATOMS = _JET_COORDINATES + ("eps", "sin(theta)", "cos(theta)")
-_jet_terms = st.lists(
-    st.tuples(st.integers(-3, 3), st.lists(st.sampled_from(_JET_ATOMS), max_size=3)),
-    min_size=1,
-    max_size=3,
-)
-
-
-def _jet_text(terms) -> str:
-    return " + ".join(f"({c})" + "".join(f"*{a}" for a in atoms) for c, atoms in terms)
-
-
-@settings(max_examples=60)
-@given(_jet_terms, _jet_terms)
-def test_differential_is_every_partial_derivative(num, den):
-    chart = Chart(_JET_COORDINATES, ["eps"])
-    denominator = chart.parse(_jet_text(den))
-    assume(not denominator.is_zero())
-    h = chart.parse(_jet_text(num)) / denominator
-    partials = tuple(differentiate(h, name) for name in chart.coordinates)
-    assert all(a is b for a, b in zip(differential(h).components, partials, strict=True))
 
 
 def test_coordinate_frame_pairings():

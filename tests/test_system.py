@@ -495,27 +495,6 @@ def test_verify_accepts_exactly_one_sign_variant(vtol):
     assert verdicts[0].candidate.K == (2, 2)
 
 
-def test_verify_state_rows_are_the_state_differentials(vtol, monkeypatch):
-    # the rows dx_i are built as unit rows; they must be what differential
-    # gives on the jet chart, which carries the parameter eps and the angle theta
-    sys = as_system(vtol)
-    ch = vtol.chart
-    jets = output_jets(sys, (parse(ch, "x - eps*sin(theta)"), parse(ch, "z + eps*cos(theta)")))
-    matrices = []
-    real = RankEngine.independent_rows
-
-    def capturing(self, matrix, chart):
-        matrices.append(matrix)
-        return real(self, matrix, chart)
-
-    monkeypatch.setattr(RankEngine, "independent_rows", capturing)
-    assert verify_flat_output(jets).passed
-    (matrix,) = matrices
-    jc = jets.chart
-    assert jc.parameters == ("eps",) and "theta" in jc.coordinates
-    assert matrix[-sys.n :] == [list(differential(jc.sym(x)).components) for x in sys.states]
-
-
 def test_verify_seven_state(seven_state):
     sys = as_system(seven_state)
     ch = sys.chart
