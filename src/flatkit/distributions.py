@@ -12,13 +12,26 @@ source spans are sampled.  A dual's dual is its source: the annihilator of D
 records D as its coannihilator and the coannihilator of Q records Q as its
 annihilator, so going back costs no nullspace and reuses the source's cache.
 Membership, involutivity and integrability verdicts go through exact
-pairings, so no certificate ever rests on sampling alone, with one exact
-shortcut: a coordinate span.  When the rank equals the number of columns the
-generators touch (the union of their supports), the span is span{d/dx_c} or
-span{dx_c} over those columns, which is involutive and integrable.  That rank
-is then exact: a sampled rank is a proven lower bound (a nonzero modular
-minor means a nonzero generic minor) and the touched columns an upper bound.
-An engine that under-reports misses the shortcut and meets the dual's
+pairings, so no certificate ever rests on sampling alone, with two exact
+shortcuts.  Both rest on one fact: a sampled rank is a proven lower bound,
+since a nonzero modular minor means a nonzero generic minor.
+
+- A coordinate span.  When the rank equals the number of columns the
+  generators touch (the union of their supports), the span is span{d/dx_c}
+  or span{dx_c} over those columns, which is involutive and integrable.
+  That rank is then exact, the touched columns being an upper bound.
+- A rank rise, which proves "no".  When every generator of a span without
+  a dual is in its basis, the sampled rank r is exact, the generator count
+  being an upper bound.  If the sampled rank of the basis plus some
+  candidates (the basis brackets for `is_involutive`, the other span's
+  generators for `contains`) exceeds r, a candidate lies outside the span:
+  not involutive, or not contained, with no exact dual built.  "Yes" still
+  needs the exact pairing.  So does a span with a dependent generator,
+  whose sampled rank may be too low: A = [t*e1] sampled at t = 0 has rank
+  0, and e1 then rises although it lies in A.  A span that has its dual
+  already (a dual span always does) skips the test.
+
+An engine that under-reports misses a shortcut and meets the dual's
 cross-check instead.
 
 The part of a codistribution in span{dx} (`intersect_with_coordinates`) is
@@ -122,6 +135,19 @@ class _Span:
             self._dual = dual
         return self._dual
 
+    def _rank_rises(self, candidates: Sequence) -> bool:
+        """True when one rank call proves that some candidate lies outside
+        the span (a rank rise, see the module docstring); False means "not
+        proven", never "inside"."""
+        if self._dual is not None:
+            return False
+        basis = self.basis()
+        extra = [x for x in candidates if not x.is_zero()]
+        if not extra or len(basis) < len(self._generators) or len(basis) == self.chart.dim:
+            return False
+        rows = fields_matrix(basis + tuple(extra))
+        return len(self.engine.independent_rows(rows, self.chart)) > len(basis)
+
     def _contains(self, x) -> bool:
         """Exact membership: x pairs to zero with every generator of the dual."""
         return x.is_zero() or all(
@@ -129,7 +155,9 @@ class _Span:
         )
 
     def contains(self, other: "_Span") -> bool:
-        return all(self._contains(x) for x in other._generators)
+        return not self._rank_rises(other._generators) and all(
+            self._contains(x) for x in other._generators
+        )
 
     def span_equal(self, other: "_Span") -> bool:
         return self.contains(other) and other.contains(self)
@@ -185,8 +213,9 @@ class Distribution(_Span):
 
     def is_involutive(self) -> bool:
         if self._involutive is None:
-            self._involutive = self._is_coordinate_span() or all(
-                self.contains_field(br) for br in self._basis_brackets()
+            self._involutive = self._is_coordinate_span() or (
+                not self._rank_rises(self._basis_brackets())
+                and all(self.contains_field(br) for br in self._basis_brackets())
             )
         return self._involutive
 

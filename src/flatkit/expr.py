@@ -42,7 +42,8 @@ generator map, `p_rename` for `transfer`, `p_circle_reduce` and
 (expression, symbol) pair is differentiated at most once.  Charts only add
 generators, so a stored derivative stays canonical.  Each Expr also keeps
 its base symbols; the derivative by any other symbol is zero without a walk.
-A third slot keeps the F_p evaluation program that `sample` decodes once.
+A third slot keeps the F_p evaluation program that `sample` decodes once,
+and a fourth the expression's residue at each shared sample point.
 """
 
 from __future__ import annotations
@@ -222,7 +223,9 @@ def _check_slots(count: int) -> None:
 class Expr:
     """A canonical rational expression over a chart."""
 
-    __slots__ = ("chart", "num", "den", "_hash", "_derivs", "_symbols", "_program")
+    __slots__ = (
+        "chart", "num", "den", "_hash", "_derivs", "_symbols", "_program", "_residues"
+    )
 
     def __init__(self, chart: Chart, num: Poly, den: Poly, _raw: bool = False):
         if not _raw:
@@ -234,6 +237,7 @@ class Expr:
         self._derivs: Optional[dict[str, Expr]] = None  # see differentiate
         self._symbols: Optional[frozenset[str]] = None  # see _symbol_set
         self._program: Optional[tuple] = None  # see sample._residue_program
+        self._residues: Optional[dict] = None  # see sample.residues_at
 
     # -- predicates ---------------------------------------------------------
 

@@ -8,6 +8,12 @@ A vector field also keeps its directions (the coordinates of its support)
 and its symbols (those its components depend on).  When neither of v, w
 moves along a symbol of the other, every derivative in [v, w] is zero, so
 the bracket is zero with no derivative taken.
+
+Every other bracket is memoized on v, keyed by the identity of w, so a
+question takes each [v, w] once and a repeat returns the same field.  The
+memo holds w beside the bracket, so no id it is keyed by can be reused
+while the entry lives; it lives as long as v does, and keys by identity
+because hashing a field would hash every component.
 """
 
 from __future__ import annotations
@@ -66,6 +72,11 @@ class VectorField(_Field):
     def symbols(self) -> frozenset[str]:
         return frozenset().union(*(self.components[i]._symbol_set() for i in self.support))
 
+    @cached_property
+    def _bracket_memo(self) -> dict[int, tuple["VectorField", "VectorField"]]:
+        """id(w) -> (w, [self, w]); see `lie_bracket`."""
+        return {}
+
     def __add__(self, other: "VectorField") -> "VectorField":
         if other.chart is not self.chart:
             raise ChartMismatchError("vector fields on different charts")
@@ -123,6 +134,9 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     chart = v.chart
     if v.directions.isdisjoint(w.symbols) and w.directions.isdisjoint(v.symbols):
         return zero_field(chart)  # every derivative below would be zero
+    hit = v._bracket_memo.get(id(w))
+    if hit is not None:
+        return hit[1]
     names = chart.coordinates
     out = [chart.zero] * chart.dim
     supp_v = {i: v.components[i] for i in v.support}
@@ -147,6 +161,7 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     bracket = VectorField(chart, tuple(out))
     # the loops write only entries in the union; fill the support cache
     bracket.__dict__["support"] = tuple(i for i in union if not out[i].is_zero())
+    v._bracket_memo[id(w)] = (w, bracket)
     return bracket
 
 

@@ -7,7 +7,11 @@ independent rows behind them, by evaluating a matrix at random points of
 the prime field F_p, p = 2^61 - 1 (see `sample`).
 A modular rank can only fall below the generic rank, never exceed it, and by
 the Schwartz-Zippel lemma one point misses with probability at most D/p for
-a nonzero minor of degree D.  Rank decisions feed integrability verdicts, so
+a nonzero minor of degree D.  The engine draws its points once per chart and
+evaluates each expression once per point; sharing the points among calls
+keeps the union bound over a question's rank decisions, because the
+matrices on the path where every decision is right do not depend on the
+points (see `RankEngine`).  Rank decisions feed integrability verdicts, so
 they are never left to chance alone.  The exact duals of `distributions`
 check the sequence ranks: the annihilator or coannihilator of a span
 cross-checks its sampled rank when it is built.
@@ -21,7 +25,14 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import RankDisagreementError
 from .expr import Chart, Expr, eval_at, transfer
-from .sample import PRIME, SamplePoint, draw_residues
+from .sample import (
+    PRIME,
+    ModularPoint,
+    SamplePoint,
+    admissible_point,
+    draw_residues,
+    residues_at,
+)
 from . import sympoly
 
 Matrix = list[list[Expr]]
@@ -141,7 +152,16 @@ def combine_rows(coeffs: Sequence[Expr], rows: Matrix, chart: Chart) -> list[Exp
 
 
 def normalize_vector(vec: Sequence[Expr], chart: Chart) -> list[Expr]:
-    """Scale a vector to primitive polynomial entries with a positive lead."""
+    """Scale a vector by a rational function, with a positive sign.
+
+    Non-constant denominators are cleared by the primitive lcm of the
+    denominators, and the numerators are divided by their gcd, which is
+    primitive: only a non-constant common factor goes, and constant
+    contents stay, so [2*x, 4] and [x/2, y/3] come back unchanged.  A lone
+    nonzero entry is divided by its whole numerator.  The vector is then
+    negated when its first nonzero entry has a negative leading coefficient.
+    The entries are not made primitive; rendered annihilators show this.
+    """
     one = sympoly.p_const(1)
     cleared = _clear_row_denominators(vec, chart)
     g: Optional[sympoly.Poly] = None
@@ -168,7 +188,7 @@ def normalize_vector(vec: Sequence[Expr], chart: Chart) -> list[Expr]:
 
 
 def right_nullspace(matrix: Matrix, chart: Chart, ncols: Optional[int] = None) -> list[list[Expr]]:
-    """Exact basis of {x : M x = 0}, entries normalized to primitive polynomials.
+    """Exact basis of {x : M x = 0}, each vector scaled by `normalize_vector`.
 
     Columns that are zero in every row produce unit solutions directly; the
     elimination then runs on the remaining block only.  On the wide, mostly
@@ -279,18 +299,45 @@ def _prefix_ranks(rows: list[dict[int, int]]) -> list[int]:
     return out
 
 
+class _ChartSampling:
+    """What one engine keeps per chart: the chart itself (so that its id,
+    the key, is never reused while the engine lives), the constraints moved
+    onto it, and its shared points, drawn lazily."""
+
+    __slots__ = ("chart", "constraints", "points")
+
+    def __init__(self, chart: Chart, constraints: Sequence[Expr]) -> None:
+        self.chart = chart
+        self.constraints = tuple(transfer(c, chart) for c in constraints)
+        self.points: list[ModularPoint] = []
+
+
 class RankEngine:
     """Generic ranks of symbolic matrices from seeded points in F_p.
 
-    Each call evaluates every nonzero entry once at each of POINTS fresh
-    admissible points and takes, prefix by prefix, the largest rank seen:
-    modular ranks never exceed generic ones, so the maximum is the generic
-    rank unless every point hit a vanishing minor of that prefix (for a
-    minor of degree D, probability at most (D/p)^POINTS).  Every engine
-    cross-checks its first call against an exact elimination; a mismatch
-    means the sampling scheme itself is broken for this problem and the
-    analysis must not continue on silent guesses.  That first call is the
-    2-row input-field rank of `ControlAffineSystem.__init__`, so the
+    Each call evaluates every nonzero entry at up to POINTS admissible
+    points and takes, prefix by prefix, the largest rank seen: modular ranks
+    never exceed generic ones, so the maximum is the generic rank unless
+    every point hit a vanishing minor of that prefix (for a minor of degree
+    D, probability at most (D/p)^POINTS).  It stops after one point when the
+    first min(m, n) rows are already independent.
+
+    The points are drawn once per chart, lazily and from the engine's
+    seeded RNG, and every call on that chart uses them; each expression is
+    evaluated once per point (`sample.residues_at`).  A chart that gains a
+    generator gets new points.  When an entry has a pole at a shared point,
+    that call draws a fresh point in its place (`sample.draw_residues`).
+    Sharing keeps the error bound: on the execution path where every
+    earlier rank decision was right, the matrices the question asks about
+    are fixed by its input and do not depend on the points.  So the union
+    bound over those decisions, the sum of each matrix's (D/p)^POINTS, is
+    the same as with fresh points per call; the union bound needs no
+    independence between the decisions.
+
+    Every engine cross-checks its first call against an exact elimination;
+    a mismatch means the sampling scheme itself is broken for this problem
+    and the analysis must not continue on silent guesses.  That first call
+    is the 2-row input-field rank of `ControlAffineSystem.__init__`, so the
     check covers no sequence or rank-check matrix; the exact duals of
     `distributions` check those (ROADMAP item 7 moves this guard).
     """
@@ -299,19 +346,24 @@ class RankEngine:
         self.rng = random.Random(seed)
         self.constraints = tuple(constraints)
         self._crosschecked = False
-        self._constraint_cache: dict[int, tuple[Expr, ...]] = {}
+        self._charts: dict[int, _ChartSampling] = {}
 
-    def constraints_on(self, chart: Chart) -> tuple[Expr, ...]:
-        key = id(chart)
-        got = self._constraint_cache.get(key)
+    def _sampling(self, chart: Chart) -> _ChartSampling:
+        got = self._charts.get(id(chart))
         if got is None:
-            got = tuple(transfer(c, chart) for c in self.constraints)
-            self._constraint_cache[key] = got
+            got = self._charts[id(chart)] = _ChartSampling(chart, self.constraints)
+        elif got.points and len(got.points[0].values) != len(chart.gens()):
+            got.points = []  # a generator registered since has no value there
         return got
 
+    def _shared_point(self, state: _ChartSampling, k: int) -> ModularPoint:
+        while len(state.points) <= k:
+            state.points.append(admissible_point(state.chart, self.rng, state.constraints))
+        return state.points[k]
+
     def draw(self, chart: Chart, exprs: Sequence[Expr]) -> list[int]:
-        """Residues of `exprs` at one admissible point of the chart."""
-        return draw_residues(chart, self.rng, exprs, self.constraints_on(chart))
+        """Residues of `exprs` at one fresh admissible point of the chart."""
+        return draw_residues(chart, self.rng, exprs, self._sampling(chart).constraints)
 
     def independent_rows(self, matrix: Matrix, chart: Chart) -> list[int]:
         """Indices of the greedy independent rows: row i is taken iff it
@@ -327,10 +379,14 @@ class RankEngine:
             return []
         full = min(m, len(matrix[0]))
         entries = [matrix[i][j] for i, j in cells]
+        state = self._sampling(chart)
         best = [0] * m
-        for _ in range(POINTS):
+        for k in range(POINTS):
+            residues = residues_at(entries, self._shared_point(state, k))
+            if residues is None:  # a pole at the shared point
+                residues = self.draw(chart, entries)
             rows: list[dict[int, int]] = [{} for _ in range(m)]
-            for (i, j), v in zip(cells, self.draw(chart, entries)):
+            for (i, j), v in zip(cells, residues):
                 if v:
                     rows[i][j] = v
             ranks = _prefix_ranks(rows)

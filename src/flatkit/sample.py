@@ -17,6 +17,15 @@ its coefficient's residue and the (generator, exponent) pairs of its packed
 monomial, kept in the Expr's `_program` slot.  Every later point only
 multiplies residues.  The rank engine passes only nonzero entries.
 
+The rank engine draws its points once per chart (`admissible_point`, where
+no constraint vanishes) and shares them among all its rank calls on that
+chart.  `residues_at` evaluates each expression at a shared point once and
+keeps the residue, or None at a pole, in the Expr's `_residues` slot, keyed
+by the point object: the key holds the point, so no other point can take
+its place.  `draw_residues` draws a fresh point for one list of
+expressions, redrawn until none of them has a pole; the engine falls back
+to it when an entry has a pole at a shared point.
+
 `SamplePoint`, `draw_point` and `draw_admissible` are the exact rational
 counterpart: base symbols receive random rationals with numerator and
 denominator bounded by 997, angles a rational point on the unit circle
@@ -184,6 +193,63 @@ def modular_point(chart: Chart, rng: random.Random) -> list[int]:
     return values
 
 
+class ModularPoint:
+    """Residues for every generator of a chart at one admissible point.  A
+    point is compared by identity: it keys each Expr's residue memo."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: list[int]) -> None:
+        self.values = values
+
+
+def _draw(
+    chart: Chart,
+    rng: random.Random,
+    exprs: Sequence[Expr],
+    constraints: Sequence[Expr],
+    tries: int = 60,
+) -> tuple[list[int], list[int]]:
+    """The generator values at the first drawn point where no constraint
+    vanishes and none of `exprs` has a pole, and their residues there."""
+    for _ in range(tries):
+        values = modular_point(chart, rng)
+        if all(_expr_residue(g, values) for g in constraints):
+            out = [_expr_residue(e, values) for e in exprs]
+            if None not in out:
+                return values, out
+    raise SampleExhaustedError(
+        f"no admissible sample point within {tries} tries on chart "
+        f"({', '.join(chart.coordinates)})"
+    )
+
+
+def admissible_point(
+    chart: Chart, rng: random.Random, constraints: Sequence[Expr]
+) -> ModularPoint:
+    """A point of the chart where every constraint is defined and nonzero."""
+    return ModularPoint(_draw(chart, rng, (), constraints)[0])
+
+
+def residues_at(exprs: Sequence[Expr], point: ModularPoint) -> Optional[list[int]]:
+    """The residues of `exprs` at a shared point, or None when one of them
+    has a pole there.  Each expression is evaluated once per point; its
+    residue, or None, is kept in its `_residues` slot."""
+    values = point.values
+    out = []
+    for e in exprs:
+        memo = e._residues
+        if memo is None:
+            memo = e._residues = {}
+        r = memo.get(point, -1)
+        if r == -1:
+            r = memo[point] = _expr_residue(e, values)
+        if r is None:
+            return None
+        out.append(r)
+    return out
+
+
 def draw_residues(
     chart: Chart,
     rng: random.Random,
@@ -191,21 +257,7 @@ def draw_residues(
     constraints: Sequence[Expr] = (),
     tries: int = 60,
 ) -> list[int]:
-    """The residues of `exprs` at one point where none of them has a pole and
-    no constraint vanishes; each expression is evaluated once per point."""
-    for _ in range(tries):
-        values = modular_point(chart, rng)
-        if not all(_expr_residue(g, values) for g in constraints):
-            continue
-        out: list[int] = []
-        for e in exprs:
-            r = _expr_residue(e, values)
-            if r is None:
-                break
-            out.append(r)
-        else:
-            return out
-    raise SampleExhaustedError(
-        f"no admissible sample point within {tries} tries on chart "
-        f"({', '.join(chart.coordinates)})"
-    )
+    """The residues of `exprs` at one fresh point where none of them has a
+    pole and no constraint vanishes; each expression is evaluated once per
+    point drawn."""
+    return _draw(chart, rng, exprs, constraints, tries)[1]

@@ -254,8 +254,14 @@ def test_analyze_report_determinism(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "model, extra",
-    [("example1", ("--max-prolong", "2")), ("example3", ()), ("vtol", ())],
-    ids=["example1", "example3", "vtol"],
+    [
+        ("example1", ("--max-prolong", "2")),
+        ("example3", ()),
+        ("vtol", ()),
+        ("example3", ("--algorithm", "1")),
+        ("vtol", ("--algorithm", "1")),
+    ],
+    ids=["example1", "example3", "vtol", "example3-alg1", "vtol-alg1"],
 )
 def test_analyze_report_is_seed_invariant(capsys, model, extra):
     reports = []

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatkit.distributions import (
     Codistribution,
@@ -20,7 +22,14 @@ from flatkit.distributions import (
 from flatkit import distributions
 from flatkit.errors import NotIntegrableError, RankDisagreementError, ZeroDenominatorError
 from flatkit.expr import Chart
-from flatkit.fields import CovectorField, VectorField, differential, fields_matrix, lie_bracket
+from flatkit.fields import (
+    CovectorField,
+    VectorField,
+    differential,
+    fields_matrix,
+    lie_bracket,
+    pair,
+)
 from flatkit.linalg import RankEngine, echelon, normalize_vector, right_nullspace
 from flatkit.parser import parse
 
@@ -265,6 +274,75 @@ def test_coordinate_span_verdicts_match_the_exact_dual():
         seen.add((q._is_coordinate_span(), expect_q, expect_d))
     # coordinate spans, and other spans with either verdict
     assert {(True, True, True), (False, True, True), (False, False, False)} <= seen
+
+
+# --- rank rises ---
+
+
+def test_a_rank_rise_proves_no_without_a_dual(monkeypatch):
+    chart = Chart(["x", "y", "z"])
+    engine = RankEngine(seed=31)
+    v, dy = _fields(chart, [{"x": "1", "z": "y"}, {"y": "1"}])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact dual was built")
+
+    monkeypatch.setattr(distributions, "right_nullspace", refuse)
+    # [v, d/dy] = -d/dz lies outside span{v, d/dy}
+    assert span(chart, [v, dy], engine).is_involutive() is False
+    assert not span(chart, [dy], engine).contains(span(chart, [v], engine))
+    # a dependent generator leaves the sampled rank unproven: exact path
+    dependent = span(chart, [v, dy, dy.scale(chart.sym("x"))], engine)
+    with pytest.raises(AssertionError, match="exact dual"):
+        dependent.is_involutive()
+    with pytest.raises(AssertionError, match="exact dual"):
+        span(chart, [v, dy], engine).contains(span(chart, [v], engine))
+
+
+def _random_fields(chart, rng):
+    """One to three fields: random ones on a few columns, the kernel of a
+    random dh (involutive, and no coordinate span), and at times a dependent
+    combination of the first two."""
+    n, zero = chart.dim, chart.zero
+    if rng.random() < 0.3:
+        # dh_j * d/dx_0 - dh_0 * d/dx_j pairs to zero with dh
+        dh = differential(random_polynomial(chart, rng, 2)).components
+        rows = [
+            [dh[j]] + [-dh[0] if i == j else zero for i in range(1, n)] for j in range(1, n)
+        ]
+    else:
+        cols = rng.sample(range(n), rng.randint(2, n))
+        rows = [
+            [random_polynomial(chart, rng, 1) if i in cols else zero for i in range(n)]
+            for _ in range(rng.randint(1, 3))
+        ]
+    out = [VectorField(chart, tuple(r)) for r in rows]
+    if len(out) >= 2 and rng.random() < 0.3:
+        out.append(out[0].scale(chart.sym(rng.choice(chart.coordinates))) + out[1])
+    return out
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32))
+def test_rank_rise_verdicts_match_exact_pairing(seed):
+    rng = random.Random(seed)
+    chart = Chart(["a", "b", "c", "d"])
+    engine = RankEngine(seed=seed)
+    gens, others = _random_fields(chart, rng), _random_fields(chart, rng)
+    if rng.random() < 0.5:  # sometimes a part of the span itself
+        others = [g.scale(chart.sym("a")) for g in gens[: rng.randint(1, len(gens))]]
+    ann = [
+        CovectorField(chart, tuple(w))
+        for w in right_nullspace(fields_matrix(gens), chart, ncols=chart.dim)
+    ]
+
+    def inside(v):
+        return all(pair(w, v).is_zero() for w in ann)
+
+    involutive = all(inside(lie_bracket(v, w)) for v in gens for w in gens)
+    assert span(chart, gens, engine).is_involutive() == involutive
+    d, o = span(chart, gens, engine), span(chart, others, engine)
+    assert d.contains(o) == all(inside(v) for v in others)
 
 
 # --- derived flags and closures ---

@@ -219,6 +219,20 @@ def test_zero_bracket_takes_no_derivative(monkeypatch):
         lie_bracket(w, u)
 
 
+def test_repeated_bracket_returns_the_same_field(monkeypatch):
+    chart = Chart(["a", "b"])
+    v = field_from_dict(chart, {"a": "b", "b": "a^2"})
+    w = field_from_dict(chart, {"a": "a*b"})
+    first = lie_bracket(v, w)
+
+    def refuse(e, name):
+        raise AssertionError(f"a derivative by {name} was taken")
+
+    monkeypatch.setattr(fields, "differentiate", refuse)
+    assert lie_bracket(v, w) is first
+    assert first == field_from_dict(chart, {"a": "b^2 + a^3", "b": "-2*a^2*b"})
+
+
 def test_jacobi_identity_on_random_triples(rng):
     for _ in range(50):
         dim = rng.randint(2, 4)

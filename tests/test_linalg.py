@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flatkit.linalg
+import flatkit.sample
 from flatkit.cli import main
 from flatkit.errors import PrimeDenominatorError, SampleExhaustedError
 from flatkit.expr import Chart
 from flatkit.linalg import (
+    POINTS,
     RankEngine,
     echelon,
     exact_independent_rows,
@@ -24,7 +26,13 @@ from flatkit.linalg import (
     rank_at_point,
     right_nullspace,
 )
-from flatkit.sample import PRIME, draw_admissible, draw_residues, modular_point
+from flatkit.sample import (
+    PRIME,
+    draw_admissible,
+    draw_residues,
+    modular_point,
+    residues_at,
+)
 
 from conftest import random_polynomial
 
@@ -383,14 +391,84 @@ def test_no_zero_entry_reaches_the_evaluator(monkeypatch, capsys):
     """The rank engine evaluates only nonzero entries; a zero has no pole
     and no residue, so leaving it out draws the same points."""
     evaluated = []
-    draw = flatkit.linalg.draw_residues
+    at = flatkit.linalg.residues_at
 
-    def recording(chart, rng, exprs, *args, **kw):
+    def recording(exprs, point):
         evaluated.extend(exprs)
-        return draw(chart, rng, exprs, *args, **kw)
+        return at(exprs, point)
 
-    monkeypatch.setattr(flatkit.linalg, "draw_residues", recording)
+    monkeypatch.setattr(flatkit.linalg, "residues_at", recording)
     assert main(["analyze", str(MODELS / "vtol.json")]) == 0
     capsys.readouterr()
     assert evaluated and not any(e.is_zero() for e in evaluated)
 
+
+
+def test_rank_calls_on_one_chart_evaluate_an_entry_once_per_point(monkeypatch):
+    chart = Chart(["a", "b"])
+    a, b = chart.sym("a"), chart.sym("b")
+    e = a * b + 1
+    evaluated = []
+    evaluate = flatkit.sample._expr_residue
+
+    def recording(expr, values):
+        evaluated.append(expr)
+        return evaluate(expr, values)
+
+    monkeypatch.setattr(flatkit.sample, "_expr_residue", recording)
+    engine = RankEngine(seed=3)
+    # rank 1 of 2 rows: no early exit, so each call uses every point
+    assert engine.rank([[e, e], [e, e]], chart) == 1
+    assert engine.rank([[e, a], [e, a]], chart) == 1
+    assert sum(x is e for x in evaluated) == POINTS
+    assert sum(x is a for x in evaluated) == POINTS
+
+
+def test_a_pole_at_a_shared_point_falls_back_to_a_fresh_point(monkeypatch):
+    chart = Chart(["x", "y"])
+    x, y = chart.sym("x"), chart.sym("y")
+    c = 12345
+    real = flatkit.sample.modular_point
+    drawn = []
+
+    def first_on_the_pole(ch, rng):
+        values = real(ch, rng)
+        if not drawn:
+            values[0] = c
+        drawn.append(values)
+        return values
+
+    monkeypatch.setattr(flatkit.sample, "modular_point", first_on_the_pole)
+    engine = RankEngine(seed=4)
+    pole = 1 / (x - c)
+    # read as zero at x = c, the pole would give rank 1
+    assert engine.rank([[pole, chart.zero], [chart.zero, y]], chart) == 2
+    (shared,) = engine._sampling(chart).points
+    assert shared.values[0] == c and residues_at([pole], shared) is None
+    assert len(drawn) == 2  # the shared point, then a fresh one in its place
+
+
+def test_normalize_vector_removes_only_a_common_factor_and_the_sign():
+    """Entries are not made primitive: doing so would change the rendered
+    annihilators, so this pins the current contract."""
+    chart = Chart(["x", "y"])
+    x, y = chart.sym("x"), chart.sym("y")
+    for vec in ([2 * x, chart.const(4)], [x / 2, y / 3]):
+        assert normalize_vector(vec, chart) == vec
+    assert normalize_vector([2 * x * y, 4 * x], chart) == [2 * y, chart.const(4)]
+    assert normalize_vector([1 / x, 1 / y], chart) == [y, x]
+    assert normalize_vector([-x, 2 * y], chart) == [x, -2 * y]
+    assert normalize_vector([chart.zero, -2 * x], chart) == [chart.zero, chart.one]
+
+
+def test_a_chart_that_gains_a_generator_gets_new_points():
+    chart = Chart(["a", "b"])
+    a, b = chart.sym("a"), chart.sym("b")
+    engine = RankEngine(seed=6)
+    assert engine.rank([[a, b]], chart) == 1
+    before = engine._sampling(chart).points
+    # sin(a) and cos(a) register two generators that the drawn points lack
+    s = chart.parse("sin(a)")
+    assert engine.rank([[s, chart.zero], [b, chart.zero]], chart) == 1
+    assert engine.rank([[s, chart.one], [b, chart.zero]], chart) == 2
+    assert engine._sampling(chart).points[0] is not before[0]
