@@ -194,7 +194,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "stacked_rank": verdict.stacked_rank,
         "required_rank": verdict.required_rank,
     }
-    sfe = sfe_gtf_test(jets)
+    sfe = sfe_gtf_test(jets, verdict)
     report["sfe"] = {
         "passed": sfe.passed,
         "q_sequence": [

@@ -14,7 +14,8 @@ matrices on the path where every decision is right do not depend on the
 points (see `RankEngine`).  Rank decisions feed integrability verdicts, so
 they are never left to chance alone.  The exact duals of `distributions`
 check the sequence ranks: the annihilator or coannihilator of a span
-cross-checks its sampled rank when it is built.
+cross-checks its sampled rank when it is built.  The rank check of
+`system.verify_flat_output` meets an exact upper bound instead.
 `rank_at_point` is the exact rational counterpart, kept as a reference.
 """
 
@@ -338,8 +339,18 @@ class RankEngine:
     a mismatch means the sampling scheme itself is broken for this problem
     and the analysis must not continue on silent guesses.  That first call
     is the 2-row input-field rank of `ControlAffineSystem.__init__`, so the
-    check covers no sequence or rank-check matrix; the exact duals of
-    `distributions` check those (ROADMAP item 7 moves this guard).
+    check covers no sequence or rank-check matrix (ROADMAP item 7 moves
+    this guard).  What the verdicts rest on instead:
+
+    - exact facts, since a sampled rank is a proven lower bound: the
+      integrability and rank of each Q_j and the involutivity and
+      membership answers of `distributions` (an exact dual, or a sampled
+      rank that meets an upper bound or rises), and every pass of the
+      rank check, whose sampled ladder rank meets the exact upper bound
+      n + rank J (`system.verify_flat_output`);
+    - sampling alone: a failed rank check, which an unlucky point could
+      report for a flat pair, and any sampled rank that no exact dual or
+      upper bound has checked yet.
     """
 
     def __init__(self, seed: int = 0, constraints: Sequence[Expr] = ()) -> None:

@@ -11,20 +11,23 @@ plus input prolongation, the structural operation feeding it.
 
 The input-jet space is a prolongation: `prolong` and `output_jets` build
 their charts and drifts with one chain builder that integrates each input
-through a chain of new states.  For output indices R the jet chart is that
-of the (max R, max R) prolongation, and its drift is the total-derivative
-field.  Each output has one derivative ladder, extended on the jet chart:
-`candidate` climbs phi_i, L_f phi_i, ... until an input appears (K_i rungs),
-and `output_jets` moves those rungs to the jet chart and climbs on along the
-total-derivative field to order R_i - 1; below K_i both climbs agree, since
-L_g L_f^j phi_i = 0.  The rank check and the Q sequence of one output pair
-share one `output_jets` context, built once per question.
+through a chain of new states.  For an index d the jet chart is that of the
+(d, d) prolongation, which holds every input derivative the ladders meet,
+and its drift is the total-derivative field.  Each output has one derivative
+ladder, extended on the jet chart: `candidate` climbs phi_i, L_f phi_i, ...
+until an input appears (K_i rungs), and `output_jets` moves those rungs to
+the jet chart and climbs on along the total-derivative field to order
+R_i - 1; below K_i both climbs agree, since L_g L_f^j phi_i = 0.  The rank
+check and the Q sequence of one output pair share one `output_jets`
+context, built once per question.  When the rank check finds span{dx} in
+the span of the ladders, which every pass needs, that finding is exact, and
+it settles the last Q level: span{dx} itself, with no intersection taken.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .distributions import Codistribution, intersect_with_coordinates, span
 from .errors import (
@@ -42,7 +45,7 @@ from .fields import (
     lie_derivative,
     transfer_field,
 )
-from .linalg import RankEngine
+from .linalg import RankEngine, exact_rank
 
 PhiPair = Sequence[Expr]
 
@@ -204,15 +207,21 @@ def candidate(sys: ControlAffineSystem, phi: PhiPair) -> FlatCandidate:
     return FlatCandidate(ladders, R, d)
 
 
-# --- the codistribution sequence ---------------------------------------------
+# --- the jet chart ------------------------------------------------------------
 
 
 class OutputJets(NamedTuple):
     """A candidate output pair on the input-jet chart: its degrees and
     indices, and the differentials of each output's total derivatives up to
-    order R_i - 1.  The jet chart is the chart of the (max R, max R)
-    prolongation, whose drift is the total-derivative field, so every needed
-    total derivative exists.  Each output has one ladder, extended on the
+    order R_i - 1.
+
+    The jet chart is the chart of the (d, d) prolongation: the states, then
+    u_j, u_j_d1, ..., u_j_d(d-1) for each input, and its drift is the
+    total-derivative field.  That is every input derivative the ladder
+    meets: R_i - K_i = d for both outputs, and phi_i^(K_i + m) involves
+    input derivatives up to order m only, so the top rung phi_i^(R_i - 1)
+    stops at order d - 1.  A wider chart would only add columns that are
+    zero in every ladder row.  Each output has one ladder, extended on the
     jet chart: the candidate's rungs below K_i, then total derivatives."""
 
     system: ControlAffineSystem
@@ -226,7 +235,7 @@ def output_jets(sys: ControlAffineSystem, phi: PhiPair) -> OutputJets:
     cand = candidate(sys, phi)
     # only the drift: the prolonged system's own checks (input names, input
     # rank) are not preconditions of the jet space
-    total = _input_chains(sys, max(cand.R), max(cand.R))[0]
+    total = _input_chains(sys, cand.d, cand.d)[0]
     ch = total.chart
     ladders = []
     for rungs, r in zip(cand.ladders, cand.R):
@@ -236,85 +245,6 @@ def output_jets(sys: ControlAffineSystem, phi: PhiPair) -> OutputJets:
             ladder.append(lie_derivative(ladder[-1], total))
         ladders.append(tuple(differential(e) for e in ladder))
     return OutputJets(sys, cand, ch, (ladders[0], ladders[1]))
-
-
-def q_sequence(jets: OutputJets) -> list[Codistribution]:
-    """Q_j = span{d phi_[0,j]} ^ span{dx} for j = K-1, ..., R-1.
-
-    No input normalization is needed: a regular static feedback
-    u = alpha(x) + beta(x) v changes the jet coordinates by an invertible
-    map that fixes x, so span{d phi_[0,j]}, span{dx} and with them Q_j, its
-    rank and its integrability are the same in either chart.
-
-    Each Q_j is an ordinary span of unnormalized, possibly dependent
-    combinations (see `intersect_with_coordinates`): its rank is sampled,
-    and becomes exact once `is_integrable` has answered.  A Q_j whose
-    covectors equal those of Q_(j-1) is that same object, so its rank,
-    coannihilator and brackets are built once.
-    """
-    sys, cand = jets.system, jets.candidate
-    k1, k2 = cand.K
-    lad1, lad2 = jets.differentials
-    out: list[Codistribution] = []
-    for i in range(cand.d + 1):
-        q = Codistribution(jets.chart, lad1[: k1 + i] + lad2[: k2 + i], sys.engine)
-        q = intersect_with_coordinates(q, sys.states)
-        if out and q.covectors == out[-1].covectors:
-            q = out[-1]
-        out.append(q)
-    return out
-
-
-class QReport(NamedTuple):
-    index: tuple[int, int]
-    rank: int
-    integrable: bool
-
-
-class SfeGtfResult(NamedTuple):
-    """Outcome of the triangular-form equivalence test with per-Q detail."""
-
-    passed: bool
-    candidate: FlatCandidate
-    reports: tuple[QReport, ...]
-    codistributions: tuple[Codistribution, ...]
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def sfe_gtf_test(jets: OutputJets) -> SfeGtfResult:
-    """Equivalent to the triangular form under static feedback iff every Q_j
-    in the sequence is integrable."""
-    cand = jets.candidate
-    k1, k2 = cand.K
-    qs = q_sequence(jets)
-    reports = []
-    passed = True
-    for i, q in enumerate(qs):
-        # Read q.rank only after is_integrable, so every reported rank is
-        # exact.  Either the rank equals the number of columns the
-        # generators touch, an upper bound, while a sampled rank is a proven
-        # lower bound (a coordinate span, integrable with no dual), or the
-        # exact coannihilator is built and cross-checks it.
-        ok = q.is_integrable()
-        passed = passed and ok
-        reports.append(QReport((k1 - 1 + i, k2 - 1 + i), q.rank, ok))
-    return SfeGtfResult(passed, cand, tuple(reports), tuple(qs))
-
-
-# --- prolongation -------------------------------------------------------------
-
-
-def prolong(sys: ControlAffineSystem, p1: int, p2: int) -> ControlAffineSystem:
-    """The system with input j integrated through p_j extra states; old
-    inputs become states.  Orders (0, 0) return `sys` itself."""
-    if p1 < 0 or p2 < 0:
-        raise ValueError("prolongation orders must be nonnegative")
-    if p1 == 0 and p2 == 0:
-        return sys
-    f, (g1, g2), inputs = _input_chains(sys, p1, p2)
-    return ControlAffineSystem(f.chart, inputs, f, g1, g2, sys.engine, sys.name)
 
 
 # --- flat-output verification --------------------------------------------------
@@ -334,17 +264,29 @@ class FlatVerdict(NamedTuple):
 
 
 def verify_flat_output(jets: OutputJets) -> FlatVerdict:
-    """Pass iff span{dx} lies in span{d phi_[0,R-1]} and the stacked
+    """Pass iff span{dx} lies in span{d phi_[0,R-1]} and the ladder
     differentials have rank n + d (so the candidate really has n + d
-    independent functions through order R - 1)."""
+    independent functions through order R - 1).
+
+    With L the n + d ladder rows and J their block in the jet columns (the
+    columns after the states), eliminating the state columns of L by the dx
+    rows gives rank [L; dx] = n + rank J.  So span{dx} lies in span{L} iff
+    rank L = n + rank J.  `stacked_rank` is the sampled rank of L and rank J
+    comes from one exact echelon of the small jet block.  A sampled rank is
+    a proven lower bound, and rank L <= n + rank J, so equality proves both
+    `spans_states` and `stacked_rank`: every pass is exact, since it needs
+    both.  Only a failed check rests on sampling.  The echelon runs only
+    when the check can still find span{dx}: a sampled rank of J is a lower
+    bound as well, so a stacked rank below n plus it is below n + rank J.
+    """
     sys, cand, ch = jets.system, jets.candidate, jets.chart
-    covs = list(jets.differentials[0] + jets.differentials[1])
-    state_covs = [differential(ch.sym(name)) for name in sys.states]
-    # Greedy rows of [covs; state covs]: those among covs span covs, and no
-    # state row is taken iff span{dx} lies in span{covs}.
-    picked = sys.engine.independent_rows(fields_matrix(covs + state_covs), ch)
-    stacked_rank = sum(1 for i in picked if i < len(covs))
-    spans_states = stacked_rank == len(picked)
+    rows = fields_matrix(jets.differentials[0] + jets.differentials[1])
+    stacked_rank = sys.engine.rank(rows, ch)
+    # the rungs below K see no input: their jet rows are zero
+    jet_block = [row[sys.n:] for row in rows if any(not e.is_zero() for e in row[sys.n:])]
+    spans_states = stacked_rank >= sys.n + sys.engine.rank(jet_block, ch) and (
+        stacked_rank == sys.n + exact_rank(jet_block, ch)
+    )
     required = sys.n + cand.d
     return FlatVerdict(
         spans_states and stacked_rank == required,
@@ -353,3 +295,109 @@ def verify_flat_output(jets: OutputJets) -> FlatVerdict:
         stacked_rank,
         required,
     )
+
+
+# --- the codistribution sequence ---------------------------------------------
+
+
+def q_sequence(
+    jets: OutputJets, verdict: Optional[FlatVerdict] = None
+) -> list[Codistribution]:
+    """Q_j = span{d phi_[0,j]} ^ span{dx} for j = K-1, ..., R-1.
+
+    No input normalization is needed: a regular static feedback
+    u = alpha(x) + beta(x) v changes the jet coordinates by an invertible
+    map that fixes x, so span{d phi_[0,j]}, span{dx} and with them Q_j, its
+    rank and its integrability are the same in either chart.
+
+    Each Q_j is an ordinary span of unnormalized, possibly dependent
+    combinations (see `intersect_with_coordinates`): its rank is sampled,
+    and becomes exact once `is_integrable` has answered.  A Q_j whose
+    covectors equal those of Q_(j-1) is that same object, so its rank,
+    coannihilator and brackets are built once.
+
+    The last level Q_(R-1) is span{dx} itself when `verdict` is the rank
+    check of these jets and found span{dx} in span{d phi_[0,R-1]}; a True
+    `spans_states` is proven (see `verify_flat_output`), and every pass has
+    it.  That level is then the coordinate span of the states, with no
+    intersection taken.  Otherwise it is intersected like the others.
+    """
+    sys, cand = jets.system, jets.candidate
+    if verdict is not None and verdict.candidate is not cand:
+        raise ValueError("the rank verdict of another output pair")
+    k1, k2 = cand.K
+    lad1, lad2 = jets.differentials
+    out: list[Codistribution] = []
+    for i in range(cand.d + 1):
+        if i == cand.d and verdict is not None and verdict.spans_states:
+            dx = [differential(jets.chart.sym(name)) for name in sys.states]
+            q = Codistribution(jets.chart, dx, sys.engine)
+        else:
+            q = Codistribution(jets.chart, lad1[: k1 + i] + lad2[: k2 + i], sys.engine)
+            q = intersect_with_coordinates(q, sys.states)
+        if out and q.covectors == out[-1].covectors:
+            q = out[-1]
+        out.append(q)
+    return out
+
+
+class QReport(NamedTuple):
+    index: tuple[int, int]
+    rank: int
+    integrable: bool
+
+
+class SfeGtfResult(NamedTuple):
+    """Outcome of the triangular-form equivalence test with per-Q detail,
+    and the rank check it read for the last Q level."""
+
+    passed: bool
+    candidate: FlatCandidate
+    reports: tuple[QReport, ...]
+    codistributions: tuple[Codistribution, ...]
+    verdict: FlatVerdict
+
+    def __bool__(self) -> bool:
+        return self.passed
+
+
+def sfe_gtf_test(jets: OutputJets, verdict: Optional[FlatVerdict] = None) -> SfeGtfResult:
+    """Equivalent to the triangular form under static feedback iff every Q_j
+    in the sequence is integrable.
+
+    `verdict` is the rank check of the same jets, when the caller has one;
+    without it the test runs `verify_flat_output` first.  When the check
+    proved span{dx} in span{d phi_[0,R-1]}, the last level is span{dx},
+    rank n and integrable, and costs no intersection (see `q_sequence`).
+    """
+    if verdict is None:
+        verdict = verify_flat_output(jets)
+    cand = jets.candidate
+    k1, k2 = cand.K
+    qs = q_sequence(jets, verdict)
+    reports = []
+    passed = True
+    for i, q in enumerate(qs):
+        # Read q.rank only after is_integrable, so every reported rank is
+        # exact.  Either the rank equals the number of columns the
+        # generators touch, an upper bound, while a sampled rank is a proven
+        # lower bound (a coordinate span, integrable with no dual), or the
+        # exact coannihilator is built and cross-checks it.
+        ok = q.is_integrable()
+        passed = passed and ok
+        reports.append(QReport((k1 - 1 + i, k2 - 1 + i), q.rank, ok))
+    return SfeGtfResult(passed, cand, tuple(reports), tuple(qs), verdict)
+
+
+# --- prolongation -------------------------------------------------------------
+
+
+def prolong(sys: ControlAffineSystem, p1: int, p2: int) -> ControlAffineSystem:
+    """The system with input j integrated through p_j extra states; old
+    inputs become states.  Orders (0, 0) return `sys` itself."""
+    if p1 < 0 or p2 < 0:
+        raise ValueError("prolongation orders must be nonnegative")
+    if p1 == 0 and p2 == 0:
+        return sys
+    f, (g1, g2), inputs = _input_chains(sys, p1, p2)
+    return ControlAffineSystem(f.chart, inputs, f, g1, g2, sys.engine, sys.name)

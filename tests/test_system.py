@@ -29,7 +29,7 @@ from flatkit.errors import (
 )
 from flatkit.expr import Chart, transfer
 from flatkit.fields import differential, lie_derivative
-from flatkit.linalg import RankEngine
+from flatkit.linalg import RankEngine, exact_rank
 from flatkit.parser import parse
 from flatkit.system import candidate, flat_indices, q_sequence
 
@@ -227,31 +227,21 @@ def test_output_jets_climbs_each_jet_rung_once(vtol, monkeypatch):
     assert on_jets == sum(r - k for r, k in zip(cand.R, cand.K)) == 4
 
 
-@pytest.mark.parametrize(
-    "source, orders, output",
-    [
-        ("example1", (1, 0), ("x1", "x2")),
-        ("example1", (2, 1), ("x1", "x2")),
-        ("example3", (0, 0), ("z1", "z3")),
-        ("vtol", (0, 0), ("x - eps*sin(theta)", "z + eps*cos(theta)")),
-        ("vtol", (0, 0), ("theta", "x*cos(theta)/sin(theta) + z")),
-        ("seven_state", (0, 0), ("z1", "z3")),
-        ("ecf8", (0, 0), ("z11", "z12")),
-    ],
-    ids=[
-        "example1-p10",
-        "example1-p21",
-        "example3",
-        "vtol",
-        "vtol-pitch",
-        "seven_state",
-        "ecf8",
-    ],
-)
-def test_jet_ladder_matches_the_total_derivative_climb(request, source, orders, output):
-    """The reference climbs every rung from phi_i along the total-derivative
-    field; it agrees with the drift rungs below K (L_g L_f^j phi_i = 0
-    there) extended on the jet chart."""
+JET_CASES = {
+    "example1-p10": ("example1", (1, 0), ("x1", "x2")),
+    "example1-p21": ("example1", (2, 1), ("x1", "x2")),
+    "example3": ("example3", (0, 0), ("z1", "z3")),
+    "vtol": ("vtol", (0, 0), ("x - eps*sin(theta)", "z + eps*cos(theta)")),
+    "vtol-pitch": ("vtol", (0, 0), ("theta", "x*cos(theta)/sin(theta) + z")),
+    "seven_state": ("seven_state", (0, 0), ("z1", "z3")),
+    "ecf8": ("ecf8", (0, 0), ("z11", "z12")),
+}
+
+
+def _jets_and_wide_climb(request, source, orders, output):
+    """The output's jets, and the reference: every rung climbed from phi_i
+    along the total-derivative field of the (max R, max R) prolongation,
+    the chart the rank check used before it kept d input derivatives."""
     if source == "example3":
         sys = build_system(load_model(MODELS / "example3.json"))
     else:
@@ -261,15 +251,54 @@ def test_jet_ladder_matches_the_total_derivative_climb(request, source, orders, 
     jets = output_jets(sys, phi)
     r = max(jets.candidate.R)
     total = prolong(sys, r, r).f
-    assert total.chart.coordinates == jets.chart.coordinates
-    for h, r_i, got in zip(phi, jets.candidate.R, jets.differentials):
+    climbs = []
+    for h, r_i in zip(phi, jets.candidate.R):
         ladder = [transfer(h, total.chart)]
         while len(ladder) < r_i:
             ladder.append(lie_derivative(ladder[-1], total))
-        assert len(got) == r_i
-        for e, cov in zip(ladder, got):
-            ref = differential(e).components
-            assert [transfer(c, jets.chart) for c in ref] == list(cov.components)
+        climbs.append([differential(e) for e in ladder])
+    return sys, jets, total.chart, climbs
+
+
+@pytest.mark.parametrize("case", list(JET_CASES))
+def test_jet_ladder_matches_the_total_derivative_climb(request, case):
+    """The jet chart keeps d derivatives of each input.  The reference climb
+    on the wide chart gives the same differentials, and every column the
+    jet chart drops is zero in every rung; below K the ladder is the drift's
+    (L_g L_f^j phi_i = 0 there) extended on the jet chart."""
+    sys, jets, wide, climbs = _jets_and_wide_climb(request, *JET_CASES[case])
+    d = jets.candidate.d
+    assert jets.chart.coordinates == prolong(sys, d, d).chart.coordinates
+    kept = set(jets.chart.coordinates)
+    for r_i, climb, got in zip(jets.candidate.R, climbs, jets.differentials):
+        assert len(got) == len(climb) == r_i
+        for ref, cov in zip(climb, got):
+            by_name = dict(zip(wide.coordinates, ref.components))
+            assert all(by_name[name].is_zero() for name in by_name if name not in kept)
+            narrowed = [transfer(by_name[name], jets.chart) for name in jets.chart.coordinates]
+            assert narrowed == list(cov.components)
+
+
+REJECTED_CASES = {
+    "vtol-pitch": JET_CASES["vtol-pitch"],
+    "vtol-sign": ("vtol", (0, 0), ("x - eps*cos(theta)", "z + eps*sin(theta)")),
+}
+
+
+@pytest.mark.parametrize("case", [*JET_CASES, "vtol-sign"])
+def test_rank_check_matches_the_exact_stacked_rank(request, case):
+    """`stacked_rank` and `spans_states` equal the exact ranks of the old
+    stacked [ladder; dx] matrix on the wide chart, for the flat pairs and
+    for the two rejected vtol pairs, whose ladders do not span dx."""
+    cases = {**JET_CASES, **REJECTED_CASES}
+    sys, jets, wide, climbs = _jets_and_wide_climb(request, *cases[case])
+    ladder = [list(cov.components) for climb in climbs for cov in climb]
+    dx = [list(differential(wide.sym(name)).components) for name in sys.states]
+    ladder_rank = exact_rank(ladder, wide)
+    verdict = verify_flat_output(jets)
+    assert verdict.stacked_rank == ladder_rank
+    assert verdict.spans_states == (exact_rank(ladder + dx, wide) == ladder_rank)
+    assert verdict.passed == (case not in REJECTED_CASES)
 
 
 # --- static feedback --------------------------------------------------------------
@@ -388,13 +417,32 @@ def test_sfe_ecf8(ecf8):
     _assert_triangular(as_system(ecf8), ("z11", "z12"), (3, 3), 2, [6, 7, 8])
 
 
+def _sequence_and_rank_verdict(sys, phi):
+    """Q ranks, the triangular-form verdict and the full rank verdict (the
+    candidate's ladders are the drift's, which feedback changes)."""
+    sfe = sfe_gtf_test(output_jets(sys, phi))
+    v = sfe.verdict
+    return (
+        [r.rank for r in sfe.reports],
+        sfe.passed,
+        (v.passed, v.spans_states, v.stacked_rank, v.required_rank),
+    )
+
+
 def test_sequence_is_feedback_invariant(seven_state, rng):
     """Regular static feedback must not change the sequence ranks, the
-    triangularizability verdict, or the verification verdict."""
+    triangularizability verdict, or the rank check's verdict, for a flat
+    pair and for a rejected one."""
     sys = as_system(seven_state)
     ch = sys.chart
-    phi = (ch.sym("z1"), ch.sym("z3"))
-    base_ranks = [q.rank for q in q_sequence(output_jets(sys, phi))]
+    pairs = [(ch.sym("z1"), ch.sym("z3")), (ch.sym("z1"), ch.sym("z6"))]
+    base = [_sequence_and_rank_verdict(sys, phi) for phi in pairs]
+    # (z1, z6) is triangularizable and has full ladder rank, but its
+    # ladder misses span{dx}
+    assert [b[1:] for b in base] == [
+        (True, (True, True, 10, 10)),
+        (True, (False, False, 10, 10)),
+    ]
     names = list(ch.coordinates)
 
     def affine():
@@ -410,11 +458,55 @@ def test_sequence_is_feedback_invariant(seven_state, rng):
             det = beta[0][0] * beta[1][1] - beta[0][1] * beta[1][0]
             if not det.is_zero():
                 break
-        jets = output_jets(apply_static_feedback(sys, alpha, beta), phi)
-        sfe = sfe_gtf_test(jets)
-        assert [r.rank for r in sfe.reports] == base_ranks
-        assert sfe.passed
-        assert verify_flat_output(jets).passed
+        fed = apply_static_feedback(sys, alpha, beta)
+        assert [_sequence_and_rank_verdict(fed, phi) for phi in pairs] == base
+
+
+def test_a_short_ladder_rank_fails_the_check_and_q_d_is_intersected(example1, monkeypatch):
+    """The last Q level is taken as span{dx} only after a proven pass.  A
+    sampled ladder rank that comes out one short fails the rank check, and
+    Q_d is then intersected like the levels below it, not assumed."""
+    sys = prolong(as_system(example1), 1, 1)
+    ch = sys.chart
+    jets = output_jets(sys, (ch.sym("x1"), ch.sym("x2")))
+    d = jets.candidate.d
+    intersected = []
+    real = flatkit.system.intersect_with_coordinates
+    monkeypatch.setattr(
+        flatkit.system,
+        "intersect_with_coordinates",
+        lambda q, names: intersected.append(q) or real(q, names),
+    )
+    honest = sfe_gtf_test(jets)
+    assert honest.verdict.passed and len(intersected) == d
+    dx = [differential(honest.codistributions[-1].chart.sym(name)) for name in sys.states]
+    assert list(honest.codistributions[-1].covectors) == dx
+
+    engine = sys.engine
+    sampled = engine.independent_rows
+
+    def drop_last_pick(rows, chart):  # for one call
+        monkeypatch.setattr(engine, "independent_rows", sampled)
+        return sampled(rows, chart)[:-1]
+
+    monkeypatch.setattr(engine, "independent_rows", drop_last_pick)
+    verdict = verify_flat_output(jets)
+    assert not verdict.passed and not verdict.spans_states
+    assert verdict.stacked_rank == verdict.required_rank - 1
+    intersected.clear()
+    short = sfe_gtf_test(jets, verdict)
+    assert short.verdict is verdict and len(intersected) == d + 1
+    assert list(short.codistributions[-1].covectors) != dx
+    assert short.reports == honest.reports
+
+
+def test_q_sequence_refuses_the_rank_verdict_of_another_pair(seven_state):
+    sys = as_system(seven_state)
+    ch = sys.chart
+    jets = output_jets(sys, (ch.sym("z1"), ch.sym("z3")))
+    other = verify_flat_output(output_jets(sys, (ch.sym("z1"), ch.sym("z3"))))
+    with pytest.raises(ValueError, match="another output pair"):
+        q_sequence(jets, other)
 
 
 # --- prolongation ---------------------------------------------------------------
@@ -493,6 +585,24 @@ def test_verify_accepts_exactly_one_sign_variant(vtol):
     verdicts = [verify_flat_output(output_jets(sys, phi)) for phi in variants]
     assert [v.passed for v in verdicts] == [True, False]
     assert verdicts[0].candidate.K == (2, 2)
+
+
+def test_the_exact_jet_rank_is_taken_only_when_the_check_can_pass(vtol, monkeypatch):
+    """A stacked rank below n plus the sampled rank of the jet block is a
+    failure without the exact echelon; a pass takes it once, on the 2d jet
+    rows."""
+    sys = as_system(vtol)
+    ch = vtol.chart
+    echelons = []
+    real = flatkit.system.exact_rank
+    monkeypatch.setattr(
+        flatkit.system, "exact_rank", lambda m, chart: echelons.append(len(m)) or real(m, chart)
+    )
+    assert not verify_flat_output(output_jets(sys, pitch_pair(vtol))).spans_states
+    assert echelons == []
+    flat = (parse(ch, "x - eps*sin(theta)"), parse(ch, "z + eps*cos(theta)"))
+    assert verify_flat_output(output_jets(sys, flat)).passed
+    assert echelons == [4]
 
 
 def test_verify_seven_state(seven_state):
