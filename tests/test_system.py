@@ -241,7 +241,8 @@ JET_CASES = {
 def _jets_and_wide_climb(request, source, orders, output):
     """The output's jets, and the reference: every rung climbed from phi_i
     along the total-derivative field of the (max R, max R) prolongation,
-    the chart the rank check used before it kept d input derivatives."""
+    a chart wide enough for every rung with no argument about input
+    orders."""
     if source == "example3":
         sys = build_system(load_model(MODELS / "example3.json"))
     else:
@@ -279,26 +280,26 @@ def test_jet_ladder_matches_the_total_derivative_climb(request, case):
             assert narrowed == list(cov.components)
 
 
-REJECTED_CASES = {
-    "vtol-pitch": JET_CASES["vtol-pitch"],
+REJECTED = ("vtol-pitch", "vtol-sign")
+VERIFY_CASES = {
+    **JET_CASES,
     "vtol-sign": ("vtol", (0, 0), ("x - eps*cos(theta)", "z + eps*sin(theta)")),
 }
 
 
-@pytest.mark.parametrize("case", [*JET_CASES, "vtol-sign"])
+@pytest.mark.parametrize("case", list(VERIFY_CASES))
 def test_rank_check_matches_the_exact_stacked_rank(request, case):
-    """`stacked_rank` and `spans_states` equal the exact ranks of the old
+    """`stacked_rank` and `spans_states` equal the exact ranks of the
     stacked [ladder; dx] matrix on the wide chart, for the flat pairs and
     for the two rejected vtol pairs, whose ladders do not span dx."""
-    cases = {**JET_CASES, **REJECTED_CASES}
-    sys, jets, wide, climbs = _jets_and_wide_climb(request, *cases[case])
+    sys, jets, wide, climbs = _jets_and_wide_climb(request, *VERIFY_CASES[case])
     ladder = [list(cov.components) for climb in climbs for cov in climb]
     dx = [list(differential(wide.sym(name)).components) for name in sys.states]
     ladder_rank = exact_rank(ladder, wide)
     verdict = verify_flat_output(jets)
     assert verdict.stacked_rank == ladder_rank
     assert verdict.spans_states == (exact_rank(ladder + dx, wide) == ladder_rank)
-    assert verdict.passed == (case not in REJECTED_CASES)
+    assert verdict.passed == (case not in REJECTED)
 
 
 # --- static feedback --------------------------------------------------------------
@@ -463,9 +464,10 @@ def test_sequence_is_feedback_invariant(seven_state, rng):
 
 
 def test_a_short_ladder_rank_fails_the_check_and_q_d_is_intersected(example1, monkeypatch):
-    """The last Q level is taken as span{dx} only after a proven pass.  A
-    sampled ladder rank that comes out one short fails the rank check, and
-    Q_d is then intersected like the levels below it, not assumed."""
+    """The last Q level is taken as span{dx} only after the rank check
+    proved span{dx} in the ladder's span.  A sampled ladder rank that comes
+    out one short fails the check, and Q_d is then intersected like the
+    levels below it, not assumed."""
     sys = prolong(as_system(example1), 1, 1)
     ch = sys.chart
     jets = output_jets(sys, (ch.sym("x1"), ch.sym("x2")))
