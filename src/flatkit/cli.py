@@ -4,10 +4,11 @@ Reports are JSON with sorted keys and no volatile fields, so identical inputs
 and seed produce identical bytes.  Exit codes:
 
   0  success or positive verdict;
-  1  unreadable or invalid input, such as an expression nested past the
-     interpreter's recursion limit, a number literal past its integer-string
-     limit or a non-ASCII character; an input too large for the polynomial
-     kernel (MonomialLimitError), or an OS error such as an unwritable path;
+  1  unreadable or invalid input, such as a model file that is not UTF-8,
+     JSON or an expression nested past the interpreter's recursion limit, a
+     number literal past its integer-string limit or a non-ASCII character;
+     an input too large for the polynomial kernel (MonomialLimitError), or
+     an OS error such as an unwritable path;
   2  internal fault: the sequence stalled on every branch, the sampled and
      exact ranks disagree (RankDisagreementError), or any other error;
   3  negative verdict.
@@ -37,7 +38,7 @@ from .errors import (
     UnknownSymbolError,
 )
 from .modelfile import build_system, load_model, prolonged_model, save_model
-from .system import output_jets, prolong, sfe_gtf_test, verify_flat_output
+from .system import output_jets, prolong, sfe_gtf_test
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -187,14 +188,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_NEGATIVE
     cand = jets.candidate
     report["indices"] = {"K": list(cand.K), "R": list(cand.R), "d": cand.d}
-    verdict = verify_flat_output(jets)
+    sfe = sfe_gtf_test(jets)
+    verdict = sfe.verdict
     report["rank_check"] = {
         "passed": verdict.passed,
         "spans_states": verdict.spans_states,
         "stacked_rank": verdict.stacked_rank,
         "required_rank": verdict.required_rank,
     }
-    sfe = sfe_gtf_test(jets, verdict)
     report["sfe"] = {
         "passed": sfe.passed,
         "q_sequence": [

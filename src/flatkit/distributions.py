@@ -54,9 +54,9 @@ from .expr import (
     Chart,
     Expr,
     antiderivative,
+    at_zero,
     differentiate,
     strip_coordinate_constant,
-    substitute,
 )
 from .fields import (
     CovectorField,
@@ -408,16 +408,13 @@ def _integrate_row(
     names = [name for _, name in active]
     try:
         for pos, (i, name) in enumerate(active):
-            integrand = w[i]
-            later = {n: chart.const(0) for n in names[pos + 1:]}
-            if later:
-                integrand = substitute(integrand, later)
+            integrand = at_zero(w[i], names[pos + 1:])
             if integrand.is_zero():
                 continue
             prim = antiderivative(integrand, name)
             if prim is None:
                 return None
-            h = h + prim - substitute(prim, {name: chart.const(0)})
+            h = h + prim - at_zero(prim, (name,))
     except ZeroDenominatorError:
         # Freezing later coordinates at zero can land on a pole of the
         # integrand: path integration from the origin is undefined there.

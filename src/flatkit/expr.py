@@ -19,8 +19,9 @@ decide expressions built on it: sin/cos of a non-integer multiple, a
 product or a constant offset, exp except exp(0), ln except ln(1), and sqrt
 except of a constant with a rational root.
 
-`substitute` maps each base symbol to a value and re-applies sin/cos to the
-mapped angle.  `transfer` only re-indexes the generators: a renaming of
+`at_zero` sets base symbols to 0 in numerator and denominator: sin 0 = 0
+and cos 0 = 1 satisfy the circle relation, so this is a ring map on the
+generators.  `transfer` only re-indexes the generators: a renaming of
 variables keeps numerator and denominator coprime and trig-reduced, so the
 result is canonical once its denominator is made monic under the target's
 order.
@@ -49,7 +50,7 @@ and a fourth the expression's residue at each shared sample point.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, Collection, Iterable, NamedTuple, Optional, Union
 
 from .errors import (
     ChartMismatchError,
@@ -624,48 +625,35 @@ def _eval_poly(poly: Poly, point) -> Fraction:
     return total
 
 
-# -- substitution and transfer --------------------------------------------------
+# -- restriction and transfer ----------------------------------------------------
 
 
-def _map_generators(e: Expr, target: Chart, repl: dict[str, Expr]) -> Expr:
-    """e on the target chart with each base symbol replaced by its value in
-    repl (by the same-named symbol of target when absent); sin/cos are
-    re-applied to the mapped angle.  On e's own chart, a generator whose
-    base symbol repl leaves alone stays as it is."""
-    source = e.chart
-
-    def gen_value(idx: int) -> Expr:
-        info = source.gen_info(idx)
-        if target is source and info.base not in repl:
-            return source._gen_expr(idx)
-        value = repl.get(info.base)
-        if value is None:
-            value = target.sym(info.base)
-        return value if info.kind == "base" else FUNCTION_TABLE[info.kind](value)
-
-    def poly_to_expr(poly: Poly) -> Expr:
-        total = target.zero
-        for m, c in poly.items():
-            term = target.const(c)
-            for i, ee in mono_items(m):
-                term = term * gen_value(i) ** ee
-            total = total + term
-        return total
-
-    return poly_to_expr(e.num) / poly_to_expr(e.den)
-
-
-def substitute(e: Expr, mapping: dict[str, Scalar]) -> Expr:
-    """Substitute expressions (or constants) for base symbols, same chart."""
+def at_zero(e: Expr, names: Collection[str]) -> Expr:
+    """e with the named base symbols set to 0.  A term that holds one of
+    them or its sine vanishes, and its cosine becomes 1; a denominator that
+    vanishes raises ZeroDenominatorError."""
+    if e._symbol_set().isdisjoint(names):
+        return e
     chart = e.chart
-    repl: dict[str, Expr] = {}
-    for name, value in mapping.items():
-        if not chart.has_symbol(name):
-            raise UnknownSymbolError(name)
-        repl[name] = value if isinstance(value, Expr) else chart.const(value)
-        if repl[name].chart is not chart:
-            raise ChartMismatchError("substitution value on another chart")
-    return _map_generators(e, chart, repl)
+
+    def restrict(poly: Poly) -> Poly:
+        out: Poly = {}
+        for m, c in poly.items():
+            for i, _ in mono_items(m):
+                info = chart.gen_info(i)
+                if info.base in names:
+                    if info.kind != "cos":
+                        break
+                    m = mono_set(m, i, 0)
+            else:
+                s = out.get(m, 0) + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return out
+
+    return Expr(chart, restrict(e.num), restrict(e.den))
 
 
 def transfer(e: Expr, target: Chart) -> Expr:

@@ -11,12 +11,12 @@ a nonzero minor of degree D.  The engine draws its points once per chart and
 evaluates each expression once per point; sharing the points among calls
 keeps the union bound over a question's rank decisions, because the
 matrices on the path where every decision is right do not depend on the
-points (see `RankEngine`).  Rank decisions feed integrability verdicts, so
-they are never left to chance alone.  The exact duals of `distributions`
-check the sequence ranks: the annihilator or coannihilator of a span
-cross-checks its sampled rank when it is built.  The rank check of
-`system.verify_flat_output` meets an exact upper bound instead.
-`rank_at_point` is the exact rational counterpart, kept as a reference.
+points (see `RankEngine`).  An exact check sits where a verdict reads a
+rank: the exact duals of `distributions` check the sequence ranks (the
+annihilator or coannihilator of a span cross-checks its sampled rank when
+it is built), and the rank check of `system.verify_flat_output` meets an
+exact upper bound.  `rank_at_point` is the exact rational counterpart, kept
+as a reference.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import RankDisagreementError
 from .expr import Chart, Expr, eval_at, transfer
 from .sample import (
     PRIME,
@@ -188,7 +187,7 @@ def normalize_vector(vec: Sequence[Expr], chart: Chart) -> list[Expr]:
     return out
 
 
-def right_nullspace(matrix: Matrix, chart: Chart, ncols: Optional[int] = None) -> list[list[Expr]]:
+def right_nullspace(matrix: Matrix, chart: Chart, ncols: int) -> list[list[Expr]]:
     """Exact basis of {x : M x = 0}, each vector scaled by `normalize_vector`.
 
     Columns that are zero in every row produce unit solutions directly; the
@@ -196,10 +195,6 @@ def right_nullspace(matrix: Matrix, chart: Chart, ncols: Optional[int] = None) -
     empty matrices coming from jet-space annihilators this removes nearly all
     of the work.
     """
-    if ncols is None:
-        if not matrix:
-            raise ValueError("need ncols for an empty matrix")
-        ncols = len(matrix[0])
     if not matrix:
         return [_unit(chart, ncols, j) for j in range(ncols)]
     live = [
@@ -335,12 +330,8 @@ class RankEngine:
     the same as with fresh points per call; the union bound needs no
     independence between the decisions.
 
-    Every engine cross-checks its first call against an exact elimination;
-    a mismatch means the sampling scheme itself is broken for this problem
-    and the analysis must not continue on silent guesses.  That first call
-    is the 2-row input-field rank of `ControlAffineSystem.__init__`, so the
-    check covers no sequence or rank-check matrix (ROADMAP item 7 moves
-    this guard).  What the verdicts rest on instead:
+    The engine runs no exact elimination itself; an exact check sits where
+    a verdict reads the rank.  What the answers rest on:
 
     - exact facts, since a sampled rank is a proven lower bound: the
       integrability and rank of each Q_j and the involutivity and
@@ -349,14 +340,14 @@ class RankEngine:
       rank check, whose sampled ladder rank meets the exact upper bound
       n + rank J (`system.verify_flat_output`);
     - sampling alone: a failed rank check, which an unlucky point could
-      report for a flat pair, and any sampled rank that no exact dual or
-      upper bound has checked yet.
+      report for a flat pair, the input-field rank 2 that
+      `system.ControlAffineSystem` requires, and any sampled rank that no
+      exact dual or upper bound has checked yet.
     """
 
     def __init__(self, seed: int = 0, constraints: Sequence[Expr] = ()) -> None:
         self.rng = random.Random(seed)
         self.constraints = tuple(constraints)
-        self._crosschecked = False
         self._charts: dict[int, _ChartSampling] = {}
 
     def _sampling(self, chart: Chart) -> _ChartSampling:
@@ -404,15 +395,7 @@ class RankEngine:
             best = [max(a, b) for a, b in zip(best, ranks)]
             if best[full - 1] == full:
                 break  # the first min(m, n) rows are independent: no point can do better
-        picked = [i for i in range(m) if best[i] > (best[i - 1] if i else 0)]
-        if not self._crosschecked:
-            self._crosschecked = True
-            exact = exact_rank(matrix, chart)
-            if exact != len(picked):
-                raise RankDisagreementError(
-                    f"sampled rank {len(picked)} != exact rank {exact}"
-                )
-        return picked
+        return [i for i in range(m) if best[i] > (best[i - 1] if i else 0)]
 
     def rank(self, matrix: Matrix, chart: Chart) -> int:
         return len(self.independent_rows(matrix, chart))

@@ -153,12 +153,14 @@ def model_from_dict(data: object, source: str = "<dict>") -> ModelFile:
 def load_model(path: str | Path) -> ModelFile:
     p = Path(path)
     try:
-        text = p.read_text()
+        raw = p.read_bytes()
     except OSError as err:
         raise ModelFileError(f"{p}: {err}") from err
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
+        data = json.loads(raw)
+    # bytes that are not UTF-8, nesting past the recursion limit and an
+    # integer past the integer-string limit fail here, beside bad syntax
+    except (ValueError, RecursionError) as err:
         raise ModelFileError(f"{p}: invalid JSON ({err})") from err
     return model_from_dict(data, source=str(p))
 

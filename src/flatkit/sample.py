@@ -5,12 +5,13 @@ point gives every base symbol an independent nonzero residue and the
 sin/cos pair of an angle the half-angle point (2t, 1 - t^2) / (1 + t^2), so
 sin^2 + cos^2 = 1 holds mod p; since p = 3 mod 4, 1 + t^2 never vanishes.
 Coefficients reduce as num * den^-1 mod p.  A point where a denominator or
-a constraint vanishes mod p is redrawn.  By the Schwartz-Zippel lemma
-(Schwartz 1980; Zippel 1979) a nonzero polynomial of degree D vanishes at
-such a point with probability at most D/p.  So a rank read off a modular
-point can only be too low, never too high, and it is too low with
-probability at most D/p when D is the degree of a nonvanishing maximal
-minor.
+a constraint vanishes mod p is redrawn; a draw gives up with
+SampleExhaustedError after `_TRIES` = 60 points.  By the Schwartz-Zippel
+lemma (Schwartz 1980; Zippel 1979) a nonzero polynomial of degree D
+vanishes at such a point with probability at most D/p.  So a rank read off
+a modular point can only be too low, never too high, and it is too low
+with probability at most D/p when D is the degree of a nonvanishing
+maximal minor.
 
 An expression is decoded once, at its first evaluation: each term becomes
 its coefficient's residue and the (generator, exponent) pairs of its packed
@@ -49,6 +50,7 @@ from .expr import Chart, Expr, eval_at
 from .sympoly import Poly, mono_items
 
 _BOUND = 997
+_TRIES = 60  # points drawn before SampleExhaustedError
 
 PRIME = (1 << 61) - 1
 
@@ -101,10 +103,9 @@ def draw_admissible(
     rng: random.Random,
     exprs: list[Expr],
     constraints: tuple[Expr, ...] = (),
-    tries: int = 60,
 ) -> SamplePoint:
     """A point where every expression evaluates and every constraint is nonzero."""
-    for _ in range(tries):
+    for _ in range(_TRIES):
         point = draw_point(chart, rng)
         try:
             for g in constraints:
@@ -116,7 +117,7 @@ def draw_admissible(
             continue
         return point
     raise SampleExhaustedError(
-        f"no admissible sample point within {tries} tries on chart "
+        f"no admissible sample point within {_TRIES} tries on chart "
         f"({', '.join(chart.coordinates)})"
     )
 
@@ -208,18 +209,17 @@ def _draw(
     rng: random.Random,
     exprs: Sequence[Expr],
     constraints: Sequence[Expr],
-    tries: int = 60,
 ) -> tuple[list[int], list[int]]:
     """The generator values at the first drawn point where no constraint
     vanishes and none of `exprs` has a pole, and their residues there."""
-    for _ in range(tries):
+    for _ in range(_TRIES):
         values = modular_point(chart, rng)
         if all(_expr_residue(g, values) for g in constraints):
             out = [_expr_residue(e, values) for e in exprs]
             if None not in out:
                 return values, out
     raise SampleExhaustedError(
-        f"no admissible sample point within {tries} tries on chart "
+        f"no admissible sample point within {_TRIES} tries on chart "
         f"({', '.join(chart.coordinates)})"
     )
 
@@ -254,10 +254,9 @@ def draw_residues(
     chart: Chart,
     rng: random.Random,
     exprs: Sequence[Expr],
-    constraints: Sequence[Expr] = (),
-    tries: int = 60,
+    constraints: Sequence[Expr],
 ) -> list[int]:
     """The residues of `exprs` at one fresh point where none of them has a
     pole and no constraint vanishes; each expression is evaluated once per
     point drawn."""
-    return _draw(chart, rng, exprs, constraints, tries)[1]
+    return _draw(chart, rng, exprs, constraints)[1]

@@ -27,7 +27,7 @@ it settles the last Q level: span{dx} itself, with no intersection taken.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .distributions import Codistribution, intersect_with_coordinates, span
 from .errors import (
@@ -300,9 +300,7 @@ def verify_flat_output(jets: OutputJets) -> FlatVerdict:
 # --- the codistribution sequence ---------------------------------------------
 
 
-def q_sequence(
-    jets: OutputJets, verdict: Optional[FlatVerdict] = None
-) -> list[Codistribution]:
+def q_sequence(jets: OutputJets, verdict: FlatVerdict) -> list[Codistribution]:
     """Q_j = span{d phi_[0,j]} ^ span{dx} for j = K-1, ..., R-1.
 
     No input normalization is needed: a regular static feedback
@@ -316,20 +314,21 @@ def q_sequence(
     covectors equal those of Q_(j-1) is that same object, so its rank,
     coannihilator and brackets are built once.
 
-    The last level Q_(R-1) is span{dx} itself when `verdict` is the rank
-    check of these jets and found span{dx} in span{d phi_[0,R-1]}; a True
-    `spans_states` is proven (see `verify_flat_output`), and every pass has
-    it.  That level is then the coordinate span of the states, with no
-    intersection taken.  Otherwise it is intersected like the others.
+    `verdict` is the rank check of these jets; one of another output pair
+    raises ValueError.  When it found span{dx} in span{d phi_[0,R-1]}, the
+    last level Q_(R-1) is span{dx} itself, the coordinate span of the
+    states, with no intersection taken: a True `spans_states` is proven
+    (see `verify_flat_output`), and every pass has it.  Otherwise that
+    level is intersected like the others.
     """
     sys, cand = jets.system, jets.candidate
-    if verdict is not None and verdict.candidate is not cand:
+    if verdict.candidate is not cand:
         raise ValueError("the rank verdict of another output pair")
     k1, k2 = cand.K
     lad1, lad2 = jets.differentials
     out: list[Codistribution] = []
     for i in range(cand.d + 1):
-        if i == cand.d and verdict is not None and verdict.spans_states:
+        if i == cand.d and verdict.spans_states:
             dx = [differential(jets.chart.sym(name)) for name in sys.states]
             q = Codistribution(jets.chart, dx, sys.engine)
         else:
@@ -349,7 +348,7 @@ class QReport(NamedTuple):
 
 class SfeGtfResult(NamedTuple):
     """Outcome of the triangular-form equivalence test with per-Q detail,
-    and the rank check it read for the last Q level."""
+    and the rank check it ran for the last Q level."""
 
     passed: bool
     candidate: FlatCandidate
@@ -361,17 +360,16 @@ class SfeGtfResult(NamedTuple):
         return self.passed
 
 
-def sfe_gtf_test(jets: OutputJets, verdict: Optional[FlatVerdict] = None) -> SfeGtfResult:
+def sfe_gtf_test(jets: OutputJets) -> SfeGtfResult:
     """Equivalent to the triangular form under static feedback iff every Q_j
     in the sequence is integrable.
 
-    `verdict` is the rank check of the same jets, when the caller has one;
-    without it the test runs `verify_flat_output` first.  When the check
-    proved span{dx} in span{d phi_[0,R-1]}, the last level is span{dx},
-    rank n and integrable, and costs no intersection (see `q_sequence`).
+    The test runs the rank check `verify_flat_output` first and returns it
+    as `verdict`.  When the check proved span{dx} in span{d phi_[0,R-1]},
+    the last level is span{dx}, rank n and integrable, and costs no
+    intersection (see `q_sequence`).
     """
-    if verdict is None:
-        verdict = verify_flat_output(jets)
+    verdict = verify_flat_output(jets)
     cand = jets.candidate
     k1, k2 = cand.K
     qs = q_sequence(jets, verdict)

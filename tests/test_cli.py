@@ -531,6 +531,24 @@ def test_invalid_json_is_input_error(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (b'{"name": "caf\xe9"}', "can't decode byte 0xe9"),
+        (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+        (b'{"name": ' + b"9" * 5000 + b"}", "integer string conversion"),
+    ],
+    ids=["not-utf8", "deep-nesting", "long-integer"],
+)
+def test_unreadable_model_file_is_input_error(tmp_path, capsys, payload, message):
+    path = tmp_path / "model.json"
+    path.write_bytes(payload)
+    code, report, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert report == {}
+    assert f"error: {path}: invalid JSON (" in err and message in err
+
+
 def test_unknown_output_symbol_is_input_error(capsys):
     code, _, err = run_cli(
         capsys, "verify", str(MODELS / "example3.json"), "--output", "z1", "w9"

@@ -16,22 +16,27 @@ from flatkit.errors import (
     PoleError,
     PrimeDenominatorError,
     UnknownSymbolError,
-    UnsupportedFunctionError,
     ZeroDenominatorError,
 )
 from flatkit import expr as expr_module
 from flatkit.expr import (
     Chart,
     Expr,
-    _map_generators,
     antiderivative,
+    at_zero,
     differentiate,
     eval_at,
     strip_coordinate_constant,
-    substitute,
     transfer,
 )
-from flatkit.sample import PRIME, _residue, draw_admissible, draw_point, random_rational
+from flatkit.sample import (
+    PRIME,
+    SamplePoint,
+    _residue,
+    draw_admissible,
+    draw_point,
+    random_rational,
+)
 from flatkit.sympoly import SLOTS, mono_items, p_add, p_const, p_mul, p_pow, p_var
 
 from conftest import mono, sympy_value
@@ -290,21 +295,18 @@ def test_eval_exact(chart):
     vals = dict(zip(c2.coordinates, pt.values))  # coordinates are generators 0..2
     assert eval_at(e, pt) == vals["x3"] + vals["x4"] * vals["u1"]
     # spec-style concrete check
-    e17 = substitute(e, {"x3": 2, "x4": 3, "u1": 5})
-    assert e17.as_fraction() == 17
+    assert eval_at(e, SamplePoint(c2, (Fraction(2), Fraction(3), Fraction(5)))) == 17
 
 
 def test_eval_pole(chart):
-    from flatkit.sample import SamplePoint
-
     e = chart.parse("1/(x - 1)")
     ngens = len(chart.gens())
     values = tuple(Fraction(1) for _ in range(ngens))  # x = 1 hits the pole
     with pytest.raises(PoleError):
         eval_at(e, SamplePoint(chart, values))
-    # substituting the pole into the expression is a zero-denominator error
+    # setting x to 0 in 1/x is a zero-denominator error
     with pytest.raises(ZeroDenominatorError):
-        substitute(e, {"x": 1})
+        at_zero(chart.parse("1/x"), {"x"})
 
 
 def test_eval_respects_circle(chart):
@@ -322,12 +324,10 @@ def test_draw_admissible_rejects_constraint_zeros(chart):
         assert eval_at(eps, pt) != 0
 
 
-def test_substitute(chart):
+def test_at_zero(chart):
     e = chart.parse("x^2 + eps*sin(theta)")
-    got = substitute(e, {"theta": 0})
-    assert got == chart.parse("x^2")
-    shifted = substitute(e, {"x": chart.parse("x + 1")})
-    assert shifted == chart.parse("(x+1)^2 + eps*sin(theta)")
+    assert at_zero(e, {"theta"}) == chart.parse("x^2")
+    assert at_zero(chart.parse("x*cos(theta) + x"), {"theta"}) == chart.parse("2*x")
 
 
 def test_transfer(chart):
@@ -338,15 +338,11 @@ def test_transfer(chart):
     assert transfer(e, chart) is e
 
 
-def test_substitute_and_transfer_compound_angles(chart):
+def test_at_zero_and_transfer_compound_angles(chart):
     text = "eps*sin(x + theta) - cos(2*y) + x*y"
     e = chart.parse(text)
-    got = substitute(e, {"x": chart.parse("y - z")})
-    assert got == chart.parse("eps*sin(y - z + theta) - cos(2*y) + (y - z)*y")
-    assert substitute(e, {"x": 0}) == chart.parse("eps*sin(theta) - cos(2*y)")
-    assert substitute(e, {"z": 5}) == e
-    with pytest.raises(UnsupportedFunctionError, match=re.escape("sin(x*y) is not")):
-        substitute(e, {"x": chart.parse("x*y")})
+    assert at_zero(e, {"x"}) == chart.parse("eps*sin(theta) - cos(2*y)")
+    assert at_zero(e, {"z"}) is e
     big = chart.extend(["w"])
     moved = transfer(e, big)
     assert moved == big.parse(text)
@@ -578,14 +574,16 @@ def test_compound_angle_matches_sympy_expand_trig(ks):
         assert chart.parse(f"{func}({arg})") == reference
 
 
-# -- transfer against the generator map ---------------------------------------------
+# -- transfer against a parse of the rendering ---------------------------------------
 
 def _twin_transfer(e, make_target):
-    """transfer and the generator map on two fresh, equal target charts."""
+    """transfer against a parse of e's rendering, on a fresh target chart
+    and on a twin where the parse registers the sin/cos pairs first."""
     a, b = make_target(), make_target()
-    moved, mapped = transfer(e, a), _map_generators(e, b, {})
-    assert a.gens() == b.gens()  # the same pairs, registered in the same order
-    assert (moved.num, moved.den) == (mapped.num, mapped.den)
+    moved = transfer(e, a)
+    assert moved == a.parse(e.render())
+    parsed = b.parse(e.render())
+    assert transfer(e, b) == parsed
     _assert_canonical(moved)
 
 
@@ -599,7 +597,7 @@ _SOURCE_GENS = 7
 @example([(Fraction(1), (0,) * _SOURCE_GENS)], [(Fraction(1), (1,)), (Fraction(2), (0, 1))])
 # sin(x)/cos(theta): the numerator's pair is met, and registered, first
 @example([(Fraction(1), (0, 0, 0, 0, 0, 1))], [(Fraction(1), (0, 0, 0, 0, 1))])
-def test_transfer_reindexes_like_the_generator_map(num_terms, den_terms):
+def test_transfer_reindexes_like_a_parse_of_the_rendering(num_terms, den_terms):
     source = Chart(["x", "theta"], ["eps"])
     gens = (0, 1, 2, *source.trig_pair("theta"), *source.trig_pair("x"))
     try:
@@ -624,3 +622,78 @@ def test_transfer_reindexes_like_the_generator_map(num_terms, den_terms):
             transfer(e, Chart(["theta"], ["eps"]))
     else:
         _twin_transfer(e, lambda: Chart(["theta"], ["eps"]))
+
+
+# -- setting symbols to zero against sympy's subs ------------------------------------
+
+
+def _sparse_terms(min_size: int, max_size: int):
+    """Like `_terms` over the source generators, each monomial a product of
+    at most three of them: dense monomials would make nearly every
+    denominator vanish once a symbol is zero."""
+    factors = st.lists(st.integers(0, _SOURCE_GENS - 1), max_size=3)
+    return st.lists(
+        st.tuples(
+            st.fractions(min_value=-9, max_value=9, max_denominator=4),
+            factors.map(lambda gs: tuple(gs.count(i) for i in range(_SOURCE_GENS))),
+        ),
+        min_size=min_size,
+        max_size=max_size,
+    )
+
+
+@settings(max_examples=40)
+@given(
+    _sparse_terms(0, 3),
+    _sparse_terms(1, 3),
+    st.sets(st.sampled_from(("x", "theta", "eps")), min_size=1),
+)
+# 1/sin(theta): the canonical denominator cos(theta)^2 - 1 vanishes at 0
+@example([(Fraction(1), ())], [(Fraction(1), (0, 0, 0, 1))], {"theta"})
+# x*sin(theta) + 1: the sine of a zeroed angle takes its term with it
+@example([(Fraction(1), (1, 0, 0, 1)), (Fraction(1), ())], [(Fraction(1), ())], {"theta"})
+# (x*cos(x) + cos(theta))/(eps + cos(x)): the cosines of zeroed angles become 1
+@example(
+    [(Fraction(1), (1, 0, 0, 0, 0, 0, 1)), (Fraction(1), (0, 0, 0, 0, 1))],
+    [(Fraction(1), (0, 0, 1)), (Fraction(1), (0, 0, 0, 0, 0, 0, 1))],
+    {"x", "theta"},
+)
+def test_at_zero_matches_sympy_subs(num_terms, den_terms, names):
+    """at_zero against sympy's subs(s, 0) of the canonical numerator and
+    denominator; equality is decided on the half-angle parameterization
+    of each circle, and a denominator that subs sends to 0 must raise."""
+    sympy = pytest.importorskip("sympy")
+    chart = Chart(["x", "theta"], ["eps"])
+    gens = (0, 1, 2, *chart.trig_pair("theta"), *chart.trig_pair("x"))
+    try:
+        e = _rational(chart, gens, num_terms, den_terms)
+    except ZeroDenominatorError:
+        assume(False)
+    assume(not e._symbol_set().isdisjoint(names))  # `is e` is tested above
+    x, theta, eps, t, s = sympy.symbols("x theta eps t s")
+    images = (x, theta, eps, sympy.sin(theta), sympy.cos(theta), sympy.sin(x), sympy.cos(x))
+    half_angle = {
+        sympy.sin(theta): 2 * t / (1 + t**2),
+        sympy.cos(theta): (1 - t**2) / (1 + t**2),
+        sympy.sin(x): 2 * s / (1 + s**2),
+        sympy.cos(x): (1 - s**2) / (1 + s**2),
+    }
+
+    def value(poly, zero=()):
+        total = sympy.Integer(0)
+        for m, c in poly.items():
+            term = sympy.Rational(c.numerator, c.denominator)
+            for i, k in mono_items(m):
+                term *= images[i] ** k
+            total += term
+        return sympy.cancel(total.subs({n: 0 for n in zero}).subs(half_angle))
+
+    zero = [sympy.Symbol(n) for n in names]
+    num, den = value(e.num, zero), value(e.den, zero)
+    if den == 0:
+        with pytest.raises(ZeroDenominatorError):
+            at_zero(e, names)
+        return
+    got = at_zero(e, names)
+    assert sympy.cancel(value(got.num) * den - num * value(got.den)) == 0
+    assert not got._symbol_set() & names

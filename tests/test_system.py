@@ -349,10 +349,14 @@ def test_q_sequence_example1_prolonged_spans(example1):
 
 def test_sampled_q_rank_is_checked_by_its_coannihilator(example1, monkeypatch):
     """A Q_j rank is sampled; the exact coannihilator that the integrability
-    test builds catches a sampled rank that came out one too low."""
+    test builds catches a sampled rank that came out one too low.  The level
+    below the last is intersected even after a pass."""
     sys = prolong(as_system(example1), 1, 1)
     ch = sys.chart
-    q = q_sequence(output_jets(sys, (ch.sym("x1"), ch.sym("x2"))))[-1]
+    jets = output_jets(sys, (ch.sym("x1"), ch.sym("x2")))
+    verdict = verify_flat_output(jets)
+    assert verdict.spans_states
+    q = q_sequence(jets, verdict)[-2]
     engine = q.engine
     sampled = engine.independent_rows
 
@@ -361,7 +365,7 @@ def test_sampled_q_rank_is_checked_by_its_coannihilator(example1, monkeypatch):
         return sampled(rows, chart)[:-1]
 
     monkeypatch.setattr(engine, "independent_rows", drop_last_pick)
-    assert q.rank == sys.n - 1
+    assert q.rank == sys.n - 2
     with pytest.raises(RankDisagreementError):
         q.is_integrable()
 
@@ -491,13 +495,14 @@ def test_a_short_ladder_rank_fails_the_check_and_q_d_is_intersected(example1, mo
         monkeypatch.setattr(engine, "independent_rows", sampled)
         return sampled(rows, chart)[:-1]
 
+    # the first rank call of the test is the rank check's ladder rank
     monkeypatch.setattr(engine, "independent_rows", drop_last_pick)
-    verdict = verify_flat_output(jets)
+    intersected.clear()
+    short = sfe_gtf_test(jets)
+    verdict = short.verdict
     assert not verdict.passed and not verdict.spans_states
     assert verdict.stacked_rank == verdict.required_rank - 1
-    intersected.clear()
-    short = sfe_gtf_test(jets, verdict)
-    assert short.verdict is verdict and len(intersected) == d + 1
+    assert len(intersected) == d + 1
     assert list(short.codistributions[-1].covectors) != dx
     assert short.reports == honest.reports
 
