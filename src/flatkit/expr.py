@@ -658,9 +658,12 @@ def at_zero(e: Expr, names: Collection[str]) -> Expr:
 
 def transfer(e: Expr, target: Chart) -> Expr:
     """Re-index onto a chart holding e's base symbols; sin/cos pairs are
-    registered on it in the order the monomials meet them."""
+    registered on it in the order the monomials meet them.  A constant,
+    whose canonical denominator is 1, is `target.zero` or `target.const`."""
     if e.chart is target:
         return e
+    if e.is_constant():
+        return target.zero if e.is_zero() else target.const(p_const_value(e.num))
     index: dict[int, int] = {}
     for i in p_vars_in_order(e.num, e.den):
         info = e.chart.gen_info(i)

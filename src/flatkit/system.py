@@ -22,6 +22,8 @@ check and the Q sequence of one output pair share one `output_jets`
 context, built once per question.  When the rank check finds span{dx} in
 the span of the ladders, which every pass needs, that finding is exact, and
 it settles the last Q level: span{dx} itself, with no intersection taken.
+The first level needs none either: its rungs are functions of x, so it is
+their span, integrable by exactness (d d phi = 0).
 """
 
 from __future__ import annotations
@@ -308,11 +310,13 @@ def q_sequence(jets: OutputJets, verdict: FlatVerdict) -> list[Codistribution]:
     map that fixes x, so span{d phi_[0,j]}, span{dx} and with them Q_j, its
     rank and its integrability are the same in either chart.
 
-    Each Q_j is an ordinary span of unnormalized, possibly dependent
-    combinations (see `intersect_with_coordinates`): its rank is sampled,
-    and becomes exact once `is_integrable` has answered.  A Q_j whose
-    covectors equal those of Q_(j-1) is that same object, so its rank,
-    coannihilator and brackets are built once.
+    Q_(K-1) is span{d phi_[0,K-1]} itself, with no intersection taken:
+    those rungs are functions of x.  Each later Q_j is an ordinary span of
+    unnormalized, possibly dependent combinations (see
+    `intersect_with_coordinates`).  Every rank is sampled, and becomes exact
+    once `sfe_gtf_test` has decided the level.  A Q_j whose covectors equal
+    those of Q_(j-1) is that same object, so its rank, coannihilator and
+    brackets are built once.
 
     `verdict` is the rank check of these jets; one of another output pair
     raises ValueError.  When it found span{dx} in span{d phi_[0,R-1]}, the
@@ -333,7 +337,8 @@ def q_sequence(jets: OutputJets, verdict: FlatVerdict) -> list[Codistribution]:
             q = Codistribution(jets.chart, dx, sys.engine)
         else:
             q = Codistribution(jets.chart, lad1[: k1 + i] + lad2[: k2 + i], sys.engine)
-            q = intersect_with_coordinates(q, sys.states)
+            if i:  # the rungs below K are functions of x: Q_(K-1) is their span
+                q = intersect_with_coordinates(q, sys.states)
         if out and q.covectors == out[-1].covectors:
             q = out[-1]
         out.append(q)
@@ -367,7 +372,8 @@ def sfe_gtf_test(jets: OutputJets) -> SfeGtfResult:
     The test runs the rank check `verify_flat_output` first and returns it
     as `verdict`.  When the check proved span{dx} in span{d phi_[0,R-1]},
     the last level is span{dx}, rank n and integrable, and costs no
-    intersection (see `q_sequence`).
+    intersection (see `q_sequence`).  The first level costs none either,
+    nor a coannihilator when its rank meets its generator count.
     """
     verdict = verify_flat_output(jets)
     cand = jets.candidate
@@ -376,12 +382,17 @@ def sfe_gtf_test(jets: OutputJets) -> SfeGtfResult:
     reports = []
     passed = True
     for i, q in enumerate(qs):
-        # Read q.rank only after is_integrable, so every reported rank is
-        # exact.  Either the rank equals the number of columns the
-        # generators touch, an upper bound, while a sampled rank is a proven
-        # lower bound (a coordinate span, integrable with no dual), or the
-        # exact coannihilator is built and cross-checks it.
-        ok = q.is_integrable()
+        # Every reported rank is exact.  A sampled rank is a proven lower
+        # bound and the generator count an upper one, so at Q_(K-1), a span
+        # of exact differentials, their equality settles the rank and
+        # integrability.  Otherwise q.rank is read after is_integrable:
+        # either it equals the number of columns the generators touch (a
+        # coordinate span, integrable with no dual), or the exact
+        # coannihilator is built and cross-checks it.
+        if i and q is qs[i - 1]:
+            ok = reports[-1].integrable
+        else:
+            ok = (i == 0 and q.rank == len(q.covectors)) or q.is_integrable()
         passed = passed and ok
         reports.append(QReport((k1 - 1 + i, k2 - 1 + i), q.rank, ok))
     return SfeGtfResult(passed, cand, tuple(reports), tuple(qs), verdict)

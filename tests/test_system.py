@@ -3,6 +3,7 @@ the invariant codistribution sequence, prolongation, and output verification."""
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from flatkit import (
     sfe_gtf_test,
     verify_flat_output,
 )
-from flatkit.distributions import Codistribution
+from flatkit.distributions import Codistribution, intersect_with_coordinates
 from flatkit.errors import (
     ChartMismatchError,
     DependentDifferentialsError,
@@ -28,7 +29,7 @@ from flatkit.errors import (
     UnboundedRelativeDegreeError,
 )
 from flatkit.expr import Chart, transfer
-from flatkit.fields import differential, lie_derivative
+from flatkit.fields import differential, fields_matrix, lie_derivative
 from flatkit.linalg import RankEngine, exact_rank
 from flatkit.parser import parse
 from flatkit.system import candidate, flat_indices, q_sequence
@@ -36,6 +37,7 @@ from flatkit.system import candidate, flat_indices, q_sequence
 from conftest import apply_static_feedback, as_system, field_from_dict
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def pitch_pair(plant):
@@ -372,7 +374,9 @@ def test_sampled_q_rank_is_checked_by_its_coannihilator(example1, monkeypatch):
 
 def test_repeated_q_is_decided_once(monkeypatch):
     """On the pinned vtol pitch question Q_2 has the covectors of Q_1, so it
-    is the same object, and only Q_0 and Q_1 build a coannihilator."""
+    is the same object and keeps Q_1's verdict.  Q_0 is spanned by exact
+    differentials with a rank that meets their count, so it is integrable
+    with no dual: only Q_1 builds a coannihilator."""
     sys = build_system(load_model(MODELS / "vtol.json"))
     phi = (sys.chart.parse("theta"), sys.chart.parse("x*cos(theta)/sin(theta) + z"))
     jets = output_jets(sys, phi)
@@ -387,7 +391,7 @@ def test_repeated_q_is_decided_once(monkeypatch):
     q0, q1, q2 = res.codistributions
     assert q2 is q1 and q1 is not q0
     assert [r.rank for r in res.reports] == [4, 5, 5]
-    assert len(builds) == 2
+    assert len(builds) == 1
 
 
 def _assert_triangular(sys, output, K, d, ranks):
@@ -434,6 +438,26 @@ def _sequence_and_rank_verdict(sys, phi):
     )
 
 
+def _random_feedback(sys, rng):
+    """sys under u = alpha + beta v with affine entries and an invertible
+    beta."""
+    ch = sys.chart
+    names = list(ch.coordinates)
+
+    def affine():
+        out = ch.const(rng.randint(-2, 3))
+        for _ in range(rng.randint(0, 2)):
+            out = out + ch.const(rng.randint(1, 3)) * ch.sym(rng.choice(names))
+        return out
+
+    alpha = (affine(), affine())
+    while True:
+        beta = ((affine(), affine()), (affine(), affine()))
+        det = beta[0][0] * beta[1][1] - beta[0][1] * beta[1][0]
+        if not det.is_zero():
+            return apply_static_feedback(sys, alpha, beta)
+
+
 def test_sequence_is_feedback_invariant(seven_state, rng):
     """Regular static feedback must not change the sequence ranks, the
     triangularizability verdict, or the rank check's verdict, for a flat
@@ -448,22 +472,8 @@ def test_sequence_is_feedback_invariant(seven_state, rng):
         (True, (True, True, 10, 10)),
         (True, (False, False, 10, 10)),
     ]
-    names = list(ch.coordinates)
-
-    def affine():
-        out = ch.const(rng.randint(-2, 3))
-        for _ in range(rng.randint(0, 2)):
-            out = out + ch.const(rng.randint(1, 3)) * ch.sym(rng.choice(names))
-        return out
-
     for _ in range(20):
-        alpha = (affine(), affine())
-        while True:
-            beta = ((affine(), affine()), (affine(), affine()))
-            det = beta[0][0] * beta[1][1] - beta[0][1] * beta[1][0]
-            if not det.is_zero():
-                break
-        fed = apply_static_feedback(sys, alpha, beta)
+        fed = _random_feedback(sys, rng)
         assert [_sequence_and_rank_verdict(fed, phi) for phi in pairs] == base
 
 
@@ -471,7 +481,8 @@ def test_a_short_ladder_rank_fails_the_check_and_q_d_is_intersected(example1, mo
     """The last Q level is taken as span{dx} only after the rank check
     proved span{dx} in the ladder's span.  A sampled ladder rank that comes
     out one short fails the check, and Q_d is then intersected like the
-    levels below it, not assumed."""
+    levels between, not assumed.  Q_0 is never intersected: its rungs are
+    functions of x, so it is their span."""
     sys = prolong(as_system(example1), 1, 1)
     ch = sys.chart
     jets = output_jets(sys, (ch.sym("x1"), ch.sym("x2")))
@@ -484,7 +495,7 @@ def test_a_short_ladder_rank_fails_the_check_and_q_d_is_intersected(example1, mo
         lambda q, names: intersected.append(q) or real(q, names),
     )
     honest = sfe_gtf_test(jets)
-    assert honest.verdict.passed and len(intersected) == d
+    assert honest.verdict.passed and len(intersected) == d - 1
     dx = [differential(honest.codistributions[-1].chart.sym(name)) for name in sys.states]
     assert list(honest.codistributions[-1].covectors) == dx
 
@@ -502,9 +513,105 @@ def test_a_short_ladder_rank_fails_the_check_and_q_d_is_intersected(example1, mo
     verdict = short.verdict
     assert not verdict.passed and not verdict.spans_states
     assert verdict.stacked_rank == verdict.required_rank - 1
-    assert len(intersected) == d + 1
+    assert len(intersected) == d
     assert list(short.codistributions[-1].covectors) != dx
     assert short.reports == honest.reports
+
+
+def test_a_short_q0_rank_meets_the_coannihilator(example1, monkeypatch):
+    """Q_0 is taken as integrable on its rank alone only when the sampled
+    rank meets the generator count.  A sampled rank one short of it falls
+    back to the integrability test, whose exact coannihilator catches it:
+    the test raises, and no wrong rank is reported."""
+    sys = prolong(as_system(example1), 1, 1)
+    ch = sys.chart
+    jets = output_jets(sys, (ch.sym("x1"), ch.sym("x2")))
+    q0 = sfe_gtf_test(jets).codistributions[0]
+    assert q0.rank == len(q0.covectors) == 4
+    level0 = fields_matrix(q0.covectors)
+    engine = sys.engine
+    sampled = engine.independent_rows
+
+    def drop_last_pick_of_q0(rows, chart):
+        picked = sampled(rows, chart)
+        return picked[:-1] if rows == level0 else picked
+
+    monkeypatch.setattr(engine, "independent_rows", drop_last_pick_of_q0)
+    with pytest.raises(RankDisagreementError):
+        sfe_gtf_test(jets)
+
+
+def test_a_dependent_q0_takes_the_integrability_test(seven_state, monkeypatch):
+    """On seven_state with output (z1, z2) the rungs below K are z1, z2 and
+    z2: Q_0 has rank 2 below its 3 generators, so the count settles
+    nothing, Q_0 goes through `is_integrable`, and its reported rank is the
+    exact one."""
+    sys = as_system(seven_state)
+    ch = sys.chart
+    decided = []
+    real = Codistribution.is_integrable
+    monkeypatch.setattr(
+        Codistribution, "is_integrable", lambda q: decided.append(q) or real(q)
+    )
+    res = sfe_gtf_test(output_jets(sys, (ch.sym("z1"), ch.sym("z2"))))
+    q0 = res.codistributions[0]
+    assert len(q0.covectors) == 3 and q0 in decided
+    assert res.reports[0].rank == exact_rank(fields_matrix(q0.covectors), q0.chart) == 2
+    assert res.reports[0].integrable
+
+
+def _reference_levels(jets):
+    """(rank, integrable) of every Q level computed with no shortcut: each
+    span{d phi_[0,j]} intersected with span{dx} and decided by its own
+    `is_integrable`, the rank read after it."""
+    sys, cand = jets.system, jets.candidate
+    k1, k2 = cand.K
+    lad1, lad2 = jets.differentials
+    levels = []
+    for i in range(cand.d + 1):
+        q = Codistribution(jets.chart, lad1[: k1 + i] + lad2[: k2 + i], sys.engine)
+        q = intersect_with_coordinates(q, sys.states)
+        integrable = q.is_integrable()
+        levels.append((q.rank, integrable))
+    return levels
+
+
+def _levels(jets):
+    return [(r.rank, r.integrable) for r in sfe_gtf_test(jets).reports]
+
+
+# the pairs behind the tests/data verify reports that have a Q sequence;
+# verify-decoupled stops before the rank check
+VERIFY_FIXTURES = {
+    "verify-example1": ("example1", (0, 0), ("x1", "x2")),
+    "verify-example3": ("example3", (0, 0), ("z1", "z3")),
+    "verify-vtol-pitch": ("vtol", (0, 0), ("theta", "x*cos(theta)/sin(theta) + z")),
+    "verify-example1-p11": ("example1", (1, 1), ("x1", "x2")),
+    "verify-vtol-p22": ("vtol", (2, 2), ("x - eps*sin(theta)", "z + eps*cos(theta)")),
+}
+
+
+@pytest.mark.parametrize("name", list(VERIFY_FIXTURES))
+def test_q_levels_match_the_reference_on_the_pinned_pairs(name):
+    model, orders, output = VERIFY_FIXTURES[name]
+    sys = prolong(build_system(load_model(MODELS / f"{model}.json")), *orders)
+    jets = output_jets(sys, tuple(sys.chart.parse(text) for text in output))
+    pinned = json.loads((DATA / f"{name}.json").read_text())["sfe"]["q_sequence"]
+    assert _levels(jets) == _reference_levels(jets) == [
+        (q["rank"], q["integrable"]) for q in pinned
+    ]
+
+
+def test_q_levels_match_the_reference_under_feedback(seven_state, rng):
+    """seven_state's flat pair, a pair whose ladder misses span{dx} and one
+    with a dependent Q_0, as given and under three random feedbacks."""
+    sys = as_system(seven_state)
+    systems = [sys] + [_random_feedback(sys, rng) for _ in range(3)]
+    for fed in systems:
+        ch = fed.chart
+        for pair in (("z1", "z3"), ("z1", "z6"), ("z1", "z2")):
+            jets = output_jets(fed, tuple(ch.sym(name) for name in pair))
+            assert _levels(jets) == _reference_levels(jets)
 
 
 def test_q_sequence_refuses_the_rank_verdict_of_another_pair(seven_state):
