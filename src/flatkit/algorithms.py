@@ -62,14 +62,14 @@ class QuadraticForm(NamedTuple):
 
 
 class StepRecord(NamedTuple):
-    """One update of the sequence: the frontier examined, the rule applied,
-    and the produced successor.  C-i steps additionally rebuild the frontier
-    (`replaced`) before the successor is formed."""
+    """One update of the sequence: the frontier examined, the case taken and
+    the data that decided it.  A C-i step rebuilds the frontier
+    (`replaced`), which takes the examined one's place in the branch's
+    sequence; the successor is the next member there."""
 
     tag: str  # "A" | "B" | "C-i" | "C-ii" | "D"
     examined: Distribution
-    replaced: Optional[Distribution]
-    produced: Distribution
+    replaced: Optional[Distribution] = None
     cauchy: Optional[Distribution] = None
     quad: Optional[QuadraticForm] = None
     vc: Optional[VectorField] = None
@@ -286,18 +286,6 @@ def _candidate_fields(
 # --- the sequence driver ----------------------------------------------------------
 
 
-class _Move(NamedTuple):
-    """What a rule makes of a non-involutive frontier: its tag, an optional
-    rebuilt frontier, and the data that decided the case."""
-
-    tag: str
-    replaced: Optional[Distribution] = None
-    cauchy: Optional[Distribution] = None
-    quad: Optional[QuadraticForm] = None
-    vc: Optional[VectorField] = None
-    violation: Optional[str] = None
-
-
 class _Frontier(NamedTuple):
     sequence: list[Distribution]
     records: list[StepRecord]
@@ -321,16 +309,16 @@ def _drive(
     sys: ControlAffineSystem,
     algorithm: int,
     closure: Callable[[Distribution], Distribution],
-    rule: Callable[[VectorField, list[Distribution]], list[_Move]],
+    rule: Callable[[VectorField, list[Distribution]], list[StepRecord]],
 ) -> BranchTree:
     """Grow D_1 = span{g1, g2} until T(X), a stall or the depth cap 2n.
 
     An involutive frontier takes a drift step (A).  `rule` turns a
-    non-involutive one into moves, one branch each when there are several.
-    A move grows its base (the rebuilt frontier, else the frontier) by a
-    drift step when the base is involutive and by `closure` otherwise; the
-    branch stalls when that adds nothing or a rebuilt frontier is no larger
-    than its predecessor."""
+    non-involutive one into step records, one branch each when there are
+    several.  A step grows its base (the rebuilt frontier, else the
+    frontier) by a drift step when the base is involutive and by `closure`
+    otherwise; the branch stalls when that adds nothing or a rebuilt
+    frontier is no larger than its predecessor."""
     f = sys.f
     cap = 2 * sys.n
     work = [_Frontier([span(sys.chart, (sys.g1, sys.g2), sys.engine)], [], ())]
@@ -344,27 +332,20 @@ def _drive(
         if len(st.records) >= cap:
             leaves.append(_leaf(st, "depth-capped"))
             continue
-        moves = [_Move("A")] if frontier.is_involutive() else rule(f, st.sequence)
+        if frontier.is_involutive():
+            steps = [StepRecord("A", frontier)]
+        else:
+            steps = rule(f, st.sequence)
         forks: list[_Frontier] = []
-        for ordinal, move in enumerate(moves):
-            base = frontier if move.replaced is None else move.replaced
+        for ordinal, step in enumerate(steps):
+            base = frontier if step.replaced is None else step.replaced
             produced = _drift_step(f, base) if base.is_involutive() else closure(base)
-            record = StepRecord(
-                tag=move.tag,
-                examined=frontier,
-                replaced=move.replaced,
-                produced=produced,
-                cauchy=move.cauchy,
-                quad=move.quad,
-                vc=move.vc,
-                violation=move.violation,
-            )
             child = _Frontier(
                 st.sequence[:-1] + [base],
-                st.records + [record],
-                st.path + (ordinal,) if len(moves) > 1 else st.path,
+                st.records + [step],
+                st.path + (ordinal,) if len(steps) > 1 else st.path,
             )
-            shrunk = move.replaced is not None and base.rank == st.sequence[-2].rank
+            shrunk = step.replaced is not None and base.rank == st.sequence[-2].rank
             if shrunk or produced.rank == base.rank:
                 leaves.append(_leaf(child, "stalled"))
                 continue
@@ -375,11 +356,11 @@ def _drive(
     return BranchTree(sys, algorithm, tuple(leaves))
 
 
-def _derived_rule(f: VectorField, sequence: list[Distribution]) -> list[_Move]:
-    return [_Move("B")]
+def _derived_rule(f: VectorField, sequence: list[Distribution]) -> list[StepRecord]:
+    return [StepRecord("B", sequence[-1])]
 
 
-def _refined_rule(f: VectorField, sequence: list[Distribution]) -> list[_Move]:
+def _refined_rule(f: VectorField, sequence: list[Distribution]) -> list[StepRecord]:
     """B when the Cauchy characteristic of the frontier adds nothing over
     its predecessor; otherwise the lemma window d0 c d1 c d2 with d2 the
     frontier, d1 its predecessor and d0 = C(d2) ^ (the member before d1).
@@ -391,7 +372,7 @@ def _refined_rule(f: VectorField, sequence: list[Distribution]) -> list[_Move]:
     cauchy = cauchy_characteristic(frontier)
     predecessor = sequence[-2] if len(sequence) >= 2 else _empty(chart, engine)
     if cauchy.span_equal(predecessor):
-        return [_Move("B", cauchy=cauchy)]
+        return [StepRecord("B", frontier, cauchy=cauchy)]
     older = sequence[-3] if len(sequence) >= 3 else _empty(chart, engine)
     if cauchy.is_empty() or older.is_empty():
         d0 = _empty(chart, engine)
@@ -399,7 +380,7 @@ def _refined_rule(f: VectorField, sequence: list[Distribution]) -> list[_Move]:
         d0 = intersect(cauchy, older)
     violation = _lemma1_window(f, d0, predecessor, frontier, cauchy)
     if violation is not None:
-        return [_Move("D", cauchy=cauchy, violation=violation)]
+        return [StepRecord("D", frontier, cauchy=cauchy, violation=violation)]
     v1, v2 = _complement_pair(d0, predecessor)
     rows = _membership_rows(f, frontier, v1, v2)
     solutions = _solve_membership(chart, rows)
@@ -411,15 +392,15 @@ def _refined_rule(f: VectorField, sequence: list[Distribution]) -> list[_Move]:
     )
     if solutions is None:
         violation = "nondegenerate membership condition"
-        return [_Move("D", cauchy=cauchy, quad=quad, violation=violation)]
+        return [StepRecord("D", frontier, cauchy=cauchy, quad=quad, violation=violation)]
     if not solutions:
-        return [_Move("C-ii", cauchy=cauchy, quad=quad)]
-    moves: list[_Move] = []
+        return [StepRecord("C-ii", frontier, cauchy=cauchy, quad=quad)]
+    steps: list[StepRecord] = []
     for vc in _candidate_fields(v1, v2, solutions):
         rebuilt = sum_spans(predecessor, [lie_bracket(f, vc)])
-        if not any(rebuilt.span_equal(m.replaced) for m in moves):
-            moves.append(_Move("C-i", rebuilt, cauchy, quad, vc))
-    return moves
+        if not any(rebuilt.span_equal(s.replaced) for s in steps):
+            steps.append(StepRecord("C-i", frontier, rebuilt, cauchy, quad, vc))
+    return steps
 
 
 def run_algorithm1(sys: ControlAffineSystem) -> BranchTree:

@@ -245,19 +245,16 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--max-prolong", type=int, default=0, metavar="N")
     analyze.add_argument("--seed", type=int, default=0, metavar="S")
     analyze.add_argument("--json", metavar="PATH", default=None)
-    analyze.set_defaults(func=cmd_analyze)
 
     verify = sub.add_parser("verify", help="check a declared output pair")
     verify.add_argument("model")
     verify.add_argument("--output", nargs=2, required=True, metavar=("EXPR1", "EXPR2"))
     verify.add_argument("--seed", type=int, default=0, metavar="S")
-    verify.set_defaults(func=cmd_verify)
 
     pro = sub.add_parser("prolong", help="write an input-prolonged model")
     pro.add_argument("model")
     pro.add_argument("--orders", nargs=2, type=int, required=True, metavar=("P1", "P2"))
     pro.add_argument("--out", required=True, metavar="PATH")
-    pro.set_defaults(func=cmd_prolong)
     return parser
 
 
@@ -275,7 +272,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as stop:  # usage errors and -h
         return stop.code
     try:
-        return args.func(args)
+        # looked up at each call, so a wrapper set on the module runs too
+        command = {"analyze": cmd_analyze, "verify": cmd_verify, "prolong": cmd_prolong}
+        return command[args.command](args)
     # a monomial past the packed format's limits comes from the input's size:
     # too many symbols, or a power such as x^100000
     except (ModelFileError, MonomialLimitError, OSError) as err:

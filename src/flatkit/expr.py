@@ -379,12 +379,14 @@ def _clear_sin_denominator(s2c: dict[int, int], num: Poly, den: Poly) -> tuple[P
     return num, den
 
 
-def _over_constant(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """num / c for a constant denominator c, with no pass over num when c is 1."""
-    c = p_const_value(den)
-    if c == 1:
+def _monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num and den divided by den's leading coefficient, with no pass over
+    them when it is 1."""
+    lc = p_lead(den)[1]
+    if lc == 1:
         return num, den
-    return p_scale(num, Fraction(1) / c), p_const(1)
+    inv = Fraction(1) / lc
+    return p_scale(num, inv), p_scale(den, inv)
 
 
 def _canonicalize(chart: Chart, num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -398,7 +400,7 @@ def _canonicalize(chart: Chart, num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if s2c:
         num, den = _clear_sin_denominator(s2c, num, den)
     if p_is_const(den):
-        return _over_constant(num, den)
+        return _monic(num, den)
     if not p_is_const(num):
         q = p_div_exact(num, den)
         if q is not None:
@@ -410,14 +412,7 @@ def _canonicalize(chart: Chart, num: Poly, den: Poly) -> tuple[Poly, Poly]:
                 qd = p_div_exact(den, g)
                 assert qn is not None and qd is not None
                 num, den = qn, qd
-    if p_is_const(den):
-        return _over_constant(num, den)
-    lc = p_lead(den)[1]
-    if lc != 1:
-        inv = Fraction(1) / lc
-        num = p_scale(num, inv)
-        den = p_scale(den, inv)
-    return num, den
+    return _monic(num, den)
 
 
 def _render_coeff(c: int | Fraction) -> str:
@@ -673,12 +668,7 @@ def transfer(e: Expr, target: Chart) -> Expr:
             index[i] = target._index[info.base]
         else:
             index[i] = target.trig_pair(info.base)[info.kind == "cos"]
-    num = p_rename(e.num, index)
-    den = p_rename(e.den, index)
-    lc = p_lead(den)[1]
-    if lc != 1:
-        inv = Fraction(1) / lc
-        num, den = p_scale(num, inv), p_scale(den, inv)
+    num, den = _monic(p_rename(e.num, index), p_rename(e.den, index))
     out = Expr(target, num, den, _raw=True)
     out._symbols = e._symbols
     return out

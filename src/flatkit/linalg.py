@@ -7,16 +7,16 @@ independent rows behind them, by evaluating a matrix at random points of
 the prime field F_p, p = 2^61 - 1 (see `sample`).
 A modular rank can only fall below the generic rank, never exceed it, and by
 the Schwartz-Zippel lemma one point misses with probability at most D/p for
-a nonzero minor of degree D.  The engine draws its points once per chart and
-evaluates each expression once per point; sharing the points among calls
-keeps the union bound over a question's rank decisions, because the
-matrices on the path where every decision is right do not depend on the
-points (see `RankEngine`).  An exact check sits where a verdict reads a
-rank: the exact duals of `distributions` check the sequence ranks (the
-annihilator or coannihilator of a span cross-checks its sampled rank when
-it is built), and the rank check of `system.verify_flat_output` meets an
-exact upper bound.  `rank_at_point` is the exact rational counterpart, kept
-as a reference.
+a nonzero minor of degree D.  The engine draws every point in one place and
+shares the points of a chart among its calls, evaluating each expression
+once per point; sharing keeps the union bound over a question's rank
+decisions, because the matrices on the path where every decision is right
+do not depend on the points (see `RankEngine`).  An exact check sits where
+a verdict reads a rank: the exact duals of `distributions` check the
+sequence ranks (the annihilator or coannihilator of a span cross-checks its
+sampled rank when it is built), and the rank check of
+`system.verify_flat_output` meets an exact upper bound.  `rank_at_point` is
+the exact rational counterpart, kept as a reference.
 """
 
 from __future__ import annotations
@@ -25,14 +25,7 @@ import random
 from typing import NamedTuple, Optional, Sequence
 
 from .expr import Chart, Expr, eval_at, transfer
-from .sample import (
-    PRIME,
-    ModularPoint,
-    SamplePoint,
-    admissible_point,
-    draw_residues,
-    residues_at,
-)
+from .sample import PRIME, ModularPoint, SamplePoint, admissible_point, residues_at
 from . import sympoly
 
 Matrix = list[list[Expr]]
@@ -298,7 +291,7 @@ def _prefix_ranks(rows: list[dict[int, int]]) -> list[int]:
 class _ChartSampling:
     """What one engine keeps per chart: the chart itself (so that its id,
     the key, is never reused while the engine lives), the constraints moved
-    onto it, and its shared points, drawn lazily."""
+    onto it, and its shared points (`RankEngine._residues`)."""
 
     __slots__ = ("chart", "constraints", "points")
 
@@ -318,17 +311,20 @@ class RankEngine:
     D, probability at most (D/p)^POINTS).  It stops after one point when the
     first min(m, n) rows are already independent.
 
-    The points are drawn once per chart, lazily and from the engine's
-    seeded RNG, and every call on that chart uses them; each expression is
-    evaluated once per point (`sample.residues_at`).  A chart that gains a
-    generator gets new points.  When an entry has a pole at a shared point,
-    that call draws a fresh point in its place (`sample.draw_residues`).
-    Sharing keeps the error bound: on the execution path where every
-    earlier rank decision was right, the matrices the question asks about
-    are fixed by its input and do not depend on the points.  So the union
-    bound over those decisions, the sum of each matrix's (D/p)^POINTS, is
-    the same as with fresh points per call; the union bound needs no
-    independence between the decisions.
+    Every point is drawn in one place, `_residues`, from the engine's seeded
+    RNG.  The k-th point of a chart is drawn when a call first needs it and
+    every later call on that chart reads it; each expression is evaluated
+    once per point (`sample.residues_at`).  It is drawn again in its place
+    when the chart has gained a generator since or when an entry of the
+    call has a pole there, and later calls read the new point.  Sharing
+    keeps the error bound: on the execution path where every earlier rank
+    decision was right, the matrices the question asks about are fixed by
+    its input and do not depend on the points.  So the union bound over
+    those decisions, the sum of each matrix's (D/p)^POINTS, is the same as
+    with fresh points per call; the union bound needs no independence
+    between the decisions.  A replaced point keeps it: it is drawn fresh
+    from the engine's RNG, conditioned only on the constraints and on no
+    pole among that call's entries, which on that path are fixed too.
 
     The engine runs no exact elimination itself; an exact check sits where
     a verdict reads the rank.  What the answers rest on:
@@ -354,18 +350,24 @@ class RankEngine:
         got = self._charts.get(id(chart))
         if got is None:
             got = self._charts[id(chart)] = _ChartSampling(chart, self.constraints)
-        elif got.points and len(got.points[0].values) != len(chart.gens()):
-            got.points = []  # a generator registered since has no value there
         return got
 
-    def _shared_point(self, state: _ChartSampling, k: int) -> ModularPoint:
-        while len(state.points) <= k:
-            state.points.append(admissible_point(state.chart, self.rng, state.constraints))
-        return state.points[k]
-
-    def draw(self, chart: Chart, exprs: Sequence[Expr]) -> list[int]:
-        """Residues of `exprs` at one fresh admissible point of the chart."""
-        return draw_residues(chart, self.rng, exprs, self._sampling(chart).constraints)
+    def _residues(self, state: _ChartSampling, k: int, entries: list[Expr]) -> list[int]:
+        """The residues of `entries` at the chart's k-th shared point, drawn
+        when missing and drawn again in its place when the chart has gained
+        a generator since, which has no value there, or when an entry has a
+        pole there."""
+        points = state.points
+        if k < len(points) and len(points[k].values) == len(state.chart.gens()):
+            residues = residues_at(entries, points[k])
+            if residues is not None:
+                return residues
+        point = admissible_point(state.chart, self.rng, state.constraints, entries)
+        if k < len(points):
+            points[k] = point
+        else:
+            points.append(point)
+        return residues_at(entries, point)
 
     def independent_rows(self, matrix: Matrix, chart: Chart) -> list[int]:
         """Indices of the greedy independent rows: row i is taken iff it
@@ -384,9 +386,7 @@ class RankEngine:
         state = self._sampling(chart)
         best = [0] * m
         for k in range(POINTS):
-            residues = residues_at(entries, self._shared_point(state, k))
-            if residues is None:  # a pole at the shared point
-                residues = self.draw(chart, entries)
+            residues = self._residues(state, k, entries)
             rows: list[dict[int, int]] = [{} for _ in range(m)]
             for (i, j), v in zip(cells, residues):
                 if v:

@@ -18,14 +18,12 @@ its coefficient's residue and the (generator, exponent) pairs of its packed
 monomial, kept in the Expr's `_program` slot.  Every later point only
 multiplies residues.  The rank engine passes only nonzero entries.
 
-The rank engine draws its points once per chart (`admissible_point`, where
-no constraint vanishes) and shares them among all its rank calls on that
-chart.  `residues_at` evaluates each expression at a shared point once and
-keeps the residue, or None at a pole, in the Expr's `_residues` slot, keyed
-by the point object: the key holds the point, so no other point can take
-its place.  `draw_residues` draws a fresh point for one list of
-expressions, redrawn until none of them has a pole; the engine falls back
-to it when an entry has a pole at a shared point.
+The rank engine draws every point through `admissible_point`: one where no
+constraint vanishes and none of the given expressions has a pole.  It
+shares its points among all its rank calls on a chart.  `residues_at`
+evaluates each expression at a point once and keeps the residue, or None at
+a pole, in the Expr's `_residues` slot, keyed by the point object: the key
+holds the point, so no other point can take its place.
 
 `SamplePoint`, `draw_point` and `draw_admissible` are the exact rational
 counterpart: base symbols receive random rationals with numerator and
@@ -204,35 +202,29 @@ class ModularPoint:
         self.values = values
 
 
-def _draw(
+def admissible_point(
     chart: Chart,
     rng: random.Random,
-    exprs: Sequence[Expr],
     constraints: Sequence[Expr],
-) -> tuple[list[int], list[int]]:
-    """The generator values at the first drawn point where no constraint
-    vanishes and none of `exprs` has a pole, and their residues there."""
+    exprs: Sequence[Expr],
+) -> ModularPoint:
+    """The first drawn point of the chart where no constraint vanishes and
+    none of `exprs` has a pole; the residues of `exprs` there are kept
+    (`residues_at`)."""
     for _ in range(_TRIES):
-        values = modular_point(chart, rng)
-        if all(_expr_residue(g, values) for g in constraints):
-            out = [_expr_residue(e, values) for e in exprs]
-            if None not in out:
-                return values, out
+        point = ModularPoint(modular_point(chart, rng))
+        if all(_expr_residue(g, point.values) for g in constraints) and (
+            residues_at(exprs, point) is not None
+        ):
+            return point
     raise SampleExhaustedError(
         f"no admissible sample point within {_TRIES} tries on chart "
         f"({', '.join(chart.coordinates)})"
     )
 
 
-def admissible_point(
-    chart: Chart, rng: random.Random, constraints: Sequence[Expr]
-) -> ModularPoint:
-    """A point of the chart where every constraint is defined and nonzero."""
-    return ModularPoint(_draw(chart, rng, (), constraints)[0])
-
-
 def residues_at(exprs: Sequence[Expr], point: ModularPoint) -> Optional[list[int]]:
-    """The residues of `exprs` at a shared point, or None when one of them
+    """The residues of `exprs` at a point, or None when one of them
     has a pole there.  Each expression is evaluated once per point; its
     residue, or None, is kept in its `_residues` slot."""
     values = point.values
@@ -248,15 +240,3 @@ def residues_at(exprs: Sequence[Expr], point: ModularPoint) -> Optional[list[int
             return None
         out.append(r)
     return out
-
-
-def draw_residues(
-    chart: Chart,
-    rng: random.Random,
-    exprs: Sequence[Expr],
-    constraints: Sequence[Expr],
-) -> list[int]:
-    """The residues of `exprs` at one fresh point where none of them has a
-    pole and no constraint vanishes; each expression is evaluated once per
-    point drawn."""
-    return _draw(chart, rng, exprs, constraints)[1]

@@ -390,6 +390,27 @@ def test_refined_windows_hold_the_unchecked_preconditions(monkeypatch):
     assert len(calls) == 66
 
 
+def test_each_record_examines_the_sequence_member_at_its_index():
+    """A branch keeps one record per sequence step: record i examined
+    member i, except a C-i record, whose rebuilt frontier took member i's
+    place; member i + 1 is what the step produced."""
+    tags = set()
+    for name in ("vtol", "example3", "example1"):
+        base = build_system(load_model(MODELS / f"{name}.json"), 0)
+        for p1, p2 in [(0, 0), (1, 0), (2, 1)]:
+            system = prolong(base, p1, p2)
+            for run in (run_algorithm1, run_algorithm2):
+                for b in run(system).branches:
+                    for i, rec in enumerate(b.records):
+                        tags.add(rec.tag)
+                        if rec.tag == "C-i":
+                            assert rec.replaced is b.sequence[i]
+                        else:
+                            assert rec.examined is b.sequence[i]
+                            assert rec.replaced is None
+    assert {"A", "B", "C-i"} <= tags
+
+
 def test_membership_solver_paths():
     chart = Chart(["z1", "z2"])
     one, zero = chart.one, chart.zero

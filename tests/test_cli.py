@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import flatkit.cli
 import flatkit.modelfile
 import flatkit.system
 from flatkit import build_system, load_model, model_from_dict, prolonged_model, save_model
@@ -364,6 +365,25 @@ def test_verify_computes_candidate_once(monkeypatch, capsys):
     )
     assert code == 0 and report["sfe"] is not None
     assert len(calls) == 1
+
+
+def test_main_runs_the_command_bound_in_the_module_at_the_call(monkeypatch, capsys):
+    """The parser is built on the first call; a wrapper set on the module's
+    `cmd_verify` after it still runs, as a tracer installs one."""
+    argv = ["verify", str(MODELS / "example3.json"), "--output", "z1", "z3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    ran = []
+    real = flatkit.cli.cmd_verify
+
+    def wrapped(args):
+        ran.append(args.command)
+        return real(args)
+
+    monkeypatch.setattr(flatkit.cli, "cmd_verify", wrapped)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert ran == ["verify"]
 
 
 def test_verify_unbounded_degree_is_negative_verdict(tmp_path, capsys):

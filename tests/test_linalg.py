@@ -28,8 +28,8 @@ from flatkit.linalg import (
 )
 from flatkit.sample import (
     PRIME,
+    admissible_point,
     draw_admissible,
-    draw_residues,
     modular_point,
     residues_at,
 )
@@ -177,12 +177,23 @@ def test_rank_engine_is_deterministic():
     assert r1 == r2 == 1
 
 
+def _residues_at_a_drawn_point(chart, seed, exprs, constraints=()):
+    point = admissible_point(chart, random.Random(seed), constraints, exprs)
+    return residues_at(exprs, point)
+
+
 def test_rank_engine_respects_constraints():
     chart = Chart(["a"], parameters=["p"])
-    engine = RankEngine(seed=5, constraints=(chart.sym("p"),))
+    p = chart.sym("p")
+    engine = RankEngine(seed=5, constraints=(p,))
+    constraints = engine._sampling(chart).constraints
     for _ in range(10):
-        (value,) = engine.draw(chart, [chart.sym("p")])
+        point = admissible_point(chart, engine.rng, constraints, [p])
+        (value,) = residues_at([p], point)
         assert value != 0
+    assert engine.rank([[p, chart.zero], [p, chart.zero]], chart) == 1
+    for point in engine._sampling(chart).points:
+        assert residues_at([p], point)[0] != 0
 
 
 def test_rank_of_zero_and_empty_matrices():
@@ -364,8 +375,8 @@ def test_rank_sees_the_circle_relation():
 def test_coefficient_with_prime_denominator_is_a_named_error():
     chart = Chart(["a", "b"])
     a = chart.sym("a")
-    (value,) = draw_residues(chart, random.Random(2), [a * Fraction(3, 7)], ())
-    (base,) = draw_residues(chart, random.Random(2), [a], ())
+    (value,) = _residues_at_a_drawn_point(chart, 2, [a * Fraction(3, 7)])
+    (base,) = _residues_at_a_drawn_point(chart, 2, [a])
     assert value * 7 % PRIME == base * 3 % PRIME
     m = [[a * Fraction(1, PRIME), chart.sym("b")]]
     with pytest.raises(PrimeDenominatorError):
@@ -380,11 +391,11 @@ def test_constraints_vanishing_mod_p_force_a_redraw():
     second = modular_point(chart, ahead)[0]
     # a - first vanishes mod p at the first point only, so that point is
     # redrawn; the same holds for a pole of an evaluated entry.
-    assert draw_residues(chart, random.Random(8), [a], [a - first]) == [second]
-    assert draw_residues(chart, random.Random(8), [a, 1 / (a - first)], ())[0] == second
+    assert _residues_at_a_drawn_point(chart, 8, [a], [a - first]) == [second]
+    assert _residues_at_a_drawn_point(chart, 8, [a, 1 / (a - first)])[0] == second
     # PRIME * a vanishes mod p everywhere: no admissible point exists.
     with pytest.raises(SampleExhaustedError, match="within 60 tries"):
-        draw_residues(chart, random.Random(8), [a], [a * PRIME])
+        admissible_point(chart, random.Random(8), [a * PRIME], [a])
 
 
 def test_no_zero_entry_reaches_the_evaluator(monkeypatch, capsys):
@@ -425,6 +436,8 @@ def test_rank_calls_on_one_chart_evaluate_an_entry_once_per_point(monkeypatch):
 
 
 def test_a_pole_at_a_shared_point_falls_back_to_a_fresh_point(monkeypatch):
+    """The fresh point takes the shared point's place: later calls on the
+    chart read it."""
     chart = Chart(["x", "y"])
     x, y = chart.sym("x"), chart.sym("y")
     c = 12345
@@ -441,11 +454,19 @@ def test_a_pole_at_a_shared_point_falls_back_to_a_fresh_point(monkeypatch):
     monkeypatch.setattr(flatkit.sample, "modular_point", first_on_the_pole)
     engine = RankEngine(seed=4)
     pole = 1 / (x - c)
-    # read as zero at x = c, the pole would give rank 1
-    assert engine.rank([[pole, chart.zero], [chart.zero, y]], chart) == 2
+    # y alone draws the shared point, on the pole
+    assert engine.rank([[y]], chart) == 1
     (shared,) = engine._sampling(chart).points
     assert shared.values[0] == c and residues_at([pole], shared) is None
-    assert len(drawn) == 2  # the shared point, then a fresh one in its place
+    # read as zero at x = c, the pole would give rank 1
+    assert engine.rank([[pole, chart.zero], [chart.zero, y]], chart) == 2
+    (replacement,) = engine._sampling(chart).points
+    assert replacement is not shared and replacement.values == drawn[1]
+    assert residues_at([pole], replacement) is not None
+    # a later call on the chart reads the replacement and draws nothing
+    assert engine.rank([[x * y + 1]], chart) == 1
+    assert len(drawn) == 2
+    assert engine._sampling(chart).points == [replacement]
 
 
 def test_normalize_vector_removes_only_a_common_factor_and_the_sign():
@@ -466,7 +487,7 @@ def test_a_chart_that_gains_a_generator_gets_new_points():
     a, b = chart.sym("a"), chart.sym("b")
     engine = RankEngine(seed=6)
     assert engine.rank([[a, b]], chart) == 1
-    before = engine._sampling(chart).points
+    before = list(engine._sampling(chart).points)
     # sin(a) and cos(a) register two generators that the drawn points lack
     s = chart.parse("sin(a)")
     assert engine.rank([[s, chart.zero], [b, chart.zero]], chart) == 1
