@@ -26,22 +26,35 @@ variables keeps numerator and denominator coprime and trig-reduced, so the
 result is canonical once its denominator is made monic under the target's
 order.
 
-These results are canonical as built and skip `_canonicalize`: the sum of
-two polynomials (denominators 1), a canonical expression times a nonzero
-constant (same monic denominator, no new common factor), and the partial
-derivative of a trig-reduced polynomial by one generator.  A constant
-denominator of 1 costs no scaling pass.
+These results are canonical as built and skip `_canonicalize`:
+
+* the sum of two polynomials (denominators 1);
+* the product of two polynomials, circle-reduced once;
+* the exact quotient of two polynomials: a sine's degree in a product is
+  the sum of its degrees in the factors, so a trig-reduced dividend has a
+  trig-reduced quotient;
+* a canonical expression times a nonzero constant (same monic
+  denominator, no new common factor);
+* the partial derivative of a trig-reduced polynomial by one generator.
+
+A polynomial here has the constant denominator 1; a one-term denominator
+such as cos(theta) or x is not one.  `_canonicalize` returns on a constant
+denominator before the sine clearing, and a denominator of 1 costs no
+scaling pass.
 
 Numerator and denominator are `sympoly` polynomials, whose monomials are
 packed ints (graded lex is int order).  This module reads a monomial only
 through sympoly's helpers: `mono_items` for rendering, evaluation and the
 generator map, `p_rename` for `transfer`, `p_circle_reduce` and
-`p_reflect` for the circle relation.  A chart holds at most
-`sympoly.SLOTS` generators; registering one more raises MonomialLimitError.
+`p_reflect` for the circle relation.  The chart keeps the sin -> cos map
+of its pairs and, beside it, the mask `p_circle_reduce` tests monomials
+with.  A chart holds at most `sympoly.SLOTS` generators; registering one
+more raises MonomialLimitError.
 
 `differentiate` is memoized per expression, in a slot of the Expr, so each
 (expression, symbol) pair is differentiated at most once.  Charts only add
-generators, so a stored derivative stays canonical.  Each Expr also keeps
+generators, so a stored derivative stays canonical, and a memo hit needs
+no check that the symbol is known.  Each Expr also keeps
 its base symbols; the derivative by any other symbol is zero without a walk.
 A third slot keeps the F_p evaluation program that `sample` decodes once,
 and a fourth the expression's residue at each shared sample point.
@@ -63,6 +76,7 @@ from .errors import (
 from .sympoly import (
     SLOTS,
     Poly,
+    _circle_high,
     _frac_sqrt,
     mono_degree,
     mono_get,
@@ -141,6 +155,7 @@ class Chart:
         self._gens: list[GenInfo] = [GenInfo(n, "base", n) for n in coords + params]
         self._index: dict[str, int] = {g.name: i for i, g in enumerate(self._gens)}
         self._sin_to_cos: dict[int, int] = {}
+        self._circle_high = 0  # sympoly._circle_high of _sin_to_cos
         self._deriv_cache: dict[tuple[int, str], "Expr"] = {}
         self._zero = Expr(self, p_const(0), p_const(1), _raw=True)
         self._one = Expr(self, p_const(1), p_const(1), _raw=True)
@@ -201,6 +216,7 @@ class Chart:
             self._index[ckey] = len(self._gens) - 1
             self._sin_to_cos = dict(self._sin_to_cos)
             self._sin_to_cos[self._index[skey]] = self._index[ckey]
+            self._circle_high = _circle_high(self._sin_to_cos)
         return self._index[skey], self._index[ckey]
 
     def _gen_expr(self, index: int) -> "Expr":
@@ -243,7 +259,7 @@ class Expr:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return p_is_zero(self.num)
+        return not self.num
 
     def is_constant(self) -> bool:
         return p_is_const(self.num) and p_is_const(self.den)
@@ -304,6 +320,11 @@ class Expr:
             return self._scaled(p_const_value(o.num))
         if self.is_constant():
             return o._scaled(p_const_value(self.num))
+        if p_is_const(self.den) and p_is_const(o.den):
+            # the reduced product of two polynomials is canonical over 1
+            chart = self.chart
+            num = p_circle_reduce(p_mul(self.num, o.num), chart._sin_to_cos, chart._circle_high)
+            return Expr(chart, num, self.den, _raw=True)
         return Expr(self.chart, p_mul(self.num, o.num), p_mul(self.den, o.den))
 
     __rmul__ = __mul__
@@ -316,6 +337,12 @@ class Expr:
 
     def __truediv__(self, other: Scalar) -> "Expr":
         o = self._coerce(other)
+        if o.num and p_is_const(self.den) and p_is_const(o.den):
+            q = p_div_exact(self.num, o.num)
+            if q is not None:
+                # degrees in a sine add under a product, so the exact
+                # quotient of a trig-reduced polynomial is trig-reduced
+                return Expr(self.chart, q, self.den, _raw=True)
         return Expr(self.chart, p_mul(self.num, o.den), p_mul(self.den, o.num))
 
     def __rtruediv__(self, other: Scalar) -> "Expr":
@@ -363,7 +390,9 @@ class Expr:
     __str__ = render
 
 
-def _clear_sin_denominator(s2c: dict[int, int], num: Poly, den: Poly) -> tuple[Poly, Poly]:
+def _clear_sin_denominator(
+    s2c: dict[int, int], high: int, num: Poly, den: Poly
+) -> tuple[Poly, Poly]:
     """Multiply through by conjugates until the denominator is sine-free.
 
     With sine-free denominators, cross-multiplied identities hold in the
@@ -374,8 +403,8 @@ def _clear_sin_denominator(s2c: dict[int, int], num: Poly, den: Poly) -> tuple[P
         if p_degree_in(den, si):
             # sin -> -sin for one angle is an automorphism of the ring
             conj = p_reflect(den, si)
-            num = p_circle_reduce(p_mul(num, conj), s2c)
-            den = p_circle_reduce(p_mul(den, conj), s2c)
+            num = p_circle_reduce(p_mul(num, conj), s2c, high)
+            den = p_circle_reduce(p_mul(den, conj), s2c, high)
     return num, den
 
 
@@ -390,17 +419,17 @@ def _monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 
 def _canonicalize(chart: Chart, num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    s2c = chart.sin_to_cos()
-    num = p_circle_reduce(num, s2c)
-    den = p_circle_reduce(den, s2c)
+    s2c, high = chart._sin_to_cos, chart._circle_high
+    num = p_circle_reduce(num, s2c, high)
+    den = p_circle_reduce(den, s2c, high)
     if p_is_zero(den):
         raise ZeroDenominatorError("denominator is identically zero")
     if p_is_zero(num):
         return {}, p_const(1)
-    if s2c:
-        num, den = _clear_sin_denominator(s2c, num, den)
     if p_is_const(den):
         return _monic(num, den)
+    if s2c:
+        num, den = _clear_sin_denominator(s2c, high, num, den)
     if not p_is_const(num):
         q = p_div_exact(num, den)
         if q is not None:
@@ -573,18 +602,23 @@ def _poly_derivative(chart: Chart, poly: Poly, sym: str) -> Expr:
 def differentiate(e: Expr, sym: str) -> Expr:
     """Partial derivative with respect to a base symbol of the chart.
 
-    Memoized per expression: repeated calls return the same object.
+    Memoized per expression: repeated calls return the same object.  The
+    memo is read first; the unknown-symbol check runs only on a miss, since
+    a memo key is a symbol the chart already had and charts only add
+    generators.
     """
+    memo = e._derivs
+    if memo is not None:
+        out = memo.get(sym)
+        if out is not None:
+            return out
     chart = e.chart
     if not chart.has_symbol(sym):
         raise UnknownSymbolError(sym)
     if sym not in e._symbol_set():
         return chart.zero
-    memo = e._derivs
     if memo is None:
         memo = e._derivs = {}
-    elif sym in memo:
-        return memo[sym]
     dn = _poly_derivative(chart, e.num, sym)
     if p_is_const(e.den):
         out = dn

@@ -160,8 +160,9 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.advance()
         if tok.kind == "num":
+            # int() is much cheaper than Fraction() on the integers models hold
             try:
-                value = Fraction(tok.text)
+                value = Fraction(tok.text) if "." in tok.text else int(tok.text)
             except ValueError:  # past the interpreter's integer-string limit
                 raise ParseError("number literal too long", tok.pos) from None
             return self.chart.const(value)

@@ -319,28 +319,50 @@ def p_rename(a: Poly, index: dict[int, int]) -> Poly:
     return {sum(e * var[i] for i, e in mono_items(m)): c for m, c in a.items()}
 
 
-def p_circle_reduce(a: Poly, pairs: dict[int, int]) -> Poly:
+def _circle_high(pairs: dict[int, int]) -> int:
+    """Bits 1 and up of each sine field of `pairs`: m & mask is nonzero
+    exactly when some sine exponent of m is 2 or more."""
+    return sum((_FIELD ^ 1) << _slot(si) for si in pairs)
+
+
+def p_circle_reduce(a: Poly, pairs: dict[int, int], high: int) -> Poly:
     """Normal form modulo s^2 + c^2 - 1 for each pair (s, c) of generators:
-    every power s^e with e >= 2 becomes s^(e mod 2) * (1 - c^2)^(e div 2)."""
-    if not pairs:
-        return a
-    # bits 1 and up of the s fields: set exactly when some exponent is >= 2
-    high = sum((_FIELD ^ 1) << _slot(si) for si in pairs)
-    if not any(m & high for m in a):
+    every power s^e with e >= 2 becomes s^(e mod 2) * (1 - c^2)^(e div 2).
+
+    `high` is `_circle_high(pairs)`, which the caller keeps beside its
+    pairs; a polynomial with no sine exponent past 1 is returned as it is.
+    Runs in time linear in the terms it makes: each term expands by the
+    binomial coefficients of (1 - c^2)^k, applied to the packed monomial,
+    straight into one result dict.  A cosine exponent pushed past MAX_EXP
+    raises MonomialLimitError.
+    """
+    if not high or not any(m & high for m in a):
         return a
     out: Poly = {}
     for m, c in a.items():
-        term: Poly = {m: c}
-        for si, ci in pairs.items():
-            if mono_get(m, si) >= 2:
-                reduced: Poly = {}
-                for tm, tc in term.items():
-                    te = mono_get(tm, si)
-                    base = {mono_set(tm, si, te % 2): tc}
-                    one_minus_c2 = p_sub(p_const(1), p_pow(p_var(ci), 2))
-                    reduced = p_add(reduced, p_mul(base, p_pow(one_minus_c2, te // 2)))
-                term = reduced
-        out = p_add(out, term)
+        terms = [(m, c)]
+        if m & high:
+            for si, ci in pairs.items():
+                k = ((m >> _SHIFT[si]) & _FIELD) >> 1
+                if not k:
+                    continue
+                if ((m >> _SHIFT[ci]) & _FIELD) + 2 * k > MAX_EXP:
+                    raise _exponent_overflow()
+                # s^(2k) -> sum over j of (-1)^j C(k, j) c^(2j)
+                down = 2 * k * _VAR[si]
+                up = 2 * _VAR[ci]
+                row = [(-1) ** j * math.comb(k, j) for j in range(k + 1)]
+                terms = [
+                    (tm - down + j * up, tc * b)
+                    for tm, tc in terms
+                    for j, b in enumerate(row)
+                ]
+        for tm, tc in terms:
+            s = out.get(tm, 0) + tc
+            if s:
+                out[tm] = s
+            else:
+                del out[tm]
     return out
 
 

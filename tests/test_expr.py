@@ -51,6 +51,12 @@ def test_parse_literals(chart):
     assert chart.parse("3").as_fraction() == 3
     assert chart.parse("0.5").as_fraction() == Fraction(1, 2)
     assert chart.parse("2.25").as_fraction() == Fraction(9, 4)
+    # an integer literal is read as an int, a decimal one as a Fraction
+    assert [type(chart.parse(t).num[0]) for t in ("007", "2.50")] == [int, Fraction]
+    # past the interpreter's integer-string limit, either kind is refused
+    for text in ("1" * 5000, "1" * 5000 + ".5", "0." + "1" * 5000):
+        with pytest.raises(ParseError, match="number literal too long"):
+            chart.parse("x*" + text)
 
 
 def test_integral_constants_are_one_expression(chart):
@@ -401,6 +407,17 @@ def test_derivative_is_memoized_per_expression(chart):
     assert differentiate(chart.parse("x^2*sin(theta)/(1 + y)"), "x") == differentiate(e, "x")
 
 
+def test_unknown_symbol_raises_on_a_filled_derivative_memo(chart):
+    e = chart.parse("x^2*sin(theta)/(1 + y)")
+    memo = {s: differentiate(e, s) for s in ("x", "y", "theta")}
+    assert e._derivs == memo  # every derivative the expression has is stored
+    chart.parse("cos(z)")  # a generator name that is no base symbol
+    for sym in ("w", "sin(theta)", "cos(z)"):
+        with pytest.raises(UnknownSymbolError, match=re.escape(sym)):
+            differentiate(e, sym)
+    assert e._derivs == memo
+
+
 def test_derivative_memo_survives_new_trig_pair(chart):
     e = chart.parse("x^2*cos(theta)/(z + eps)")
     before = {s: differentiate(e, s) for s in ("x", "z", "theta")}
@@ -697,3 +714,77 @@ def test_at_zero_matches_sympy_subs(num_terms, den_terms, names):
     got = at_zero(e, names)
     assert sympy.cancel(value(got.num) * den - num * value(got.den)) == 0
     assert not got._symbol_set() & names
+
+
+# -- arithmetic that skips canonicalization against the full path ------------------
+#
+# A product of two polynomials and an exact quotient of two are built canonical;
+# each must equal Expr(chart, num, den) over the operands' cross products,
+# which canonicalizes in full.  The operands are trig polynomials over two
+# angles, over 1 or over one of a few denominators, one-term ones included:
+# cos(theta) and x have a single term and are still not constant.
+
+# x, theta, phi, then the pairs of theta and of phi: as many generators as
+# `_sparse_terms` draws from.  Dense operands would send the inexact
+# quotients into the slow subresultant gcd.
+_two_angle_terms = _sparse_terms(0, 3)
+_DENOMINATORS = st.sampled_from(("1", "cos(theta)", "x", "1 + cos(theta)", "sin(phi) - x"))
+
+
+def _two_angle_operand(chart, terms, den):
+    gens = (0, 1, 2, *chart.trig_pair("theta"), *chart.trig_pair("phi"))
+    return _rational(chart, gens, terms, [(Fraction(1), ())]) / chart.parse(den)
+
+
+def _full(chart, num, den):
+    r = Expr(chart, num, den)
+    return r.num, r.den
+
+
+@settings(max_examples=60)
+@given(_two_angle_terms, _DENOMINATORS, _two_angle_terms, _DENOMINATORS)
+@example([(Fraction(1), (0, 1))], "cos(theta)", [(Fraction(1), (0, 0, 1))], "1")
+@example(
+    [(Fraction(2), (0, 0, 0, 1)), (Fraction(1), (0, 0, 0, 0, 1))],
+    "x",
+    [(Fraction(1), (0, 0, 0, 1, 1))],
+    "1 + cos(theta)",
+)
+def test_products_and_quotients_match_the_full_canonicalization(an, ad, bn, bd):
+    chart = Chart(["x", "theta", "phi"])
+    try:
+        a = _two_angle_operand(chart, an, ad)
+        b = _two_angle_operand(chart, bn, bd)
+    except ZeroDenominatorError:  # a multiple of sin^2 + cos^2 - 1
+        assume(False)
+    ab = a * b
+    assert (ab.num, ab.den) == _full(chart, p_mul(a.num, b.num), p_mul(a.den, b.den))
+    _assert_canonical(ab)
+    if b.is_zero():
+        return
+    # ab / b of polynomials is an exact division unless ab was reduced
+    for top in (a, ab):
+        q = top / b
+        assert (q.num, q.den) == _full(chart, p_mul(top.num, b.den), p_mul(top.den, b.num))
+        _assert_canonical(q)
+    assert ab / b == a
+
+
+def test_polynomial_products_and_exact_quotients_skip_canonicalization(monkeypatch):
+    chart = Chart(["x", "theta", "phi"])
+    # no sine squares in p*q, so pq / p and pq / q divide exactly
+    p = chart.parse("x*sin(theta) + cos(phi)")
+    q = chart.parse("cos(theta) - x*sin(phi)")
+    x = chart.parse("x")
+    calls = []
+    real = expr_module._canonicalize
+    monkeypatch.setattr(
+        expr_module, "_canonicalize", lambda *args: calls.append(args) or real(*args)
+    )
+    pq = p * q
+    assert pq / q == p and pq / p == q and (pq * x) / x == pq
+    assert calls == []
+    # a one-term denominator is not a constant one: the full path runs
+    p / chart.parse("cos(theta)") * q
+    assert p / q != p * q  # an inexact quotient is canonicalized
+    assert len(calls) == 3

@@ -15,6 +15,7 @@ from flatkit.errors import MonomialLimitError
 from flatkit.sympoly import (
     MAX_EXP,
     SLOTS,
+    _circle_high,
     _to_zz,
     _zdiv_exact,
     _zheu,
@@ -23,6 +24,7 @@ from flatkit.sympoly import (
     mono_items,
     mono_set,
     p_add,
+    p_circle_reduce,
     p_const,
     p_content,
     p_diff,
@@ -507,3 +509,89 @@ def test_generators_in_the_order_the_monomials_meet_them():
     # y^2 then y*z: y's field changes bits, and is still not new
     a = {next(iter(p_pow(y, 2))): 1, next(iter(p_mul(y, z))): 1}
     assert sympoly.p_vars_in_order(a, p_add(x, z)) == [1, 2, 0]
+
+
+# -- circle reduction against the quadratic version it replaced ----------------------
+
+
+def _quadratic_circle_reduce(a, pairs):
+    """p_circle_reduce as it was before it ran in linear time: the result is
+    copied by p_add once per term and 1 - c^2 is rebuilt for every term."""
+    if not pairs:
+        return a
+    # bits 1 and up of the s fields: set exactly when some exponent is >= 2
+    high = sum((sympoly._FIELD ^ 1) << sympoly._slot(si) for si in pairs)
+    if not any(m & high for m in a):
+        return a
+    out = {}
+    for m, c in a.items():
+        term = {m: c}
+        for si, ci in pairs.items():
+            if mono_get(m, si) >= 2:
+                reduced = {}
+                for tm, tc in term.items():
+                    te = mono_get(tm, si)
+                    base = {mono_set(tm, si, te % 2): tc}
+                    one_minus_c2 = p_sub(p_const(1), p_pow(p_var(ci), 2))
+                    reduced = p_add(reduced, p_mul(base, p_pow(one_minus_c2, te // 2)))
+                term = reduced
+        out = p_add(out, term)
+    return out
+
+
+def _both_circle_reductions(a, pairs):
+    """(linear, quadratic) results, or the exception type each raised."""
+    out = []
+    for reduce in (
+        lambda: p_circle_reduce(a, pairs, _circle_high(pairs)),
+        lambda: _quadratic_circle_reduce(a, pairs),
+    ):
+        try:
+            out.append(reduce())
+        except MonomialLimitError:
+            out.append(MonomialLimitError)
+    return out
+
+
+# generators 0 and 1, then the pairs (2, 3) and (4, 5); two pairs or the first
+_CIRCLE_PAIRS = st.sampled_from(({2: 3}, {2: 3, 4: 5}))
+_circle_polys = st.lists(
+    st.tuples(
+        st.integers(-9, 9).filter(bool) | st.fractions(-9, 9, max_denominator=4).filter(bool),
+        st.lists(st.integers(0, MAX_EXP), min_size=6, max_size=6),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=80)
+@given(_circle_polys, _CIRCLE_PAIRS)
+def test_circle_reduction_matches_the_quadratic_version(terms, pairs):
+    a = {}
+    for c, exps in terms:
+        a = p_add(a, {mono(exps): c})
+    linear, quadratic = _both_circle_reductions(a, pairs)
+    # the same terms in the same order: expr.transfer reads generators in it
+    assert linear == quadratic
+    if linear is not MonomialLimitError:
+        assert list(linear.items()) == list(quadratic.items())
+        assert all(mono_get(m, si) <= 1 for m in linear for si in pairs)
+
+
+def test_circle_reduction_cases():
+    s, c, x = p_var(2), p_var(3), p_var(0)
+    pairs = {2: 3}
+    # s^5 * x = s * (1 - c^2)^2 * x
+    reduced = p_circle_reduce(p_mul(p_pow(s, 5), x), pairs, _circle_high(pairs))
+    expected = p_mul(p_mul(s, x), p_pow(p_sub(p_const(1), p_pow(c, 2)), 2))
+    assert reduced == expected
+    # s^2 + c^2 - 1 reduces to zero; a reduced polynomial comes back as it is
+    unit = p_sub(p_add(p_pow(s, 2), p_pow(c, 2)), p_const(1))
+    assert p_circle_reduce(unit, pairs, _circle_high(pairs)) == {}
+    assert p_circle_reduce(expected, pairs, _circle_high(pairs)) is expected
+    # s^4 * c^125 needs c^129: both versions refuse it
+    past = p_mul(p_pow(s, 4), p_pow(c, MAX_EXP - 2))
+    assert _both_circle_reductions(past, pairs) == [MonomialLimitError] * 2
+    at_limit = p_mul(p_pow(s, 4), p_pow(c, MAX_EXP - 4))
+    linear, quadratic = _both_circle_reductions(at_limit, pairs)
+    assert linear == quadratic and mono_get(max(linear), 3) == MAX_EXP
