@@ -35,7 +35,8 @@ These results are canonical as built and skip `_canonicalize`:
   trig-reduced quotient;
 * a canonical expression times a nonzero constant (same monic
   denominator, no new common factor);
-* the partial derivative of a trig-reduced polynomial by one generator.
+* a derivation of a polynomial (`derive` with no `scale`): the kernel's
+  output, circle-reduced once.
 
 A polynomial here has the constant denominator 1; a one-term denominator
 such as cos(theta) or x is not one.  `_canonicalize` returns on a constant
@@ -51,13 +52,16 @@ of its pairs and, beside it, the mask `p_circle_reduce` tests monomials
 with.  A chart holds at most `sympoly.SLOTS` generators; registering one
 more raises MonomialLimitError.
 
-`differentiate` is memoized per expression, in a slot of the Expr, so each
-(expression, symbol) pair is differentiated at most once.  Charts only add
-generators, so a stored derivative stays canonical, and a memo hit needs
-no check that the symbol is known.  Each Expr also keeps
-its base symbols; the derivative by any other symbol is zero without a walk.
-A third slot keeps the F_p evaluation program that `sample` decodes once,
-and a fourth the expression's residue at each shared sample point.
+Derivatives are derivations (see `fields`): `derive` applies a chain,
+one multiplier per generator, through the kernel `sympoly.p_derive`, which
+walks the numerator (and the denominator of a quotient) once.  The chart
+keeps its chain rule beside its generators: each base symbol s maps to
+(s, 1) and, once the pair of s is registered, (sin s, cos s) and
+(cos s, -sin s).  `differentiate(e, s)` is `derive` on the unit chain of s;
+nothing is stored, so every call walks e.  Each Expr keeps its base
+symbols; the derivative by any other symbol is zero without a walk.
+Another slot keeps the F_p evaluation program that `sample` decodes once,
+and another the expression's residue at each shared sample point.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ from .errors import (
 )
 from .sympoly import (
     SLOTS,
+    Chain,
     Poly,
     _circle_high,
     _frac_sqrt,
@@ -87,7 +92,7 @@ from .sympoly import (
     p_const,
     p_const_value,
     p_degree_in,
-    p_diff,
+    p_derive,
     p_div_exact,
     p_gcd,
     p_is_const,
@@ -156,7 +161,11 @@ class Chart:
         self._index: dict[str, int] = {g.name: i for i, g in enumerate(self._gens)}
         self._sin_to_cos: dict[int, int] = {}
         self._circle_high = 0  # sympoly._circle_high of _sin_to_cos
-        self._deriv_cache: dict[tuple[int, str], "Expr"] = {}
+        # base symbol index -> (g, dg/d symbol) for each generator g on it
+        one = p_const(1)
+        self._chain_rule: dict[int, list[tuple[int, Poly]]] = {
+            i: [(i, one)] for i in range(len(self._gens))
+        }
         self._zero = Expr(self, p_const(0), p_const(1), _raw=True)
         self._one = Expr(self, p_const(1), p_const(1), _raw=True)
 
@@ -217,6 +226,8 @@ class Chart:
             self._sin_to_cos = dict(self._sin_to_cos)
             self._sin_to_cos[self._index[skey]] = self._index[ckey]
             self._circle_high = _circle_high(self._sin_to_cos)
+            si, ci = self._index[skey], self._index[ckey]
+            self._chain_rule[self._index[angle]] += [(si, p_var(ci)), (ci, p_neg(p_var(si)))]
         return self._index[skey], self._index[ckey]
 
     def _gen_expr(self, index: int) -> "Expr":
@@ -240,9 +251,7 @@ def _check_slots(count: int) -> None:
 class Expr:
     """A canonical rational expression over a chart."""
 
-    __slots__ = (
-        "chart", "num", "den", "_hash", "_derivs", "_symbols", "_program", "_residues"
-    )
+    __slots__ = ("chart", "num", "den", "_hash", "_symbols", "_program", "_residues")
 
     def __init__(self, chart: Chart, num: Poly, den: Poly, _raw: bool = False):
         if not _raw:
@@ -251,7 +260,6 @@ class Expr:
         self.num = num
         self.den = den
         self._hash: Optional[int] = None
-        self._derivs: Optional[dict[str, Expr]] = None  # see differentiate
         self._symbols: Optional[frozenset[str]] = None  # see _symbol_set
         self._program: Optional[tuple] = None  # see sample._residue_program
         self._residues: Optional[dict] = None  # see sample.residues_at
@@ -569,66 +577,58 @@ FUNCTION_TABLE: dict[str, Callable[[Expr], Expr]] = {
 # -- differentiation ----------------------------------------------------------
 
 
-def _gen_derivative(chart: Chart, index: int, sym: str) -> Expr:
-    cached = chart._deriv_cache.get((index, sym))
-    if cached is not None:
-        return cached
-    info = chart.gen_info(index)
-    if info.base != sym:
-        out = chart.zero
-    elif info.kind == "base":
-        out = chart.one
-    else:
-        si, ci = chart.trig_pair(sym)
-        out = chart._gen_expr(ci) if info.kind == "sin" else -chart._gen_expr(si)
-    chart._deriv_cache[(index, sym)] = out
+def derive(e: Expr, chain: Chain, den: int = 1, scale: Optional[Poly] = None) -> dict[int, Expr]:
+    """The derivation of `chain` applied to e, divided by den * scale: for
+    chain[g] = (k, m_g), entry k of the result is the sum of
+    (de/dg) * m_g / (den * scale) over the generators g routed to k.
+
+    A polynomial e with no `scale` takes one `p_derive` walk, and each
+    output gets one circle reduction and a raw Expr.  Otherwise each output
+    is canonicalized once: n/d goes by the quotient rule
+    (d * D(n) - n * D(d)) / (d^2 * scale), with D(n) and D(d) two walks.
+    Slots whose output is zero are absent.
+    """
+    chart = e.chart
+    s2c, high = chart._sin_to_cos, chart._circle_high
+    out = {}
+    if p_is_const(e.den):
+        for k, p in p_derive([(0, e.num, chain, den)]).items():
+            p = p_circle_reduce(p, s2c, high)
+            if p:
+                out[k] = Expr(chart, p, scale) if scale else Expr(chart, p, e.den, _raw=True)
+        return out
+    parts = p_derive([(0, e.num, chain, den)])
+    dparts = p_derive([(0, e.den, chain, den)])
+    square = p_mul(e.den, e.den)
+    if scale:
+        square = p_mul(square, scale)
+    for k in sorted(parts.keys() | dparts.keys()):
+        dn = p_circle_reduce(parts.get(k, {}), s2c, high)
+        dd = p_circle_reduce(dparts.get(k, {}), s2c, high)
+        d = Expr(chart, p_sub(p_mul(e.den, dn), p_mul(e.num, dd)), square)
+        if not d.is_zero():
+            out[k] = d
     return out
 
 
-def _poly_derivative(chart: Chart, poly: Poly, sym: str) -> Expr:
-    total = chart.zero
-    for idx in p_vars(poly):
-        dgen = _gen_derivative(chart, idx, sym)
-        if dgen.is_zero():
-            continue
-        dp = p_diff(poly, idx)
-        if dp:
-            # d/dg of a trig-reduced polynomial is trig-reduced
-            term = Expr(chart, dp, p_const(1), _raw=True)
-            total = total + (term if chart.gen_info(idx).kind == "base" else term * dgen)
-    return total
+def unit_chain(chart: Chart, slots: dict[int, int]) -> Chain:
+    """The chain rule of d/ds for each base symbol s of `slots` (generator
+    index to output slot): s gives 1 and, for each trig pair the chart
+    already has on s, sin s gives cos s and cos s gives -sin s.  Registers
+    nothing."""
+    rule = chart._chain_rule
+    return {g: (k, u) for s, k in slots.items() for g, u in rule[s]}
 
 
 def differentiate(e: Expr, sym: str) -> Expr:
-    """Partial derivative with respect to a base symbol of the chart.
-
-    Memoized per expression: repeated calls return the same object.  The
-    memo is read first; the unknown-symbol check runs only on a miss, since
-    a memo key is a symbol the chart already had and charts only add
-    generators.
-    """
-    memo = e._derivs
-    if memo is not None:
-        out = memo.get(sym)
-        if out is not None:
-            return out
+    """Partial derivative with respect to a base symbol of the chart: the
+    derivation kernel applied to the unit chain of `sym`."""
     chart = e.chart
     if not chart.has_symbol(sym):
         raise UnknownSymbolError(sym)
     if sym not in e._symbol_set():
         return chart.zero
-    if memo is None:
-        memo = e._derivs = {}
-    dn = _poly_derivative(chart, e.num, sym)
-    if p_is_const(e.den):
-        out = dn
-    else:
-        dd = _poly_derivative(chart, e.den, sym)
-        den_expr = Expr(chart, e.den, p_const(1), _raw=True)
-        num_expr = Expr(chart, e.num, p_const(1), _raw=True)
-        out = (dn * den_expr - num_expr * dd) / (den_expr * den_expr)
-    memo[sym] = out
-    return out
+    return derive(e, unit_chain(chart, {chart._index[sym]: 0})).get(0, chart.zero)
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -14,15 +14,53 @@ question takes each [v, w] once and a repeat returns the same field.  The
 memo holds w beside the bracket, so no id it is keyed by can be reused
 while the entry lives; it lives as long as v does, and keys by identity
 because hashing a field would hash every component.
+
+Every Lie operation is one derivation, computed by the kernel
+`sympoly.p_derive` in a single walk over the terms of the polynomials it
+differentiates.  A derivation is given by its chain: one multiplier
+polynomial per generator, the generator's image.  Along a field v the
+chain rule sends x_j to v_j and, for a trig pair the chart already has on
+x_j, sin x_j to cos x_j * v_j and cos x_j to -sin x_j * v_j; no generator
+is registered.  A field is cleared to v~ / D first, with D the lcm of its
+component denominators (times that of its coefficient denominators), so
+every multiplier has int coefficients; the kernel clears the polynomial
+it walks the same way, runs its inner loop on ints and divides by the
+common denominator once at the end.  The chain of a field is kept on it
+until its chart registers another trig pair.
+
+* `lie_derivative` walks h along v's chain; a quotient n/d takes the
+  quotient rule (d L n - n L d) / d^2, canonicalized once (`expr.derive`).
+* `lie_bracket` of polynomial fields walks each w_i along v's chain and
+  each v_i along w's, subtracting, into one dict per component; otherwise
+  [v, w]_i = L_v w_i - L_w v_i from two canonical Lie derivatives.
+* `differential` is one walk whose chain sends the generators on
+  coordinate j to component j.
+
+Each output polynomial gets one `p_circle_reduce` and, over a polynomial
+operand, one raw Expr: it is canonical as built.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ChartMismatchError
-from .expr import Chart, Expr, differentiate, transfer
+from .expr import Chart, Expr, derive, transfer, unit_chain
+from .sympoly import (
+    Chain,
+    Poly,
+    p_circle_reduce,
+    p_clear,
+    p_const,
+    p_derive,
+    p_div_exact,
+    p_is_const,
+    p_lcm,
+    p_mul,
+    p_scale,
+)
 
 
 def _check_components(chart: Chart, components: Sequence[Expr]) -> tuple[Expr, ...]:
@@ -71,6 +109,42 @@ class VectorField(_Field):
     @cached_property
     def symbols(self) -> frozenset[str]:
         return frozenset().union(*(self.components[i]._symbol_set() for i in self.support))
+
+    def _derivation(self) -> tuple[Chain, int, Optional[Poly]]:
+        """The chain rule of the field as a derivation, cleared to integers:
+        (chain, den, scale) with v = v~ / (den * scale), where scale is the
+        lcm of the component denominators (None when every component is a
+        polynomial) and den that of the coefficient denominators of v~.
+        chain sends x_j to v~_j and, for each trig pair the chart has on
+        x_j, sin x_j to cos x_j * v~_j and cos x_j to -sin x_j * v~_j, all
+        at offset 0.
+
+        Kept until the chart registers another trig pair: charts only add
+        pairs, and each new one adds two generators the chain must route.
+        """
+        chart = self.chart
+        pairs = len(chart._sin_to_cos)
+        memo = self.__dict__.get("_chain_memo")
+        if memo is not None and memo[0] == pairs:
+            return memo[1]
+        comps = [self.components[j] for j in self.support]
+        scale = None
+        for c in comps:
+            if not p_is_const(c.den):
+                scale = c.den if scale is None else p_lcm(scale, c.den)
+        cleared = [
+            p_clear(c.num if scale is None else p_mul(c.num, p_div_exact(scale, c.den)))
+            for c in comps
+        ]
+        den = math.lcm(*(d for _, d in cleared))
+        chain: Chain = {}
+        for j, (num, d) in zip(self.support, cleared):
+            if d != den:
+                num = p_scale(num, den // d)
+            for g, u in chart._chain_rule[j]:
+                chain[g] = (0, num if g == j else p_mul(u, num))
+        self.__dict__["_chain_memo"] = (pairs, (chain, den, scale))
+        return chain, den, scale
 
     @cached_property
     def _bracket_memo(self) -> dict[int, tuple["VectorField", "VectorField"]]:
@@ -128,7 +202,10 @@ def pair(omega: CovectorField, v: VectorField) -> Expr:
 
 
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
-    """[v, w]^i = v^j d_j w^i - w^j d_j v^i."""
+    """[v, w]^i = L_v w^i - L_w v^i.
+
+    For polynomial fields both derivatives go into one `p_derive` dict,
+    circle-reduced once; otherwise each is a canonical `derive` output."""
     if v.chart is not w.chart:
         raise ChartMismatchError("bracket across charts")
     chart = v.chart
@@ -137,27 +214,23 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     hit = v._bracket_memo.get(id(w))
     if hit is not None:
         return hit[1]
-    names = chart.coordinates
     out = [chart.zero] * chart.dim
-    supp_v = {i: v.components[i] for i in v.support}
-    supp_w = {i: w.components[i] for i in w.support}
-    # j ascending, as in the dense double loop, so every derivative (and any
-    # generator it registers) comes in the same order
-    union = sorted(supp_v.keys() | supp_w.keys())
-    for j in union:
-        name_j = names[j]
-        vj = supp_v.get(j)
-        if vj is not None:
-            for i, wi in supp_w.items():
-                d = differentiate(wi, name_j)
-                if not d.is_zero():
-                    out[i] = out[i] + vj * d
-        wj = supp_w.get(j)
-        if wj is not None:
-            for i, vi in supp_v.items():
-                d = differentiate(vi, name_j)
-                if not d.is_zero():
-                    out[i] = out[i] - wj * d
+    cv, dv, sv = v._derivation()
+    cw, dw, sw = w._derivation()
+    union = sorted(set(v.support) | set(w.support))
+    if sv is None and sw is None:
+        terms = [(i, w.components[i].num, cv, dv) for i in w.support]
+        terms += [(i, v.components[i].num, cw, -dw) for i in v.support]
+        s2c, high = chart._sin_to_cos, chart._circle_high
+        for i, num in p_derive(terms).items():
+            num = p_circle_reduce(num, s2c, high)
+            if num:
+                out[i] = Expr(chart, num, p_const(1), _raw=True)
+    else:
+        zero = chart.zero
+        for i in union:
+            vi, wi = v.components[i], w.components[i]
+            out[i] = derive(wi, cv, dv, sv).get(0, zero) - derive(vi, cw, dw, sw).get(0, zero)
     bracket = VectorField(chart, tuple(out))
     # the loops write only entries in the union; fill the support cache
     bracket.__dict__["support"] = tuple(i for i in union if not out[i].is_zero())
@@ -169,20 +242,24 @@ def lie_derivative(h: Expr, v: VectorField) -> Expr:
     """The Lie derivative L_v h of a function along a field."""
     if h.chart is not v.chart:
         raise ChartMismatchError("derivative across charts")
-    total = v.chart.zero
-    for j in v.support:
-        d = differentiate(h, v.chart.coordinates[j])
-        if not d.is_zero():
-            total = total + v.components[j] * d
-    return total
+    if v.directions.isdisjoint(h._symbol_set()):
+        return h.chart.zero  # h does not depend on any direction of v
+    return derive(h, *v._derivation()).get(0, h.chart.zero)
 
 
 def differential(h: Expr) -> CovectorField:
-    """The coordinate differential dh of a function."""
-    chart = h.chart
-    return CovectorField(
-        chart, tuple(differentiate(h, name) for name in chart.coordinates)
-    )
+    """The coordinate differential dh of a function: one derivation whose
+    chain sends each generator on coordinate j to slot j."""
+    chart, dim = h.chart, h.chart.dim
+    index = chart._index
+    coords = {j: j for j in sorted(index[name] for name in h._symbol_set()) if j < dim}
+    parts = derive(h, unit_chain(chart, coords)) if coords else {}
+    comps = [chart.zero] * dim
+    for j, d in parts.items():
+        comps[j] = d
+    dh = CovectorField(chart, comps)
+    dh.__dict__["support"] = tuple(sorted(parts))  # the nonzero outputs
+    return dh
 
 
 def transfer_field(v: VectorField, target: Chart) -> VectorField:

@@ -5,7 +5,7 @@ A coefficient is an int when its value is an integer and a Fraction
 otherwise, never a float or a bool: almost every coefficient of a control
 system is an integer, and int arithmetic skips the gcd that every Fraction
 operation pays to renormalize.  Int-only operands stay int under add, neg,
-mul, pow and p_diff; the routines that make new coefficients (p_const,
+mul, pow and p_derive; the routines that make new coefficients (p_const,
 p_scale, p_div_exact, p_content, p_primitive, p_gcd) store an integral
 value as an int.  A sum or product of Fractions may still leave an
 integral Fraction; since Fraction(2) == 2 and hash(Fraction(2)) == hash(2),
@@ -104,6 +104,7 @@ _EXPS = (1 << _DEG_SHIFT) - 1
 # the bit offset of generator i's field, and the monomial x_i itself
 _SHIFT = tuple((SLOTS - 1 - i) * FIELD_BITS for i in range(SLOTS))
 _VAR = tuple((1 << _DEG_SHIFT) + (1 << s) for s in _SHIFT)
+_FIELDS = tuple(_FIELD << s for s in _SHIFT)  # the bits of generator i's field
 _GUARDS = sum(1 << (s + FIELD_BITS - 1) for s in _SHIFT)
 # monomials from here up have a degree, and maybe an exponent, past MAX_EXP
 _DEG_PAST = (MAX_EXP + 1) << _DEG_SHIFT
@@ -293,16 +294,81 @@ def p_lead(a: Poly) -> tuple[Monomial, int | Fraction]:
     return m, a[m]
 
 
-def p_diff(a: Poly, i: int) -> Poly:
-    """Formal partial derivative treating all generators as independent."""
-    s = _slot(i)
-    unit = _VAR[i]
-    out: Poly = {}
-    for m, c in a.items():
-        e = (m >> s) & _FIELD
-        if e:
-            # m -> m / x_i is one-to-one, so no two terms meet
-            out[m - unit] = c * e
+def p_clear(a: Poly) -> tuple[Poly, int]:
+    """(den * a, den) with den the lcm of a's coefficient denominators, so
+    that every coefficient of den * a is an int; (a, 1) when they all are."""
+    if Fraction not in map(type, a.values()):
+        return a, 1
+    den = math.lcm(*(c.denominator for c in a.values()))
+    return p_scale(a, den), den
+
+
+# generator -> (slot offset, multiplier): the chain rule of a derivation
+Chain = dict[int, tuple[int, Poly]]
+
+
+def p_derive(terms: list[tuple[int, Poly, Chain, int]]) -> dict[int, Poly]:
+    """The derivation kernel: for each term (slot, a, chain, den), with
+    chain[g] = (offset, m_g), add (da/dg) * m_g / den into output slot
+    slot + offset, for every generator g of the chain.
+
+    Multipliers are nonzero with int coefficients, and each den is a
+    nonzero int (a negative one subtracts).  The walk runs on ints: each a
+    is cleared by the lcm of its coefficient denominators first, every term
+    is brought to one common denominator, and the outputs are divided by it
+    once at the end.  A slot that no product reaches, or whose products
+    cancel, is absent.  Each monomial of a meets only the generators it
+    shares with the chain, read off its packed fields.  No exponent passes
+    MAX_EXP in an output of degree MAX_EXP or less, so only a higher one has
+    its fields checked; a set guard bit raises MonomialLimitError.
+    """
+    cleared = []
+    common = 1
+    for slot, a, chain, den in terms:
+        if Fraction in map(type, a.values()):
+            a, da = p_clear(a)
+            den *= da
+        cleared.append((slot, a, chain, den))
+        if den != 1:
+            common = math.lcm(common, den)
+    out: dict[int, Poly] = {}
+    masks: dict[int, int] = {}  # id(chain) -> the fields of its generators
+    shift, var = _SHIFT, _VAR
+    for base_slot, a, chain, den in cleared:
+        scale = common // den
+        mask = masks.get(id(chain))
+        if mask is None:
+            mask = masks[id(chain)] = sum(map(_FIELDS.__getitem__, chain))
+        for m, c in a.items():
+            x = m & mask
+            if not x:
+                continue
+            c *= scale
+            while x:
+                # the highest set bit lies in the field of the next generator
+                g = (_DEG_SHIFT - x.bit_length()) // FIELD_BITS
+                e = x >> shift[g]
+                x -= e << shift[g]
+                offset, mg = chain[g]
+                acc = out.get(base_slot + offset)
+                if acc is None:
+                    acc = out[base_slot + offset] = {}
+                base = m - var[g]
+                k = c * e
+                for mm, cm in mg.items():
+                    t = base + mm
+                    v = acc.get(t, 0) + k * cm
+                    if v:
+                        acc[t] = v
+                    else:
+                        del acc[t]
+    for slot, acc in list(out.items()):
+        if not acc:
+            del out[slot]
+        elif max(acc) >= _DEG_PAST and any(t & _GUARDS for t in acc):
+            raise _exponent_overflow()
+        elif common != 1:
+            out[slot] = {t: _qdivide(v, common) for t, v in acc.items()}
     return out
 
 
@@ -498,13 +564,7 @@ ZPoly = Poly  # same shape, int coefficients
 
 
 def _to_zz(a: Poly) -> ZPoly:
-    if all(type(c) is int for c in a.values()):
-        out = a
-    else:
-        den = 1
-        for c in a.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        out = {m: int(c * den) for m, c in a.items()}
+    out = p_clear(a)[0]
     g = _zcontent(out)
     if g > 1:
         out = {m: v // g for m, v in out.items()}

@@ -393,50 +393,59 @@ def test_strip_coordinate_constant(chart):
     assert strip_coordinate_constant(untouched) == untouched
 
 
-# -- derivative memo -------------------------------------------------------------
+# -- derivatives without a memo ---------------------------------------------------
+#
+# Every call walks the expression with the derivation kernel; nothing is
+# stored on the expression or the chart.
 
 
-def test_derivative_is_memoized_per_expression(chart):
+def _count_walks(monkeypatch):
+    calls = []
+    real = expr_module.p_derive
+    monkeypatch.setattr(expr_module, "p_derive", lambda terms: calls.append(terms) or real(terms))
+    return calls
+
+
+def test_equal_expressions_give_equal_derivatives(chart, monkeypatch):
     e = chart.parse("x^2*sin(theta)/(1 + y)")
-    assert differentiate(e, "x") is differentiate(e, "x")
-    assert differentiate(e, "theta") is differentiate(e, "theta")
-    for _ in range(2):
-        with pytest.raises(UnknownSymbolError):
-            differentiate(e, "w")
-    # a fresh equal expression computes the same derivative
-    assert differentiate(chart.parse("x^2*sin(theta)/(1 + y)"), "x") == differentiate(e, "x")
+    twin = chart.parse("x^2*sin(theta)/(1 + y)")
+    walks = _count_walks(monkeypatch)
+    for s in ("x", "y", "theta"):
+        assert differentiate(e, s) == differentiate(e, s) == differentiate(twin, s)
+    # numerator and denominator are walked on every call
+    assert len(walks) == 3 * 3 * 2
+    assert differentiate(e, "x") == chart.parse("2*x*sin(theta)/(1 + y)")
+    assert differentiate(e, "theta") == chart.parse("x^2*cos(theta)/(1 + y)")
 
 
-def test_unknown_symbol_raises_on_a_filled_derivative_memo(chart):
+def test_unknown_symbol_raises_before_any_walk(chart, monkeypatch):
     e = chart.parse("x^2*sin(theta)/(1 + y)")
-    memo = {s: differentiate(e, s) for s in ("x", "y", "theta")}
-    assert e._derivs == memo  # every derivative the expression has is stored
     chart.parse("cos(z)")  # a generator name that is no base symbol
+    walks = _count_walks(monkeypatch)
     for sym in ("w", "sin(theta)", "cos(z)"):
-        with pytest.raises(UnknownSymbolError, match=re.escape(sym)):
-            differentiate(e, sym)
-    assert e._derivs == memo
+        for _ in range(2):
+            with pytest.raises(UnknownSymbolError, match=re.escape(sym)):
+                differentiate(e, sym)
+    assert walks == []
 
 
-def test_derivative_memo_survives_new_trig_pair(chart):
+def test_derivative_is_unchanged_by_a_new_trig_pair(chart):
     e = chart.parse("x^2*cos(theta)/(z + eps)")
     before = {s: differentiate(e, s) for s in ("x", "z", "theta")}
     chart.parse("sin(z)*cos(x)")  # registers two more sin/cos pairs
     for s, d in before.items():
-        assert differentiate(e, s) is d
+        assert differentiate(e, s) == d
         assert differentiate(chart.parse("x^2*cos(theta)/(z + eps)"), s) == d
 
 
 def test_derivative_by_an_absent_symbol_walks_nothing(chart, monkeypatch):
     e = chart.parse("x^2*sin(theta)/(1 + eps*x)")
-    differentiate(e, "x")  # the symbol set is known from here on
-    calls = []
-    real = expr_module.p_vars
-    monkeypatch.setattr(expr_module, "p_vars", lambda p: calls.append(p) or real(p))
+    walks = _count_walks(monkeypatch)
     assert differentiate(e, "y") is chart.zero
     assert differentiate(e, "z") is chart.zero
-    assert calls == []
+    assert walks == []
     assert differentiate(e, "theta") == chart.parse("x^2*cos(theta)/(1 + eps*x)")
+    assert len(walks) == 2
 
 
 # -- differential checks against sympy ---------------------------------------------
