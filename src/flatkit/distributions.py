@@ -176,7 +176,6 @@ class Distribution(_Span):
     ) -> None:
         super().__init__(chart, fields, engine)
         self._involutive: Optional[bool] = None
-        self._brackets: Optional[list[VectorField]] = None
         self._cauchy: Optional[Distribution] = None
 
     @property
@@ -201,15 +200,10 @@ class Distribution(_Span):
         return self._contains(v)
 
     def _basis_brackets(self) -> list[VectorField]:
-        """[b_i, b_j] for i < j over the basis, row by row."""
-        if self._brackets is None:
-            b = self.basis()
-            self._brackets = [
-                lie_bracket(b[i], b[j])
-                for i in range(len(b))
-                for j in range(i + 1, len(b))
-            ]
-        return self._brackets
+        """[b_i, b_j] for i < j over the basis, row by row; `lie_bracket`'s
+        memo takes each once."""
+        b = self.basis()
+        return [lie_bracket(b[i], b[j]) for i in range(len(b)) for j in range(i + 1, len(b))]
 
     def is_involutive(self) -> bool:
         if self._involutive is None:

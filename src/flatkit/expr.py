@@ -60,8 +60,8 @@ keeps its chain rule beside its generators: each base symbol s maps to
 (cos s, -sin s).  `differentiate(e, s)` is `derive` on the unit chain of s;
 nothing is stored, so every call walks e.  Each Expr keeps its base
 symbols; the derivative by any other symbol is zero without a walk.
-Another slot keeps the F_p evaluation program that `sample` decodes once,
-and another the expression's residue at each shared sample point.
+Another slot keeps the expression's residue at each shared sample point
+(`sample.residues_at`).
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ def _check_slots(count: int) -> None:
 class Expr:
     """A canonical rational expression over a chart."""
 
-    __slots__ = ("chart", "num", "den", "_hash", "_symbols", "_program", "_residues")
+    __slots__ = ("chart", "num", "den", "_hash", "_symbols", "_residues")
 
     def __init__(self, chart: Chart, num: Poly, den: Poly, _raw: bool = False):
         if not _raw:
@@ -261,7 +261,6 @@ class Expr:
         self.den = den
         self._hash: Optional[int] = None
         self._symbols: Optional[frozenset[str]] = None  # see _symbol_set
-        self._program: Optional[tuple] = None  # see sample._residue_program
         self._residues: Optional[dict] = None  # see sample.residues_at
 
     # -- predicates ---------------------------------------------------------
@@ -765,8 +764,6 @@ def _integrate_monomial(chart: Chart, sym: str, p: int, a: int, b: int) -> Optio
     c = fn_cos(x)
     if p == 0:
         if a == 0:
-            if b == 0:
-                return x
             inner = _integrate_monomial(chart, sym, 0, 0, b - 2) if b >= 2 else chart.zero
             if b == 1:
                 return s

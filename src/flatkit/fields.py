@@ -168,13 +168,6 @@ class VectorField(_Field):
     def scale(self, factor: Expr) -> "VectorField":
         return VectorField(self.chart, tuple(factor * c for c in self.components))
 
-    def render(self) -> str:
-        parts = []
-        for name, c in zip(self.chart.coordinates, self.components):
-            if not c.is_zero():
-                parts.append(f"({c.render()})*d/d{name}")
-        return " + ".join(parts) if parts else "0"
-
 
 class CovectorField(_Field):
     def render(self) -> str:

@@ -188,8 +188,6 @@ def right_nullspace(matrix: Matrix, chart: Chart, ncols: int) -> list[list[Expr]
     empty matrices coming from jet-space annihilators this removes nearly all
     of the work.
     """
-    if not matrix:
-        return [_unit(chart, ncols, j) for j in range(ncols)]
     live = [
         j for j in range(ncols) if any(not row[j].is_zero() for row in matrix)
     ]

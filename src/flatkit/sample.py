@@ -13,10 +13,9 @@ a modular point can only be too low, never too high, and it is too low
 with probability at most D/p when D is the degree of a nonvanishing
 maximal minor.
 
-An expression is decoded once, at its first evaluation: each term becomes
-its coefficient's residue and the (generator, exponent) pairs of its packed
-monomial, kept in the Expr's `_program` slot.  Every later point only
-multiplies residues.  The rank engine passes only nonzero entries.
+An expression is evaluated from its packed terms: each term is its
+coefficient's residue times the powers of the residues of its generators.
+The rank engine passes only nonzero entries.
 
 The rank engine draws every point through `admissible_point`: one where no
 constraint vanishes and none of the given expressions has a pole.  It
@@ -135,27 +134,12 @@ def _residue(c: int | Fraction) -> int:
     return c.numerator * pow(den, -1, PRIME) % PRIME
 
 
-_Program = list[tuple[int, list[tuple[int, int]]]]
-
-
-def _poly_program(poly: Poly) -> _Program:
-    """Each term as its coefficient's residue and its (generator, exponent)
-    pairs."""
-    return [(_residue(c), mono_items(m)) for m, c in poly.items()]
-
-
-def _residue_program(e: Expr) -> tuple[_Program, _Program]:
-    """The decoded terms of e's numerator and denominator, built at e's
-    first evaluation and kept in its `_program` slot."""
-    if e._program is None:
-        e._program = (_poly_program(e.num), _poly_program(e.den))
-    return e._program
-
-
-def _run(program: _Program, values: Sequence[int]) -> int:
+def _poly_residue(poly: Poly, values: Sequence[int]) -> int:
+    """poly mod PRIME at the residues `values` of its chart's generators."""
     total = 0
-    for term, factors in program:
-        for i, k in factors:
+    for m, c in poly.items():
+        term = _residue(c)
+        for i, k in mono_items(m):
             term = term * (values[i] if k == 1 else pow(values[i], k, PRIME)) % PRIME
         total += term
     return total % PRIME
@@ -164,9 +148,8 @@ def _run(program: _Program, values: Sequence[int]) -> int:
 def _expr_residue(e: Expr, values: Sequence[int]) -> Optional[int]:
     """e mod PRIME at the residues `values` of its chart's generators, or
     None when its denominator vanishes there."""
-    num_program, den_program = _residue_program(e)
-    num = _run(num_program, values)
-    den = _run(den_program, values)
+    num = _poly_residue(e.num, values)
+    den = _poly_residue(e.den, values)
     if den == 1:
         return num
     if den == 0:

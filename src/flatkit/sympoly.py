@@ -6,9 +6,10 @@ otherwise, never a float or a bool: almost every coefficient of a control
 system is an integer, and int arithmetic skips the gcd that every Fraction
 operation pays to renormalize.  Int-only operands stay int under add, neg,
 mul, pow and p_derive; the routines that make new coefficients (p_const,
-p_scale, p_div_exact, p_content, p_primitive, p_gcd) store an integral
-value as an int.  A sum or product of Fractions may still leave an
-integral Fraction; since Fraction(2) == 2 and hash(Fraction(2)) == hash(2),
+p_scale, p_div_exact) store an integral value as an int, and p_gcd and
+p_lcm return primitive integer polynomials: int coefficients whose gcd is
+1, the leading one positive.  A sum or product of Fractions may still leave
+an integral Fraction; since Fraction(2) == 2 and hash(Fraction(2)) == hash(2),
 that changes neither Poly equality nor hashing nor any rendered string.
 
 A monomial is one nonnegative int, its exponent vector packed (Monagan &
@@ -508,26 +509,6 @@ def p_div_exact(a: Poly, b: Poly) -> Optional[Poly]:
     return _div_walk(a, b, _qdivide)
 
 
-def p_content(a: Poly) -> int | Fraction:
-    """Rational content; the primitive part has positive leading coefficient."""
-    if not a:
-        return _ZERO
-    num = 0
-    den = 1
-    for c in a.values():
-        num = math.gcd(num, c.numerator)
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    if p_lead(a)[1] < 0:
-        num = -num
-    return num if den == 1 else Fraction(num, den)
-
-
-def p_primitive(a: Poly) -> Poly:
-    if not a:
-        return {}
-    return p_scale(a, Fraction(1) / p_content(a))
-
-
 def _uv_coeffs(a: Poly, v: int) -> dict[int, Poly]:
     """View a as univariate in generator v with polynomial coefficients."""
     s = _slot(v)
@@ -840,24 +821,14 @@ def _zgcd(a: ZPoly, b: ZPoly) -> ZPoly:
 
 
 def p_gcd(a: Poly, b: Poly) -> Poly:
-    """The unique gcd that is primitive with positive leading coefficient.
+    """The unique gcd that is primitive with positive leading coefficient:
+    the integer gcd of the operands' primitive integer forms.
 
     Cheap exits first, then GCDHEU, then the subresultant remainder sequence
     (see the module docstring); all three give the same answer, so the choice
     never shows in canonical forms.
     """
-    if p_is_zero(a):
-        return p_primitive(b)
-    if p_is_zero(b):
-        return p_primitive(a)
-    if p_is_const(a) or p_is_const(b):
-        return p_const(1)
-    if a == b:
-        return p_primitive(a)
-    g = _zgcd(_to_zz(a), _to_zz(b))
-    if p_is_const(g):
-        return p_const(1)
-    return p_primitive(g)
+    return _zgcd(_to_zz(a), _to_zz(b))
 
 
 def p_lcm(a: Poly, b: Poly) -> Poly:
@@ -865,7 +836,7 @@ def p_lcm(a: Poly, b: Poly) -> Poly:
         return {}
     q = p_div_exact(p_mul(a, b), p_gcd(a, b))
     assert q is not None
-    return p_primitive(q)
+    return _zposlead(_to_zz(q))
 
 
 def _frac_sqrt(c: int | Fraction) -> Optional[Fraction]:

@@ -261,9 +261,6 @@ class FlatVerdict(NamedTuple):
     stacked_rank: int
     required_rank: int
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def verify_flat_output(jets: OutputJets) -> FlatVerdict:
     """Pass iff span{dx} lies in span{d phi_[0,R-1]} and the ladder
@@ -360,9 +357,6 @@ class SfeGtfResult(NamedTuple):
     reports: tuple[QReport, ...]
     codistributions: tuple[Codistribution, ...]
     verdict: FlatVerdict
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def sfe_gtf_test(jets: OutputJets) -> SfeGtfResult:

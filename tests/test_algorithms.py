@@ -248,6 +248,23 @@ def test_refined_case_d_records_failed_precondition(seed):
     assert [r.violation for r in branch.records if r.tag != "D"] == [None] * 3
 
 
+def test_refined_case_d_on_a_vanishing_membership_condition(vtol, monkeypatch):
+    """Every quadratic of the membership condition vanishing identically
+    leaves v_c undetermined: case D, with no solutions recorded."""
+    real = algorithms._membership_rows
+
+    def vanishing(f, d2, v1, v2):
+        zero = f.chart.zero
+        return [(zero, zero, zero) for _ in real(f, d2, v1, v2)]
+
+    monkeypatch.setattr(algorithms, "_membership_rows", vanishing)
+    (branch,) = run_algorithm2(as_system(vtol, "vtol")).branches
+    (step,) = [r for r in branch.records if r.tag == "D"]
+    assert step.violation == "nondegenerate membership condition"
+    assert step.quad.solutions == () and step.quad.c11
+    assert all(c.is_zero() for c in step.quad.c11 + step.quad.c12 + step.quad.c22)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_refined_case_c_ii_closes_without_candidate(seed):
     sys = _six_state(

@@ -14,11 +14,13 @@ from pathlib import Path
 
 import pytest
 
+import flatkit.algorithms
 import flatkit.cli
 import flatkit.modelfile
 import flatkit.system
 from flatkit import build_system, load_model, model_from_dict, prolonged_model, save_model
 from flatkit.cli import main
+from flatkit.distributions import FirstIntegralsResult
 from flatkit.errors import ModelFileError
 from flatkit.sympoly import MAX_EXP, SLOTS
 
@@ -214,6 +216,82 @@ def test_analyze_prolongation_schedule_exhausts(capsys):
         (leaf,) = entry["candidates"]
         assert leaf["shortfall"] == 2
         assert len(leaf["basis"]) == 2
+
+
+def test_analyze_reports_a_rejected_pair_with_its_reason(monkeypatch, capsys):
+    """A pair that `output_jets` rejects (here dependent differentials) is a
+    negative verdict on that pair: a reason, and no indices or ranks."""
+    real = flatkit.algorithms.first_integrals
+
+    def dependent(q):
+        phi = real(q).functions[0]
+        return FirstIntegralsResult([phi, phi * phi.chart.const(2)], 2)
+
+    monkeypatch.setattr(flatkit.algorithms, "first_integrals", dependent)
+    code, report, _ = run_cli(capsys, "analyze", str(MODELS / "example3.json"))
+    assert code == 3
+    (entry,) = report["schedule"]
+    (leaf,) = entry["candidates"]
+    (pair,) = leaf["pairs"]
+    assert pair["passed"] is False and pair["reason"]
+    assert sorted(pair) == ["functions", "passed", "reason"]
+
+
+# x1' = x2^2 + u1, x2' = u2: span{g1, g2} is already the tangent space, so
+# the one leaf has no member below T(X) and no annihilator to integrate
+FULLY_ACTUATED_MODEL = {
+    "name": "fully-actuated",
+    "states": ["x1", "x2"],
+    "inputs": ["u1", "u2"],
+    "drift": ["x2^2", "0"],
+    "g1": ["1", "0"],
+    "g2": ["0", "1"],
+}
+
+
+def test_analyze_leaf_without_a_member_below_the_tangent_space(tmp_path, capsys):
+    path = write_model(tmp_path, "fully-actuated", FULLY_ACTUATED_MODEL)
+    code, report, _ = run_cli(capsys, "analyze", path, "--max-prolong", "0")
+    assert code == 3
+    (entry,) = report["schedule"]
+    (branch,) = entry["branches"]
+    assert branch["status"] == "reached-tangent-space"
+    assert branch["annihilator"] is None and branch["ranks"] == [2]
+    assert entry["candidates"] == []
+    code, report, _ = run_cli(capsys, "analyze", path, "--max-prolong", "1")
+    assert code == 0
+    assert report["result"]["prolongation"] == 1
+    assert report["result"]["output"] == ["x1", "x2"]
+
+
+# Brunovsky form with controllability indices (3, 1): flat with (x1, x4),
+# which the (0, 2) prolongation reaches, but the (p, p) schedule never
+# equalizes the indices
+BRUNOVSKY_31 = str(TEST_MODELS / "brunovsky-3-1.json")
+
+
+def test_verify_brunovsky_with_unequal_indices(capsys):
+    code, report, _ = run_cli(capsys, "verify", BRUNOVSKY_31, "--output", "x1", "x4")
+    assert code == 0
+    assert report["indices"] == {"K": [3, 1], "R": [3, 1], "d": 0}
+    assert report["sfe"]["passed"]
+
+
+def test_analyze_brunovsky_prolonged_by_zero_two(tmp_path, capsys):
+    out = tmp_path / "brunovsky-0-2.json"
+    save_model(prolonged_model(load_model(BRUNOVSKY_31), 0, 2), str(out))
+    code, report, _ = run_cli(capsys, "analyze", str(out))
+    assert code == 0
+    assert report["result"]["output"] == ["x1", "x4"]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+@pytest.mark.parametrize("algorithm", ["1", "2"])
+def test_analyze_brunovsky_with_unequal_indices(capsys, algorithm):
+    code, _, _ = run_cli(
+        capsys, "analyze", BRUNOVSKY_31, "--max-prolong", "2", "--algorithm", algorithm
+    )
+    assert code == 0
 
 
 def test_analyze_stall_is_internal_diagnostic(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -18,6 +19,7 @@ from flatkit.sympoly import (
     _circle_high,
     _to_zz,
     _zdiv_exact,
+    _zgcd,
     _zheu,
     mono_degree,
     mono_get,
@@ -26,15 +28,15 @@ from flatkit.sympoly import (
     p_add,
     p_circle_reduce,
     p_const,
-    p_content,
     p_derive,
     p_div_exact,
     p_gcd,
+    p_is_const,
     p_is_zero,
     p_lcm,
+    p_lead,
     p_mul,
     p_pow,
-    p_primitive,
     p_scale,
     p_sqrt,
     p_sub,
@@ -44,6 +46,27 @@ from flatkit.sympoly import (
 )
 
 from conftest import exponents, mono
+
+
+def p_content(a):
+    """Rational content; the primitive part has positive leading coefficient
+    (a reference: flatkit takes primitive parts over the integers)."""
+    if not a:
+        return 0
+    num = 0
+    den = 1
+    for c in a.values():
+        num = math.gcd(num, c.numerator)
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    if p_lead(a)[1] < 0:
+        num = -num
+    return num if den == 1 else Fraction(num, den)
+
+
+def p_primitive(a):
+    if not a:
+        return {}
+    return p_scale(a, Fraction(1) / p_content(a))
 
 
 def rand_poly(rng: random.Random, nvars: int = 3, terms: int = 4, deg: int = 3):
@@ -244,6 +267,54 @@ def test_gcd_heuristic_agrees_with_prs(a, b, c):
         assert p_div_exact(g, p_primitive(c)) is not None
 
 
+def _front_door_gcd(a, b):
+    """p_gcd as it was with exits of its own ahead of the integer gcd, and
+    the rational primitive part of its result."""
+    if p_is_zero(a):
+        return p_primitive(b)
+    if p_is_zero(b):
+        return p_primitive(a)
+    if p_is_const(a) or p_is_const(b):
+        return p_const(1)
+    if a == b:
+        return p_primitive(a)
+    g = _zgcd(_to_zz(a), _to_zz(b))
+    if p_is_const(g):
+        return p_const(1)
+    return p_primitive(g)
+
+
+def _front_door_lcm(a, b):
+    if p_is_zero(a) or p_is_zero(b):
+        return {}
+    return p_primitive(p_div_exact(p_mul(a, b), _front_door_gcd(a, b)))
+
+
+def _typed(p):
+    return sorted((m, c, type(c)) for m, c in p.items())
+
+
+_gcd_operands = st.one_of(
+    _polys,
+    _polys.map(lambda p: p_mul(p, p_var(3))),  # a fourth generator
+    st.fractions(min_value=-20, max_value=20, max_denominator=6).map(p_const),
+)
+
+
+@settings(max_examples=80)
+@given(_gcd_operands, _gcd_operands, _polys, st.booleans())
+def test_gcd_and_lcm_match_the_front_door_formulas(a, b, c, same):
+    """The integer gcd of the primitive integer forms is what the old front
+    door returned, coefficient types included: on zero, constant and equal
+    operands too."""
+    if same:
+        b = dict(a)
+    a, b = p_mul(a, c), p_mul(b, c)
+    for x, y in ((a, b), (b, a), (a, a), (a, {}), ({}, b), ({}, {})):
+        assert _typed(p_gcd(x, y)) == _typed(_front_door_gcd(x, y))
+        assert _typed(p_lcm(x, y)) == _typed(_front_door_lcm(x, y))
+
+
 @settings(max_examples=40)
 @given(_polys, _polys, _polys)
 def test_exact_division_matches_sympy(a, b, c):
@@ -323,7 +394,7 @@ def test_integer_division_cases_match_sympy(num, den, over_q):
         {m: Fraction(c) for m, c in ours(n).items()},
         {m: Fraction(c) for m, c in ours(d).items()},
     )
-    assert qq is not None and sympoly.p_content(qq) == over_q
+    assert qq is not None and p_content(qq) == over_q
     assert (got is None) == (Fraction(over_q).denominator != 1)
 
 
