@@ -28,6 +28,10 @@ order.
 
 These results are canonical as built and skip `_canonicalize`:
 
+* a transfer that keeps the index of every generator of e, as extending a
+  chart with no parameters does: numerator and denominator are e's own,
+  with no renaming and no `_monic`, since neither the packed monomials nor
+  their order change;
 * the sum of two polynomials (denominators 1);
 * the product of two polynomials, circle-reduced once;
 * the exact quotient of two polynomials: a sine's degree in a product is
@@ -687,21 +691,28 @@ def at_zero(e: Expr, names: Collection[str]) -> Expr:
 def transfer(e: Expr, target: Chart) -> Expr:
     """Re-index onto a chart holding e's base symbols; sin/cos pairs are
     registered on it in the order the monomials meet them.  A constant,
-    whose canonical denominator is 1, is `target.zero` or `target.const`."""
+    whose canonical denominator is 1, is `target.zero` or `target.const`;
+    when no generator of e changes its index, the result shares e's
+    numerator and denominator."""
     if e.chart is target:
         return e
     if e.is_constant():
         return target.zero if e.is_zero() else target.const(p_const_value(e.num))
     index: dict[int, int] = {}
+    moved = False
     for i in p_vars_in_order(e.num, e.den):
         info = e.chart.gen_info(i)
         if not target.has_symbol(info.base):
             raise UnknownSymbolError(info.base)
         if info.kind == "base":
-            index[i] = target._index[info.base]
+            j = target._index[info.base]
         else:
-            index[i] = target.trig_pair(info.base)[info.kind == "cos"]
-    num, den = _monic(p_rename(e.num, index), p_rename(e.den, index))
+            j = target.trig_pair(info.base)[info.kind == "cos"]
+        index[i] = j
+        moved = moved or i != j
+    num, den = e.num, e.den  # kept: the same packed monomials, in the same order
+    if moved:
+        num, den = _monic(p_rename(num, index), p_rename(den, index))
     out = Expr(target, num, den, _raw=True)
     out._symbols = e._symbols
     return out

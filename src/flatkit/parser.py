@@ -12,16 +12,40 @@ Precedence is ^ > unary minus > * / > + -, so -x^2 parses as -(x^2).
 Exponents must be integer constants; decimal literals are exact rationals
 (0.5 is 1/2).  Known functions: sin, cos, tan, cot, exp, ln, sqrt, within
 the arguments `expr` accepts; any other application is a ParseError at the
-function's name.  A product or power with an exponent past the polynomial
-format's limit (`sympoly.MAX_EXP`) is a ParseError at the token just read,
-and so is nesting deeper than the interpreter's recursion limit.  Tokens are
-ASCII: digits 0-9 and identifiers over `expr._IDENT_OK`.
+function's name.  Tokens are ASCII: digits 0-9 and identifiers over
+`expr._IDENT_OK`; one compiled pattern reads them all, as plain
+(kind, text, position) tuples, before parsing starts.
+
+How values are built.  A subexpression whose canonical denominator is 1 (a
+polynomial) is a `sympoly` dict while it is built; any other value is an
+`Expr`.  A sum of polynomial terms accumulates into one dict.  A product of
+two polynomials is `p_circle_reduce(p_mul(a, b))`, a positive power
+`p_circle_reduce(p_pow(a, n))` and a product by a constant a scaling, each
+reduced where `Expr` arithmetic reduces it, so every dict is trig-reduced
+and needs no canonicalization.  Quotients, negative powers, function
+applications and any operation with a non-polynomial operand go through
+`Expr` arithmetic, which canonicalizes them and checks their zeros and
+poles; a result whose denominator is 1 is a dict again.  Every operation
+runs in the order and on the operands it has in the grammar, so the dicts
+hold their terms in the order `Expr` arithmetic would give them, and the
+sin/cos pairs are registered in the same order.  One raw `Expr` is built
+for a polynomial result.  A text that is one integer literal or one symbol
+of the chart, as most components of a model are, is read by one pattern
+match, with no tokens.
+
+Errors.  A product or power with an exponent past the polynomial format's
+limit (`sympoly.MAX_EXP`) is a ParseError at the token just read, as is a
+chart past `sympoly.SLOTS` generators.  Parentheses and function arguments
+nested more than MAX_DEPTH deep are a ParseError "expression nested too
+deeply" at the parenthesis past the cap, and so is running out of
+interpreter frames; a run of minus signs is read in a loop, with no cap.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Union
 
 from .errors import (
     MonomialLimitError,
@@ -30,54 +54,54 @@ from .errors import (
     UnsupportedFunctionError,
     ZeroDenominatorError,
 )
-from .expr import _IDENT_OK, FUNCTION_TABLE, Chart, Expr
+from .expr import FUNCTION_TABLE, Chart, Expr
+from .sympoly import (
+    Poly,
+    p_circle_reduce,
+    p_const,
+    p_is_const,
+    p_mul,
+    p_neg,
+    p_pow,
+    p_scale,
+    p_var,
+)
+
+# operators, identifiers, numbers (with their dot, so that "1." and "1.x"
+# are malformed) and any other character that is not whitespace
+_TOKEN = re.compile(r"\s*(?:([-+*/^()])|([A-Za-z_][A-Za-z0-9_]*)|([0-9]+(?:\.[0-9]*)?)|(\S))")
+# a lone integer literal or identifier, as most components of a model are;
+# a longer literal takes the tokens, whose path reports one past int()'s
+# digit limit
+_LONE = re.compile(r"\s*(?:([0-9]{1,18})|([A-Za-z_][A-Za-z0-9_]*))\s*")
+# far past what a model writes, and about where five interpreter frames per
+# level would fill the default recursion limit of 1,000
+MAX_DEPTH = 200
+
+# a polynomial (denominator 1) as a dict, anything else as an Expr
+_Value = Union[Poly, Expr]
 
 
-class _Token(NamedTuple):
-    kind: str  # "num" | "ident" | "op" | "end"
-    text: str
-    pos: int
-
-
-_OPS = set("+-*/^()")
-_DIGITS = "0123456789"
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                if j >= n or text[j] not in _DIGITS:
-                    raise ParseError("malformed number", i)
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-            tokens.append(_Token("num", text[i:j], i))
-            i = j
-            continue
-        if ch in _IDENT_OK:  # not a digit: those start a number
-            j = i
-            while j < n and text[j] in _IDENT_OK:
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character '{ch}'", i)
-    tokens.append(_Token("end", "", n))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) tuples; kind is the operator character,
+    "ident", "num" or "end"."""
+    tokens = []
+    append = tokens.append
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        token = m[group]
+        pos = m.start(group)
+        if group == 1:
+            append((token, token, pos))
+        elif group == 2:
+            append(("ident", token, pos))
+        elif group == 4:
+            raise ParseError(f"unexpected character '{token}'", pos)
+        elif token[-1] == ".":
+            raise ParseError("malformed number", pos)
+        else:
+            append(("num", token, pos))
+    append(("end", "", len(text)))
     return tokens
 
 
@@ -86,113 +110,178 @@ class _Parser:
         self.chart = chart
         self.tokens = _tokenize(text)
         self.k = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.k]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        tok = self.advance()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected '{op}'", tok.pos)
+        self.depth = 0
 
     def parse(self) -> Expr:
         try:
-            e = self.expr()
+            value = self.sum()
         except MonomialLimitError as err:  # a power such as x^100000
-            raise ParseError(str(err), self.tokens[self.k - 1].pos) from None
-        except RecursionError:  # parentheses, arguments or minus signs
-            at = self.tokens[self.k - 1].pos
+            raise ParseError(str(err), self.tokens[self.k - 1][2]) from None
+        except RecursionError:  # called with the interpreter's stack nearly full
+            at = self.tokens[self.k - 1][2]
             raise ParseError("expression nested too deeply", at) from None
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input '{tok.text}'", tok.pos)
-        return e
+        kind, text, pos = self.tokens[self.k]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input '{text}'", pos)
+        return self.expr(value)
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
+    # -- values ------------------------------------------------------------
+
+    def expr(self, value: _Value) -> Expr:
+        if type(value) is dict:
+            return Expr(self.chart, value, p_const(1), _raw=True)
+        return value
+
+    @staticmethod
+    def lower(e: Expr) -> _Value:
+        # a canonical constant denominator is 1
+        return e.num if p_is_const(e.den) else e
+
+    # -- grammar -----------------------------------------------------------
+
+    def sum(self) -> _Value:
+        tokens = self.tokens
+        value = self.term()
+        owned = False  # whether value is a dict this sum may add into
+        while True:
+            op = tokens[self.k][0]
+            if op != "+" and op != "-":
+                return value
+            self.k += 1
             rhs = self.term()
-            e = e + rhs if op == "+" else e - rhs
-        return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance()
-            rhs = self.unary()
-            if op.text == "*":
-                e = e * rhs
-            elif rhs.is_zero():
-                raise ParseError("division by zero", op.pos)
+            if type(value) is dict and type(rhs) is dict:
+                if not owned:
+                    value = dict(value)
+                    owned = True
+                minus = op == "-"
+                for m, c in rhs.items():
+                    s = value.get(m, 0) + (-c if minus else c)
+                    if s:
+                        value[m] = s
+                    else:
+                        del value[m]
             else:
-                e = e / rhs
-        return e
+                a, b = self.expr(value), self.expr(rhs)
+                value = self.lower(a + b if op == "+" else a - b)
+                owned = False
 
-    def unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return -self.unary()
-        return self.power()
+    def term(self) -> _Value:
+        """unary (('*' | '/') unary)*, with each unary read in place: its
+        minus signs, its atom and the atom's powers."""
+        tokens = self.tokens
+        value: _Value = {}
+        op, pos = "", 0  # the operator before the factor being read
+        while True:
+            negate = False
+            while tokens[self.k][0] == "-":
+                self.k += 1
+                negate = not negate
+            factor = self.atom()
+            while tokens[self.k][0] == "^":
+                caret = tokens[self.k][2]
+                self.k += 1
+                factor = self.power(factor, self.atom(), caret)
+            if negate:
+                factor = p_neg(factor) if type(factor) is dict else -factor
+            if not op:
+                value = factor
+            elif op == "*":
+                value = self.times(value, factor)
+            elif type(factor) is dict and not factor:  # an Expr value is never zero
+                raise ParseError("division by zero", pos)
+            else:
+                value = self.lower(self.expr(value) / self.expr(factor))
+            op, _, pos = tokens[self.k]
+            if op != "*" and op != "/":
+                return value
+            self.k += 1
 
-    def power(self) -> Expr:
-        e = self.atom()
-        while self.peek().kind == "op" and self.peek().text == "^":
-            op = self.advance()
-            exponent = self.atom()
-            if not exponent.is_constant():
-                raise ParseError("power exponent must be an integer constant", op.pos)
-            value = exponent.as_fraction()
-            if value.denominator != 1:
-                raise ParseError("power exponent must be an integer", op.pos)
-            n = value.numerator
-            if n < 0 and e.is_zero():
-                raise ParseError("zero raised to a negative power", op.pos)
-            e = e**n
-        return e
+    def times(self, a: _Value, b: _Value) -> _Value:
+        """a * b, by the cases of `Expr.__mul__`."""
+        if type(a) is not dict or type(b) is not dict:
+            return self.lower(self.expr(a) * self.expr(b))
+        if not a or not b:
+            return {}
+        if p_is_const(b):
+            return a if b[0] == 1 else p_scale(a, b[0])
+        if p_is_const(a):
+            return b if a[0] == 1 else p_scale(b, a[0])
+        chart = self.chart
+        return p_circle_reduce(p_mul(a, b), chart._sin_to_cos, chart._circle_high)
 
-    def atom(self) -> Expr:
-        tok = self.advance()
-        if tok.kind == "num":
+    def power(self, value: _Value, exponent: _Value, pos: int) -> _Value:
+        """value ^ exponent, the '^' at pos."""
+        if type(exponent) is not dict or not p_is_const(exponent):
+            raise ParseError("power exponent must be an integer constant", pos)
+        n = exponent.get(0, 0)
+        if n.denominator != 1:
+            raise ParseError("power exponent must be an integer", pos)
+        n = n.numerator
+        if type(value) is not dict:  # never zero
+            return self.lower(value**n)
+        if n > 0:
+            chart = self.chart
+            return p_circle_reduce(p_pow(value, n), chart._sin_to_cos, chart._circle_high)
+        if n == 0:
+            return p_const(1)
+        if not value:
+            raise ParseError("zero raised to a negative power", pos)
+        return self.lower(self.expr(value) ** n)
+
+    def atom(self) -> _Value:
+        kind, text, pos = self.tokens[self.k]
+        self.k += 1
+        if kind == "num":
             # int() is much cheaper than Fraction() on the integers models hold
             try:
-                value = Fraction(tok.text) if "." in tok.text else int(tok.text)
+                return p_const(Fraction(text) if "." in text else int(text))
             except ValueError:  # past the interpreter's integer-string limit
-                raise ParseError("number literal too long", tok.pos) from None
-            return self.chart.const(value)
-        if tok.kind == "op" and tok.text == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        if tok.kind == "ident":
-            name = tok.text
-            if name in FUNCTION_TABLE:
-                nxt = self.peek()
-                if nxt.kind == "op" and nxt.text == "(":
-                    self.advance()
-                    arg = self.expr()
-                    self.expect_op(")")
-                    try:
-                        return FUNCTION_TABLE[name](arg)
-                    except ZeroDenominatorError:  # cot(0)
-                        raise ParseError(f"'{name}' has a pole at its argument", tok.pos) from None
-                    except UnsupportedFunctionError as err:
-                        raise ParseError(
-                            f"{name}({arg.render()}) is not supported: {err.reason}", tok.pos
-                        ) from None
-                raise ParseError(f"function '{name}' requires an argument", tok.pos)
-            if self.chart.has_symbol(name):
-                return self.chart.sym(name)
-            raise UnknownSymbolError(name, tok.pos)
-        raise ParseError(f"unexpected token '{tok.text or 'end of input'}'", tok.pos)
+                raise ParseError("number literal too long", pos) from None
+        if kind == "ident":
+            if text not in FUNCTION_TABLE:
+                chart = self.chart
+                if chart.has_symbol(text):
+                    return p_var(chart._index[text])
+                raise UnknownSymbolError(text, pos)
+            paren, _, opened = self.tokens[self.k]
+            if paren != "(":
+                raise ParseError(f"function '{text}' requires an argument", pos)
+            self.k += 1
+        elif kind == "(":
+            opened = pos
+        else:
+            raise ParseError(f"unexpected token '{text or 'end of input'}'", pos)
+        # a parenthesized expression or a function's argument, read in this
+        # frame: each level of nesting costs sum, term and atom
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError("expression nested too deeply", opened)
+        value = self.sum()
+        close, _, at = self.tokens[self.k]
+        self.k += 1
+        if close != ")":
+            raise ParseError("expected ')'", at)
+        self.depth -= 1
+        if text == "(":
+            return value
+        arg = self.expr(value)
+        try:
+            return self.lower(FUNCTION_TABLE[text](arg))
+        except ZeroDenominatorError:  # cot(0)
+            raise ParseError(f"'{text}' has a pole at its argument", pos) from None
+        except UnsupportedFunctionError as err:
+            raise ParseError(
+                f"{text}({arg.render()}) is not supported: {err.reason}", pos
+            ) from None
 
 
 def parse(chart: Chart, text: str) -> Expr:
     """Parse text to a canonical expression over the chart."""
+    lone = _LONE.fullmatch(text)
+    if lone is not None:
+        number, name = lone.groups()
+        if number is not None:
+            return chart.const(int(number))
+        if chart.has_symbol(name):
+            return chart.sym(name)
     return _Parser(chart, text).parse()

@@ -280,13 +280,17 @@ def p_vars(a: Poly) -> set[int]:
 def p_vars_in_order(*polys: Poly) -> list[int]:
     """The generators of the polys in the order their monomials meet them:
     poly by poly, monomial by monomial, and by index within a monomial."""
-    seen = 0  # the union of the monomials so far: a field is set iff met
+    unseen = _EXPS  # the fields of the generators not met yet
     out: list[int] = []
     for poly in polys:
         for m in poly:
-            if m & ~seen & _EXPS:
-                out.extend(i for i, _ in mono_items(m) if not (seen >> _SHIFT[i]) & _FIELD)
-                seen |= m
+            x = m & unseen
+            while x:
+                # the highest set bit lies in the field of the next generator
+                i = (_DEG_SHIFT - x.bit_length()) // FIELD_BITS
+                out.append(i)
+                unseen ^= _FIELDS[i]
+                x &= unseen
     return out
 
 

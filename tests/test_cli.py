@@ -22,6 +22,7 @@ from flatkit import build_system, load_model, model_from_dict, prolonged_model, 
 from flatkit.cli import main
 from flatkit.distributions import FirstIntegralsResult
 from flatkit.errors import ModelFileError
+from flatkit.parser import MAX_DEPTH
 from flatkit.sympoly import MAX_EXP, SLOTS
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -729,8 +730,8 @@ def test_exponent_past_the_limit_in_output_is_input_error(capsys):
         ("x*" + "1" * 5000, "number literal too long (at position 2)"),
         ("x*²", "unexpected character '²' (at position 2)"),
         ("x*٣", "unexpected character '٣' (at position 2)"),  # not read as 3
-        # at the parenthesis reached when the interpreter's stack ran out
-        ("(" * 300 + "x" + ")" * 300, "expression nested too deeply (at position "),
+        # at the parenthesis past the parser's nesting cap
+        ("(" * 300 + "x" + ")" * 300, f"expression nested too deeply (at position {MAX_DEPTH})"),
     ],
     ids=["long-number", "superscript-digit", "arabic-indic-digit", "deep-nesting"],
 )

@@ -641,13 +641,36 @@ def test_transfer_reindexes_like_a_parse_of_the_rendering(num_terms, den_terms):
         target.trig_pair("w")
         return target
 
+    def same_indices():  # every generator keeps its index
+        target = Chart(["x", "theta"], ["eps"])
+        target.trig_pair("theta")
+        target.trig_pair("x")
+        return target
+
     _twin_transfer(e, extended)
     _twin_transfer(e, reordered)
+    _twin_transfer(e, same_indices)
     if "x" in e._symbol_set():
         with pytest.raises(UnknownSymbolError, match="x"):
             transfer(e, Chart(["theta"], ["eps"]))
     else:
         _twin_transfer(e, lambda: Chart(["theta"], ["eps"]))
+
+
+def test_transfer_that_keeps_every_index_shares_the_polynomials(monkeypatch):
+    source = Chart(["x", "y"])
+    e = source.parse("(x^2 - 3*y)/(2*x*y + 4)")
+    renames = []
+    real = expr_module.p_rename
+    monkeypatch.setattr(expr_module, "p_rename", lambda *args: renames.append(args) or real(*args))
+    target = Chart(["x", "y"]).extend(["w"])
+    moved = transfer(e, target)
+    assert moved.num is e.num and moved.den is e.den
+    assert renames == []
+    assert moved == target.parse(e.render())
+    # a generator that moves takes the renaming
+    transfer(e, Chart(["y", "x"]))
+    assert len(renames) == 2
 
 
 # -- setting symbols to zero against sympy's subs ------------------------------------

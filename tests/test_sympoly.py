@@ -587,6 +587,33 @@ def test_generators_in_the_order_the_monomials_meet_them():
     assert sympoly.p_vars_in_order(a, p_add(x, z)) == [1, 2, 0]
 
 
+def _vars_in_order_by_items(*polys):
+    """The reference: each monomial's generators by `mono_items`, kept when
+    their field in the union of the monomials so far is still zero."""
+    seen = 0
+    out = []
+    for poly in polys:
+        for m in poly:
+            out.extend(i for i, _ in mono_items(m) if not mono_get(seen, i))
+            seen |= m
+    return out
+
+
+_sparse_monomials = st.lists(
+    st.lists(st.tuples(st.integers(0, SLOTS - 1), st.integers(1, MAX_EXP)), max_size=4).map(
+        lambda pairs: mono([dict(pairs).get(i, 0) for i in range(SLOTS)])
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(_sparse_monomials, max_size=3))
+def test_generators_in_met_order_match_the_item_walk(polys):
+    polys = [dict.fromkeys(ms, 1) for ms in polys]
+    assert sympoly.p_vars_in_order(*polys) == _vars_in_order_by_items(*polys)
+
+
 # -- circle reduction against the quadratic version it replaced ----------------------
 
 
