@@ -11,6 +11,11 @@ bracket-condition lemma, the frontier is rebuilt from one selected direction
 admissible solutions (C-i); otherwise the frontier is closed (B, C-ii, or D
 with the failed precondition recorded).  Terminal data F / F-perp yield
 candidate flat-output functions via first integrals.
+
+The quadratic's discriminant takes its root in the expression field by
+`expr.exact_sqrt`; the candidate directions clear their denominators with
+`Chart.poly`.  This module works on expressions and fields only and
+imports nothing from `sympoly`.
 """
 
 from __future__ import annotations
@@ -29,9 +34,8 @@ from .distributions import (
     sum_spans,
 )
 from .errors import CANDIDATE_ERRORS
-from .expr import Chart, Expr
+from .expr import Chart, Expr, exact_sqrt
 from .fields import CovectorField, VectorField, fields_matrix, lie_bracket, pair
-from .sympoly import Poly, p_const, p_div_exact, p_mul, p_sqrt, p_sub, p_var
 from .system import ControlAffineSystem, FlatVerdict, output_jets, verify_flat_output
 
 __all__ = [
@@ -133,39 +137,6 @@ def _complement_pair(
 # --- the quadratic membership condition -------------------------------------------
 
 
-def _trig_sqrt(p: Poly, sin_to_cos: dict[int, int]) -> Optional[Poly]:
-    """Exact square root of a canonical polynomial, None if none is found.
-
-    Canonical forms rewrite sin^2 as 1 - cos^2, so (q*sin)^2 arrives as
-    (1 - cos^2)*q^2; that shape is tried for one sine factor.  Roots mixing
-    sine and sine-free terms, such as (a + b*sin)^2, are not found.
-    """
-    root = p_sqrt(p)
-    if root is not None:
-        return root
-    for si, ci in sin_to_cos.items():
-        q = p_div_exact(p, p_sub(p_const(1), p_mul(p_var(ci), p_var(ci))))
-        root = None if q is None else p_sqrt(q)
-        if root is not None:
-            return p_mul(root, p_var(si))
-    return None
-
-
-def _expr_sqrt(e: Expr) -> Optional[Expr]:
-    """Exact square root in the expression field, None if not a square."""
-    # sqrt(num/den) = sqrt(num*den)/den.  One root of the product also covers
-    # a sine factor of den: den keeps a positive lead, so its factor 1 - cos^2
-    # arrives as cos^2 - 1 with the sign moved onto num
-    num = _trig_sqrt(p_mul(e.num, e.den), e.chart.sin_to_cos())
-    if num is None:
-        return None
-    root = Expr(e.chart, num, e.den)
-    # trig reduction may have rewritten the radicand; trust only a re-check
-    if not (root * root - e).is_zero():
-        return None
-    return root
-
-
 def _t_trim(p: list[Expr]) -> list[Expr]:
     while p and p[-1].is_zero():
         p.pop()
@@ -212,7 +183,7 @@ def _solve_membership(
         solutions.append((one, -g[0] / g[1]))
     elif len(g) == 3:
         disc = g[1] * g[1] - chart.const(4) * g[0] * g[2]
-        root = _expr_sqrt(disc)
+        root = exact_sqrt(disc)
         if root is not None:
             half = chart.const(2) * g[2]
             solutions.append((one, (-g[1] + root) / half))
@@ -276,9 +247,8 @@ def _candidate_fields(
     out: list[VectorField] = []
     for a1, a2 in solutions:
         chart = v1.chart
-        scale = Expr(chart, a1.den, chart.one.num) * Expr(
-            chart, a2.den, chart.one.num
-        )
+        # canonical denominators are sine-free, so trig-reduced
+        scale = chart.poly(a1.den) * chart.poly(a2.den)
         out.append(v1.scale(a1 * scale) + v2.scale(a2 * scale))
     return out
 

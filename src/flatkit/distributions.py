@@ -285,16 +285,20 @@ def cauchy_characteristic(d: Distribution) -> Distribution:
         return d
     chart, basis, ann = d.chart, d.basis(), d.annihilator().covectors
     r = len(basis)
-    bracket: dict[tuple[int, int], VectorField] = {}
+    # <w_k, [v_a, v_b]> is paired once, for a < b; the pairing is linear
+    # and canonical forms are unique, so b < a takes its negation
+    paired: dict[tuple[int, int, int], Expr] = {}
     pending = iter(d._basis_brackets())
     for a in range(r):
         for b in range(a + 1, r):
-            bracket[a, b] = next(pending)
-            bracket[b, a] = -bracket[a, b]
+            bracket = next(pending)
+            for k, w in enumerate(ann):
+                paired[k, a, b] = p = pair(w, bracket)
+                paired[k, b, a] = -p
     rows = [
-        [chart.zero if a == b else pair(w, bracket[a, b]) for a in range(r)]
+        [chart.zero if a == b else paired[k, a, b] for a in range(r)]
         for b in range(r)
-        for w in ann
+        for k in range(len(ann))
     ]
     fields = []
     for alpha in right_nullspace(rows, chart, ncols=r):

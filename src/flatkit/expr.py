@@ -26,8 +26,24 @@ variables keeps numerator and denominator coprime and trig-reduced, so the
 result is canonical once its denominator is made monic under the target's
 order.
 
+Only this module builds a canonical expression.  Other modules read the
+chart through its public doors, never through its private fields, and
+never construct an Expr with `_raw=True`:
+
+* `Chart.reduce(p)` circle-reduces a polynomial with the chart's own pairs
+  and mask;
+* `Chart.poly(p)` is the expression of a trig-reduced polynomial, whose
+  denominator is 1;
+* `Chart.index(name)` is the generator index of a symbol;
+* `chain(chart, {s: (slot, m)})` is the chain rule of a derivation;
+* `exact_sqrt(e)` is a square root in the expression field.
+
 These results are canonical as built and skip `_canonicalize`:
 
+* `Chart.poly` of a trig-reduced polynomial: a polynomial sum or product
+  reduced by `Chart.reduce`, an exact or gcd quotient of a trig-reduced
+  polynomial, and any sine-free polynomial, such as a canonical
+  denominator or an lcm of them;
 * a transfer that keeps the index of every generator of e, as extending a
   chart with no parameters does: numerator and denominator are e's own,
   with no renaming and no `_monic`, since neither the packed monomials nor
@@ -61,9 +77,11 @@ one multiplier per generator, through the kernel `sympoly.p_derive`, which
 walks the numerator (and the denominator of a quotient) once.  The chart
 keeps its chain rule beside its generators: each base symbol s maps to
 (s, 1) and, once the pair of s is registered, (sin s, cos s) and
-(cos s, -sin s).  `differentiate(e, s)` is `derive` on the unit chain of s;
-nothing is stored, so every call walks e.  Each Expr keeps its base
-symbols; the derivative by any other symbol is zero without a walk.
+(cos s, -sin s).  `chain` scales the rule of each symbol by its
+multiplier; `differentiate(e, s)` is `derive` on the chain of s with
+multiplier 1.  Nothing is stored, so every call walks e.  Each Expr keeps
+its base symbols; the derivative by any other symbol is zero without a
+walk.
 Another slot keeps the expression's residue at each shared sample point
 (`sample.residues_at`).
 """
@@ -108,6 +126,7 @@ from .sympoly import (
     p_reflect,
     p_rename,
     p_scale,
+    p_sqrt,
     p_sub,
     p_total_degree,
     p_var,
@@ -199,6 +218,20 @@ class Chart:
     def one(self) -> "Expr":
         return self._one
 
+    def index(self, name: str) -> int:
+        """The generator index of a symbol of the chart."""
+        return self._index[name]
+
+    def reduce(self, p: Poly) -> Poly:
+        """p in normal form modulo the circle relation of each trig pair of
+        the chart; a trig-reduced p comes back as it is."""
+        return p_circle_reduce(p, self._sin_to_cos, self._circle_high)
+
+    def poly(self, p: Poly) -> "Expr":
+        """The expression of a trig-reduced polynomial p, canonical as built:
+        its denominator is 1."""
+        return Expr(self, p, p_const(1), _raw=True)
+
     def parse(self, text: str) -> "Expr":
         from .parser import parse as _parse
 
@@ -233,9 +266,6 @@ class Chart:
             si, ci = self._index[skey], self._index[ckey]
             self._chain_rule[self._index[angle]] += [(si, p_var(ci)), (ci, p_neg(p_var(si)))]
         return self._index[skey], self._index[ckey]
-
-    def _gen_expr(self, index: int) -> "Expr":
-        return Expr(self, p_var(index), p_const(1), _raw=True)
 
     def gen_depends_on_coordinates(self, index: int) -> bool:
         return self._gens[index].base in self.coordinates
@@ -514,11 +544,11 @@ def _sin_or_cos(func: str, arg: Expr) -> Expr:
     terms = _angle_terms(func, arg)
     if len(terms) == 1 and terms[0][1] == 1:  # a bare angle is a generator
         si, ci = chart.trig_pair(terms[0][0])
-        return chart._gen_expr(si if func == "sin" else ci)
+        return chart.poly(p_var(si if func == "sin" else ci))
     s, c = chart.zero, chart.one
     for name, k in terms:
         si, ci = chart.trig_pair(name)
-        s1, c1 = chart._gen_expr(si), chart._gen_expr(ci)
+        s1, c1 = chart.poly(p_var(si)), chart.poly(p_var(ci))
         sk, ck = s1, c1
         for _ in range(abs(k) - 1):
             sk, ck = sk * c1 + ck * s1, ck * c1 - sk * s1
@@ -577,6 +607,42 @@ FUNCTION_TABLE: dict[str, Callable[[Expr], Expr]] = {
 }
 
 
+# -- exact square roots ---------------------------------------------------------
+
+
+def _trig_sqrt(p: Poly, sin_to_cos: dict[int, int]) -> Optional[Poly]:
+    """Exact square root of a canonical polynomial, None if none is found.
+
+    Canonical forms rewrite sin^2 as 1 - cos^2, so (q*sin)^2 arrives as
+    (1 - cos^2)*q^2; that shape is tried for one sine factor.  Roots mixing
+    sine and sine-free terms, such as (a + b*sin)^2, are not found.
+    """
+    root = p_sqrt(p)
+    if root is not None:
+        return root
+    for si, ci in sin_to_cos.items():
+        q = p_div_exact(p, p_sub(p_const(1), p_mul(p_var(ci), p_var(ci))))
+        root = None if q is None else p_sqrt(q)
+        if root is not None:
+            return p_mul(root, p_var(si))
+    return None
+
+
+def exact_sqrt(e: Expr) -> Optional[Expr]:
+    """Exact square root in the expression field, None if not a square."""
+    # sqrt(num/den) = sqrt(num*den)/den.  One root of the product also covers
+    # a sine factor of den: den keeps a positive lead, so its factor 1 - cos^2
+    # arrives as cos^2 - 1 with the sign moved onto num
+    num = _trig_sqrt(p_mul(e.num, e.den), e.chart._sin_to_cos)
+    if num is None:
+        return None
+    root = Expr(e.chart, num, e.den)
+    # trig reduction may have rewritten the radicand; trust only a re-check
+    if not (root * root - e).is_zero():
+        return None
+    return root
+
+
 # -- differentiation ----------------------------------------------------------
 
 
@@ -614,24 +680,29 @@ def derive(e: Expr, chain: Chain, den: int = 1, scale: Optional[Poly] = None) ->
     return out
 
 
-def unit_chain(chart: Chart, slots: dict[int, int]) -> Chain:
-    """The chain rule of d/ds for each base symbol s of `slots` (generator
-    index to output slot): s gives 1 and, for each trig pair the chart
-    already has on s, sin s gives cos s and cos s gives -sin s.  Registers
+def chain(chart: Chart, slots: dict[int, tuple[int, Poly]]) -> Chain:
+    """The chain rule of a derivation that sends each base symbol s of
+    `slots` (generator index to (output slot, multiplier m)) to m: s gives
+    m and, for each trig pair the chart already has on s, sin s gives
+    cos s * m and cos s gives -sin s * m, all at s's slot.  Registers
     nothing."""
     rule = chart._chain_rule
-    return {g: (k, u) for s, k in slots.items() for g, u in rule[s]}
+    return {
+        g: (k, m if g == s else p_mul(u, m))
+        for s, (k, m) in slots.items()
+        for g, u in rule[s]
+    }
 
 
 def differentiate(e: Expr, sym: str) -> Expr:
     """Partial derivative with respect to a base symbol of the chart: the
-    derivation kernel applied to the unit chain of `sym`."""
+    derivation kernel applied to the chain of `sym` with multiplier 1."""
     chart = e.chart
     if not chart.has_symbol(sym):
         raise UnknownSymbolError(sym)
     if sym not in e._symbol_set():
         return chart.zero
-    return derive(e, unit_chain(chart, {chart._index[sym]: 0})).get(0, chart.zero)
+    return derive(e, chain(chart, {chart._index[sym]: (0, p_const(1))})).get(0, chart.zero)
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -746,7 +817,7 @@ def antiderivative(e: Expr, sym: str) -> Optional[Expr]:
     ci = chart._sin_to_cos.get(si) if si is not None else None
 
     total = chart.zero
-    den_expr = Expr(chart, e.den, p_const(1), _raw=True)
+    den_expr = chart.poly(e.den)
     for m, c in e.num.items():
         p = mono_get(m, sym_idx)
         a = mono_get(m, si) if si is not None else 0
@@ -762,7 +833,7 @@ def antiderivative(e: Expr, sym: str) -> Optional[Expr]:
         piece = _integrate_monomial(chart, sym, p, a, b)
         if piece is None:
             return None
-        total = total + Expr(chart, {rest: c}, p_const(1), _raw=True) * piece
+        total = total + chart.poly({rest: c}) * piece
     return total / den_expr
 
 

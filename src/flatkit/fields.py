@@ -18,15 +18,15 @@ because hashing a field would hash every component.
 Every Lie operation is one derivation, computed by the kernel
 `sympoly.p_derive` in a single walk over the terms of the polynomials it
 differentiates.  A derivation is given by its chain: one multiplier
-polynomial per generator, the generator's image.  Along a field v the
-chain rule sends x_j to v_j and, for a trig pair the chart already has on
-x_j, sin x_j to cos x_j * v_j and cos x_j to -sin x_j * v_j; no generator
-is registered.  A field is cleared to v~ / D first, with D the lcm of its
-component denominators (times that of its coefficient denominators), so
-every multiplier has int coefficients; the kernel clears the polynomial
-it walks the same way, runs its inner loop on ints and divides by the
-common denominator once at the end.  The chain of a field is kept on it
-until its chart registers another trig pair.
+polynomial per generator, the generator's image, built by `expr.chain`.
+Along a field v the chain rule sends x_j to v_j and, for a trig pair the
+chart already has on x_j, sin x_j to cos x_j * v_j and cos x_j to
+-sin x_j * v_j; no generator is registered.  A field is cleared to v~ / D
+first, with D the lcm of its component denominators (times that of its
+coefficient denominators), so every multiplier has int coefficients; the
+kernel clears the polynomial it walks the same way, runs its inner loop
+on ints and divides by the common denominator once at the end.  The chain of a field is kept on it
+until its chart registers another trig pair (`Chart.sin_to_cos` grows).
 
 * `lie_derivative` walks h along v's chain; a quotient n/d takes the
   quotient rule (d L n - n L d) / d^2, canonicalized once (`expr.derive`).
@@ -36,8 +36,9 @@ until its chart registers another trig pair.
 * `differential` is one walk whose chain sends the generators on
   coordinate j to component j.
 
-Each output polynomial gets one `p_circle_reduce` and, over a polynomial
-operand, one raw Expr: it is canonical as built.
+Each output polynomial gets one `Chart.reduce` and, over a polynomial
+operand, becomes an Expr by `Chart.poly`: it is canonical as built.  This
+module reads no private field of the chart (see `expr`).
 """
 
 from __future__ import annotations
@@ -47,11 +48,10 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import ChartMismatchError
-from .expr import Chart, Expr, derive, transfer, unit_chain
+from .expr import Chart, Expr, chain, derive, transfer
 from .sympoly import (
     Chain,
     Poly,
-    p_circle_reduce,
     p_clear,
     p_const,
     p_derive,
@@ -123,7 +123,7 @@ class VectorField(_Field):
         pairs, and each new one adds two generators the chain must route.
         """
         chart = self.chart
-        pairs = len(chart._sin_to_cos)
+        pairs = len(chart.sin_to_cos())
         memo = self.__dict__.get("_chain_memo")
         if memo is not None and memo[0] == pairs:
             return memo[1]
@@ -137,14 +137,12 @@ class VectorField(_Field):
             for c in comps
         ]
         den = math.lcm(*(d for _, d in cleared))
-        chain: Chain = {}
-        for j, (num, d) in zip(self.support, cleared):
-            if d != den:
-                num = p_scale(num, den // d)
-            for g, u in chart._chain_rule[j]:
-                chain[g] = (0, num if g == j else p_mul(u, num))
-        self.__dict__["_chain_memo"] = (pairs, (chain, den, scale))
-        return chain, den, scale
+        rule = chain(chart, {
+            j: (0, num if d == den else p_scale(num, den // d))
+            for j, (num, d) in zip(self.support, cleared)
+        })
+        self.__dict__["_chain_memo"] = (pairs, (rule, den, scale))
+        return rule, den, scale
 
     @cached_property
     def _bracket_memo(self) -> dict[int, tuple["VectorField", "VectorField"]]:
@@ -214,11 +212,10 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     if sv is None and sw is None:
         terms = [(i, w.components[i].num, cv, dv) for i in w.support]
         terms += [(i, v.components[i].num, cw, -dw) for i in v.support]
-        s2c, high = chart._sin_to_cos, chart._circle_high
         for i, num in p_derive(terms).items():
-            num = p_circle_reduce(num, s2c, high)
+            num = chart.reduce(num)
             if num:
-                out[i] = Expr(chart, num, p_const(1), _raw=True)
+                out[i] = chart.poly(num)
     else:
         zero = chart.zero
         for i in union:
@@ -244,9 +241,10 @@ def differential(h: Expr) -> CovectorField:
     """The coordinate differential dh of a function: one derivation whose
     chain sends each generator on coordinate j to slot j."""
     chart, dim = h.chart, h.chart.dim
-    index = chart._index
-    coords = {j: j for j in sorted(index[name] for name in h._symbol_set()) if j < dim}
-    parts = derive(h, unit_chain(chart, coords)) if coords else {}
+    one = p_const(1)
+    indices = sorted(chart.index(name) for name in h._symbol_set())
+    coords = {j: (j, one) for j in indices if j < dim}
+    parts = derive(h, chain(chart, coords)) if coords else {}
     comps = [chart.zero] * dim
     for j, d in parts.items():
         comps[j] = d

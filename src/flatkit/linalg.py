@@ -44,7 +44,8 @@ def _clear_row_denominators(row: Sequence[Expr], chart: Chart) -> list[Expr]:
             den = sympoly.p_lcm(den, e.den)
     if sympoly.p_is_const(den):
         return list(row)
-    factor = Expr(chart, den, sympoly.p_const(1))
+    # an lcm of sine-free denominators is sine-free, so trig-reduced
+    factor = chart.poly(den)
     return [e * factor for e in row]
 
 
@@ -155,7 +156,6 @@ def normalize_vector(vec: Sequence[Expr], chart: Chart) -> list[Expr]:
     negated when its first nonzero entry has a negative leading coefficient.
     The entries are not made primitive; rendered annihilators show this.
     """
-    one = sympoly.p_const(1)
     cleared = _clear_row_denominators(vec, chart)
     g: Optional[sympoly.Poly] = None
     for e in cleared:
@@ -170,7 +170,8 @@ def normalize_vector(vec: Sequence[Expr], chart: Chart) -> list[Expr]:
         else:
             q = sympoly.p_div_exact(e.num, g)
             assert q is not None
-            out.append(Expr(chart, q, one))
+            # a factor of a trig-reduced polynomial is trig-reduced
+            out.append(chart.poly(q))
     for e in out:
         if not e.is_zero():
             _, lead = sympoly.p_lead(e.num)

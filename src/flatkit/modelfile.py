@@ -173,18 +173,21 @@ def _chart(model: ModelFile) -> Chart:
     return Chart(list(model.states), parameters=list(model.parameters))
 
 
+def _parse(chart: Chart, text: str, where: str) -> Expr:
+    """parse(chart, text), an unreadable text a ModelFileError at `where`."""
+    try:
+        return parse(chart, text)
+    except (ParseError, UnknownSymbolError) as err:
+        raise ModelFileError(f"{where}: {err}") from err
+
+
 def _parse_field(
     chart: Chart, names: tuple[str, ...], comps: tuple[str, ...], label: str, source: str
 ) -> VectorField:
-    out = []
-    for name, text in zip(names, comps):
-        try:
-            out.append(parse(chart, text))
-        except (ParseError, UnknownSymbolError) as err:
-            raise ModelFileError(
-                f"{source}: {label} component for '{name}': {err}"
-            ) from err
-    return VectorField(chart, tuple(out))
+    return VectorField(chart, tuple(
+        _parse(chart, text, f"{source}: {label} component for '{name}'")
+        for name, text in zip(names, comps)
+    ))
 
 
 def _parse_all(model: ModelFile, source: str) -> tuple[Chart, VectorField, VectorField, VectorField, tuple[Expr, ...]]:
@@ -197,22 +200,13 @@ def _parse_all(model: ModelFile, source: str) -> tuple[Chart, VectorField, Vecto
     g2 = _parse_field(chart, model.states, model.g2, "g2", source)
     cons = []
     for text in model.constraints:
-        try:
-            con = parse(chart, text)
-        except (ParseError, UnknownSymbolError) as err:
-            raise ModelFileError(f"{source}: constraint '{text}': {err}") from err
+        con = _parse(chart, text, f"{source}: constraint '{text}'")
         # no sample point keeps a zero constraint nonzero
         if con.is_zero():
             raise ModelFileError(f"{source}: constraint '{text}' is identically zero")
         cons.append(con)
-    if model.flat_output is not None:
-        for text in model.flat_output:
-            try:
-                parse(chart, text)
-            except (ParseError, UnknownSymbolError) as err:
-                raise ModelFileError(
-                    f"{source}: flat_output '{text}': {err}"
-                ) from err
+    for text in model.flat_output or ():
+        _parse(chart, text, f"{source}: flat_output '{text}'")
     return chart, f, g1, g2, tuple(cons)
 
 

@@ -19,8 +19,8 @@ function's name.  Tokens are ASCII: digits 0-9 and identifiers over
 How values are built.  A subexpression whose canonical denominator is 1 (a
 polynomial) is a `sympoly` dict while it is built; any other value is an
 `Expr`.  A sum of polynomial terms accumulates into one dict.  A product of
-two polynomials is `p_circle_reduce(p_mul(a, b))`, a positive power
-`p_circle_reduce(p_pow(a, n))` and a product by a constant a scaling, each
+two polynomials is `chart.reduce(p_mul(a, b))`, a positive power
+`chart.reduce(p_pow(a, n))` and a product by a constant a scaling, each
 reduced where `Expr` arithmetic reduces it, so every dict is trig-reduced
 and needs no canonicalization.  Quotients, negative powers, function
 applications and any operation with a non-polynomial operand go through
@@ -28,10 +28,12 @@ applications and any operation with a non-polynomial operand go through
 poles; a result whose denominator is 1 is a dict again.  Every operation
 runs in the order and on the operands it has in the grammar, so the dicts
 hold their terms in the order `Expr` arithmetic would give them, and the
-sin/cos pairs are registered in the same order.  One raw `Expr` is built
-for a polynomial result.  A text that is one integer literal or one symbol
-of the chart, as most components of a model are, is read by one pattern
-match, with no tokens.
+sin/cos pairs are registered in the same order.  A polynomial result
+becomes an `Expr` once, by `chart.poly`; a symbol's generator is
+`chart.index`.  The parser reads no private field of the chart (see
+`expr`).  A text that is one integer literal or one symbol of the chart,
+as most components of a model are, is read by one pattern match, with no
+tokens.
 
 Errors.  A product or power with an exponent past the polynomial format's
 limit (`sympoly.MAX_EXP`) is a ParseError at the token just read, as is a
@@ -57,7 +59,6 @@ from .errors import (
 from .expr import FUNCTION_TABLE, Chart, Expr
 from .sympoly import (
     Poly,
-    p_circle_reduce,
     p_const,
     p_is_const,
     p_mul,
@@ -129,7 +130,7 @@ class _Parser:
 
     def expr(self, value: _Value) -> Expr:
         if type(value) is dict:
-            return Expr(self.chart, value, p_const(1), _raw=True)
+            return self.chart.poly(value)
         return value
 
     @staticmethod
@@ -206,8 +207,7 @@ class _Parser:
             return a if b[0] == 1 else p_scale(a, b[0])
         if p_is_const(a):
             return b if a[0] == 1 else p_scale(b, a[0])
-        chart = self.chart
-        return p_circle_reduce(p_mul(a, b), chart._sin_to_cos, chart._circle_high)
+        return self.chart.reduce(p_mul(a, b))
 
     def power(self, value: _Value, exponent: _Value, pos: int) -> _Value:
         """value ^ exponent, the '^' at pos."""
@@ -220,8 +220,7 @@ class _Parser:
         if type(value) is not dict:  # never zero
             return self.lower(value**n)
         if n > 0:
-            chart = self.chart
-            return p_circle_reduce(p_pow(value, n), chart._sin_to_cos, chart._circle_high)
+            return self.chart.reduce(p_pow(value, n))
         if n == 0:
             return p_const(1)
         if not value:
@@ -241,7 +240,7 @@ class _Parser:
             if text not in FUNCTION_TABLE:
                 chart = self.chart
                 if chart.has_symbol(text):
-                    return p_var(chart._index[text])
+                    return p_var(chart.index(text))
                 raise UnknownSymbolError(text, pos)
             paren, _, opened = self.tokens[self.k]
             if paren != "(":

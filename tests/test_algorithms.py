@@ -20,9 +20,9 @@ from flatkit import (
     run_algorithm2,
 )
 from flatkit import algorithms
-from flatkit.algorithms import _drift_step, _expr_sqrt, _lemma1_window, _solve_membership
+from flatkit.algorithms import _drift_step, _lemma1_window, _solve_membership
 from flatkit.distributions import Codistribution, cauchy_characteristic, span, sum_spans
-from flatkit.expr import Chart
+from flatkit.expr import Chart, exact_sqrt
 from flatkit.fields import CovectorField, differential, lie_bracket, zero_field
 from flatkit.linalg import RankEngine
 from flatkit.system import prolong
@@ -458,10 +458,10 @@ def test_expr_sqrt_finds_sine_factor():
     # canonical forms hold sin^2 as 1 - cos^2, so these squares show no sine
     for root in (2 * s, z1 * s, s / (1 + z1 * z1), (z1 + c) / s):
         square = root * root
-        found = _expr_sqrt(square)
+        found = exact_sqrt(square)
         assert found is not None and (found * found - square).is_zero()
-    assert _expr_sqrt(1 - c) is None
-    assert _expr_sqrt(z1 * (1 - c * c)) is None
+    assert exact_sqrt(1 - c) is None
+    assert exact_sqrt(z1 * (1 - c * c)) is None
 
 
 def test_refined_vtol_sine_root_after_adding_g1_to_g2(vtol):

@@ -84,6 +84,15 @@ def test_bundled_models_load_and_build():
         (lambda d: d.update(g1=["1", "0", "bad("]), "g1 component"),
         (lambda d: d.update(states=["z1", "z1", "z2"]), "unique"),
         (lambda d: d.update(flat_output=["z1"]), "two expressions"),
+        (
+            lambda d: d.update(constraints=["z1 z2"]),
+            "constraint 'z1 z2': unexpected trailing input 'z2'",
+        ),
+        (
+            lambda d: d.update(flat_output=["z1", "q9"]),
+            "flat_output 'q9': unknown symbol 'q9'",
+        ),
+        (lambda d: d.update(states=["sin", "z2", "z3"]), "symbol name 'sin' shadows a function"),
     ],
 )
 def test_model_validation_errors(tmp_path, mutate, message):
@@ -611,6 +620,32 @@ def test_two_chain_report_is_pinned(capsys):
     """
     expected = (DATA / "analyze-twochain-k5-s1.json").read_text()
     assert main(["analyze", str(TEST_MODELS / "twochain-k5-s1.json")]) == 0
+    assert capsys.readouterr().out == expected
+
+
+# Static feedbacks of bundled models whose input fields have a non-constant
+# denominator: tests/models/example3-rational.json divides each nonzero g1
+# entry of example3 by 1 + z1^2, and vtol-rational.json each nonzero g2 entry
+# of vtol by 1 + x^2.  Every field derivation along them carries that
+# denominator (56 of them in these three commands), and the quotient rule runs.
+RATIONAL_REPORTS = [
+    ("analyze-example3-rational", "analyze example3-rational", 0),
+    ("analyze-vtol-rational", "analyze vtol-rational", 0),
+    (
+        "verify-vtol-rational",
+        "verify vtol-rational --output 'x - eps*sin(theta)' 'z + eps*cos(theta)'",
+        0,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, command, code", RATIONAL_REPORTS, ids=[case[0] for case in RATIONAL_REPORTS]
+)
+def test_rational_field_reports_are_pinned(capsys, name, command, code):
+    expected = (DATA / f"{name}.json").read_text()
+    verb, model, *rest = shlex.split(command)
+    assert main([verb, str(TEST_MODELS / f"{model}.json"), *rest]) == code
     assert capsys.readouterr().out == expected
 
 

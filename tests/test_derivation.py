@@ -11,6 +11,7 @@ MAX_EXP.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatkit.errors import MonomialLimitError, UnknownSymbolError
-from flatkit.expr import Chart, Expr, differentiate
+from flatkit.expr import Chart, Expr, chain, differentiate
 from flatkit.fields import CovectorField, VectorField, differential, lie_bracket, lie_derivative
-from flatkit.sympoly import MAX_EXP, mono_get, mono_set, p_const, p_is_const, p_vars
+from flatkit.sympoly import MAX_EXP, mono_get, mono_set, p_const, p_is_const, p_var, p_vars
 
 from conftest import mono
 
@@ -44,7 +45,7 @@ def ref_gen_derivative(chart, index, sym):
     if info.kind == "base":
         return chart.one
     si, ci = chart.trig_pair(sym)
-    return chart._gen_expr(ci) if info.kind == "sin" else -chart._gen_expr(si)
+    return chart.poly(p_var(ci)) if info.kind == "sin" else -chart.poly(p_var(si))
 
 
 def ref_poly_derivative(chart, poly, sym):
@@ -101,6 +102,14 @@ def ref_lie_bracket(v, w):
 def ref_differential(h):
     chart = h.chart
     return CovectorField(chart, tuple(ref_differentiate(h, n) for n in chart.coordinates))
+
+
+def ref_unit_chain(chart, slots):
+    """The chain rule of d/ds for each base symbol s of `slots` (generator
+    index to output slot), as `expr.unit_chain` built it before
+    `expr.chain` took its place."""
+    rule = chart._chain_rule
+    return {g: (k, u) for s, k in slots.items() for g, u in rule[s]}
 
 
 # -- operands ----------------------------------------------------------------------------
@@ -243,3 +252,18 @@ def test_fraction_coefficients_are_cleared_and_restored():
     d = lie_derivative(chart.parse("2*a*b"), VectorField(chart, (chart.sym("b"), chart.one)))
     assert d == chart.parse("2*b^2 + 2*a")
     assert {type(c) for c in d.num.values()} == {int}
+
+
+def test_chain_with_unit_multipliers_is_the_unit_chain():
+    # both angles have their pairs, y has none, and eps is a parameter
+    chart = Chart(["x", "theta", "phi", "y"], ["eps"])
+    chart.trig_pair("theta")
+    chart.trig_pair("phi")
+    one = p_const(1)
+    names = ("x", "theta", "phi", "y", "eps")
+    for size in range(1, len(names) + 1):
+        for subset in itertools.permutations(names, size):
+            slots = {chart.index(n): k for k, n in enumerate(subset)}
+            got = chain(chart, {s: (k, one) for s, k in slots.items()})
+            # the same entries, in the same order
+            assert list(got.items()) == list(ref_unit_chain(chart, slots).items())

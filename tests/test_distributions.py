@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatkit.algorithms import run_algorithm2
 from flatkit.distributions import (
     Codistribution,
+    Distribution,
     cauchy_characteristic,
     derived_step,
     first_integrals,
@@ -30,8 +33,10 @@ from flatkit.fields import (
     lie_bracket,
     pair,
 )
-from flatkit.linalg import RankEngine, echelon, normalize_vector, right_nullspace
+from flatkit.linalg import RankEngine, combine_rows, echelon, normalize_vector, right_nullspace
+from flatkit.modelfile import build_system, load_model
 from flatkit.parser import parse
+from flatkit.system import prolong
 
 from conftest import coordinate_covector, coordinate_field, random_polynomial
 
@@ -431,6 +436,83 @@ def test_characteristic_of_full_tangent_space(chained5):
     )
     d = span(chained5.chart, fields, chained5.engine)
     assert cauchy_characteristic(d) is d
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def ref_cauchy_fields(d):
+    """The fields of C(d) as `cauchy_characteristic` built them when it kept
+    every bracket and its negation as whole fields and paired both."""
+    chart, basis, ann = d.chart, d.basis(), d.annihilator().covectors
+    r = len(basis)
+    bracket = {}
+    pending = iter(d._basis_brackets())
+    for a in range(r):
+        for b in range(a + 1, r):
+            bracket[a, b] = next(pending)
+            bracket[b, a] = -bracket[a, b]
+    rows = [
+        [chart.zero if a == b else pair(w, bracket[a, b]) for a in range(r)]
+        for b in range(r)
+        for w in ann
+    ]
+    fields = []
+    for alpha in right_nullspace(rows, chart, ncols=r):
+        comps = combine_rows(alpha, [b.components for b in basis], chart)
+        fields.append(VectorField(chart, tuple(normalize_vector(comps, chart))))
+    return fields
+
+
+def refined_frontiers():
+    """The non-involutive frontiers whose characteristic Algorithm 2 takes,
+    on the bundled models and two of their prolongations, each once."""
+    out = {}
+    for name in ("vtol", "example3", "example1"):
+        base = build_system(load_model(MODELS / f"{name}.json"), 0)
+        for p1, p2 in [(0, 0), (1, 0), (2, 1)]:
+            for branch in run_algorithm2(prolong(base, p1, p2)).branches:
+                for rec in branch.records:
+                    if rec.cauchy is not None:
+                        out[id(rec.examined)] = rec.examined
+    return list(out.values())
+
+
+def test_characteristic_pairs_match_the_whole_field_negation():
+    frontiers = refined_frontiers()
+    assert len(frontiers) >= 10
+    informative = 0
+    for d in frontiers:
+        assert not d.is_involutive()
+        got = cauchy_characteristic(d).fields
+        want = [v for v in ref_cauchy_fields(d) if not v.is_zero()]
+        assert [v.components for v in got] == [v.components for v in want]
+        informative += bool(got)
+    assert informative  # some characteristic is not empty
+
+
+def test_characteristic_pairs_each_bracket_once(monkeypatch):
+    d = max(refined_frontiers(), key=lambda d: (d.rank, len(d.annihilator().covectors)))
+    # a fresh span whose basis, dual and brackets are ready: only the
+    # characteristic is left to compute
+    fresh = Distribution(d.chart, d.fields, d.engine)
+    ann = fresh.annihilator().covectors
+    assert not fresh.is_involutive() and fresh.rank >= 3 and ann
+    calls = []
+    monkeypatch.setattr(
+        distributions, "pair", lambda w, v: calls.append((w, v)) or pair(w, v)
+    )
+
+    def refuse(v):
+        raise AssertionError("a bracket was negated as a whole field")
+
+    monkeypatch.setattr(VectorField, "__neg__", refuse)
+    c = cauchy_characteristic(fresh)
+    r = fresh.rank
+    assert len(calls) == len(ann) * r * (r - 1) // 2
+    assert [v.components for v in c.fields] == [
+        v.components for v in cauchy_characteristic(d).fields
+    ]
 
 
 # --- intersections ---

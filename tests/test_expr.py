@@ -802,6 +802,25 @@ def test_products_and_quotients_match_the_full_canonicalization(an, ad, bn, bd):
     assert ab / b == a
 
 
+@settings(max_examples=40)
+@given(_terms(5, 0, 5))
+def test_chart_poly_is_the_canonical_polynomial(terms):
+    # Chart.poly skips canonicalization: on a trig-reduced polynomial it must
+    # build what the full path builds
+    chart = Chart(["x", "theta"], ["eps"])
+    si, ci = chart.trig_pair("theta")
+    p = {}
+    for c, exps in terms:  # sine exponents up to 2
+        t = p_const(c)
+        for g, e in zip((0, 1, 2, si, ci), exps):
+            t = p_mul(t, p_pow(p_var(g), e))
+        p = p_add(p, t)
+    p = chart.reduce(p)
+    assert chart.reduce(p) is p
+    built, full = chart.poly(p), Expr(chart, p, p_const(1))
+    assert built == full and built.render() == full.render()
+
+
 def test_polynomial_products_and_exact_quotients_skip_canonicalization(monkeypatch):
     chart = Chart(["x", "theta", "phi"])
     # no sine squares in p*q, so pq / p and pq / q divide exactly

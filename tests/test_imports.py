@@ -334,3 +334,101 @@ def test_unread_method_finder():
     for name, text in sources.items():
         exec(text, namespaces.setdefault(name, {}))
     assert unread_methods(sources, namespaces) == ["Base.dead", "Base.gone"]
+
+
+# -- one owner of the canonical form -----------------------------------------
+#
+# expr builds every canonical expression: its Chart keeps the trig pairs, the
+# circle-reduction mask and the chain rule, and exposes them through public
+# methods (`reduce`, `poly`, `index`, `sin_to_cos`) and functions (`chain`,
+# `exact_sqrt`).  sympoly defines circle reduction; no other module calls it.
+
+
+def chart_private_names(expr_source: str) -> set[str]:
+    """The private attributes of expr's Chart: its `_` methods and the
+    `self._x` attributes its body binds, dunders aside."""
+    tree = ast.parse(expr_source)
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Chart"]
+    names = {
+        fn.name
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+    }
+    for sub in ast.walk(cls):
+        if (
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Store)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id == "self"
+        ):
+            names.add(sub.attr)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def canonical_form_leaks(sources: dict[str, str], private: set[str]) -> list[str]:
+    """`module: what` for each place outside expr that builds or reads the
+    canonical form itself: a read of a private Chart attribute, a `_raw=`
+    argument, a use of `p_circle_reduce` (sympoly may define it), and any
+    import of sympoly by algorithms."""
+    out = []
+    for module, text in sorted(sources.items()):
+        if module == "expr":
+            continue
+        for sub in ast.walk(ast.parse(text)):
+            if isinstance(sub, ast.Attribute) and sub.attr in private:
+                out.append(f"{module}: reads Chart.{sub.attr}")
+            elif isinstance(sub, ast.keyword) and sub.arg == "_raw":
+                out.append(f"{module}: passes _raw=")
+            elif module != "sympoly" and "p_circle_reduce" in (
+                getattr(sub, "id", None),
+                getattr(sub, "attr", None),
+                getattr(sub, "name", None),
+            ):
+                out.append(f"{module}: names p_circle_reduce")
+            elif module == "algorithms" and (
+                isinstance(sub, ast.ImportFrom)
+                and (sub.module or "").split(".")[-1] == "sympoly"
+                or isinstance(sub, (ast.Import, ast.ImportFrom))
+                and any(a.name.split(".")[-1] == "sympoly" for a in sub.names)
+            ):
+                out.append(f"{module}: imports sympoly")
+    return sorted(set(out))
+
+
+def test_only_expr_builds_canonical_expressions():
+    sources = {Path(m).stem: (SRC / m).read_text() for m in MODULES}
+    private = chart_private_names(sources["expr"])
+    assert {"_index", "_sin_to_cos", "_circle_high", "_chain_rule"} <= private
+    assert canonical_form_leaks(sources, private) == []
+
+
+def test_canonical_form_leak_finder():
+    private = chart_private_names(
+        "class Chart:\n"
+        "    def __init__(self):\n"
+        "        self._index = {}\n"
+        "        self.coordinates = ()\n"
+        "    def _gen(self):\n"
+        "        return 0\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+    )
+    assert private == {"_index", "_gen"}
+    sources = {
+        "expr": "def f(chart):\n    return chart._index, Expr(chart, {}, {}, _raw=True)\n",
+        "sympoly": "def p_circle_reduce(a):\n    return a\n",
+        "parser": (
+            "from .sympoly import p_circle_reduce\n"
+            "def g(chart):\n"
+            "    return chart._index[0], chart._gen(), Expr(chart, {}, {}, _raw=True)\n"
+        ),
+        "algorithms": "from .sympoly import p_sqrt\nfrom . import sympoly\n",
+        "fields": "from .expr import chain\ndef h(chart):\n    return chart.index('x')\n",
+    }
+    assert canonical_form_leaks(sources, private) == [
+        "algorithms: imports sympoly",
+        "parser: names p_circle_reduce",
+        "parser: passes _raw=",
+        "parser: reads Chart._gen",
+        "parser: reads Chart._index",
+    ]
