@@ -78,10 +78,10 @@ walks the numerator (and the denominator of a quotient) once.  The chart
 keeps its chain rule beside its generators: each base symbol s maps to
 (s, 1) and, once the pair of s is registered, (sin s, cos s) and
 (cos s, -sin s).  `chain` scales the rule of each symbol by its
-multiplier; `differentiate(e, s)` is `derive` on the chain of s with
-multiplier 1.  Nothing is stored, so every call walks e.  Each Expr keeps
-its base symbols; the derivative by any other symbol is zero without a
-walk.
+multiplier and passes the rule through for the multiplier 1;
+`differentiate(e, s)` is `derive` on the chain of s with multiplier 1.
+Nothing is stored, so every call walks e.  Each Expr keeps its base
+symbols; the derivative by any other symbol is zero without a walk.
 Another slot keeps the expression's residue at each shared sample point
 (`sample.residues_at`).
 """
@@ -89,7 +89,17 @@ Another slot keeps the expression's residue at each shared sample point
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, NamedTuple, Optional, Union
+from functools import cached_property
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Collection,
+    Iterable,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from .errors import (
     ChartMismatchError,
@@ -134,7 +144,12 @@ from .sympoly import (
     p_vars_in_order,
 )
 
+if TYPE_CHECKING:
+    from .fields import VectorField
+
 Scalar = Union["Expr", Fraction, int]
+
+_UNIT = p_const(1)
 
 _IDENT_OK = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
 
@@ -231,6 +246,13 @@ class Chart:
         """The expression of a trig-reduced polynomial p, canonical as built:
         its denominator is 1."""
         return Expr(self, p, p_const(1), _raw=True)
+
+    @cached_property
+    def zero_field(self) -> VectorField:
+        """The chart's zero vector field, built once (`fields.zero_field`)."""
+        from .fields import VectorField
+
+        return VectorField(self, (self._zero,) * self.dim)
 
     def parse(self, text: str) -> "Expr":
         from .parser import parse as _parse
@@ -684,11 +706,11 @@ def chain(chart: Chart, slots: dict[int, tuple[int, Poly]]) -> Chain:
     """The chain rule of a derivation that sends each base symbol s of
     `slots` (generator index to (output slot, multiplier m)) to m: s gives
     m and, for each trig pair the chart already has on s, sin s gives
-    cos s * m and cos s gives -sin s * m, all at s's slot.  Registers
-    nothing."""
+    cos s * m and cos s gives -sin s * m, all at s's slot; a multiplier 1
+    passes the rule's own polynomials through.  Registers nothing."""
     rule = chart._chain_rule
     return {
-        g: (k, m if g == s else p_mul(u, m))
+        g: (k, m if g == s else u if m == _UNIT else p_mul(u, m))
         for s, (k, m) in slots.items()
         for g, u in rule[s]
     }
@@ -765,14 +787,24 @@ def transfer(e: Expr, target: Chart) -> Expr:
     whose canonical denominator is 1, is `target.zero` or `target.const`;
     when no generator of e changes its index, the result shares e's
     numerator and denominator."""
-    if e.chart is target:
-        return e
-    if e.is_constant():
-        return target.zero if e.is_zero() else target.const(p_const_value(e.num))
+    return transfer_all((e,), target)[0]
+
+
+def transfer_all(exprs: Sequence[Expr], target: Chart) -> list[Expr]:
+    """`transfer` of each expression of one chart, through one generator
+    map: its pairs are registered in the order the monomials of e_0.num,
+    e_0.den, e_1.num, ... meet them, as one `transfer` after another would
+    register them, and when no generator changes its index every result
+    shares its numerator and denominator."""
+    source = exprs[0].chart if exprs else target
+    if any(e.chart is not source for e in exprs):
+        raise ChartMismatchError("expressions on different charts")
+    if source is target:
+        return list(exprs)
     index: dict[int, int] = {}
     moved = False
-    for i in p_vars_in_order(e.num, e.den):
-        info = e.chart.gen_info(i)
+    for i in p_vars_in_order(*(p for e in exprs for p in (e.num, e.den))):
+        info = source.gen_info(i)
         if not target.has_symbol(info.base):
             raise UnknownSymbolError(info.base)
         if info.kind == "base":
@@ -781,11 +813,17 @@ def transfer(e: Expr, target: Chart) -> Expr:
             j = target.trig_pair(info.base)[info.kind == "cos"]
         index[i] = j
         moved = moved or i != j
-    num, den = e.num, e.den  # kept: the same packed monomials, in the same order
-    if moved:
-        num, den = _monic(p_rename(num, index), p_rename(den, index))
-    out = Expr(target, num, den, _raw=True)
-    out._symbols = e._symbols
+    out = []
+    for e in exprs:
+        if e.is_constant():
+            out.append(target.zero if e.is_zero() else target.const(p_const_value(e.num)))
+            continue
+        num, den = e.num, e.den  # kept: the same packed monomials, in the same order
+        if moved:
+            num, den = _monic(p_rename(num, index), p_rename(den, index))
+        result = Expr(target, num, den, _raw=True)
+        result._symbols = e._symbols
+        out.append(result)
     return out
 
 

@@ -9,11 +9,13 @@ and its symbols (those its components depend on).  When neither of v, w
 moves along a symbol of the other, every derivative in [v, w] is zero, so
 the bracket is zero with no derivative taken.
 
-Every other bracket is memoized on v, keyed by the identity of w, so a
-question takes each [v, w] once and a repeat returns the same field.  The
-memo holds w beside the bracket, so no id it is keyed by can be reused
-while the entry lives; it lives as long as v does, and keys by identity
-because hashing a field would hash every component.
+Such a bracket is the chart's one zero field (`zero_field`).  Every other
+bracket is memoized on v, keyed by the value of w, so a question takes each
+[v, w] once, and a repeat returns the same field even when an equal w was
+built on another path.  A field hashes its chart's identity and the hashes
+of its components, which each Expr computes once from its int and Fraction
+coefficients; equal fields on different charts differ, so they never share
+an entry.  The memo lives as long as v does.
 
 Every Lie operation is one derivation, computed by the kernel
 `sympoly.p_derive` in a single walk over the terms of the polynomials it
@@ -48,7 +50,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import ChartMismatchError
-from .expr import Chart, Expr, chain, derive, transfer
+from .expr import Chart, Expr, chain, derive, transfer_all
 from .sympoly import (
     Chain,
     Poly,
@@ -145,8 +147,8 @@ class VectorField(_Field):
         return rule, den, scale
 
     @cached_property
-    def _bracket_memo(self) -> dict[int, tuple["VectorField", "VectorField"]]:
-        """id(w) -> (w, [self, w]); see `lie_bracket`."""
+    def _bracket_memo(self) -> dict["VectorField", "VectorField"]:
+        """w -> [self, w], keyed by the value of w; see `lie_bracket`."""
         return {}
 
     def __add__(self, other: "VectorField") -> "VectorField":
@@ -156,12 +158,6 @@ class VectorField(_Field):
             self.chart,
             tuple(a + b for a, b in zip(self.components, other.components)),
         )
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.chart, tuple(-c for c in self.components))
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + (-other)
 
     def scale(self, factor: Expr) -> "VectorField":
         return VectorField(self.chart, tuple(factor * c for c in self.components))
@@ -178,7 +174,8 @@ class CovectorField(_Field):
 
 
 def zero_field(chart: Chart) -> VectorField:
-    return VectorField(chart, tuple(chart.zero for _ in chart.coordinates))
+    """The chart's zero vector field, one object per chart."""
+    return chart.zero_field
 
 
 def pair(omega: CovectorField, v: VectorField) -> Expr:
@@ -202,9 +199,10 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     chart = v.chart
     if v.directions.isdisjoint(w.symbols) and w.directions.isdisjoint(v.symbols):
         return zero_field(chart)  # every derivative below would be zero
-    hit = v._bracket_memo.get(id(w))
+    memo = v._bracket_memo
+    hit = memo.get(w)
     if hit is not None:
-        return hit[1]
+        return hit
     out = [chart.zero] * chart.dim
     cv, dv, sv = v._derivation()
     cw, dw, sw = w._derivation()
@@ -224,7 +222,7 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     bracket = VectorField(chart, tuple(out))
     # the loops write only entries in the union; fill the support cache
     bracket.__dict__["support"] = tuple(i for i in union if not out[i].is_zero())
-    v._bracket_memo[id(w)] = (w, bracket)
+    memo[w] = bracket
     return bracket
 
 
@@ -254,16 +252,15 @@ def differential(h: Expr) -> CovectorField:
 
 
 def transfer_field(v: VectorField, target: Chart) -> VectorField:
-    """Move a field to a chart whose coordinates extend the source's.
+    """Move a field to a chart whose coordinates extend the source's, with
+    one generator map for all its components (`expr.transfer_all`).
 
     New coordinates receive zero components.
     """
     pos = {name: i for i, name in enumerate(v.chart.coordinates)}
-    comps = []
-    for name in target.coordinates:
-        i = pos.get(name)
-        comps.append(target.zero if i is None else transfer(v.components[i], target))
-    return VectorField(target, tuple(comps))
+    kept = [name for name in target.coordinates if name in pos]
+    moved = dict(zip(kept, transfer_all([v.components[pos[n]] for n in kept], target)))
+    return VectorField(target, tuple(moved.get(n, target.zero) for n in target.coordinates))
 
 
 def fields_matrix(fields: Iterable[_Field]) -> list[list[Expr]]:

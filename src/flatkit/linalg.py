@@ -55,13 +55,26 @@ class EchelonResult(NamedTuple):
     pivot_cols: list[int]   # pivot column of rows[k]
 
 
+def _least_degree(row: list[Expr]) -> Optional[tuple[int, int]]:
+    """(total degree, column) of the row's least-degree nonzero entry, the
+    lowest column among equals; None for a zero row."""
+    degrees = [(e.total_degree(), j) for j, e in enumerate(row) if e.num]
+    return min(degrees) if degrees else None
+
+
 def echelon(matrix: Matrix, chart: Chart) -> EchelonResult:
-    """Fraction-free forward elimination with degree-minimizing pivoting.
+    """Fraction-free forward elimination with degree-minimizing pivoting
+    (Bareiss 1968).
 
     Pivots are chosen among the remaining entries by least total degree,
     tie-broken by lowest row then lowest column index, which keeps the
     intermediate polynomials small in the sparse, low-degree matrices
-    produced by bracket computations.
+    produced by bracket computations.  Below the pivots every earlier pivot
+    column is zero, so each remaining row offers its own least-degree entry
+    as a candidate.  The degrees of a row's entries are taken once, when
+    the row is built or an elimination step rewrites it; a zero-head row
+    keeps its candidate.  An entry that is zero in both the row and the
+    pivot row stays zero with no arithmetic.
     """
     rows: Matrix = [_clear_row_denominators(list(r), chart) for r in matrix]
     m = len(rows)
@@ -69,48 +82,44 @@ def echelon(matrix: Matrix, chart: Chart) -> EchelonResult:
     for r in rows:
         if len(r) != ncols:
             raise ValueError("ragged matrix")
+    least = [_least_degree(r) for r in rows]
+    zero = chart.zero
     pivot_cols: list[int] = []
     prev_pivot: Optional[Expr] = None
-    k = 0
-    used_cols: set[int] = set()
-    while k < m:
+    for k in range(m):
         best: Optional[tuple[int, int, int]] = None  # (degree, row, col)
         for i in range(k, m):
-            for j in range(ncols):
-                if j in used_cols:
-                    continue
-                e = rows[i][j]
-                if e.is_zero():
-                    continue
-                deg = e.total_degree()
-                cand = (deg, i, j)
-                if best is None or cand < best:
-                    best = cand
+            cand = least[i]
+            if cand is not None and (best is None or cand[0] < best[0]):
+                best = (cand[0], i, cand[1])
         if best is None:
             break
         _, pi, pj = best
         rows[k], rows[pi] = rows[pi], rows[k]
-        pivot = rows[k][pj]
+        least[k], least[pi] = least[pi], least[k]
+        prow = rows[k]
+        pivot = prow[pj]
         for i in range(k + 1, m):
-            head = rows[i][pj]
-            if head.is_zero():
+            row = rows[i]
+            head = row[pj]
+            if not head.num:
                 # Field arithmetic: skipping the Bareiss rescale of zero-head
                 # rows only changes row scaling, never rank or nullspace.
                 continue
             new_row = []
             for j in range(ncols):
-                if j == pj:
-                    new_row.append(chart.zero)
+                a, b = row[j], prow[j]
+                if j == pj or not (a.num or b.num):
+                    new_row.append(zero)
                     continue
-                val = pivot * rows[i][j] - head * rows[k][j]
-                if prev_pivot is not None and not val.is_zero():
+                val = pivot * a - head * b
+                if prev_pivot is not None and val.num:
                     val = val / prev_pivot
                 new_row.append(val)
             rows[i] = new_row
+            least[i] = _least_degree(new_row)
         prev_pivot = pivot
         pivot_cols.append(pj)
-        used_cols.add(pj)
-        k += 1
     return EchelonResult(rank=len(pivot_cols), rows=rows, pivot_cols=pivot_cols)
 
 

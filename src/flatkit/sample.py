@@ -13,9 +13,11 @@ a modular point can only be too low, never too high, and it is too low
 with probability at most D/p when D is the degree of a nonvanishing
 maximal minor.
 
-An expression is evaluated from its packed terms: each term is its
+An expression is evaluated from its packed terms by `sympoly.p_residue`,
+one walk that decodes each monomial in place: each term is its
 coefficient's residue times the powers of the residues of its generators.
-The rank engine passes only nonzero entries.
+A denominator that is the constant 1 is not walked.  The rank engine
+passes only nonzero entries.
 
 The rank engine draws every point through `admissible_point`: one where no
 constraint vanishes and none of the given expressions has a pole.  It
@@ -39,17 +41,17 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     PoleError,
-    PrimeDenominatorError,
     SampleExhaustedError,
     StaleSamplePointError,
 )
 from .expr import Chart, Expr, eval_at
-from .sympoly import Poly, mono_items
+from .sympoly import p_const, p_residue
 
 _BOUND = 997
 _TRIES = 60  # points drawn before SampleExhaustedError
 
 PRIME = (1 << 61) - 1
+_UNIT = p_const(1)
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -122,36 +124,14 @@ def draw_admissible(
 # -- evaluation in F_p ---------------------------------------------------------
 
 
-def _residue(c: int | Fraction) -> int:
-    """c mod PRIME; raises PrimeDenominatorError when PRIME divides its denominator."""
-    if type(c) is int:
-        return c % PRIME
-    den = c.denominator
-    if den == 1:
-        return c.numerator % PRIME
-    if den % PRIME == 0:
-        raise PrimeDenominatorError(c)
-    return c.numerator * pow(den, -1, PRIME) % PRIME
-
-
-def _poly_residue(poly: Poly, values: Sequence[int]) -> int:
-    """poly mod PRIME at the residues `values` of its chart's generators."""
-    total = 0
-    for m, c in poly.items():
-        term = _residue(c)
-        for i, k in mono_items(m):
-            term = term * (values[i] if k == 1 else pow(values[i], k, PRIME)) % PRIME
-        total += term
-    return total % PRIME
-
-
 def _expr_residue(e: Expr, values: Sequence[int]) -> Optional[int]:
     """e mod PRIME at the residues `values` of its chart's generators, or
-    None when its denominator vanishes there."""
-    num = _poly_residue(e.num, values)
-    den = _poly_residue(e.den, values)
-    if den == 1:
+    None when its denominator vanishes there.  A denominator that is the
+    constant 1 is not walked."""
+    num = p_residue(e.num, values, PRIME)
+    if e.den == _UNIT:
         return num
+    den = p_residue(e.den, values, PRIME)
     if den == 0:
         return None
     return num * pow(den, -1, PRIME) % PRIME

@@ -61,7 +61,9 @@ degree in that generator), and the quotient monomial it leads to fails the
 test.
 
 Outside this module monomials are read only through `mono_items`,
-`mono_degree`, `mono_get`, `mono_set` and the `p_*` functions.
+`mono_degree`, `mono_get`, `mono_set` and the `p_*` functions, among them
+`p_residue`, the residue walk mod a prime that `sample` evaluates with: it
+decodes each monomial's fields in place, with no `mono_items` list.
 
 Exact division has one heap walk (`_div_walk`) for both coefficient rings:
 p_div_exact divides coefficients over the rationals, and the integer core of
@@ -88,9 +90,9 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-from .errors import MonomialLimitError
+from .errors import MonomialLimitError, PrimeDenominatorError
 
 Monomial = int
 Poly = dict[Monomial, int | Fraction]
@@ -306,6 +308,33 @@ def p_clear(a: Poly) -> tuple[Poly, int]:
         return a, 1
     den = math.lcm(*(c.denominator for c in a.values()))
     return p_scale(a, den), den
+
+
+def p_residue(a: Poly, values: Sequence[int], prime: int) -> int:
+    """a mod `prime` at the residues `values` of its generators, in one walk
+    over the terms: each monomial's fields are decoded in place, and an int
+    coefficient enters the product as it is.  A Fraction coefficient whose
+    denominator `prime` divides raises PrimeDenominatorError."""
+    total = 0
+    for m, c in a.items():
+        if type(c) is int:
+            term = c
+        else:
+            den = c.denominator
+            if den % prime == 0:
+                raise PrimeDenominatorError(c)
+            term = c.numerator * pow(den, -1, prime)
+        x = m & _EXPS
+        while x:
+            # the highest set bit lies in the field of the next generator
+            i = (_DEG_SHIFT - x.bit_length()) // FIELD_BITS
+            s = _SHIFT[i]
+            e = x >> s
+            x -= e << s
+            v = values[i]
+            term = term * (v if e == 1 else pow(v, e, prime)) % prime
+        total += term
+    return total % prime
 
 
 # generator -> (slot offset, multiplier): the chain rule of a derivation

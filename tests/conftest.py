@@ -52,6 +52,16 @@ def field_from_dict(chart: Chart, entries: dict[str, Expr | str | int]) -> Vecto
     return VectorField(chart, tuple(comps))
 
 
+def neg_field(v: VectorField) -> VectorField:
+    """-v, component by component."""
+    return VectorField(v.chart, tuple(-c for c in v.components))
+
+
+def sub_fields(v: VectorField, w: VectorField) -> VectorField:
+    """v - w, component by component."""
+    return v + neg_field(w)
+
+
 @functools.lru_cache(maxsize=None)
 def _sympy_function(text: str, names: tuple[str, ...]):
     sympy = pytest.importorskip("sympy")

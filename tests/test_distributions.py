@@ -38,7 +38,7 @@ from flatkit.modelfile import build_system, load_model
 from flatkit.parser import parse
 from flatkit.system import prolong
 
-from conftest import coordinate_covector, coordinate_field, random_polynomial
+from conftest import coordinate_covector, coordinate_field, neg_field, random_polynomial
 
 
 def input_ladder(plant, steps):
@@ -451,7 +451,7 @@ def ref_cauchy_fields(d):
     for a in range(r):
         for b in range(a + 1, r):
             bracket[a, b] = next(pending)
-            bracket[b, a] = -bracket[a, b]
+            bracket[b, a] = neg_field(bracket[a, b])
     rows = [
         [chart.zero if a == b else pair(w, bracket[a, b]) for a in range(r)]
         for b in range(r)
@@ -506,7 +506,8 @@ def test_characteristic_pairs_each_bracket_once(monkeypatch):
     def refuse(v):
         raise AssertionError("a bracket was negated as a whole field")
 
-    monkeypatch.setattr(VectorField, "__neg__", refuse)
+    # fields have no negation of their own; one set here must go unused
+    monkeypatch.setattr(VectorField, "__neg__", refuse, raising=False)
     c = cauchy_characteristic(fresh)
     r = fresh.rank
     assert len(calls) == len(ann) * r * (r - 1) // 2

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flatkit.errors import (
+    ChartMismatchError,
     MonomialLimitError,
     ParseError,
     PoleError,
@@ -28,16 +29,16 @@ from flatkit.expr import (
     eval_at,
     strip_coordinate_constant,
     transfer,
+    transfer_all,
 )
 from flatkit.sample import (
     PRIME,
     SamplePoint,
-    _residue,
     draw_admissible,
     draw_point,
     random_rational,
 )
-from flatkit.sympoly import SLOTS, mono_items, p_add, p_const, p_mul, p_pow, p_var
+from flatkit.sympoly import SLOTS, mono_items, p_add, p_const, p_mul, p_pow, p_residue, p_var
 
 from conftest import mono, sympy_value
 
@@ -68,10 +69,13 @@ def test_integral_constants_are_one_expression(chart):
 
 
 def test_residue_of_integral_values():
-    assert _residue(3) == _residue(Fraction(3)) == _residue(Fraction(6, 2)) == 3
+    def residue(c):
+        return p_residue(p_const(c), [], PRIME)
+
+    assert residue(3) == residue(Fraction(3)) == residue(Fraction(6, 2)) == 3
     for den in (PRIME, 2 * PRIME):
         with pytest.raises(PrimeDenominatorError):
-            _residue(Fraction(1, den))
+            p_residue({0: Fraction(1, den)}, [], PRIME)
 
 
 def test_parse_precedence(chart):
@@ -671,6 +675,25 @@ def test_transfer_that_keeps_every_index_shares_the_polynomials(monkeypatch):
     # a generator that moves takes the renaming
     transfer(e, Chart(["y", "x"]))
     assert len(renames) == 2
+
+
+def test_transfer_all_registers_pairs_as_one_transfer_after_another():
+    source = Chart(["x", "y", "phi", "theta"], ["eps"])
+    texts = ["3", "x*sin(theta)", "0", "eps/(cos(phi) + 2)", "y*cos(theta)*sin(phi)"]
+    exprs = [source.parse(t) for t in texts]
+
+    def target():  # eps moves; the pairs of theta and phi are not there yet
+        return Chart(["w", "x", "y", "phi", "theta"], ["eps"])
+
+    one_by_one, together = target(), target()
+    want = [transfer(e, one_by_one) for e in exprs]
+    got = transfer_all(exprs, together)
+    assert together.gens() == one_by_one.gens()
+    assert [(e.num, e.den) for e in got] == [(e.num, e.den) for e in want]
+    assert got == [together.parse(t) for t in texts]
+    assert transfer_all(exprs, source) == exprs
+    with pytest.raises(ChartMismatchError):
+        transfer_all([exprs[1], target().parse("x")], together)
 
 
 # -- setting symbols to zero against sympy's subs ------------------------------------

@@ -24,8 +24,10 @@ from conftest import (
     coordinate_covector,
     coordinate_field,
     field_from_dict,
+    neg_field,
     random_field,
     random_polynomial,
+    sub_fields,
     sympy_value,
 )
 
@@ -99,7 +101,7 @@ def test_drift_bracket_with_last_coordinate_direction(seven_state):
     e7 = coordinate_field(seven_state.chart, "z7")
     got = lie_bracket(seven_state.f, e7)
     e6 = coordinate_field(seven_state.chart, "z6")
-    assert got == -e6
+    assert got == neg_field(e6)
 
 
 def test_antisymmetry_on_random_fields(rng):
@@ -140,10 +142,10 @@ def test_support_is_the_nonzero_components(vtol, rng):
         VectorField(chart, (chart.zero, x, chart.zero, x * x, chart.zero, chart.one)),
         CovectorField(chart, (x, chart.zero, chart.zero, chart.zero, chart.zero, chart.zero)),
         differential(chart.parse("x*vz + sin(theta)")),
-        vtol.f - vtol.f,
+        sub_fields(vtol.f, vtol.f),
         vtol.g1 + vtol.g2,
         vtol.g2.scale(x),
-        -vtol.g2,
+        neg_field(vtol.g2),
         transfer_field(vtol.f, chart.extend(["w"])),
         lie_bracket(vtol.f, vtol.g1),
         lie_bracket(vtol.g1, vtol.g2),
@@ -229,6 +231,44 @@ def test_repeated_bracket_returns_the_same_field(monkeypatch):
     assert first == field_from_dict(chart, {"a": "b^2 + a^3", "b": "-2*a^2*b"})
 
 
+def test_equal_fields_built_apart_share_one_bracket(monkeypatch):
+    chart = Chart(["a", "b"])
+    v = field_from_dict(chart, {"a": "b", "b": "a^2"})
+    w1 = field_from_dict(chart, {"a": "a*b"})
+    w2 = VectorField(chart, (chart.sym("a") * chart.sym("b"), chart.zero))
+    assert w1 == w2 and w1 is not w2
+    first = lie_bracket(v, w1)
+    monkeypatch.setattr(fields, "p_derive", refuse_derivatives)
+    assert lie_bracket(v, w2) is first
+
+
+def test_vanishing_brackets_are_the_charts_one_zero_field(monkeypatch):
+    chart = Chart(["a", "b", "c", "d"], ["eps"])
+    monkeypatch.setattr(fields, "p_derive", refuse_derivatives)
+    v = field_from_dict(chart, {"a": "a*b + eps", "b": "b^2"})
+    w = field_from_dict(chart, {"c": "d*eps", "d": "c*d - 1"})
+    da, db = coordinate_field(chart, "a"), coordinate_field(chart, "b")
+    zero = zero_field(chart)
+    assert lie_bracket(v, w) is zero and lie_bracket(w, v) is zero
+    assert lie_bracket(da, db) is zero and zero_field(chart) is zero
+    assert zero.is_zero() and zero.chart is chart
+    assert zero_field(Chart(["a", "b", "c", "d"], ["eps"])) is not zero
+
+
+def test_fields_on_different_charts_share_no_bracket():
+    chart, twin = Chart(["a", "b"]), Chart(["a", "b"])
+
+    def fields_on(c):
+        return field_from_dict(c, {"a": "b", "b": "a^2"}), field_from_dict(c, {"a": "a*b"})
+
+    (v, w), (tv, tw) = fields_on(chart), fields_on(twin)
+    first, second = lie_bracket(v, w), lie_bracket(tv, tw)
+    assert first.chart is chart and second.chart is twin and first != second
+    assert set(v._bracket_memo) == {w} and tw not in v._bracket_memo
+    assert set(tv._bracket_memo) == {tw} and w not in tv._bracket_memo
+    assert lie_bracket(tv, tw) is second
+
+
 def test_jacobi_identity_on_random_triples(rng):
     for _ in range(50):
         dim = rng.randint(2, 4)
@@ -253,7 +293,7 @@ def test_leibniz_rule_on_random_fields(rng):
         h = random_polynomial(chart, rng, degree=2)
         lhs = lie_bracket(v, w.scale(h))
         rhs = w.scale(lie_derivative(h, v)) + lie_bracket(v, w).scale(h)
-        assert (lhs - rhs).is_zero()
+        assert sub_fields(lhs, rhs).is_zero()
 
 
 def test_lie_derivative_orders(seven_state):
@@ -284,8 +324,8 @@ def test_field_arithmetic():
     v = field_from_dict(chart, {"a": "b"})
     w = field_from_dict(chart, {"a": "1", "b": "a"})
     assert (v + w) == field_from_dict(chart, {"a": "b + 1", "b": "a"})
-    assert (v - v).is_zero()
-    assert (-v) == field_from_dict(chart, {"a": "-b"})
+    assert sub_fields(v, v).is_zero()
+    assert neg_field(v) == field_from_dict(chart, {"a": "-b"})
     assert v.scale(chart.sym("a")) == field_from_dict(chart, {"a": "a*b"})
     assert zero_field(chart).is_zero()
 

@@ -86,6 +86,78 @@ def test_echelon_reports_pivot_columns():
     assert sorted(res.pivot_cols) == [0, 1]
 
 
+def _echelon_reference(matrix, chart):
+    """`echelon` as it was before it kept entry degrees per row: every
+    step takes the degree of every remaining entry outside the pivot
+    columns and rewrites every entry of a nonzero-head row."""
+    rows = [flatkit.linalg._clear_row_denominators(list(r), chart) for r in matrix]
+    m = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivot_cols, prev_pivot, used_cols, k = [], None, set(), 0
+    while k < m:
+        best = None
+        for i in range(k, m):
+            for j in range(ncols):
+                if j in used_cols or rows[i][j].is_zero():
+                    continue
+                cand = (rows[i][j].total_degree(), i, j)
+                if best is None or cand < best:
+                    best = cand
+        if best is None:
+            break
+        _, pi, pj = best
+        rows[k], rows[pi] = rows[pi], rows[k]
+        pivot = rows[k][pj]
+        for i in range(k + 1, m):
+            head = rows[i][pj]
+            if head.is_zero():
+                continue
+            new_row = []
+            for j in range(ncols):
+                if j == pj:
+                    new_row.append(chart.zero)
+                    continue
+                val = pivot * rows[i][j] - head * rows[k][j]
+                if prev_pivot is not None and not val.is_zero():
+                    val = val / prev_pivot
+                new_row.append(val)
+            rows[i] = new_row
+        prev_pivot = pivot
+        pivot_cols.append(pj)
+        used_cols.add(pj)
+        k += 1
+    return len(pivot_cols), rows, pivot_cols
+
+
+def test_echelon_matches_the_reference_on_sparse_matrices():
+    rng = random.Random(41)
+    chart = Chart(["a", "b", "theta"])
+    a, b = chart.sym("a"), chart.sym("b")
+    sin, cos = chart.parse("sin(theta)"), chart.parse("cos(theta)")
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.45:
+            return chart.zero
+        e = random_polynomial(chart, rng, degree=rng.randint(0, 2))
+        if kind < 0.65:
+            return e * rng.choice((sin, cos, sin * cos))
+        if kind < 0.8:
+            return e / (rng.choice((a, b, cos)) + rng.randint(1, 2))
+        return e
+
+    ranks = set()
+    for _ in range(150):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        m = [[entry() for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.4:
+            m[-1] = [x + y * a for x, y in zip(m[0], m[1])]  # a dependent row
+        got = echelon(m, chart)
+        assert (got.rank, got.rows, got.pivot_cols) == _echelon_reference(m, chart)
+        ranks.add(got.rank)
+    assert ranks >= {0, 1, 2, 3, 4}
+
+
 def test_right_nullspace_solves_exactly(rng):
     chart = Chart(["a", "b", "c"])
     for _ in range(20):
@@ -433,6 +505,27 @@ def test_rank_calls_on_one_chart_evaluate_an_entry_once_per_point(monkeypatch):
     assert engine.rank([[e, a], [e, a]], chart) == 1
     assert sum(x is e for x in evaluated) == POINTS
     assert sum(x is a for x in evaluated) == POINTS
+
+
+def test_expr_residue_walks_a_denominator_only_when_it_is_not_one(monkeypatch):
+    chart = Chart(["a", "b"])
+    a, b = chart.sym("a"), chart.sym("b")
+    walked = []
+    walk = flatkit.sample.p_residue
+
+    def recording(poly, values, prime):
+        walked.append(poly)
+        return walk(poly, values, prime)
+
+    monkeypatch.setattr(flatkit.sample, "p_residue", recording)
+    residue = flatkit.sample._expr_residue
+    poly, quotient = a * b + 2, a / (a - b)
+    assert residue(poly, [3, 5]) == 17
+    assert walked == [poly.num]  # a unit denominator is not walked
+    walked.clear()
+    assert residue(quotient, [3, 5]) == 3 * pow(-2, -1, PRIME) % PRIME
+    assert walked == [quotient.num, quotient.den]
+    assert residue(quotient, [4, 4]) is None  # a pole: the denominator vanishes
 
 
 def test_a_pole_at_a_shared_point_falls_back_to_a_fresh_point(monkeypatch):

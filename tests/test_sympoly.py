@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatkit import sympoly
-from flatkit.errors import MonomialLimitError
+from flatkit.errors import MonomialLimitError, PrimeDenominatorError
+from flatkit.expr import Chart
+from flatkit.sample import PRIME, modular_point
 from flatkit.sympoly import (
     MAX_EXP,
     SLOTS,
@@ -37,6 +39,7 @@ from flatkit.sympoly import (
     p_lead,
     p_mul,
     p_pow,
+    p_residue,
     p_scale,
     p_sqrt,
     p_sub,
@@ -698,3 +701,52 @@ def test_circle_reduction_cases():
     at_limit = p_mul(p_pow(s, 4), p_pow(c, MAX_EXP - 4))
     linear, quadratic = _both_circle_reductions(at_limit, pairs)
     assert linear == quadratic and mono_get(max(linear), 3) == MAX_EXP
+
+
+# -- residues mod p against the term-by-term formula ---------------------------------
+
+
+def _residue_by_terms(a, values):
+    """The reference: each term is its coefficient's residue num * den^-1
+    times the powers of its generators' residues, read by `mono_items`."""
+    total = 0
+    for m, c in a.items():
+        c = Fraction(c)
+        if c.denominator % PRIME == 0:
+            raise PrimeDenominatorError(c)
+        term = c.numerator * pow(c.denominator, -1, PRIME) % PRIME
+        for i, k in mono_items(m):
+            term = term * (values[i] if k == 1 else pow(values[i], k, PRIME)) % PRIME
+        total += term
+    return total % PRIME
+
+
+def test_residue_walk_matches_the_term_formula():
+    rng = random.Random(31)
+    # base symbols, a parameter and two sin/cos pairs on the half-angle circle
+    chart = Chart(["x", "y", "theta", "phi"], ["eps"])
+    chart.trig_pair("theta")
+    chart.trig_pair("phi")
+    n = len(chart.gens())
+    for _ in range(300):
+        values = modular_point(chart, rng)
+        a = {}
+        for _ in range(rng.randint(0, 6)):
+            exps = [0] * n
+            for i in rng.sample(range(n), rng.randint(0, 3)):
+                exps[i] = rng.choice((1, 2, rng.randint(3, MAX_EXP), MAX_EXP))
+            c = rng.choice((
+                rng.randint(-(10**30), 10**30) or 1,
+                Fraction(rng.randint(1, 99), rng.randint(2, 99)),
+                Fraction(rng.randint(-(10**30), -1), PRIME + rng.randint(1, 99)),
+            ))
+            a[mono(exps)] = c
+        assert p_residue(a, values, PRIME) == _residue_by_terms(a, values)
+    # a denominator that PRIME divides has no residue, wherever it sits
+    for c in (Fraction(1, PRIME), Fraction(-3, 2 * PRIME)):
+        for m in (0, mono([0, 2, 0, 1])):
+            a = {mono([1]): 1, m: c}
+            with pytest.raises(PrimeDenominatorError):
+                p_residue(a, [2, 3, 4, 5], PRIME)
+            with pytest.raises(PrimeDenominatorError):
+                _residue_by_terms(a, [2, 3, 4, 5])
