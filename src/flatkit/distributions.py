@@ -22,14 +22,18 @@ since a nonzero modular minor means a nonzero generic minor.
   That rank is then exact, the touched columns being an upper bound.
 - A rank rise, which proves "no".  When every generator of a span without
   a dual is in its basis, the sampled rank r is exact, the generator count
-  being an upper bound.  If the sampled rank of the basis plus some
-  candidates (the basis brackets for `is_involutive`, the other span's
-  generators for `contains`) exceeds r, a candidate lies outside the span:
-  not involutive, or not contained, with no exact dual built.  "Yes" still
-  needs the exact pairing.  So does a span with a dependent generator,
-  whose sampled rank may be too low: A = [t*e1] sampled at t = 0 has rank
-  0, and e1 then rises although it lies in A.  A span that has its dual
-  already (a dual span always does) skips the test.
+  being an upper bound.  If the rank of the basis plus some candidates
+  (the basis brackets for `is_involutive`, the other span's generators for
+  `contains`) exceeds r at one point, the chart's first shared point
+  (`RankEngine.lower_bound`), a candidate lies outside the span: not
+  involutive, or not contained, with no exact dual built.  One point
+  suffices, since only a rise is read and a modular rank never exceeds
+  the generic one; a rise the point misses is "not proven" and goes to
+  the dual.  "Yes" still needs the exact pairing.  So does a span with a
+  dependent generator, whose sampled rank may be too low: A = [t*e1]
+  sampled at t = 0 has rank 0, and e1 then rises although it lies in A.
+  A span that has its dual already (a dual span always does) skips the
+  test.
 
 An engine that under-reports misses a shortcut and meets the dual's
 cross-check instead.
@@ -136,8 +140,8 @@ class _Span:
         return self._dual
 
     def _rank_rises(self, candidates: Sequence) -> bool:
-        """True when one rank call proves that some candidate lies outside
-        the span (a rank rise, see the module docstring); False means "not
+        """True when one point proves that some candidate lies outside the
+        span (a rank rise, see the module docstring); False means "not
         proven", never "inside"."""
         if self._dual is not None:
             return False
@@ -146,7 +150,7 @@ class _Span:
         if not extra or len(basis) < len(self._generators) or len(basis) == self.chart.dim:
             return False
         rows = fields_matrix(basis + tuple(extra))
-        return len(self.engine.independent_rows(rows, self.chart)) > len(basis)
+        return self.engine.lower_bound(rows, self.chart, len(basis)) > len(basis)
 
     def _contains(self, x) -> bool:
         """Exact membership: x pairs to zero with every generator of the dual."""
@@ -175,6 +179,7 @@ class Distribution(_Span):
         engine: RankEngine,
     ) -> None:
         super().__init__(chart, fields, engine)
+        self._brackets: Optional[tuple[VectorField, ...]] = None
         self._involutive: Optional[bool] = None
         self._cauchy: Optional[Distribution] = None
 
@@ -199,11 +204,16 @@ class Distribution(_Span):
         """Exact membership test via the annihilator pairing."""
         return self._contains(v)
 
-    def _basis_brackets(self) -> list[VectorField]:
-        """[b_i, b_j] for i < j over the basis, row by row; `lie_bracket`'s
-        memo takes each once."""
-        b = self.basis()
-        return [lie_bracket(b[i], b[j]) for i in range(len(b)) for j in range(i + 1, len(b))]
+    def _basis_brackets(self) -> tuple[VectorField, ...]:
+        """[b_i, b_j] for i < j over the basis, row by row, computed once per
+        span: the involutivity test, `derived_step` and the Cauchy
+        characteristic all read this tuple."""
+        if self._brackets is None:
+            b = self.basis()
+            self._brackets = tuple(
+                lie_bracket(b[i], b[j]) for i in range(len(b)) for j in range(i + 1, len(b))
+            )
+        return self._brackets
 
     def is_involutive(self) -> bool:
         if self._involutive is None:

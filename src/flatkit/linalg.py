@@ -7,11 +7,14 @@ independent rows behind them, by evaluating a matrix at random points of
 the prime field F_p, p = 2^61 - 1 (see `sample`).
 A modular rank can only fall below the generic rank, never exceed it, and by
 the Schwartz-Zippel lemma one point misses with probability at most D/p for
-a nonzero minor of degree D.  The engine draws every point in one place and
-shares the points of a chart among its calls, evaluating each expression
-once per point; sharing keeps the union bound over a question's rank
-decisions, because the matrices on the path where every decision is right
-do not depend on the points (see `RankEngine`).  An exact check sits where
+a nonzero minor of degree D.  So a read that only needs a lower bound
+("does the rank exceed k?", answered yes or "not proven") uses one point,
+`RankEngine.lower_bound`; a rank the report prints takes up to POINTS
+points, `RankEngine.independent_rows`.  The engine draws every point in
+one place and shares the points of a chart among its calls, evaluating
+each expression once per point; sharing keeps the union bound over a
+question's rank decisions, because the matrices on the path where every
+decision is right do not depend on the points (see `RankEngine`).  An exact check sits where
 a verdict reads a rank: the exact duals of `distributions` check the
 sequence ranks (the annihilator or coannihilator of a span cross-checks its
 sampled rank when it is built), and the rank check of
@@ -271,29 +274,47 @@ def rank_at_point(matrix: Matrix, point: SamplePoint) -> int:
     return rank
 
 
-def _prefix_ranks(rows: list[dict[int, int]]) -> list[int]:
+def _prefix_ranks(rows: list[dict[int, int]], stop: Optional[int] = None) -> list[int]:
     """Ranks mod PRIME of rows[:1], rows[:2], ... by one forward elimination
-    on sparse rows, {column: nonzero residue}; the rows are reduced in place.
-    Each pivot row is scaled to 1 in its pivot column and is zero in every
-    earlier pivot column, so reducing by the pivots in turn clears them all."""
-    pivots: list[tuple[int, dict[int, int]]] = []
+    on sparse rows, {column: nonzero residue}, with no modular inverse.
+
+    Each pivot is kept as (column, pivot residue, the rest of its row); the
+    rest is zero in every earlier pivot column.  A row is reduced by the
+    pivots in turn: its entry f in the pivot column is popped, the row is
+    scaled by the pivot residue p (skipped when p is 1) and f times the rest
+    is subtracted, which is p*row - f*pivot row.  Scaling by a unit changes
+    no rank, so no pivot row is normalized.  The rows are consumed: a row
+    that becomes a pivot is its rest.  With `stop`, the elimination quits
+    once the rank passes it, so the list may be shorter than `rows`."""
+    pivots: list[tuple[int, int, dict[int, int]]] = []
     out: list[int] = []
     for row in rows:
-        for col, prow in pivots:
-            f = row.get(col)
+        for col, p, rest in pivots:
+            f = row.pop(col, 0)
             if f:
-                for c, b in prow.items():
+                if p != 1:
+                    row = {c: a * p % PRIME for c, a in row.items()}
+                for c, b in rest.items():
                     v = (row.get(c, 0) - f * b) % PRIME
                     if v:
                         row[c] = v
                     else:
                         row.pop(c, None)
         if row:
-            col, v = next(iter(row.items()))
-            inv = pow(v, -1, PRIME)
-            pivots.append((col, {c: a * inv % PRIME for c, a in row.items()}))
+            col, p = row.popitem()
+            pivots.append((col, p, row))
         out.append(len(pivots))
+        if stop is not None and len(pivots) > stop:
+            break
     return out
+
+
+def _nonzero_cells(matrix: Matrix) -> tuple[list[tuple[int, int]], list[Expr]]:
+    """The (row, column) cells of the nonzero entries, and those entries.
+    Only they are evaluated and eliminated: a zero entry has no pole and no
+    residue, so leaving it out draws the same points."""
+    cells = [(i, j) for i, row in enumerate(matrix) for j, e in enumerate(row) if e.num]
+    return cells, [matrix[i][j] for i, j in cells]
 
 
 class _ChartSampling:
@@ -312,12 +333,20 @@ class _ChartSampling:
 class RankEngine:
     """Generic ranks of symbolic matrices from seeded points in F_p.
 
-    Each call evaluates every nonzero entry at up to POINTS admissible
-    points and takes, prefix by prefix, the largest rank seen: modular ranks
-    never exceed generic ones, so the maximum is the generic rank unless
-    every point hit a vanishing minor of that prefix (for a minor of degree
-    D, probability at most (D/p)^POINTS).  It stops after one point when the
-    first min(m, n) rows are already independent.
+    `independent_rows` evaluates every nonzero entry at up to POINTS
+    admissible points and takes, prefix by prefix, the largest rank seen:
+    modular ranks never exceed generic ones, so the maximum is the generic
+    rank unless every point hit a vanishing minor of that prefix (for a
+    minor of degree D, probability at most (D/p)^POINTS).  It stops after
+    one point when the first min(m, n) rows are already independent.
+
+    `lower_bound` reads the first shared point only.  Its callers, the
+    rank-rise test of `distributions` and the jet-block pre-check of
+    `system.verify_flat_output`, read only "the rank exceeds k", and one
+    point with rank above k proves that, with no probability involved.  A
+    rise the point misses (probability at most D/p) goes to the exact
+    dual or echelon, just as any "not proven" does, so no answer rests on
+    it.
 
     Every point is drawn in one place, `_residues`, from the engine's seeded
     RNG.  The k-th point of a chart is drawn when a call first needs it and
@@ -377,33 +406,46 @@ class RankEngine:
             points.append(point)
         return residues_at(entries, point)
 
+    def _rows_at(
+        self, chart: Chart, k: int, m: int, cells: list[tuple[int, int]], entries: list[Expr]
+    ) -> list[dict[int, int]]:
+        """The m sparse rows of residues of `entries`, at `cells`, at the
+        chart's k-th shared point."""
+        rows: list[dict[int, int]] = [{} for _ in range(m)]
+        for (i, j), v in zip(cells, self._residues(self._sampling(chart), k, entries)):
+            if v:
+                rows[i][j] = v
+        return rows
+
     def independent_rows(self, matrix: Matrix, chart: Chart) -> list[int]:
         """Indices of the greedy independent rows: row i is taken iff it
         raises the generic rank of the rows before it.  Their number is the
         generic rank of the matrix."""
         m = len(matrix)
-        # only nonzero entries are evaluated and eliminated: a zero entry
-        # has no pole and no residue, so the points drawn stay the same
-        cells = [
-            (i, j) for i, row in enumerate(matrix) for j, e in enumerate(row) if not e.is_zero()
-        ]
+        cells, entries = _nonzero_cells(matrix)
         if not cells:
             return []
         full = min(m, len(matrix[0]))
-        entries = [matrix[i][j] for i, j in cells]
-        state = self._sampling(chart)
         best = [0] * m
         for k in range(POINTS):
-            residues = self._residues(state, k, entries)
-            rows: list[dict[int, int]] = [{} for _ in range(m)]
-            for (i, j), v in zip(cells, residues):
-                if v:
-                    rows[i][j] = v
-            ranks = _prefix_ranks(rows)
+            ranks = _prefix_ranks(self._rows_at(chart, k, m, cells, entries))
             best = [max(a, b) for a, b in zip(best, ranks)]
             if best[full - 1] == full:
                 break  # the first min(m, n) rows are independent: no point can do better
         return [i for i in range(m) if best[i] > (best[i - 1] if i else 0)]
+
+    def lower_bound(self, matrix: Matrix, chart: Chart, stop: int) -> int:
+        """The rank of the matrix at the chart's first shared point, counted
+        until it passes `stop`: min(that rank, stop + 1).  It is a proven
+        lower bound on the generic rank, so it answers "does the rank exceed
+        `stop`?" when it says yes; a no is only "not proven"."""
+        if stop < 0:
+            return 0
+        cells, entries = _nonzero_cells(matrix)
+        if not cells:
+            return 0
+        ranks = _prefix_ranks(self._rows_at(chart, 0, len(matrix), cells, entries), stop)
+        return ranks[-1]
 
     def rank(self, matrix: Matrix, chart: Chart) -> int:
         return len(self.independent_rows(matrix, chart))

@@ -38,7 +38,13 @@ from flatkit.modelfile import build_system, load_model
 from flatkit.parser import parse
 from flatkit.system import prolong
 
-from conftest import coordinate_covector, coordinate_field, neg_field, random_polynomial
+from conftest import (
+    coordinate_covector,
+    coordinate_field,
+    field_from_dict,
+    neg_field,
+    random_polynomial,
+)
 
 
 def input_ladder(plant, steps):
@@ -514,6 +520,31 @@ def test_characteristic_pairs_each_bracket_once(monkeypatch):
     assert [v.components for v in c.fields] == [
         v.components for v in cauchy_characteristic(d).fields
     ]
+
+
+def test_one_bracket_list_per_span(monkeypatch):
+    """The basis brackets are computed once, by the first involutivity
+    test; the Cauchy characteristic and the derived step read them."""
+    chart = Chart(["x1", "x2", "x3", "x4", "x5"])
+    calls = []
+    monkeypatch.setattr(
+        distributions, "lie_bracket", lambda v, w: calls.append((v, w)) or lie_bracket(v, w)
+    )
+    d = span(
+        chart,
+        (
+            field_from_dict(chart, {"x1": 1}),
+            field_from_dict(chart, {"x2": 1, "x4": "x1"}),
+            field_from_dict(chart, {"x3": 1, "x5": "x2"}),
+        ),
+        RankEngine(seed=3),
+    )
+    assert not d.is_involutive()
+    r = d.rank
+    assert r == 3 and len(calls) == r * (r - 1) // 2
+    assert cauchy_characteristic(d).is_empty()
+    assert derived_step(d).rank == 5
+    assert len(calls) == r * (r - 1) // 2
 
 
 # --- intersections ---

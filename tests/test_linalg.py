@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,11 +14,13 @@ from hypothesis import strategies as st
 import flatkit.linalg
 import flatkit.sample
 from flatkit.cli import main
+from flatkit.distributions import Distribution
 from flatkit.errors import PrimeDenominatorError, SampleExhaustedError
 from flatkit.expr import Chart
 from flatkit.linalg import (
     POINTS,
     RankEngine,
+    _prefix_ranks,
     echelon,
     exact_independent_rows,
     exact_rank,
@@ -34,9 +37,11 @@ from flatkit.sample import (
     residues_at,
 )
 
-from conftest import random_polynomial
+from conftest import field_from_dict, random_polynomial
+from test_cli import PINNED_REPORTS, _pinned_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def random_matrix_of_rank(chart, rng, rows, cols, rank):
@@ -586,3 +591,172 @@ def test_a_chart_that_gains_a_generator_gets_new_points():
     assert engine.rank([[s, chart.zero], [b, chart.zero]], chart) == 1
     assert engine.rank([[s, chart.one], [b, chart.zero]], chart) == 2
     assert engine._sampling(chart).points[0] is not before[0]
+
+
+# --- one-point lower bounds and the inverse-free elimination ---
+
+
+def _prefix_ranks_normalized(rows):
+    """The elimination `_prefix_ranks` replaced: each pivot row is scaled to
+    1 in its pivot column by a modular inverse, and kept as a copy."""
+    pivots = []
+    out = []
+    for row in rows:
+        for col, prow in pivots:
+            f = row.get(col)
+            if f:
+                for c, b in prow.items():
+                    v = (row.get(c, 0) - f * b) % PRIME
+                    if v:
+                        row[c] = v
+                    else:
+                        row.pop(c, None)
+        if row:
+            col, v = next(iter(row.items()))
+            inv = pow(v, -1, PRIME)
+            pivots.append((col, {c: a * inv % PRIME for c, a in row.items()}))
+        out.append(len(pivots))
+    return out
+
+
+def _residue_rows(rng, m, ncols):
+    """Sparse rows mod PRIME: zero rows, unit rows, rows with entries
+    PRIME - 1, repeated and scaled rows, combinations of earlier rows (which
+    reduce to zero) and random rows."""
+    rows = []
+    for _ in range(m):
+        kind = rng.randrange(6) if rows else rng.choice((0, 1, 5))
+        if kind == 0:
+            row = {}
+        elif kind == 1:
+            row = {rng.randrange(ncols): 1}
+        elif kind == 2:
+            row = dict(rng.choice(rows))
+        elif kind == 3:
+            s = rng.choice((PRIME - 1, rng.randrange(1, PRIME)))
+            row = {c: a * s % PRIME for c, a in rng.choice(rows).items()}
+        elif kind == 4:
+            acc = {}
+            for _ in range(2):
+                s = rng.randrange(1, PRIME)
+                for c, a in rng.choice(rows).items():
+                    acc[c] = (acc.get(c, 0) + s * a) % PRIME
+            row = {c: a for c, a in acc.items() if a}
+        else:
+            row = {
+                c: rng.choice((1, PRIME - 1, rng.randrange(1, PRIME)))
+                for c in rng.sample(range(ncols), rng.randint(1, ncols))
+            }
+        rows.append(row)
+    return rows
+
+
+def test_prefix_ranks_match_the_normalized_elimination():
+    rng = random.Random(33)
+    for _ in range(300):
+        m, ncols = rng.randint(1, 8), rng.randint(1, 6)
+        rows = _residue_rows(rng, m, ncols)
+        expected = _prefix_ranks_normalized([dict(r) for r in rows])
+        assert _prefix_ranks([dict(r) for r in rows]) == expected
+        for stop in range(-1, m + 1):
+            # the list ends at the first prefix whose rank passes stop
+            end = next((i + 1 for i, r in enumerate(expected) if r > stop), m)
+            assert _prefix_ranks([dict(r) for r in rows], stop) == expected[:end]
+
+
+def test_prefix_ranks_take_no_modular_inverse(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a modular inverse was taken")
+
+    monkeypatch.setattr(flatkit.linalg, "pow", refuse, raising=False)
+    rows = [{0: 2, 1: 3}, {0: 4, 1: PRIME - 1}, {1: 5, 2: 7}, {0: 6, 1: 9}]
+    assert _prefix_ranks(rows) == [1, 2, 3, 3]
+
+
+def test_lower_bound_is_the_one_point_rank_until_it_passes_stop(rng):
+    chart = Chart(["a", "b", "c"])
+    engine = RankEngine(seed=5)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = random_matrix_of_rank(chart, rng, rows, cols, rng.randint(0, min(rows, cols)))
+        exact = exact_rank(m, chart)
+        for stop in range(-1, rows + 1):
+            bound = engine.lower_bound(m, chart, stop)
+            assert bound <= exact and bound <= stop + 1
+            # one point misses a nonzero minor of degree D with probability D/p
+            assert bound == min(exact, stop + 1)
+
+
+def test_lower_bound_stops_at_stop_plus_one(monkeypatch):
+    chart = Chart(["a"])
+    a, zero = chart.sym("a"), chart.zero
+    eye = [[a + i if i == j else zero for j in range(4)] for i in range(4)]
+    eliminated = []
+    ranks = flatkit.linalg._prefix_ranks
+
+    def recording(rows, stop=None):
+        out = ranks(rows, stop)
+        eliminated.append(len(out))
+        return out
+
+    monkeypatch.setattr(flatkit.linalg, "_prefix_ranks", recording)
+    engine = RankEngine(seed=1)
+    assert [engine.lower_bound(eye, chart, stop) for stop in range(6)] == [1, 2, 3, 4, 4, 4]
+    # the elimination quits at the row that passes stop
+    assert eliminated == [1, 2, 3, 4, 4, 4]
+    assert engine.lower_bound(eye, chart, -1) == 0
+    assert engine.lower_bound([[zero, zero]], chart, 1) == 0
+    assert len(engine._sampling(chart).points) == 1
+
+
+def test_rank_rises_draw_no_second_point():
+    """A rank-rise test that proves nothing reads the first shared point
+    only; the exact dual answers instead."""
+    chart = Chart(["x", "y", "z"])
+    engine = RankEngine(seed=2)
+    # span{d/dx + d/dy + d/dz, x d/dx} is involutive: its bracket is d/dx
+    d = Distribution(
+        chart,
+        [field_from_dict(chart, {"x": 1, "y": 1, "z": 1}), field_from_dict(chart, {"x": "x"})],
+        engine,
+    )
+    assert d.is_involutive()
+    inside = Distribution(chart, [field_from_dict(chart, {"y": 1, "z": 1})], engine)
+    outside = Distribution(chart, [field_from_dict(chart, {"y": 1})], engine)
+    assert d.contains(inside) and not d.contains(outside)
+    e = Distribution(
+        chart, [field_from_dict(chart, {"x": 1}), field_from_dict(chart, {"y": 1, "z": "x"})], engine
+    )
+    assert not e.is_involutive()
+    assert len(engine._sampling(chart).points) == 1
+
+
+def _answers_of_spans(seed):
+    """is_involutive and contains on seeded spans of polynomial fields."""
+    rng = random.Random(seed)
+    chart = Chart(["x", "y", "z", "w"])
+    engine = RankEngine(seed=seed)
+    out = []
+    for _ in range(12):
+        coords = rng.sample(chart.coordinates, 3)
+        fields = [
+            field_from_dict(chart, {c: random_polynomial(chart, rng, 1) for c in coords})
+            for _ in range(rng.randint(1, 3))
+        ]
+        d = Distribution(chart, fields, engine)
+        other = Distribution(chart, [fields[0], field_from_dict(chart, {coords[0]: 1})], engine)
+        out.append((d.is_involutive(), d.contains(other), d.contains(d)))
+    return out
+
+
+def test_answers_hold_when_no_rank_rise_is_proven(monkeypatch, tmp_path, capsys):
+    """With a lower bound that never proves a rise, every answer goes
+    through the exact duals and the exact jet-block echelon, and stays the
+    same: the pinned reports, and involutivity and membership of spans."""
+    spans = _answers_of_spans(4)
+    monkeypatch.setattr(RankEngine, "lower_bound", lambda self, matrix, chart, stop: 0)
+    assert _answers_of_spans(4) == spans
+    for name, command, code in PINNED_REPORTS:
+        verb, model, *rest = shlex.split(command)
+        assert main([verb, _pinned_model(tmp_path, model), *rest]) == code
+        assert capsys.readouterr().out == (DATA / f"{name}.json").read_text(), name
