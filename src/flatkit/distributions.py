@@ -150,7 +150,7 @@ class _Span:
         if not extra or len(basis) < len(self._generators) or len(basis) == self.chart.dim:
             return False
         rows = fields_matrix(basis + tuple(extra))
-        return self.engine.lower_bound(rows, self.chart, len(basis)) > len(basis)
+        return self.engine.lower_bound(rows, self.chart) > len(basis)
 
     def _contains(self, x) -> bool:
         """Exact membership: x pairs to zero with every generator of the dual."""

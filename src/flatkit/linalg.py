@@ -274,7 +274,7 @@ def rank_at_point(matrix: Matrix, point: SamplePoint) -> int:
     return rank
 
 
-def _prefix_ranks(rows: list[dict[int, int]], stop: Optional[int] = None) -> list[int]:
+def _prefix_ranks(rows: list[dict[int, int]]) -> list[int]:
     """Ranks mod PRIME of rows[:1], rows[:2], ... by one forward elimination
     on sparse rows, {column: nonzero residue}, with no modular inverse.
 
@@ -284,8 +284,7 @@ def _prefix_ranks(rows: list[dict[int, int]], stop: Optional[int] = None) -> lis
     scaled by the pivot residue p (skipped when p is 1) and f times the rest
     is subtracted, which is p*row - f*pivot row.  Scaling by a unit changes
     no rank, so no pivot row is normalized.  The rows are consumed: a row
-    that becomes a pivot is its rest.  With `stop`, the elimination quits
-    once the rank passes it, so the list may be shorter than `rows`."""
+    that becomes a pivot is its rest."""
     pivots: list[tuple[int, int, dict[int, int]]] = []
     out: list[int] = []
     for row in rows:
@@ -304,8 +303,6 @@ def _prefix_ranks(rows: list[dict[int, int]], stop: Optional[int] = None) -> lis
             col, p = row.popitem()
             pivots.append((col, p, row))
         out.append(len(pivots))
-        if stop is not None and len(pivots) > stop:
-            break
     return out
 
 
@@ -434,18 +431,14 @@ class RankEngine:
                 break  # the first min(m, n) rows are independent: no point can do better
         return [i for i in range(m) if best[i] > (best[i - 1] if i else 0)]
 
-    def lower_bound(self, matrix: Matrix, chart: Chart, stop: int) -> int:
-        """The rank of the matrix at the chart's first shared point, counted
-        until it passes `stop`: min(that rank, stop + 1).  It is a proven
-        lower bound on the generic rank, so it answers "does the rank exceed
-        `stop`?" when it says yes; a no is only "not proven"."""
-        if stop < 0:
-            return 0
+    def lower_bound(self, matrix: Matrix, chart: Chart) -> int:
+        """The rank of the matrix at the chart's first shared point.  It is a
+        proven lower bound on the generic rank, so it answers "does the rank
+        exceed k?" when it says yes; a no is only "not proven"."""
         cells, entries = _nonzero_cells(matrix)
         if not cells:
             return 0
-        ranks = _prefix_ranks(self._rows_at(chart, 0, len(matrix), cells, entries), stop)
-        return ranks[-1]
+        return _prefix_ranks(self._rows_at(chart, 0, len(matrix), cells, entries))[-1]
 
     def rank(self, matrix: Matrix, chart: Chart) -> int:
         return len(self.independent_rows(matrix, chart))

@@ -276,19 +276,17 @@ def verify_flat_output(jets: OutputJets) -> FlatVerdict:
     `spans_states` and `stacked_rank`: every pass is exact, since it needs
     both.  Only a failed check rests on sampling.  The echelon runs only
     when the check can still find span{dx}: the rank of J at one point is
-    a lower bound as well (`RankEngine.lower_bound`, which stops counting
-    once it passes stacked rank - n), so a stacked rank below n plus it is
-    below n + rank J.  A point that misses the rank of J only sends the
-    check on to the echelon.
+    a lower bound as well (`RankEngine.lower_bound`), so a stacked rank
+    below n plus it is below n + rank J.  A point that misses the rank of
+    J only sends the check on to the echelon.
     """
     sys, cand, ch = jets.system, jets.candidate, jets.chart
     rows = fields_matrix(jets.differentials[0] + jets.differentials[1])
     stacked_rank = sys.engine.rank(rows, ch)
     # the rungs below K see no input: their jet rows are zero
     jet_block = [row[sys.n:] for row in rows if any(not e.is_zero() for e in row[sys.n:])]
-    room = stacked_rank - sys.n  # the rank of J that equality needs
-    spans_states = sys.engine.lower_bound(jet_block, ch, room) <= room and (
-        exact_rank(jet_block, ch) == room
+    spans_states = stacked_rank >= sys.n + sys.engine.lower_bound(jet_block, ch) and (
+        stacked_rank == sys.n + exact_rank(jet_block, ch)
     )
     required = sys.n + cand.d
     return FlatVerdict(

@@ -1,7 +1,6 @@
 """Check that two flatkit source trees give the same answers to the benchmark.
 
     python tools/same_answers.py PARENT_TREE CHANGE_TREE [--seeds 1 3 7]
-                                 [--workloads analyze verify-deep verify-sweep]
 
 For each seed and workload, the questions are built once, with flatbench's
 `run.make_questions` from the tree this script lives in (model files go to
@@ -70,15 +69,13 @@ def main() -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 3, 7])
-    parser.add_argument("--workloads", nargs="+", default=None)
     args = parser.parse_args()
     sys.path.insert(0, str(FLATBENCH))
     import run  # flatbench's runner: imported for make_questions only
 
-    workloads = args.workloads or list(run.WORKLOADS)
     same = True
     for seed in args.seeds:
-        for workload in workloads:
+        for workload in run.WORKLOADS:
             with tempfile.TemporaryDirectory() as tmp:
                 work = Path(tmp)
                 questions, _ = run.make_questions(workload, seed, work)
