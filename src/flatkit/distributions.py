@@ -19,7 +19,11 @@ since a nonzero modular minor means a nonzero generic minor.
 - A coordinate span.  When the rank equals the number of columns the
   generators touch (the union of their supports), the span is span{d/dx_c}
   or span{dx_c} over those columns, which is involutive and integrable.
-  That rank is then exact, the touched columns being an upper bound.
+  That rank is then exact, the touched columns being an upper bound.  Its
+  dual is spanned by the units of the untouched columns, which `_dual_span`
+  writes down with no elimination: they are the vectors `right_nullspace`
+  returns for columns that are zero in every row, and the block of touched
+  columns, of full column rank, adds none.
 - A rank rise, which proves "no".  When every generator of a span without
   a dual is in its basis, the sampled rank r is exact, the generator count
   being an upper bound.  If the rank of the basis plus some candidates
@@ -114,26 +118,36 @@ class _Span:
             self._basis = tuple(self._generators[i] for i in picked)
         return self._basis
 
+    def _touched_columns(self) -> set[int]:
+        return set().union(*(g.support for g in self._generators))
+
     def _is_coordinate_span(self) -> bool:
         """The rank reaches the number of touched columns, so the span is the
         coordinate span over them (see the module docstring)."""
-        touched = set().union(*(g.support for g in self._generators))
-        return self.rank == len(touched)
+        return self.rank == len(self._touched_columns())
 
     def _dual_span(self) -> "_Span":
-        """The exact dual span, whose rank cross-checks the sampled one."""
+        """The exact dual span, whose rank cross-checks the sampled one; a
+        coordinate span's dual is the units of its untouched columns."""
         if self._dual is None:
-            rows = fields_matrix(self._generators)
-            sols = right_nullspace(rows, self.chart, ncols=self.chart.dim)
-            exact = self.chart.dim - len(sols)
-            if exact != self.rank:
-                raise RankDisagreementError(
-                    f"sampled rank {self.rank} != exact rank {exact}"
-                )
+            chart, touched = self.chart, self._touched_columns()
+            if self.rank == len(touched):
+                # the rank is exact, so no elimination: these are the unit
+                # solutions `right_nullspace` gives its dead columns
+                sols = [
+                    [chart.one if j == c else chart.zero for j in range(chart.dim)]
+                    for c in range(chart.dim)
+                    if c not in touched
+                ]
+            else:
+                sols = right_nullspace(fields_matrix(self._generators), chart, ncols=chart.dim)
+                exact = chart.dim - len(sols)
+                if exact != self.rank:
+                    raise RankDisagreementError(
+                        f"sampled rank {self.rank} != exact rank {exact}"
+                    )
             kind = self._dual_kind
-            dual = kind(
-                self.chart, [kind._element(self.chart, tuple(s)) for s in sols], self.engine
-            )
+            dual = kind(chart, [kind._element(chart, tuple(s)) for s in sols], self.engine)
             # independent: each solution alone is nonzero in its free column
             dual._basis, dual._dual = dual._generators, self
             self._dual = dual

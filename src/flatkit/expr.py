@@ -36,7 +36,9 @@ never construct an Expr with `_raw=True`:
   denominator is 1;
 * `Chart.index(name)` is the generator index of a symbol;
 * `chain(chart, {s: (slot, m)})` is the chain rule of a derivation;
-* `exact_sqrt(e)` is a square root in the expression field.
+* `exact_sqrt(e)` is a square root in the expression field;
+* `clear_sines(chart, num, den)` scales a polynomial quotient by the sine
+  conjugates of its denominator, which leaves a sine-free denominator.
 
 These results are canonical as built and skip `_canonicalize`:
 
@@ -469,6 +471,14 @@ def _clear_sin_denominator(
             num = p_circle_reduce(p_mul(num, conj), s2c, high)
             den = p_circle_reduce(p_mul(den, conj), s2c, high)
     return num, den
+
+
+def clear_sines(chart: Chart, num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """(num * c, den * c), circle-reduced, for trig-reduced polynomials num
+    and den != 0, where c is the product of den's sine conjugates (see
+    `_clear_sin_denominator`): den * c is sine-free and num/den unchanged,
+    and a sine-free den comes back with c = 1."""
+    return _clear_sin_denominator(chart._sin_to_cos, chart._circle_high, num, den)
 
 
 def _monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:

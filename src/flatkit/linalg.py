@@ -2,7 +2,16 @@
 
 Nullspaces, echelon forms, `exact_rank` and `exact_independent_rows` are
 exact; `exact_independent_rows` serves first integrals only, whose function
-list is rendered.  `RankEngine` finds generic ranks, and the greedy
+list is rendered.  `echelon` eliminates fraction-free (Bareiss 1968) and
+`right_nullspace` back-substitutes fraction-free too: each solution stays a
+polynomial multiple lam * x of the rational solution x, with lam sine-free,
+and comes out in the free-column normal form (`_free_solution`), the one
+`normalize_vector` gives x, with no canonicalizing division.  lam must be
+sine-free because only then does lam * x equal x up to a factor in the
+plain polynomial ring, a UFD, where a vector's common factor is unique;
+the circle ring is not a UFD.  `normalize_vector` stays for vectors that
+are not nullspace solutions: the combinations of the Cauchy characteristic
+and the echelon rows that first integrals integrate.  `RankEngine` finds generic ranks, and the greedy
 independent rows behind them, by evaluating a matrix at random points of
 the prime field F_p, p = 2^61 - 1 (see `sample`).
 A modular rank can only fall below the generic rank, never exceed it, and by
@@ -25,9 +34,10 @@ the exact rational counterpart, kept as a reference.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .expr import Chart, Expr, eval_at, transfer
+from .expr import Chart, Expr, clear_sines, eval_at, transfer
 from .sample import PRIME, ModularPoint, SamplePoint, admissible_point, residues_at
 from . import sympoly
 
@@ -37,19 +47,29 @@ Matrix = list[list[Expr]]
 # when the first min(m, n) rows are already independent.
 POINTS = 2
 
+# the denominator of a polynomial; a canonical denominator is monic, so a
+# constant one is this
+_ONE = sympoly.p_const(1)
+
 
 def _clear_row_denominators(row: Sequence[Expr], chart: Chart) -> list[Expr]:
     """Scale a row to polynomial entries (denominator 1) by the primitive lcm
-    of its denominators; a row of polynomials comes back as it is."""
-    den = sympoly.p_const(1)
-    for e in row:
-        if not sympoly.p_is_const(e.den):
-            den = sympoly.p_lcm(den, e.den)
-    if sympoly.p_is_const(den):
+    of its denominators; a row of polynomials comes back as it is.  Each
+    entry a/b becomes a * (lcm/b), an exact quotient in the plain ring, and
+    an lcm of sine-free denominators is sine-free, so the product is
+    trig-reduced and no entry is canonicalized."""
+    dens = [e.den for e in row if e.den != _ONE]
+    if not dens:
         return list(row)
-    # an lcm of sine-free denominators is sine-free, so trig-reduced
-    factor = chart.poly(den)
-    return [e * factor for e in row]
+    den = _ONE
+    for d in dens:
+        den = sympoly.p_lcm(den, d)
+    out = []
+    for e in row:
+        q = sympoly.p_div_exact(den, e.den)
+        assert q is not None
+        out.append(chart.poly(sympoly.p_mul(e.num, q)) if e.num else e)
+    return out
 
 
 class EchelonResult(NamedTuple):
@@ -58,10 +78,15 @@ class EchelonResult(NamedTuple):
     pivot_cols: list[int]   # pivot column of rows[k]
 
 
-def _least_degree(row: list[Expr]) -> Optional[tuple[int, int]]:
+def _least_degree(row: list[Expr], polynomial: bool) -> Optional[tuple[int, int]]:
     """(total degree, column) of the row's least-degree nonzero entry, the
-    lowest column among equals; None for a zero row."""
-    degrees = [(e.total_degree(), j) for j, e in enumerate(row) if e.num]
+    lowest column among equals; None for a zero row.  In a row of
+    polynomials each degree is read off the numerator's packed leading
+    monomial."""
+    if polynomial:
+        degrees = [(sympoly.p_total_degree(e.num), j) for j, e in enumerate(row) if e.num]
+    else:
+        degrees = [(e.total_degree(), j) for j, e in enumerate(row) if e.num]
     return min(degrees) if degrees else None
 
 
@@ -77,15 +102,20 @@ def echelon(matrix: Matrix, chart: Chart) -> EchelonResult:
     as a candidate.  The degrees of a row's entries are taken once, when
     the row is built or an elimination step rewrites it; a zero-head row
     keeps its candidate.  An entry that is zero in both the row and the
-    pivot row stays zero with no arithmetic.
+    pivot row stays zero with no arithmetic.  Every row starts with
+    polynomial entries (a row of polynomials is not scanned again), and a
+    rewritten row stays polynomial while its rows were and each Bareiss
+    division is exact; the degrees of such a row come from the numerators
+    alone.
     """
-    rows: Matrix = [_clear_row_denominators(list(r), chart) for r in matrix]
+    rows: Matrix = [_clear_row_denominators(r, chart) for r in matrix]
     m = len(rows)
     ncols = len(rows[0]) if rows else 0
     for r in rows:
         if len(r) != ncols:
             raise ValueError("ragged matrix")
-    least = [_least_degree(r) for r in rows]
+    least = [_least_degree(r, True) for r in rows]
+    polynomial = [True] * m
     zero = chart.zero
     pivot_cols: list[int] = []
     prev_pivot: Optional[Expr] = None
@@ -100,6 +130,7 @@ def echelon(matrix: Matrix, chart: Chart) -> EchelonResult:
         _, pi, pj = best
         rows[k], rows[pi] = rows[pi], rows[k]
         least[k], least[pi] = least[pi], least[k]
+        polynomial[k], polynomial[pi] = polynomial[pi], polynomial[k]
         prow = rows[k]
         pivot = prow[pj]
         for i in range(k + 1, m):
@@ -110,6 +141,7 @@ def echelon(matrix: Matrix, chart: Chart) -> EchelonResult:
                 # rows only changes row scaling, never rank or nullspace.
                 continue
             new_row = []
+            poly = polynomial[i] and polynomial[k]
             for j in range(ncols):
                 a, b = row[j], prow[j]
                 if j == pj or not (a.num or b.num):
@@ -118,9 +150,11 @@ def echelon(matrix: Matrix, chart: Chart) -> EchelonResult:
                 val = pivot * a - head * b
                 if prev_pivot is not None and val.num:
                     val = val / prev_pivot
+                    poly = poly and val.den == _ONE
                 new_row.append(val)
             rows[i] = new_row
-            least[i] = _least_degree(new_row)
+            polynomial[i] = poly
+            least[i] = _least_degree(new_row, poly)
         prev_pivot = pivot
         pivot_cols.append(pj)
     return EchelonResult(rank=len(pivot_cols), rows=rows, pivot_cols=pivot_cols)
@@ -194,41 +228,101 @@ def normalize_vector(vec: Sequence[Expr], chart: Chart) -> list[Expr]:
 
 
 def right_nullspace(matrix: Matrix, chart: Chart, ncols: int) -> list[list[Expr]]:
-    """Exact basis of {x : M x = 0}, each vector scaled by `normalize_vector`.
+    """Exact basis of {x : M x = 0}: one vector per free column, in the
+    free-column normal form (see `_free_solution`).
 
     Columns that are zero in every row produce unit solutions directly; the
     elimination then runs on the remaining block only.  On the wide, mostly
     empty matrices coming from jet-space annihilators this removes nearly all
     of the work.
     """
-    live = [
-        j for j in range(ncols) if any(not row[j].is_zero() for row in matrix)
-    ]
-    live_set = set(live)
+    live_set = {j for row in matrix for j, e in enumerate(row) if e.num}
+    live = sorted(live_set)
     dead = [j for j in range(ncols) if j not in live_set]
     out = [_unit(chart, ncols, j) for j in dead]
     if not live:
         return out
-    sub = [[row[j] for j in live] for row in matrix]
-    res = echelon(sub, chart)
+    res = echelon([[row[j] for j in live] for row in matrix], chart)
+    # scaling a row by a rational function keeps the solutions
+    rows = [[e.num for e in _clear_row_denominators(row, chart)] for row in res.rows[: res.rank]]
     piv = set(res.pivot_cols)
-    free = [j for j in range(len(live)) if j not in piv]
-    for f in free:
-        x: list[Expr] = [chart.zero] * len(live)
-        x[f] = chart.one
-        for k in range(res.rank - 1, -1, -1):
-            pj = res.pivot_cols[k]
-            acc = chart.zero
-            row = res.rows[k]
-            for j in range(len(live)):
-                if j != pj and not row[j].is_zero() and not x[j].is_zero():
-                    acc = acc + row[j] * x[j]
-            x[pj] = -acc / row[pj]
+    for f in range(len(live)):
+        if f in piv:
+            continue
         full = [chart.zero] * ncols
-        for j, col in enumerate(live):
-            full[col] = x[j]
-        out.append(normalize_vector(full, chart))
+        for col, y in zip(live, _free_solution(rows, res.pivot_cols, f, chart)):
+            if y:
+                full[col] = chart.poly(y)
+        out.append(full)
     return out
+
+
+def _free_solution(
+    rows: list[list[sympoly.Poly]], pivot_cols: list[int], f: int, chart: Chart
+) -> list[sympoly.Poly]:
+    """The solution x with x_f = 1 of the echelon rows (polynomials, pivot
+    k in column pivot_cols[k]), in the free-column normal form: the
+    polynomial multiple of x whose entries have no common factor and whose
+    entry f is a primitive integer polynomial with a positive leading
+    coefficient, negated when its first nonzero entry has a negative
+    leading coefficient.  It is what `normalize_vector` makes of x.
+
+    Back-substitution is fraction-free: it keeps y = lam * x with lam a
+    sine-free polynomial, starting from lam = 1.  The pivot p of a row
+    solves p * y_p = -acc, acc the row's sum over the entries already
+    known.  When p divides acc exactly, y_p is the negated quotient.
+    Otherwise -acc/p is brought to lowest terms with a sine-free
+    denominator m, as `_canonicalize` would: both are multiplied by c, the
+    product of p's sine conjugates (`expr.clear_sines`), and their gcd is
+    divided out.  y is scaled by m, which keeps each entry trig-reduced,
+    and y_p is the numerator left.
+
+    Sine-free is what makes this exact.  A canonical entry a/b of x has a
+    sine-free b, so y_j * b = lam * a holds in the plain polynomial ring,
+    both sides being trig-reduced, and that ring is a UFD.  Each m is
+    b_p / gcd(lam, b_p), so lam ends as the lcm of the b_j, up to a
+    constant.  Then y has no common factor: a prime factor of the lcm
+    divides b_j to its highest power for some j, and it does not divide
+    (lcm / b_j) * a_j.  So only a constant separates y from the normal
+    form, and entry f, which is lam, fixes it.  A lam with a sine would
+    break this: with lam = sin(theta), [sin(theta), 1 + cos(theta)] would
+    come back as [1 - cos(theta), sin(theta)].  When lam stayed 1, y is x,
+    whose entry f is 1, and only the sign rule applies.
+    """
+    y: list[sympoly.Poly] = [{} for _ in rows[0]]
+    y[f] = sympoly.p_const(1)
+    scaled = False
+    for k in range(len(pivot_cols) - 1, -1, -1):
+        row, pj = rows[k], pivot_cols[k]
+        acc: sympoly.Poly = {}
+        for j, e in enumerate(row):
+            if e and y[j] and j != pj:
+                acc = sympoly.p_add(acc, sympoly.p_mul(e, y[j]))
+        acc = chart.reduce(acc)
+        if not acc:
+            continue
+        p = row[pj]
+        q = sympoly.p_div_exact(acc, p)
+        if q is not None:
+            y[pj] = sympoly.p_neg(q)
+            continue
+        y_p, m = clear_sines(chart, sympoly.p_neg(acc), p)
+        g = sympoly.p_gcd(y_p, m)
+        if not sympoly.p_is_const(g):
+            y_p, m = sympoly.p_div_exact(y_p, g), sympoly.p_div_exact(m, g)
+        y = [sympoly.p_mul(t, m) for t in y]
+        y[pj] = y_p
+        scaled = True
+    if scaled:
+        lam = y[f]
+        c = Fraction(sympoly.p_lead(sympoly.p_primitive(lam))[1]) / sympoly.p_lead(lam)[1]
+        y = [sympoly.p_scale(t, c) for t in y]
+    for t in y:
+        if t:
+            if sympoly.p_lead(t)[1] < 0:
+                y = [sympoly.p_neg(t) for t in y]
+            break
+    return y
 
 
 def left_nullspace(matrix: Matrix, chart: Chart) -> list[list[Expr]]:

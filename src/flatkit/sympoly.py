@@ -869,7 +869,13 @@ def p_lcm(a: Poly, b: Poly) -> Poly:
         return {}
     q = p_div_exact(p_mul(a, b), p_gcd(a, b))
     assert q is not None
-    return _zposlead(_to_zz(q))
+    return p_primitive(q)
+
+
+def p_primitive(a: Poly) -> Poly:
+    """The integer multiple of a that is primitive with a positive leading
+    coefficient."""
+    return _zposlead(_to_zz(a))
 
 
 def _frac_sqrt(c: int | Fraction) -> Optional[Fraction]:

@@ -22,7 +22,7 @@ from flatkit.distributions import (
     span,
     sum_spans,
 )
-from flatkit import distributions
+from flatkit import distributions, linalg
 from flatkit.errors import NotIntegrableError, RankDisagreementError, ZeroDenominatorError
 from flatkit.expr import Chart
 from flatkit.fields import (
@@ -231,6 +231,29 @@ def test_coordinate_spans_need_no_dual(monkeypatch):
     w1 = Codistribution(chart, q.covectors[:1], engine)
     with pytest.raises(AssertionError, match="exact dual"):
         w1.is_integrable()
+
+
+def test_the_dual_of_a_coordinate_span_takes_no_elimination(monkeypatch):
+    """The dual of a coordinate span is the units of its untouched columns,
+    the vectors the nullspace gives, with no echelon."""
+    chart = _jet_chart()
+    engine = RankEngine(seed=19)
+    rows = _rows(chart, _COORDINATE_SPAN)
+    expected = right_nullspace(rows, chart, ncols=chart.dim)
+    q = Codistribution(chart, [CovectorField(chart, r) for r in rows], engine)
+    d = span(chart, [VectorField(chart, r) for r in rows], engine)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an echelon was taken")
+
+    monkeypatch.setattr(linalg, "echelon", refuse)
+    assert [w.components for w in d.annihilator().covectors] == [tuple(s) for s in expected]
+    assert [v.components for v in q.coannihilator().fields] == [tuple(s) for s in expected]
+    assert len(expected) == chart.dim - 2
+    # a span that is not a coordinate span still eliminates
+    w1 = Codistribution(chart, q.covectors[:1], engine)
+    with pytest.raises(AssertionError, match="echelon"):
+        w1.coannihilator()
 
 
 def test_coordinate_span_under_a_lying_engine_meets_the_cross_check(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flatkit.expr
 import flatkit.linalg
 import flatkit.sample
 from flatkit.cli import main
@@ -28,6 +29,7 @@ from flatkit.linalg import (
     rank_at_point,
     right_nullspace,
 )
+from flatkit.sympoly import p_gcd, p_is_const, p_lead, p_primitive
 from flatkit.sample import (
     PRIME,
     admissible_point,
@@ -177,6 +179,162 @@ def test_right_nullspace_solves_exactly(rng):
         # solutions are independent
         if null:
             assert exact_rank(null, chart) == len(null)
+
+
+def _right_nullspace_reference(matrix, chart, ncols):
+    """`right_nullspace` as it was before its back-substitution went
+    fraction-free: each pivot solve divides in the rational-function field,
+    and `normalize_vector` scales each solution."""
+    live = [j for j in range(ncols) if any(not row[j].is_zero() for row in matrix)]
+    out = []
+    for j in range(ncols):
+        if j not in live:
+            out.append([chart.one if i == j else chart.zero for i in range(ncols)])
+    if not live:
+        return out
+    res = echelon([[row[j] for j in live] for row in matrix], chart)
+    for f in range(len(live)):
+        if f in res.pivot_cols:
+            continue
+        x = [chart.zero] * len(live)
+        x[f] = chart.one
+        for k in range(res.rank - 1, -1, -1):
+            pj, row = res.pivot_cols[k], res.rows[k]
+            acc = chart.zero
+            for j in range(len(live)):
+                if j != pj:
+                    acc = acc + row[j] * x[j]
+            x[pj] = -acc / row[pj]
+        full = [chart.zero] * ncols
+        for j, col in enumerate(live):
+            full[col] = x[j]
+        out.append(normalize_vector(full, chart))
+    return out
+
+
+def _assert_free_column_normal_form(matrix, chart, ncols, null):
+    """What pins each vector of `right_nullspace` without the reference:
+    M v = 0, one vector per free column f of the live block, zero in the
+    other free columns, polynomial entries with no common factor, entry f
+    primitive over the integers, and a positive leading coefficient on the
+    first nonzero entry."""
+    live = [j for j in range(ncols) if any(not row[j].is_zero() for row in matrix)]
+    res = echelon([[row[j] for j in live] for row in matrix], chart)
+    free = [live[f] for f in range(len(live)) if f not in res.pivot_cols]
+    dead = [j for j in range(ncols) if j not in live]
+    assert len(null) == len(dead) + len(free)
+    for v, f in zip(null[len(dead):], free):
+        for row in matrix:
+            acc = chart.zero
+            for e, x in zip(row, v):
+                acc = acc + e * x
+            assert acc.is_zero()
+        assert all(v[g].is_zero() for g in free if g != f)
+        assert all(p_is_const(e.den) for e in v)
+        g = {}
+        for e in v:
+            g = p_gcd(g, e.num)
+        assert p_is_const(g)
+        assert v[f].num in (p_primitive(v[f].num), {m: -c for m, c in p_primitive(v[f].num).items()})
+        first = next(e for e in v if not e.is_zero())
+        assert p_lead(first.num)[1] > 0
+    return len(free)
+
+
+def _sparse_matrix(rng, chart, rows, cols, kinds):
+    """A seeded sparse matrix of small entries of the given kinds; with
+    probability 0.3 its last row is the first plus x times the second."""
+    x = chart.sym("x")
+    factors = {
+        "poly": [chart.one],
+        "trig1": [chart.parse(t) for t in ("sin(theta)", "cos(theta)", "1 + cos(theta)")],
+        "trig2": [chart.parse(t) for t in ("sin(phi)", "cos(phi) - sin(theta)")],
+        "param": [chart.sym("eps"), chart.parse("eps^2 + 1")],
+    }
+    dens = [chart.parse(t) for t in ("x + 1", "cos(theta) + 2", "eps + y")]
+
+    def entry():
+        if rng.random() < 0.5:
+            return chart.zero
+        e = random_polynomial(chart, rng, degree=rng.randint(0, 1))
+        kind = rng.choice(kinds)
+        if kind == "rational":
+            return e / rng.choice(dens)
+        return e * rng.choice(factors[kind]) + rng.randint(-1, 1)
+
+    m = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows > 2 and rng.random() < 0.3:
+        m[-1] = [a + b * x for a, b in zip(m[0], m[1])]
+    return m
+
+
+def test_right_nullspace_matches_the_rational_back_substitution():
+    """The fraction-free back-substitution and its free-column normal form
+    give the vectors the rational back-substitution and `normalize_vector`
+    gave, byte for byte."""
+    rng = random.Random(34)
+    chart = Chart(["x", "y", "theta", "phi"], ["eps"])
+    kinds = ("poly", "trig1", "param", "rational", "trig2")
+    seen = set()
+    for _ in range(200):
+        rows = rng.randint(1, 3)
+        # the reference is slow on wider matrices and on two angles in
+        # three rows (see the next test)
+        cols = rng.randint(1, 4 if rows == 3 else 5)
+        m = _sparse_matrix(rng, chart, rows, cols, kinds[:-1] if rows == 3 else kinds)
+        got = right_nullspace(m, chart, ncols=cols)
+        assert [[e.render() for e in v] for v in got] == [
+            [e.render() for e in v] for v in _right_nullspace_reference(m, chart, cols)
+        ]
+        rank = exact_rank(m, chart)
+        live = sum(any(not row[j].is_zero() for row in m) for j in range(cols))
+        seen.add("dead" if live < cols else "no dead")
+        seen.add("full column rank" if rank == live else "free columns")
+        seen.add("dependent rows" if rank < rows else "independent rows")
+    assert len(seen) == 6
+    # lam = sin(theta) would give [1 - cos(theta), sin(theta)]
+    s, c = chart.parse("sin(theta)"), chart.parse("cos(theta)")
+    for m in ([[s, 1 + c]], [[1 + c, s]], [[s * c, 1 + c, chart.zero]]):
+        got = right_nullspace(m, chart, ncols=len(m[0]))
+        assert got == _right_nullspace_reference(m, chart, len(m[0]))
+    assert [e.render() for e in right_nullspace([[s, 1 + c]], chart, ncols=2)[0]] == [
+        "sin(theta)",
+        "cos(theta) - 1",
+    ]
+
+
+def test_right_nullspace_normal_form_on_wider_matrices():
+    """Shapes on which the rational back-substitution is slow: the answer
+    is checked against the normal form's defining properties instead."""
+    rng = random.Random(35)
+    chart = Chart(["x", "y", "theta", "phi"], ["eps"])
+    checked = 0
+    for _ in range(6):
+        m = _sparse_matrix(rng, chart, 3, 6, ("trig1", "trig2", "param", "rational"))
+        checked += _assert_free_column_normal_form(m, chart, 6, right_nullspace(m, chart, ncols=6))
+    assert checked >= 6
+
+
+def test_right_nullspace_makes_no_canonicalizing_division(monkeypatch):
+    """Polynomial and trig input: every pivot solve is an exact quotient or
+    a scaling by a sine-free multiple, so no entry is canonicalized."""
+    chart = Chart(["x", "y", "theta"])
+    s, c = chart.parse("sin(theta)"), chart.parse("cos(theta)")
+    x, y = chart.sym("x"), chart.sym("y")
+    cases = [
+        [[s, 1 + c]],
+        [[x, y, chart.one], [y, x * x, x]],
+        [[s * x, c + y, chart.zero, x], [chart.zero, s, 1 + c, y * c]],
+    ]
+    expected = [right_nullspace(m, chart, ncols=len(m[0])) for m in cases]
+
+    def refuse(*args):
+        raise AssertionError("canonicalized")
+
+    monkeypatch.setattr(flatkit.expr, "_canonicalize", refuse)
+    for m, want in zip(cases, expected):
+        assert right_nullspace(m, chart, ncols=len(m[0])) == want
+    assert all(expected)
 
 
 def test_left_nullspace_annihilates_rows():
