@@ -119,6 +119,7 @@ class _Span:
         return self._basis
 
     def _touched_columns(self) -> set[int]:
+        """The union of the generators' supports."""
         return set().union(*(g.support for g in self._generators))
 
     def _is_coordinate_span(self) -> bool:

@@ -7,13 +7,15 @@ list is rendered.  `echelon` eliminates fraction-free (Bareiss 1968) and
 polynomial multiple lam * x of the rational solution x, with lam sine-free,
 and comes out in the free-column normal form (`_free_solution`), the one
 `normalize_vector` gives x, with no canonicalizing division.  lam must be
-sine-free because only then does lam * x equal x up to a factor in the
-plain polynomial ring, a UFD, where a vector's common factor is unique;
+sine-free: only then is lam * x a multiple of x in the plain polynomial
+ring, a UFD, where a vector's common factor is unique up to a constant;
 the circle ring is not a UFD.  `normalize_vector` stays for vectors that
-are not nullspace solutions: the combinations of the Cauchy characteristic
-and the echelon rows that first integrals integrate.  `RankEngine` finds generic ranks, and the greedy
-independent rows behind them, by evaluating a matrix at random points of
-the prime field F_p, p = 2^61 - 1 (see `sample`).
+are not nullspace solutions: the combinations of the Cauchy
+characteristic and the echelon rows that first integrals integrate.
+
+`RankEngine` finds generic ranks, and the greedy independent rows behind
+them, by evaluating a matrix at random points of the prime field F_p,
+p = 2^61 - 1 (see `sample`).
 A modular rank can only fall below the generic rank, never exceed it, and by
 the Schwartz-Zippel lemma one point misses with probability at most D/p for
 a nonzero minor of degree D.  So a read that only needs a lower bound
@@ -317,11 +319,9 @@ def _free_solution(
         lam = y[f]
         c = Fraction(sympoly.p_lead(sympoly.p_primitive(lam))[1]) / sympoly.p_lead(lam)[1]
         y = [sympoly.p_scale(t, c) for t in y]
-    for t in y:
-        if t:
-            if sympoly.p_lead(t)[1] < 0:
-                y = [sympoly.p_neg(t) for t in y]
-            break
+    first = next(t for t in y if t)  # y_f is nonzero
+    if sympoly.p_lead(first)[1] < 0:
+        y = [sympoly.p_neg(t) for t in y]
     return y
 
 
