@@ -82,6 +82,7 @@ from .linalg import (
     left_nullspace,
     normalize_vector,
     right_nullspace,
+    unit_vector,
 )
 
 
@@ -131,14 +132,13 @@ class _Span:
         """The exact dual span, whose rank cross-checks the sampled one; a
         coordinate span's dual is the units of its untouched columns."""
         if self._dual is None:
-            chart, touched = self.chart, self._touched_columns()
-            if self.rank == len(touched):
+            chart = self.chart
+            if self._is_coordinate_span():
                 # the rank is exact, so no elimination: these are the unit
                 # solutions `right_nullspace` gives its dead columns
+                touched = self._touched_columns()
                 sols = [
-                    [chart.one if j == c else chart.zero for j in range(chart.dim)]
-                    for c in range(chart.dim)
-                    if c not in touched
+                    unit_vector(chart, chart.dim, c) for c in range(chart.dim) if c not in touched
                 ]
             else:
                 sols = right_nullspace(fields_matrix(self._generators), chart, ncols=chart.dim)

@@ -80,15 +80,10 @@ class EchelonResult(NamedTuple):
     pivot_cols: list[int]   # pivot column of rows[k]
 
 
-def _least_degree(row: list[Expr], polynomial: bool) -> Optional[tuple[int, int]]:
+def _least_degree(row: list[Expr]) -> Optional[tuple[int, int]]:
     """(total degree, column) of the row's least-degree nonzero entry, the
-    lowest column among equals; None for a zero row.  In a row of
-    polynomials each degree is read off the numerator's packed leading
-    monomial."""
-    if polynomial:
-        degrees = [(sympoly.p_total_degree(e.num), j) for j, e in enumerate(row) if e.num]
-    else:
-        degrees = [(e.total_degree(), j) for j, e in enumerate(row) if e.num]
+    lowest column among equals; None for a zero row."""
+    degrees = [(e.total_degree(), j) for j, e in enumerate(row) if e.num]
     return min(degrees) if degrees else None
 
 
@@ -104,11 +99,7 @@ def echelon(matrix: Matrix, chart: Chart) -> EchelonResult:
     as a candidate.  The degrees of a row's entries are taken once, when
     the row is built or an elimination step rewrites it; a zero-head row
     keeps its candidate.  An entry that is zero in both the row and the
-    pivot row stays zero with no arithmetic.  Every row starts with
-    polynomial entries (a row of polynomials is not scanned again), and a
-    rewritten row stays polynomial while its rows were and each Bareiss
-    division is exact; the degrees of such a row come from the numerators
-    alone.
+    pivot row stays zero with no arithmetic.
     """
     rows: Matrix = [_clear_row_denominators(r, chart) for r in matrix]
     m = len(rows)
@@ -116,8 +107,7 @@ def echelon(matrix: Matrix, chart: Chart) -> EchelonResult:
     for r in rows:
         if len(r) != ncols:
             raise ValueError("ragged matrix")
-    least = [_least_degree(r, True) for r in rows]
-    polynomial = [True] * m
+    least = [_least_degree(r) for r in rows]
     zero = chart.zero
     pivot_cols: list[int] = []
     prev_pivot: Optional[Expr] = None
@@ -132,7 +122,6 @@ def echelon(matrix: Matrix, chart: Chart) -> EchelonResult:
         _, pi, pj = best
         rows[k], rows[pi] = rows[pi], rows[k]
         least[k], least[pi] = least[pi], least[k]
-        polynomial[k], polynomial[pi] = polynomial[pi], polynomial[k]
         prow = rows[k]
         pivot = prow[pj]
         for i in range(k + 1, m):
@@ -143,7 +132,6 @@ def echelon(matrix: Matrix, chart: Chart) -> EchelonResult:
                 # rows only changes row scaling, never rank or nullspace.
                 continue
             new_row = []
-            poly = polynomial[i] and polynomial[k]
             for j in range(ncols):
                 a, b = row[j], prow[j]
                 if j == pj or not (a.num or b.num):
@@ -152,11 +140,9 @@ def echelon(matrix: Matrix, chart: Chart) -> EchelonResult:
                 val = pivot * a - head * b
                 if prev_pivot is not None and val.num:
                     val = val / prev_pivot
-                    poly = poly and val.den == _ONE
                 new_row.append(val)
             rows[i] = new_row
-            polynomial[i] = poly
-            least[i] = _least_degree(new_row, poly)
+            least[i] = _least_degree(new_row)
         prev_pivot = pivot
         pivot_cols.append(pj)
     return EchelonResult(rank=len(pivot_cols), rows=rows, pivot_cols=pivot_cols)
@@ -241,7 +227,7 @@ def right_nullspace(matrix: Matrix, chart: Chart, ncols: int) -> list[list[Expr]
     live_set = {j for row in matrix for j, e in enumerate(row) if e.num}
     live = sorted(live_set)
     dead = [j for j in range(ncols) if j not in live_set]
-    out = [_unit(chart, ncols, j) for j in dead]
+    out = [unit_vector(chart, ncols, j) for j in dead]
     if not live:
         return out
     res = echelon([[row[j] for j in live] for row in matrix], chart)
@@ -333,7 +319,8 @@ def left_nullspace(matrix: Matrix, chart: Chart) -> list[list[Expr]]:
     return right_nullspace(transpose, chart, ncols=len(matrix))
 
 
-def _unit(chart: Chart, n: int, j: int) -> list[Expr]:
+def unit_vector(chart: Chart, n: int, j: int) -> list[Expr]:
+    """The j-th unit vector of length n."""
     v = [chart.zero] * n
     v[j] = chart.one
     return v
