@@ -381,6 +381,9 @@ def first_integrals(q: Codistribution) -> FirstIntegralsResult:
     the coordinates already pivoted by earlier rows (those are frozen, i.e.
     treated as constants).  Rows whose coefficients fall outside the built-in
     antiderivative class are reported as shortfall rather than guessed at.
+    A found h is checked through dh up to den(h)^2 (`fields.differential`):
+    its membership in span{q} and the independence of the functions found
+    read only the line each differential spans.
     """
     if q.is_empty():
         return FirstIntegralsResult([], 0)

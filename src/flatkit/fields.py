@@ -35,12 +35,19 @@ until its chart registers another trig pair (`Chart.sin_to_cos` grows).
 * `lie_bracket` of polynomial fields walks each w_i along v's chain and
   each v_i along w's, subtracting, into one dict per component; otherwise
   [v, w]_i = L_v w_i - L_w v_i from two canonical Lie derivatives.
-* `differential` is one walk whose chain sends the generators on
-  coordinate j to component j.
+* `differential` gives dh up to den(h)^2; callers read only the line it
+  spans.  Its chain sends the generators on coordinate j to component j.
+  A polynomial h takes one walk; h = n/d takes one walk over n and one
+  over d, and component j is the polynomial d * dn_j - n * dd_j, with no
+  gcd.  Every caller (the rank of d phi, the ladder rows of the rank check
+  and the Q sequence, the dx rows, the membership and independence of
+  first integrals) reads spans, ranks, zero tests and memberships, which a
+  nonzero factor on a row does not change.
 
 Each output polynomial gets one `Chart.reduce` and, over a polynomial
-operand, becomes an Expr by `Chart.poly`: it is canonical as built.  This
-module reads no private field of the chart (see `expr`).
+operand or in `differential`, becomes an Expr by `Chart.poly`: it is
+canonical as built.  This module reads no private field of the chart (see
+`expr`).
 """
 
 from __future__ import annotations
@@ -62,6 +69,7 @@ from .sympoly import (
     p_lcm,
     p_mul,
     p_scale,
+    p_sub,
 )
 
 
@@ -236,13 +244,31 @@ def lie_derivative(h: Expr, v: VectorField) -> Expr:
 
 
 def differential(h: Expr) -> CovectorField:
-    """The coordinate differential dh of a function: one derivation whose
-    chain sends each generator on coordinate j to slot j."""
+    """dh up to den(h)^2; callers read only the line it spans.
+
+    One derivation whose chain sends each generator on coordinate j to
+    slot j.  A polynomial h gives dh itself.  For h = n/d the components
+    are the polynomials d * dn_j - n * dd_j, from one walk over n and one
+    over d, each circle-reduced and built by `Chart.poly`: the covector
+    d^2 * dh, which spans the same line as dh, with no gcd taken.  Every
+    caller reads only spans, ranks, zero tests and memberships."""
     chart, dim = h.chart, h.chart.dim
     one = p_const(1)
     indices = sorted(chart.index(name) for name in h._symbol_set())
     coords = {j: (j, one) for j in indices if j < dim}
-    parts = derive(h, chain(chart, coords)) if coords else {}
+    if not coords:
+        parts = {}
+    elif p_is_const(h.den):
+        parts = derive(h, chain(chart, coords))
+    else:
+        rule = chain(chart, coords)
+        dn = p_derive([(0, h.num, rule, 1)])
+        dd = p_derive([(0, h.den, rule, 1)])
+        parts = {}
+        for j in sorted(dn.keys() | dd.keys()):
+            p = chart.reduce(p_sub(p_mul(h.den, dn.get(j, {})), p_mul(h.num, dd.get(j, {}))))
+            if p:
+                parts[j] = chart.poly(p)
     comps = [chart.zero] * dim
     for j, d in parts.items():
         comps[j] = d

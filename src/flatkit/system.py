@@ -24,6 +24,12 @@ the span of the ladders, which every pass needs, that finding is exact, and
 it settles the last Q level: span{dx} itself, with no intersection taken.
 The first level needs none either: its rungs are functions of x, so it is
 their span, integrable by exactness (d d phi = 0).
+
+Each ladder row, like each row of d phi, is the differential of its
+function up to the square of the function's denominator
+(`fields.differential`).  Everything here reads those rows only through
+spans, ranks, zero tests and memberships, which a nonzero factor on a row
+does not change; so the row of a rational rung takes no gcd.
 """
 
 from __future__ import annotations
@@ -215,7 +221,8 @@ def candidate(sys: ControlAffineSystem, phi: PhiPair) -> FlatCandidate:
 class OutputJets(NamedTuple):
     """A candidate output pair on the input-jet chart: its degrees and
     indices, and the differentials of each output's total derivatives up to
-    order R_i - 1.
+    order R_i - 1, each up to the square of its rung's denominator (the
+    rank check and the Q sequence read only the lines they span).
 
     The jet chart is the chart of the (d, d) prolongation: the states, then
     u_j, u_j_d1, ..., u_j_d(d-1) for each input, and its drift is the
@@ -379,8 +386,8 @@ def sfe_gtf_test(jets: OutputJets) -> SfeGtfResult:
     passed = True
     for i, q in enumerate(qs):
         # Every reported rank is exact.  A sampled rank is a proven lower
-        # bound and the generator count an upper one, so at Q_(K-1), a span
-        # of exact differentials, their equality settles the rank and
+        # bound and the generator count an upper one, so at Q_(K-1), which
+        # spans exact differentials, their equality settles the rank and
         # integrability.  Otherwise q.rank is read after is_integrable:
         # either it equals the number of columns the generators touch (a
         # coordinate span, integrable with no dual), or the exact

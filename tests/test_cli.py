@@ -567,6 +567,7 @@ PINNED_REPORTS = [
     ("analyze-vtol-alg2", "analyze vtol --algorithm 2", 0),
     ("verify-example1", "verify example1 --output x1 x2", 0),
     ("verify-example3", "verify example3 --output z1 z3", 0),
+    ("verify-example3-rational-output", "verify example3 --output 'z1/(1 + z3^2)' z3", 0),
     (
         "verify-vtol-pitch",
         "verify vtol --output theta 'x*cos(theta)/sin(theta) + z'",

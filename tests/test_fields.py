@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+import flatkit.expr
+import flatkit.sympoly
 from flatkit import fields
 from flatkit.errors import ChartMismatchError
 from flatkit.expr import Chart, differentiate
@@ -19,6 +21,7 @@ from flatkit.fields import (
     transfer_field,
     zero_field,
 )
+from flatkit.sympoly import p_is_const
 
 from conftest import (
     coordinate_covector,
@@ -309,6 +312,36 @@ def test_differential_pairs_like_lie_derivative(rng):
         h = random_polynomial(chart, rng, degree=2)
         v = random_field(chart, rng, degree=2)
         assert pair(differential(h), v) == lie_derivative(h, v)
+
+
+def test_differential_of_a_quotient_takes_no_gcd(monkeypatch, vtol, rng):
+    """For h = n/d each component of `differential` is the polynomial
+    d^2 * dh/dx_j, built with no canonicalization and no gcd: on vtol's
+    pitch output (one angle) and on seeded plain quotients."""
+    chart = Chart(["x1", "x2", "x3"])
+    x1, x2, x3 = (chart.sym(n) for n in chart.coordinates)
+    quotients = [vtol.chart.parse("x*cos(theta)/sin(theta) + z"), x1 / (1 + x2 * x2)]
+    for _ in range(6):
+        num = random_polynomial(chart, rng, degree=3)
+        quotients.append(num / (1 + x3 * random_polynomial(chart, rng, degree=2) ** 2))
+    quotients = [h for h in quotients if not p_is_const(h.den)]
+    assert len(quotients) >= 6
+    expected = [
+        [h.chart.poly(h.den) ** 2 * differentiate(h, name) for name in h.chart.coordinates]
+        for h in quotients
+    ]
+
+    def refuse(*args):
+        raise AssertionError("canonicalized or gcd taken")
+
+    monkeypatch.setattr(flatkit.expr, "_canonicalize", refuse)
+    monkeypatch.setattr(flatkit.expr, "p_gcd", refuse)
+    monkeypatch.setattr(flatkit.sympoly, "p_gcd", refuse)
+    got = [differential(h) for h in quotients]
+    monkeypatch.undo()
+    for dh, want in zip(got, expected):
+        assert list(dh.components) == want
+        assert dh.support == tuple(i for i, c in enumerate(want) if not c.is_zero())
 
 
 def test_coordinate_frame_pairings():

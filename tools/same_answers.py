@@ -9,7 +9,10 @@ a temporary directory).  Then come the models of that tree, `models/*.json`
 and `tests/models/*.json`: `analyze` under algorithms 1 and 2 at
 `--max-prolong 2`, and `verify` of each model's `flat_output`, at flatkit
 seeds 0-3 (84 questions for the seven models).  The benchmark corpus has no
-model with rational-function entries, and the test models do.  Each tree
+model with rational-function entries, and the test models do.  Last come
+`verify` questions about fixed rational outputs on the bundled models, at
+the same seeds (28 questions): the benchmark asks one such pair, and the
+repository models ask only their declared outputs.  Each tree
 answers every question through `flatkit.cli.main`, in one process per tree
 and question set, as a flatbench worker does.  The first question whose
 exit code, stdout or stderr differs is printed, and the script exits 1 on
@@ -31,6 +34,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FLATBENCH = ROOT / "flatbench"
 MODEL_SEEDS = range(4)
+# (bundled model, output pair): outputs with a denominator, flat or not
+RATIONAL_OUTPUTS = (
+    ("vtol", ("theta", "x*cos(theta)/sin(theta) + z")),
+    ("vtol", ("vx/(1 + x^2)", "z + x")),
+    ("vtol", ("x/cos(theta)", "z")),
+    ("vtol", ("(x - eps*sin(theta))/(1 + (z + eps*cos(theta))^2)", "z + eps*cos(theta)")),
+    ("example3", ("z1/(1 + z3^2)", "z3")),
+    ("example3", ("z1", "z3/(1 + z1^2)")),
+    ("example1", ("x1/(1 + x2^2)", "x2")),
+)
 
 # Run in a child process: argv[1] is the tree's src directory, argv[2] a JSON
 # list of questions (argv lists) and argv[3] the file for the answers.
@@ -77,6 +90,15 @@ def model_questions() -> list[dict]:
     return questions
 
 
+def rational_questions() -> list[dict]:
+    """`verify` of each of RATIONAL_OUTPUTS at each of MODEL_SEEDS."""
+    return [
+        {"argv": ["verify", str(ROOT / "models" / f"{model}.json"), "--output", *pair, "--seed", str(seed)]}
+        for model, pair in RATIONAL_OUTPUTS
+        for seed in MODEL_SEEDS
+    ]
+
+
 def compare(label: str, questions: list[dict], args: argparse.Namespace, work: Path) -> bool:
     """Ask both trees `questions` and print one line; True when every
     answer is the same."""
@@ -119,6 +141,8 @@ def main() -> int:
                 same &= compare(f"seed {seed} {workload}", questions, args, work)
     with tempfile.TemporaryDirectory() as tmp:
         same &= compare("repository models", model_questions(), args, Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        same &= compare("rational outputs", rational_questions(), args, Path(tmp))
     return 0 if same else 1
 
 
