@@ -36,12 +36,11 @@ until its chart registers another trig pair (`Chart.sin_to_cos` grows).
   each v_i along w's, subtracting, into one dict per component; otherwise
   [v, w]_i = L_v w_i - L_w v_i from two canonical Lie derivatives.
 * `differential` gives dh up to den(h)^2; callers read only the line it
-  spans.  Its chain sends the generators on coordinate j to component j.
-  A polynomial h takes one walk; h = n/d takes one walk over n and one
-  over d, and component j is the polynomial d * dn_j - n * dd_j, with no
-  gcd.  Every caller (the rank of d phi, the ladder rows of the rank check
-  and the Q sequence, the dx rows, the membership and independence of
-  first integrals) reads spans, ranks, zero tests and memberships, which a
+  spans.  Its chain sends the generators on coordinate j to component j;
+  for h = n/d, component j is the polynomial d * dn_j - n * dd_j, with no
+  gcd.  Every caller (the rank of d phi, the ladder and dx rows of the
+  rank check and the Q sequence, the membership and independence of first
+  integrals) reads spans, ranks, zero tests and memberships, which a
   nonzero factor on a row does not change.
 
 Each output polynomial gets one `Chart.reduce` and, over a polynomial
@@ -250,8 +249,7 @@ def differential(h: Expr) -> CovectorField:
     slot j.  A polynomial h gives dh itself.  For h = n/d the components
     are the polynomials d * dn_j - n * dd_j, from one walk over n and one
     over d, each circle-reduced and built by `Chart.poly`: the covector
-    d^2 * dh, which spans the same line as dh, with no gcd taken.  Every
-    caller reads only spans, ranks, zero tests and memberships."""
+    d^2 * dh, which spans the same line as dh, with no gcd taken."""
     chart, dim = h.chart, h.chart.dim
     one = p_const(1)
     indices = sorted(chart.index(name) for name in h._symbol_set())
