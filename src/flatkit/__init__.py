@@ -14,9 +14,9 @@ call, so that a program can run them in-process:
 Everything else (expressions, fields, distributions, the rank engine, the
 polynomial kernel) is imported from its submodule, as the tests do.
 
-Records are NamedTuples or plain classes, not dataclasses: `dataclasses`
-generates each class's methods with `exec` on every import, which cost about
-15-20 ms of every start.
+Records, `ModelFile` among them, are NamedTuples or plain classes, not
+dataclasses: `dataclasses` generates each class's methods with `exec` on
+every import, which cost about 15-20 ms of every start.
 """
 
 # defined before any submodule import: cli imports it from the package

@@ -63,7 +63,6 @@ from .expr import (
     Expr,
     antiderivative,
     at_zero,
-    differentiate,
     strip_coordinate_constant,
 )
 from .fields import (
@@ -377,13 +376,15 @@ class FirstIntegralsResult(NamedTuple):
 def first_integrals(q: Codistribution) -> FirstIntegralsResult:
     """Closed-form functions whose differentials span an integrable system.
 
-    Works row by row on an echelonized basis; each row is integrated modulo
-    the coordinates already pivoted by earlier rows (those are frozen, i.e.
-    treated as constants).  Rows whose coefficients fall outside the built-in
-    antiderivative class are reported as shortfall rather than guessed at.
-    A found h is checked through dh up to den(h)^2 (`fields.differential`):
-    its membership in span{q} and the independence of the functions found
-    read only the line each differential spans.
+    Works row by row on an echelonized basis; each row is path-integrated
+    modulo the coordinates already pivoted by earlier rows (those are
+    frozen, i.e. treated as constants), with no closedness test first.
+    Rows whose coefficients fall outside the built-in antiderivative class
+    are reported as shortfall rather than guessed at.  The one exactness
+    gate is membership: a found h is kept only when dh is nonzero and lies
+    in span{q}.  dh is taken up to den(h)^2 (`fields.differential`): that
+    membership and the independence of the functions found read only the
+    line each differential spans.
     """
     if q.is_empty():
         return FirstIntegralsResult([], 0)
@@ -421,15 +422,6 @@ def _integrate_row(
         i, name = active[0]
         if w[i].is_constant():
             return chart.sym(name)
-    # Exactness on the active block (frozen coordinates ride along).
-    for a in range(len(active)):
-        ia, na = active[a]
-        for b in range(a + 1, len(active)):
-            ib, nb = active[b]
-            lhs = differentiate(w[ia], nb)
-            rhs = differentiate(w[ib], na)
-            if not (lhs - rhs).is_zero():
-                return None
     h = chart.zero
     names = [name for _, name in active]
     try:

@@ -36,6 +36,9 @@ never construct an Expr with `_raw=True`:
   denominator is 1;
 * `Chart.index(name)` is the generator index of a symbol;
 * `chain(chart, {s: (slot, m)})` is the chain rule of a derivation;
+* `quotient_rule(e, chain)` is the numerator d * D(n) - n * D(d) of a
+  derivation D of e = n/d, per slot, which `derive` and
+  `fields.differential` both take;
 * `exact_sqrt(e)` is a square root in the expression field;
 * `clear_sines(chart, num, den)` scales a polynomial quotient by the sine
   conjugates of its denominator, which leaves a sine-free denominator.
@@ -686,8 +689,8 @@ def derive(e: Expr, chain: Chain, den: int = 1, scale: Optional[Poly] = None) ->
     A polynomial e with no `scale` takes one `p_derive` walk, and each
     output gets one circle reduction and a raw Expr.  Otherwise each output
     is canonicalized once: n/d goes by the quotient rule
-    (d * D(n) - n * D(d)) / (d^2 * scale), with D(n) and D(d) two walks.
-    Slots whose output is zero are absent.
+    `quotient_rule(e, chain, den) / (d^2 * scale)`.  Slots whose output is
+    zero are absent.
     """
     chart = e.chart
     s2c, high = chart._sin_to_cos, chart._circle_high
@@ -698,17 +701,29 @@ def derive(e: Expr, chain: Chain, den: int = 1, scale: Optional[Poly] = None) ->
             if p:
                 out[k] = Expr(chart, p, scale) if scale else Expr(chart, p, e.den, _raw=True)
         return out
-    parts = p_derive([(0, e.num, chain, den)])
-    dparts = p_derive([(0, e.den, chain, den)])
     square = p_mul(e.den, e.den)
     if scale:
         square = p_mul(square, scale)
+    for k, p in quotient_rule(e, chain, den).items():
+        d = Expr(chart, p, square)
+        if not d.is_zero():
+            out[k] = d
+    return out
+
+
+def quotient_rule(e: Expr, chain: Chain, den: int = 1) -> dict[int, Poly]:
+    """The numerator of the quotient rule for e = n/d: per slot k of the
+    derivation (as in `derive`), the polynomial d * D(n) - n * D(d), with
+    D(n) and D(d) from one walk each and circle-reduced before the
+    products.  The products are not reduced; slots in ascending order."""
+    s2c, high = e.chart._sin_to_cos, e.chart._circle_high
+    parts = p_derive([(0, e.num, chain, den)])
+    dparts = p_derive([(0, e.den, chain, den)])
+    out = {}
     for k in sorted(parts.keys() | dparts.keys()):
         dn = p_circle_reduce(parts.get(k, {}), s2c, high)
         dd = p_circle_reduce(dparts.get(k, {}), s2c, high)
-        d = Expr(chart, p_sub(p_mul(e.den, dn), p_mul(e.num, dd)), square)
-        if not d.is_zero():
-            out[k] = d
+        out[k] = p_sub(p_mul(e.den, dn), p_mul(e.num, dd))
     return out
 
 
@@ -728,7 +743,9 @@ def chain(chart: Chart, slots: dict[int, tuple[int, Poly]]) -> Chain:
 
 def differentiate(e: Expr, sym: str) -> Expr:
     """Partial derivative with respect to a base symbol of the chart: the
-    derivation kernel applied to the chain of `sym` with multiplier 1."""
+    derivation kernel applied to the chain of `sym` with multiplier 1.
+    Nothing in the package calls it; the tests compare it with its
+    reference, and flatbench/tracer.py times it by this name."""
     chart = e.chart
     if not chart.has_symbol(sym):
         raise UnknownSymbolError(sym)

@@ -31,17 +31,18 @@ on ints and divides by the common denominator once at the end.  The chain of a f
 until its chart registers another trig pair (`Chart.sin_to_cos` grows).
 
 * `lie_derivative` walks h along v's chain; a quotient n/d takes the
-  quotient rule (d L n - n L d) / d^2, canonicalized once (`expr.derive`).
+  quotient rule (d L n - n L d) / d^2 (`expr.quotient_rule`),
+  canonicalized once (`expr.derive`).
 * `lie_bracket` of polynomial fields walks each w_i along v's chain and
   each v_i along w's, subtracting, into one dict per component; otherwise
   [v, w]_i = L_v w_i - L_w v_i from two canonical Lie derivatives.
 * `differential` gives dh up to den(h)^2; callers read only the line it
   spans.  Its chain sends the generators on coordinate j to component j;
-  for h = n/d, component j is the polynomial d * dn_j - n * dd_j, with no
-  gcd.  Every caller (the rank of d phi, the ladder and dx rows of the
-  rank check and the Q sequence, the membership and independence of first
-  integrals) reads spans, ranks, zero tests and memberships, which a
-  nonzero factor on a row does not change.
+  for h = n/d, component j is the polynomial d * dn_j - n * dd_j that
+  `expr.quotient_rule` gives, with no gcd.  Every caller (the rank of
+  d phi, the ladder and dx rows of the rank check and the Q sequence, the
+  membership and independence of first integrals) reads spans, ranks, zero
+  tests and memberships, which a nonzero factor on a row does not change.
 
 Each output polynomial gets one `Chart.reduce` and, over a polynomial
 operand or in `differential`, becomes an Expr by `Chart.poly`: it is
@@ -56,7 +57,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import ChartMismatchError
-from .expr import Chart, Expr, chain, derive, transfer_all
+from .expr import Chart, Expr, chain, derive, quotient_rule, transfer_all
 from .sympoly import (
     Chain,
     Poly,
@@ -68,7 +69,6 @@ from .sympoly import (
     p_lcm,
     p_mul,
     p_scale,
-    p_sub,
 )
 
 
@@ -247,9 +247,9 @@ def differential(h: Expr) -> CovectorField:
 
     One derivation whose chain sends each generator on coordinate j to
     slot j.  A polynomial h gives dh itself.  For h = n/d the components
-    are the polynomials d * dn_j - n * dd_j, from one walk over n and one
-    over d, each circle-reduced and built by `Chart.poly`: the covector
-    d^2 * dh, which spans the same line as dh, with no gcd taken."""
+    are the polynomials d * dn_j - n * dd_j of `expr.quotient_rule`, each
+    circle-reduced and built by `Chart.poly`: the covector d^2 * dh, which
+    spans the same line as dh, with no gcd taken."""
     chart, dim = h.chart, h.chart.dim
     one = p_const(1)
     indices = sorted(chart.index(name) for name in h._symbol_set())
@@ -259,12 +259,9 @@ def differential(h: Expr) -> CovectorField:
     elif p_is_const(h.den):
         parts = derive(h, chain(chart, coords))
     else:
-        rule = chain(chart, coords)
-        dn = p_derive([(0, h.num, rule, 1)])
-        dd = p_derive([(0, h.den, rule, 1)])
         parts = {}
-        for j in sorted(dn.keys() | dd.keys()):
-            p = chart.reduce(p_sub(p_mul(h.den, dn.get(j, {})), p_mul(h.num, dd.get(j, {}))))
+        for j, p in quotient_rule(h, chain(chart, coords)).items():
+            p = chart.reduce(p)
             if p:
                 parts[j] = chart.poly(p)
     comps = [chart.zero] * dim

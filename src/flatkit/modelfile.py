@@ -5,13 +5,17 @@ A model file is a flat JSON object: `name`, ordered `states`, exactly two
 `g2` written in the expression grammar.  `flat_output` optionally names a
 candidate output pair and `constraints` lists expressions that must stay
 nonzero at sample points (e.g. a nonvanishing arm length).
+
+`ModelFile` is a NamedTuple of those fields, in that order, so equality and
+hash are the tuple's.  A loaded model also carries the parse made at load
+time for the first `build_system` to take (`_LoadedModel`).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ModelFileError, ParseError, UnknownSymbolError
 from .expr import Chart, Expr
@@ -24,55 +28,20 @@ _REQUIRED = ("name", "states", "inputs", "drift", "g1", "g2")
 _OPTIONAL = ("parameters", "flat_output", "constraints")
 
 
-class ModelFile:
-    """The fields of a model file.  Two model files are equal when their
-    fields are; the parse kept for `build_system` does not count."""
+class ModelFile(NamedTuple):
+    """The fields of a model file; `to_dict` gives its JSON object."""
 
-    def __init__(
-        self,
-        name: str,
-        states: tuple[str, ...],
-        inputs: tuple[str, str],
-        parameters: tuple[str, ...],
-        drift: tuple[str, ...],
-        g1: tuple[str, ...],
-        g2: tuple[str, ...],
-        flat_output: Optional[tuple[str, str]],
-        constraints: tuple[str, ...],
-    ) -> None:
-        self.name = name
-        self.states = states
-        self.inputs = inputs
-        self.parameters = parameters
-        self.drift = drift
-        self.g1 = g1
-        self.g2 = g2
-        self.flat_output = flat_output
-        self.constraints = constraints
-        # The parse made at load time, left for the first build_system to
-        # take; later builds parse again, so no two systems share a chart.
-        self._parsed: list = []
+    name: str
+    states: tuple[str, ...]
+    inputs: tuple[str, str]
+    parameters: tuple[str, ...]
+    drift: tuple[str, ...]
+    g1: tuple[str, ...]
+    g2: tuple[str, ...]
+    flat_output: Optional[tuple[str, str]]
+    constraints: tuple[str, ...]
 
-    def _key(self) -> tuple:
-        return (
-            self.name,
-            self.states,
-            self.inputs,
-            self.parameters,
-            self.drift,
-            self.g1,
-            self.g2,
-            self.flat_output,
-            self.constraints,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    _parsed = ()  # a ModelFile built in code has no parse to hand over
 
     def to_dict(self) -> dict:
         data = {
@@ -90,6 +59,12 @@ class ModelFile:
         if self.constraints:
             data["constraints"] = list(self.constraints)
         return data
+
+
+class _LoadedModel(ModelFile):
+    """A model file with the parse made at load time in `_parsed`, left for
+    the first build_system to take; later builds parse again, so no two
+    systems share a chart.  The parse takes no part in equality or hash."""
 
 
 def _string_list(data: dict, key: str, source: str) -> list[str]:
@@ -135,7 +110,7 @@ def model_from_dict(data: object, source: str = "<dict>") -> ModelFile:
     constraints = (
         _string_list(data, "constraints", source) if "constraints" in data else []
     )
-    model = ModelFile(
+    model = _LoadedModel(
         name,
         tuple(states),
         (inputs[0], inputs[1]),
@@ -146,7 +121,7 @@ def model_from_dict(data: object, source: str = "<dict>") -> ModelFile:
         flat_output,
         tuple(constraints),
     )
-    model._parsed.append(_parse_all(model, source))  # fail at load time, not first use
+    model._parsed = [_parse_all(model, source)]  # fail at load time, not first use
     return model
 
 

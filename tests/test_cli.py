@@ -515,6 +515,15 @@ def test_prolong_roundtrip_example1(tmp_path, capsys):
     assert report["sfe"]["passed"] is True
 
 
+def test_prolong_writes_the_pinned_file_example1_p21(tmp_path, capsys):
+    # byte for byte: key order and indentation of the written model count
+    out = tmp_path / "example1_p21.json"
+    argv = ("prolong", str(MODELS / "example1.json"), "--orders", "2", "1", "--out", str(out))
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0 and report["states"] == 8
+    assert out.read_bytes() == (DATA / "prolong-example1-p21.json").read_bytes()
+
+
 @pytest.mark.parametrize("key", ["state-u1_d1", "inputs-w-w_d1"])
 def test_prolong_takes_free_names(tmp_path, capsys, key):
     out = tmp_path / "prolonged.json"

@@ -7,7 +7,8 @@ string spans holds code.
 
     python tools/code_lines.py src/flatkit/*.py
 
-prints one "code-lines path" row per file and a total, like `wc -l`.
+prints one "code-lines path" row per file and a total, like `wc -l`.  A
+directory argument counts as its `*.py` files, in sorted order.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import ast
 import io
 import sys
 import tokenize
+from pathlib import Path
 
 _LAYOUT = {
     tokenize.COMMENT,
@@ -51,9 +53,17 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def source_files(paths: list[str]) -> list[str]:
+    """The file arguments, each directory replaced by its sorted `*.py` files."""
+    out: list[str] = []
+    for arg in paths:
+        out.extend(sorted(map(str, Path(arg).glob("*.py"))) if Path(arg).is_dir() else [arg])
+    return out
+
+
 def main(paths: list[str]) -> int:
     total = 0
-    for path in paths:
+    for path in source_files(paths):
         with open(path, encoding="utf-8") as fh:
             n = code_lines(fh.read())
         total += n
