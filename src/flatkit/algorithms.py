@@ -35,7 +35,7 @@ from .distributions import (
 )
 from .errors import CANDIDATE_ERRORS
 from .expr import Chart, Expr, exact_sqrt
-from .fields import CovectorField, VectorField, fields_matrix, lie_bracket, pair
+from .fields import VectorField, fields_matrix, lie_bracket, pair
 from .system import ControlAffineSystem, FlatVerdict, output_jets, verify_flat_output
 
 __all__ = [
@@ -400,7 +400,6 @@ class LeafCandidates(NamedTuple):
     branch: Branch
     functions: tuple[Expr, ...]
     shortfall: int
-    basis: tuple[CovectorField, ...]
     pairs: tuple[CandidatePair, ...]
 
 
@@ -417,7 +416,8 @@ def _verify_pair(
 def extract_candidates(tree: BranchTree) -> tuple[LeafCandidates, ...]:
     """Candidate functions per reached leaf: first integrals of F-perp.  A
     two-function basis is emitted as a verified pair; other counts are left
-    for downstream pairing.  Integral shortfall keeps the raw basis visible."""
+    for downstream pairing.  On a shortfall the raw basis stays visible as
+    the branch's F-perp."""
     out: list[LeafCandidates] = []
     for branch in tree.reached():
         if branch.F_perp is None:
@@ -432,7 +432,6 @@ def extract_candidates(tree: BranchTree) -> tuple[LeafCandidates, ...]:
                 branch,
                 functions,
                 integrals.shortfall,
-                tuple(branch.F_perp.covectors),
                 pairs,
             )
         )

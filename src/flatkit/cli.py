@@ -7,8 +7,9 @@ and seed produce identical bytes.  Exit codes:
   1  unreadable or invalid input, such as a model file that is not UTF-8,
      JSON or an expression nested past the interpreter's recursion limit, a
      number literal past its integer-string limit or a non-ASCII character;
-     an input too large for the polynomial kernel (MonomialLimitError), or
-     an OS error such as an unwritable path;
+     an input too large for the polynomial kernel (MonomialLimitError), a
+     coefficient whose denominator the sampling prime 2^61 - 1 divides
+     (PrimeDenominatorError), or an OS error such as an unwritable path;
   2  internal fault: the sequence stalled on every branch, the sampled and
      exact ranks disagree (RankDisagreementError), or any other error;
   3  negative verdict.
@@ -35,10 +36,11 @@ from .errors import (
     ModelFileError,
     MonomialLimitError,
     ParseError,
+    PrimeDenominatorError,
     UnknownSymbolError,
 )
 from .modelfile import build_system, load_model, prolonged_model, save_model
-from .system import output_jets, prolong, sfe_gtf_test
+from .system import FlatVerdict, output_jets, prolong, sfe_gtf_test
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -73,8 +75,21 @@ def _branch_payload(tree: BranchTree) -> list[dict]:
     return out
 
 
-def _pair_payload(leaf: LeafCandidates) -> list[dict]:
-    out = []
+def _indices(verdict: FlatVerdict) -> dict:
+    cand = verdict.candidate
+    return {"K": list(cand.K), "R": list(cand.R), "d": cand.d}
+
+
+def _ranks(verdict: FlatVerdict) -> dict:
+    return {
+        "spans_states": verdict.spans_states,
+        "stacked_rank": verdict.stacked_rank,
+        "required_rank": verdict.required_rank,
+    }
+
+
+def _leaf_payload(leaf: LeafCandidates) -> dict:
+    pairs = []
     for p in leaf.pairs:
         entry: dict = {
             "functions": [h.render() for h in p.functions],
@@ -82,17 +97,15 @@ def _pair_payload(leaf: LeafCandidates) -> list[dict]:
             "reason": p.reason,
         }
         if p.verdict is not None:
-            cand = p.verdict.candidate
-            entry.update(
-                K=list(cand.K),
-                R=list(cand.R),
-                d=cand.d,
-                spans_states=p.verdict.spans_states,
-                stacked_rank=p.verdict.stacked_rank,
-                required_rank=p.verdict.required_rank,
-            )
-        out.append(entry)
-    return out
+            entry.update(_indices(p.verdict), **_ranks(p.verdict))
+        pairs.append(entry)
+    return {
+        "branch": list(leaf.branch.path),
+        "functions": [h.render() for h in leaf.functions],
+        "shortfall": leaf.shortfall,
+        "basis": [w.render() for w in leaf.branch.F_perp.covectors],
+        "pairs": pairs,
+    }
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -107,22 +120,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         sys_p = prolong(base, p, p)
         tree = run_algorithm1(sys_p) if args.algorithm == 1 else run_algorithm2(sys_p)
         leaves = extract_candidates(tree)
-        candidates = []
-        for leaf in leaves:
-            candidates.append(
-                {
-                    "branch": list(leaf.branch.path),
-                    "functions": [h.render() for h in leaf.functions],
-                    "shortfall": leaf.shortfall,
-                    "basis": [w.render() for w in leaf.basis],
-                    "pairs": _pair_payload(leaf),
-                }
-            )
         schedule.append(
             {
                 "prolongation": p,
                 "branches": _branch_payload(tree),
-                "candidates": candidates,
+                "candidates": [_leaf_payload(leaf) for leaf in leaves],
             }
         )
         if not tree.reached():
@@ -186,16 +188,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report["error"] = str(err)
         _emit(report, None)
         return EXIT_NEGATIVE
-    cand = jets.candidate
-    report["indices"] = {"K": list(cand.K), "R": list(cand.R), "d": cand.d}
     sfe = sfe_gtf_test(jets)
     verdict = sfe.verdict
-    report["rank_check"] = {
-        "passed": verdict.passed,
-        "spans_states": verdict.spans_states,
-        "stacked_rank": verdict.stacked_rank,
-        "required_rank": verdict.required_rank,
-    }
+    report["indices"] = _indices(verdict)
+    report["rank_check"] = {"passed": verdict.passed, **_ranks(verdict)}
     report["sfe"] = {
         "passed": sfe.passed,
         "q_sequence": [
@@ -276,8 +272,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         command = {"analyze": cmd_analyze, "verify": cmd_verify, "prolong": cmd_prolong}
         return command[args.command](args)
     # a monomial past the packed format's limits comes from the input's size:
-    # too many symbols, or a power such as x^100000
-    except (ModelFileError, MonomialLimitError, OSError) as err:
+    # too many symbols, or a power such as x^100000; a coefficient with no
+    # residue modulo the sampling prime comes from the input's numbers
+    except (ModelFileError, MonomialLimitError, PrimeDenominatorError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as err:  # rank disagreements and other internal faults

@@ -56,7 +56,6 @@ from .errors import (
     ChartMismatchError,
     NotIntegrableError,
     RankDisagreementError,
-    ZeroDenominatorError,
 )
 from .expr import (
     Chart,
@@ -379,12 +378,10 @@ def first_integrals(q: Codistribution) -> FirstIntegralsResult:
     Works row by row on an echelonized basis; each row is path-integrated
     modulo the coordinates already pivoted by earlier rows (those are
     frozen, i.e. treated as constants), with no closedness test first.
-    Rows whose coefficients fall outside the built-in antiderivative class
-    are reported as shortfall rather than guessed at.  The one exactness
-    gate is membership: a found h is kept only when dh is nonzero and lies
-    in span{q}.  dh is taken up to den(h)^2 (`fields.differential`): that
-    membership and the independence of the functions found read only the
-    line each differential spans.
+    Every row yields a nonzero polynomial h (see `_integrate_row`), whose
+    differential dh is exact, so a shortfall has two causes only: the one
+    exactness gate, membership, which keeps h exactly when dh lies in
+    span{q}, and the exact independence of the differentials kept.
     """
     if q.is_empty():
         return FirstIntegralsResult([], 0)
@@ -397,44 +394,53 @@ def first_integrals(q: Codistribution) -> FirstIntegralsResult:
     frozen: set[str] = set()
     for row, col in zip(res.rows, res.pivot_cols):
         h = _integrate_row(chart, normalize_vector(row, chart), frozen)
-        if h is not None:
-            dh = differential(h)
-            if not dh.is_zero() and q.contains_covector(dh):
-                funcs.append(strip_coordinate_constant(h))
-                diffs.append(list(dh.components))
+        dh = differential(h)
+        if q.contains_covector(dh):
+            funcs.append(strip_coordinate_constant(h))
+            diffs.append(list(dh.components))
         frozen.add(chart.coordinates[col])
-    # Differentials of the found functions must stay independent.
+    # The gate checks dh in span{q}, not dh proportional to the row, so the
+    # differentials kept must still be independent.
     kept = exact_independent_rows(diffs, chart)
     return FirstIntegralsResult([funcs[i] for i in kept], q.rank)
 
 
 def _integrate_row(
     chart: Chart, w: Sequence[Expr], frozen: set[str]
-) -> Optional[Expr]:
+) -> Expr:
+    """The path integral of w from the origin, with the frozen coordinates
+    held constant: over the active coordinates x_1, ..., x_L in chart order
+    (unfrozen, w_i != 0), the term of x_i integrates w_i with x_(i+1), ...,
+    x_L set to 0 in x_i and subtracts its value at x_i = 0.  A lone active
+    coordinate with a constant entry gives that coordinate itself: the row
+    2*dx2 gives x2, where integration would give 2*x2.
+
+    The rows of `first_integrals` make this total, with a polynomial h:
+
+    - w comes from `normalize_vector`, so every entry has denominator 1.
+      `at_zero` of a polynomial never meets a pole, and `antiderivative`
+      returns None only for a denominator in x_i;
+    - echelon row k is nonzero in its pivot column, which no earlier row
+      froze, so some coordinate is active;
+    - x_L appears only in the last term, since every earlier integrand has
+      it set to 0, and that term's x_L-derivative is w_L != 0, so h and dh
+      are nonzero.
+    """
     active = [
         (i, name)
         for i, name in enumerate(chart.coordinates)
         if name not in frozen and not w[i].is_zero()
     ]
-    if not active:
-        return None
     if len(active) == 1:
         i, name = active[0]
         if w[i].is_constant():
             return chart.sym(name)
     h = chart.zero
     names = [name for _, name in active]
-    try:
-        for pos, (i, name) in enumerate(active):
-            integrand = at_zero(w[i], names[pos + 1:])
-            if integrand.is_zero():
-                continue
-            prim = antiderivative(integrand, name)
-            if prim is None:
-                return None
-            h = h + prim - at_zero(prim, (name,))
-    except ZeroDenominatorError:
-        # Freezing later coordinates at zero can land on a pole of the
-        # integrand: path integration from the origin is undefined there.
-        return None
-    return h if not h.is_zero() else None
+    for pos, (i, name) in enumerate(active):
+        integrand = at_zero(w[i], names[pos + 1:])
+        if integrand.is_zero():
+            continue
+        prim = antiderivative(integrand, name)
+        h = h + prim - at_zero(prim, (name,))
+    return h

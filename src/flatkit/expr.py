@@ -458,15 +458,17 @@ class Expr:
     __str__ = render
 
 
-def _clear_sin_denominator(
-    s2c: dict[int, int], high: int, num: Poly, den: Poly
-) -> tuple[Poly, Poly]:
-    """Multiply through by conjugates until the denominator is sine-free.
+def clear_sines(chart: Chart, num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """(num * c, den * c), circle-reduced, for trig-reduced polynomials num
+    and den != 0, where c is the product of den's sine conjugates: den * c
+    is sine-free and num/den unchanged, and a sine-free den comes back with
+    c = 1.
 
     With sine-free denominators, cross-multiplied identities hold in the
     plain polynomial ring, which makes the canonical representative unique
     even though the circle ring is not a UFD.
     """
+    s2c, high = chart._sin_to_cos, chart._circle_high
     for si in s2c:
         if p_degree_in(den, si):
             # sin -> -sin for one angle is an automorphism of the ring
@@ -474,14 +476,6 @@ def _clear_sin_denominator(
             num = p_circle_reduce(p_mul(num, conj), s2c, high)
             den = p_circle_reduce(p_mul(den, conj), s2c, high)
     return num, den
-
-
-def clear_sines(chart: Chart, num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """(num * c, den * c), circle-reduced, for trig-reduced polynomials num
-    and den != 0, where c is the product of den's sine conjugates (see
-    `_clear_sin_denominator`): den * c is sine-free and num/den unchanged,
-    and a sine-free den comes back with c = 1."""
-    return _clear_sin_denominator(chart._sin_to_cos, chart._circle_high, num, den)
 
 
 def _monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -505,7 +499,7 @@ def _canonicalize(chart: Chart, num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if p_is_const(den):
         return _monic(num, den)
     if s2c:
-        num, den = _clear_sin_denominator(s2c, high, num, den)
+        num, den = clear_sines(chart, num, den)
     if not p_is_const(num):
         q = p_div_exact(num, den)
         if q is not None:
@@ -863,17 +857,16 @@ def antiderivative(e: Expr, sym: str) -> Optional[Expr]:
     Supported integrands are polynomial in sym, sin(sym) and cos(sym) (with
     coefficients free of sym); denominators must not involve sym.  This is the
     class closed under the classic power-reduction formulas, which suffices
-    for path integration of exact covector components.
+    for path integration of exact covector components.  A numerator is
+    never outside it: sym, sin(sym) and cos(sym) are the only generators
+    whose base is sym, so the rest of a monomial, with their exponents
+    cleared, is free of sym.  Only a denominator in sym returns None.
     """
     chart = e.chart
     if not chart.has_symbol(sym):
         raise UnknownSymbolError(sym)
-
-    def involves_sym(idx: int) -> bool:
-        return chart.gen_info(idx).base == sym
-
     for idx in p_vars(e.den):
-        if involves_sym(idx):
+        if chart.gen_info(idx).base == sym:
             return None
 
     sym_idx = chart._index[sym]
@@ -892,41 +885,30 @@ def antiderivative(e: Expr, sym: str) -> Optional[Expr]:
             rest = mono_set(rest, si, 0)
         if ci is not None:
             rest = mono_set(rest, ci, 0)
-        for idx, _ in mono_items(rest):
-            if involves_sym(idx):
-                return None
-        piece = _integrate_monomial(chart, sym, p, a, b)
-        if piece is None:
-            return None
-        total = total + chart.poly({rest: c}) * piece
+        total = total + chart.poly({rest: c}) * _integrate_monomial(chart, sym, p, a, b)
     return total / den_expr
 
 
-def _integrate_monomial(chart: Chart, sym: str, p: int, a: int, b: int) -> Optional[Expr]:
-    """Integral of sym^p * sin(sym)^a * cos(sym)^b with respect to sym."""
+def _integrate_monomial(chart: Chart, sym: str, p: int, a: int, b: int) -> Expr:
+    """Integral of sym^p * sin(sym)^a * cos(sym)^b with respect to sym, for
+    a <= 1: canonical forms keep sine exponents at most 1.  Every result is
+    a polynomial in sym, sin(sym) and cos(sym), so the integration by parts
+    meets its own class again."""
     x = chart.sym(sym)
     if a == 0 and b == 0:
         return x ** (p + 1) / (p + 1)
     s = fn_sin(x)
     c = fn_cos(x)
     if p == 0:
-        if a == 0:
-            inner = _integrate_monomial(chart, sym, 0, 0, b - 2) if b >= 2 else chart.zero
-            if b == 1:
-                return s
-            if inner is None:
-                return None
-            return c ** (b - 1) * s / b + inner * Fraction(b - 1, b)
         if a == 1:
             return -(c ** (b + 1)) / (b + 1)
-        return None  # canonical forms keep sine exponents below two
+        if b == 1:
+            return s
+        inner = _integrate_monomial(chart, sym, 0, 0, b - 2)
+        return c ** (b - 1) * s / b + inner * Fraction(b - 1, b)
     # integration by parts lowers the power of sym
     inner = _integrate_monomial(chart, sym, 0, a, b)
-    if inner is None:
-        return None
     tail = antiderivative(x ** (p - 1) * inner, sym)
-    if tail is None:
-        return None
     return x**p * inner - chart.const(p) * tail
 
 

@@ -149,8 +149,6 @@ def echelon(matrix: Matrix, chart: Chart) -> EchelonResult:
 
 
 def exact_rank(matrix: Matrix, chart: Chart) -> int:
-    if not matrix:
-        return 0
     return echelon(matrix, chart).rank
 
 
@@ -195,8 +193,7 @@ def normalize_vector(vec: Sequence[Expr], chart: Chart) -> list[Expr]:
     for e in cleared:
         if not e.is_zero():
             g = e.num if g is None else sympoly.p_gcd(g, e.num)
-    if g is None:
-        return list(vec)
+    # a zero vector leaves g None and comes back as zeros
     out = []
     for e in cleared:
         if e.is_zero():

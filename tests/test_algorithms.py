@@ -320,7 +320,7 @@ def test_extract_functions_only_above_corank_two(chained5):
     assert leaf.pairs == ()
     assert leaf.shortfall == 0
     assert [h.render() for h in leaf.functions] == ["z1", "z2", "z3"]
-    assert len(leaf.basis) == 3
+    assert len(leaf.branch.F_perp.covectors) == 3
 
 
 # --- candidate direction selection ------------------------------------------------

@@ -816,6 +816,22 @@ def test_exponent_past_the_limit_in_model_is_input_error(tmp_path, capsys):
     assert "drift component for 'x': an exponent passes the limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("analyze",), ("verify", "--output", "x1", "x2")], ids=["analyze", "verify"]
+)
+def test_coefficient_the_sampling_prime_divides_is_input_error(tmp_path, capsys, argv):
+    # 2^61 - 1 is the sampling prime: x2/(2^61 - 1) has no residue modulo it
+    data = json.loads((MODELS / "example1.json").read_text())
+    data["drift"][0] = "0 + x2/2305843009213693951"
+    path = write_model(tmp_path, "prime", data)
+    code = main([argv[0], path, *argv[1:]])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: coefficient")
+    assert "divisible by 2^61 - 1" in err
+
+
 def test_chart_past_the_slots_is_input_error(tmp_path, capsys):
     states = [f"x{i}" for i in range(SLOTS + 1)]
     data = {

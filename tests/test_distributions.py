@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatkit.algorithms import run_algorithm2
+from flatkit.algorithms import extract_candidates, run_algorithm1, run_algorithm2
 from flatkit.distributions import (
     Codistribution,
     Distribution,
@@ -23,7 +23,7 @@ from flatkit.distributions import (
     sum_spans,
 )
 from flatkit import distributions, linalg
-from flatkit.errors import NotIntegrableError, RankDisagreementError, ZeroDenominatorError
+from flatkit.errors import NotIntegrableError, RankDisagreementError
 from flatkit.expr import Chart
 from flatkit.fields import (
     CovectorField,
@@ -468,6 +468,7 @@ def test_characteristic_of_full_tangent_space(chained5):
 
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+TEST_MODELS = Path(__file__).resolve().parent / "models"
 
 
 def ref_cauchy_fields(d):
@@ -754,18 +755,32 @@ def test_first_integrals_reports_shortfall():
     assert not result.complete()
 
 
-def test_first_integrals_pole_on_the_path_is_a_shortfall(monkeypatch):
-    # A pole met while freezing coordinates at zero blocks path integration
-    # by design; the row counts as a shortfall.
-    chart = Chart(["x", "y"])
-    q = Codistribution(chart, (differential(parse(chart, "x + y")),), RankEngine(seed=4))
+def test_every_integrated_row_is_polynomial_with_an_unfrozen_entry(monkeypatch):
+    # The invariants `_integrate_row` rests on, read at every reached leaf of
+    # the bundled and test models under both algorithms up to prolongation 2:
+    # normalized rows have denominator-1 entries, each row is nonzero in a
+    # column no earlier row froze, and h and dh are nonzero.
+    seen = []
+    real = distributions._integrate_row
 
-    def pole(*args):
-        raise ZeroDenominatorError("denominator is identically zero")
+    def checked(chart, w, frozen):
+        assert all(e.den == chart.one.den for e in w), w
+        assert any(
+            not e.is_zero() and name not in frozen for e, name in zip(w, chart.coordinates)
+        )
+        h = real(chart, w, frozen)
+        assert h.den == chart.one.den and not differential(h).is_zero()
+        seen.append(h)
+        return h
 
-    monkeypatch.setattr(distributions, "antiderivative", pole)
-    result = first_integrals(q)
-    assert result.functions == [] and result.shortfall == 1
+    monkeypatch.setattr(distributions, "_integrate_row", checked)
+    paths = sorted(MODELS.glob("*.json")) + sorted(TEST_MODELS.glob("*.json"))
+    for path in paths:
+        base = build_system(load_model(path), seed=0)
+        for p in range(3):
+            for run in (run_algorithm1, run_algorithm2):
+                extract_candidates(run(prolong(base, p, p)))
+    assert len(seen) >= 100
 
 
 def test_first_integrals_unexpected_error_propagates(monkeypatch):

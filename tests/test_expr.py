@@ -385,6 +385,45 @@ def test_antiderivative_trig(chart):
         assert (differentiate(F, "theta") - e).is_zero(), text
 
 
+# c * x^p * sin(x)^a * cos(x)^b * y^i * theta^j * cos(theta)^k * eps^l, with
+# a <= 1 as canonical forms keep it, p <= 3 and b <= 4: every branch of
+# `_integrate_monomial`, integration by parts included
+_integrand_terms = st.lists(
+    st.tuples(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+        st.integers(0, 3),
+        st.integers(0, 1),
+        st.integers(0, 4),
+        st.tuples(*[st.integers(0, 2)] * 4),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=60)
+@given(_integrand_terms)
+@example(
+    [
+        (Fraction(1), 0, 0, 0, (0, 0, 0, 0)),
+        (Fraction(2), 0, 1, 3, (1, 0, 0, 0)),
+        (Fraction(-1), 0, 0, 1, (0, 1, 0, 0)),
+        (Fraction(1, 2), 0, 0, 4, (0, 0, 1, 1)),
+        (Fraction(3), 3, 1, 4, (2, 2, 2, 2)),
+    ]
+)
+def test_antiderivative_of_every_term_in_the_class(terms):
+    chart = Chart(["x", "y", "z", "theta"], ["eps"])
+    e = chart.zero
+    for c, p, a, b, (i, j, k, l) in terms:
+        e = e + chart.parse(
+            f"{c}*x^{p}*sin(x)^{a}*cos(x)^{b}*y^{i}*theta^{j}*cos(theta)^{k}*eps^{l}"
+        )
+    F = antiderivative(e, "x")
+    assert F is not None
+    assert differentiate(F, "x") == e
+
+
 def test_antiderivative_outside_class(chart):
     assert antiderivative(chart.parse("1/x"), "x") is None
     assert antiderivative(chart.parse("cot(theta)"), "theta") is None
