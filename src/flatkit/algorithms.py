@@ -81,12 +81,15 @@ class StepRecord(NamedTuple):
 
 
 class Branch(NamedTuple):
-    """One explored path: its final (post-replacement) sequence and records."""
+    """One explored path: its final (post-replacement) sequence and records.
+    `status` is "reached-tangent-space" when the last member is T(X) and
+    "stalled" when a step added no rank (see `_drive`); F and F-perp are set
+    on reached branches only."""
 
     path: tuple[int, ...]
     records: tuple[StepRecord, ...]
     sequence: tuple[Distribution, ...]
-    status: str  # "reached-tangent-space" | "stalled" | "depth-capped"
+    status: str  # "reached-tangent-space" | "stalled"
     F: Optional[Distribution]
     F_perp: Optional[Codistribution]
 
@@ -264,13 +267,16 @@ class _Frontier(NamedTuple):
 
 def _leaf(st: _Frontier, status: str) -> Branch:
     """Close a branch.  F is the Cauchy characteristic of the member below
-    T(X), which is that member itself if it is involutive; undefined off
-    reached leaves and for length-one chains."""
+    T(X), which is that member itself if it is involutive, and is undefined
+    off reached leaves.  By convention D_0 = 0: a chain of one member,
+    span{g1, g2} = T(X), has F = 0 and F-perp = span{dx}, whose first
+    integrals are the coordinates."""
     seq = tuple(st.sequence)
     F: Optional[Distribution] = None
     F_perp: Optional[Codistribution] = None
-    if status == "reached-tangent-space" and len(seq) >= 2:
-        F = cauchy_characteristic(seq[-2])
+    if status == "reached-tangent-space":
+        below = seq[-2] if len(seq) >= 2 else _empty(seq[0].chart, seq[0].engine)
+        F = cauchy_characteristic(below)
         F_perp = F.annihilator()
     return Branch(st.path, tuple(st.records), seq, status, F, F_perp)
 
@@ -281,16 +287,23 @@ def _drive(
     closure: Callable[[Distribution], Distribution],
     rule: Callable[[VectorField, list[Distribution]], list[StepRecord]],
 ) -> BranchTree:
-    """Grow D_1 = span{g1, g2} until T(X), a stall or the depth cap 2n.
+    """Grow D_1 = span{g1, g2} until T(X) or a stall.
 
     An involutive frontier takes a drift step (A).  `rule` turns a
     non-involutive one into step records, one branch each when there are
     several.  A step grows its base (the rebuilt frontier, else the
     frontier) by a drift step when the base is involutive and by `closure`
-    otherwise; the branch stalls when that adds nothing or a rebuilt
-    frontier is no larger than its predecessor."""
+    otherwise; the branch stalls when that adds no rank or a rebuilt
+    frontier is no larger than its predecessor.
+
+    No depth cap is needed.  Both stall tests are strict, so every member a
+    step appends has a sampled rank above the member before it, even when a
+    sampled rank reads too low.  The ranks run from 2 to at most n, so a
+    sequence has at most n - 1 members.  A branch takes one record per
+    step: one fewer than its members when it reaches T(X), and one per
+    member when it stalls, all of them below n.  Either way it has at most
+    n - 2 records."""
     f = sys.f
-    cap = 2 * sys.n
     work = [_Frontier([span(sys.chart, (sys.g1, sys.g2), sys.engine)], [], ())]
     leaves: list[Branch] = []
     while work:
@@ -298,9 +311,6 @@ def _drive(
         frontier = st.sequence[-1]
         if frontier.rank == sys.n:
             leaves.append(_leaf(st, "reached-tangent-space"))
-            continue
-        if len(st.records) >= cap:
-            leaves.append(_leaf(st, "depth-capped"))
             continue
         if frontier.is_involutive():
             steps = [StepRecord("A", frontier)]
@@ -315,8 +325,8 @@ def _drive(
                 st.records + [step],
                 st.path + (ordinal,) if len(steps) > 1 else st.path,
             )
-            shrunk = step.replaced is not None and base.rank == st.sequence[-2].rank
-            if shrunk or produced.rank == base.rank:
+            shrunk = step.replaced is not None and base.rank <= st.sequence[-2].rank
+            if shrunk or produced.rank <= base.rank:
                 leaves.append(_leaf(child, "stalled"))
                 continue
             child.sequence.append(produced)
@@ -415,13 +425,11 @@ def _verify_pair(
 
 def extract_candidates(tree: BranchTree) -> tuple[LeafCandidates, ...]:
     """Candidate functions per reached leaf: first integrals of F-perp.  A
-    two-function basis is emitted as a verified pair; other counts are left
-    for downstream pairing.  On a shortfall the raw basis stays visible as
-    the branch's F-perp."""
+    complete two-function basis is emitted as a verified pair; a leaf with
+    any other count, or a shortfall, gets no pair, and its functions and
+    F-perp stay visible in the report."""
     out: list[LeafCandidates] = []
     for branch in tree.reached():
-        if branch.F_perp is None:
-            continue
         integrals = first_integrals(branch.F_perp)
         functions = tuple(integrals.functions)
         pairs: tuple[CandidatePair, ...] = ()

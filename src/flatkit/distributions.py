@@ -294,7 +294,8 @@ def cauchy_characteristic(d: Distribution) -> Distribution:
     """C(D) = {v in D : [v, D] subset D}, exact over the function field, and
     computed once per distribution.
 
-    An involutive D, the tangent space among them, is its own characteristic.
+    An involutive D is its own characteristic: the empty span and the
+    tangent space, both coordinate spans, among them.
     Otherwise, with basis fields v_a and annihilator covectors w_k, the
     combination sum_a alpha_a v_a lies in C(D) iff
     sum_a alpha_a <w_k, [v_a, v_b]> = 0 for all k, b — a linear system over
@@ -303,7 +304,7 @@ def cauchy_characteristic(d: Distribution) -> Distribution:
     """
     if d._cauchy is not None:
         return d._cauchy
-    if d.is_empty() or not d.annihilator().covectors or d.is_involutive():
+    if d.is_involutive():
         d._cauchy = d
         return d
     chart, basis, ann = d.chart, d.basis(), d.annihilator().covectors
@@ -381,10 +382,9 @@ def first_integrals(q: Codistribution) -> FirstIntegralsResult:
     Every row yields a nonzero polynomial h (see `_integrate_row`), whose
     differential dh is exact, so a shortfall has two causes only: the one
     exactness gate, membership, which keeps h exactly when dh lies in
-    span{q}, and the exact independence of the differentials kept.
+    span{q}, and the exact independence of the differentials kept.  An
+    empty q is a coordinate span, integrable with no rows: ([], 0).
     """
-    if q.is_empty():
-        return FirstIntegralsResult([], 0)
     if not q.is_integrable():
         raise NotIntegrableError("codistribution fails the Frobenius test")
     chart = q.chart

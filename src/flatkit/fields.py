@@ -254,9 +254,7 @@ def differential(h: Expr) -> CovectorField:
     one = p_const(1)
     indices = sorted(chart.index(name) for name in h._symbol_set())
     coords = {j: (j, one) for j in indices if j < dim}
-    if not coords:
-        parts = {}
-    elif p_is_const(h.den):
+    if p_is_const(h.den):
         parts = derive(h, chain(chart, coords))
     else:
         parts = {}

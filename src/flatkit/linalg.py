@@ -154,13 +154,12 @@ def exact_rank(matrix: Matrix, chart: Chart) -> int:
 
 def exact_independent_rows(matrix: Matrix, chart: Chart) -> list[int]:
     """Indices of the rows that raise the exact rank of the rows taken
-    before them: the exact counterpart of `RankEngine.independent_rows`."""
+    before them: the exact counterpart of `RankEngine.independent_rows`.
+    One echelon per row decides it, the first row and a zero row included."""
     taken: Matrix = []
     picked: list[int] = []
     for i, row in enumerate(matrix):
-        if all(e.is_zero() for e in row):
-            continue
-        if not taken or echelon(taken + [row], chart).rank > len(taken):
+        if echelon(taken + [row], chart).rank > len(taken):
             taken.append(row)
             picked.append(i)
     return picked
@@ -219,14 +218,13 @@ def right_nullspace(matrix: Matrix, chart: Chart, ncols: int) -> list[list[Expr]
     Columns that are zero in every row produce unit solutions directly; the
     elimination then runs on the remaining block only.  On the wide, mostly
     empty matrices coming from jet-space annihilators this removes nearly all
-    of the work.
+    of the work.  With no live column the block is empty, of rank 0, and
+    adds no solution.
     """
     live_set = {j for row in matrix for j, e in enumerate(row) if e.num}
     live = sorted(live_set)
     dead = [j for j in range(ncols) if j not in live_set]
     out = [unit_vector(chart, ncols, j) for j in dead]
-    if not live:
-        return out
     res = echelon([[row[j] for j in live] for row in matrix], chart)
     # scaling a row by a rational function keeps the solutions
     rows = [[e.num for e in _clear_row_denominators(row, chart)] for row in res.rows[: res.rank]]
@@ -309,11 +307,10 @@ def _free_solution(
 
 
 def left_nullspace(matrix: Matrix, chart: Chart) -> list[list[Expr]]:
-    """Exact basis of {c : c M = 0}."""
-    if not matrix:
-        return []
-    transpose = [[matrix[i][j] for i in range(len(matrix))] for j in range(len(matrix[0]))]
-    return right_nullspace(transpose, chart, ncols=len(matrix))
+    """Exact basis of {c : c M = 0}: the right nullspace of the transpose,
+    which `zip(*M)` takes.  An M with no columns transposes to no rows, so
+    every unit vector of length len(M) solves it, and an empty M has none."""
+    return right_nullspace(list(zip(*matrix)), chart, ncols=len(matrix))
 
 
 def unit_vector(chart: Chart, n: int, j: int) -> list[Expr]:

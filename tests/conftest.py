@@ -193,6 +193,17 @@ def brunovsky4() -> ControlAffineSystem:
     )
 
 
+# x1' = x2^2 + u1, x2' = u2: span{g1, g2} is already the tangent space
+FULLY_ACTUATED_MODEL = {
+    "name": "fully-actuated",
+    "states": ["x1", "x2"],
+    "inputs": ["u1", "u2"],
+    "drift": ["x2^2", "0"],
+    "g1": ["1", "0"],
+    "g2": ["0", "1"],
+}
+
+
 def as_system(plant: Plant, name: str = "") -> ControlAffineSystem:
     """Wrap a Plant fixture as a two-input control-affine system."""
     return ControlAffineSystem(

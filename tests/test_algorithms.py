@@ -16,6 +16,7 @@ from flatkit import (
     build_system,
     extract_candidates,
     load_model,
+    model_from_dict,
     run_algorithm1,
     run_algorithm2,
 )
@@ -27,7 +28,13 @@ from flatkit.fields import CovectorField, differential, lie_bracket, zero_field
 from flatkit.linalg import RankEngine
 from flatkit.system import prolong
 
-from conftest import apply_static_feedback, as_system, coordinate_field, field_from_dict
+from conftest import (
+    FULLY_ACTUATED_MODEL,
+    apply_static_feedback,
+    as_system,
+    coordinate_field,
+    field_from_dict,
+)
 
 
 def _covspan(sys: ControlAffineSystem, names: list[str]) -> Codistribution:
@@ -377,6 +384,49 @@ def test_lemma_candidates_rejects_non_involutive_middle():
 
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+TEST_MODELS = Path(__file__).resolve().parent / "models"
+
+
+def test_every_branch_rises_strictly_within_n_minus_two_records():
+    """`_drive` needs no depth cap: its stall tests are strict, so the
+    sampled ranks of a branch's members rise strictly from 2 to at most n,
+    and a branch takes at most n - 2 records.  Over models/, tests/models/
+    and the fully actuated model, both algorithms, prolongations (p, p) with
+    p <= 2; the longest branch reaches the bound."""
+    paths = sorted(MODELS.glob("*.json")) + sorted(TEST_MODELS.glob("*.json"))
+    models = [load_model(path) for path in paths] + [model_from_dict(FULLY_ACTUATED_MODEL)]
+    slack = []
+    for model in models:
+        base = build_system(model, 0)
+        for p in range(3):
+            system = prolong(base, p, p)
+            for run in (run_algorithm1, run_algorithm2):
+                for b in run(system).branches:
+                    assert b.status in ("reached-tangent-space", "stalled")
+                    assert all(lo < hi for lo, hi in zip(b.ranks, b.ranks[1:]))
+                    assert len(b.records) <= system.n - 2
+                    slack.append(system.n - 2 - len(b.records))
+    assert len(slack) >= 40 and min(slack) == 0
+
+
+@pytest.mark.parametrize("run", [run_algorithm1, run_algorithm2])
+def test_an_under_read_member_stalls_the_branch(brunovsky4, monkeypatch, run):
+    """A sampled rank can read too low.  The engine reads the drift step's
+    member span{g1, g2, [f, g1], [f, g2]} at rank 1, below its base: the
+    branch stalls there rather than go on from a member of lower rank."""
+    engine = brunovsky4.engine
+    sampled = engine.independent_rows
+
+    def under_read(rows, chart):  # the first call on more than two rows
+        if len(rows) <= 2:
+            return sampled(rows, chart)
+        monkeypatch.setattr(engine, "independent_rows", sampled)
+        return sampled(rows, chart)[:1]
+
+    monkeypatch.setattr(engine, "independent_rows", under_read)
+    (branch,) = run(brunovsky4).branches
+    assert branch.status == "stalled"
+    assert branch.ranks == (2,) and branch.tags == ("A",)
 
 
 def test_refined_windows_hold_the_unchecked_preconditions(monkeypatch):
@@ -450,6 +500,14 @@ def test_membership_solver_paths():
     # rows with different roots only share the second direction
     sols = _solve_membership(chart, [(zero, one, zero), (one, one, zero)])
     assert [(a.render(), b.render()) for a, b in sols] == [("0", "1")]
+
+    # (t - r)(t - y) and (t - r)(t + 1) share the root r, though neither
+    # discriminant is a square `exact_sqrt` can take: the Euclid finds it
+    chart = Chart(["x", "y", "theta"])
+    r = chart.parse("x + 2*sin(theta)")
+    rows = [(r * s, -(r + s) / 2, chart.one) for s in (chart.sym("y"), -chart.one)]
+    (sol,) = _solve_membership(chart, rows)
+    assert sol[0] == chart.one and (sol[1] - r).is_zero()
 
 
 def test_expr_sqrt_finds_sine_factor():

@@ -26,6 +26,8 @@ from flatkit.errors import ModelFileError
 from flatkit.parser import MAX_DEPTH
 from flatkit.sympoly import MAX_EXP, SLOTS
 
+from conftest import FULLY_ACTUATED_MODEL
+
 MODELS = Path(__file__).resolve().parent.parent / "models"
 DATA = Path(__file__).resolve().parent / "data"
 TEST_MODELS = Path(__file__).resolve().parent / "models"
@@ -248,30 +250,18 @@ def test_analyze_reports_a_rejected_pair_with_its_reason(monkeypatch, capsys):
     assert sorted(pair) == ["functions", "passed", "reason"]
 
 
-# x1' = x2^2 + u1, x2' = u2: span{g1, g2} is already the tangent space, so
-# the one leaf has no member below T(X) and no annihilator to integrate
-FULLY_ACTUATED_MODEL = {
-    "name": "fully-actuated",
-    "states": ["x1", "x2"],
-    "inputs": ["u1", "u2"],
-    "drift": ["x2^2", "0"],
-    "g1": ["1", "0"],
-    "g2": ["0", "1"],
-}
-
-
 def test_analyze_leaf_without_a_member_below_the_tangent_space(tmp_path, capsys):
+    """span{g1, g2} is already the tangent space, so the one leaf has no
+    member below T(X); D_0 = 0 takes that place, and its annihilator
+    span{dx} integrates to the coordinates."""
     path = write_model(tmp_path, "fully-actuated", FULLY_ACTUATED_MODEL)
     code, report, _ = run_cli(capsys, "analyze", path, "--max-prolong", "0")
-    assert code == 3
+    assert code == 0
     (entry,) = report["schedule"]
     (branch,) = entry["branches"]
     assert branch["status"] == "reached-tangent-space"
-    assert branch["annihilator"] is None and branch["ranks"] == [2]
-    assert entry["candidates"] == []
-    code, report, _ = run_cli(capsys, "analyze", path, "--max-prolong", "1")
-    assert code == 0
-    assert report["result"]["prolongation"] == 1
+    assert branch["annihilator"] == ["dx1", "dx2"] and branch["ranks"] == [2]
+    assert report["result"]["prolongation"] == 0
     assert report["result"]["output"] == ["x1", "x2"]
 
 
