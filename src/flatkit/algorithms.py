@@ -12,9 +12,11 @@ admissible solutions (C-i); otherwise the frontier is closed (B, C-ii, or D
 with the failed precondition recorded).  Terminal data F / F-perp yield
 candidate flat-output functions via first integrals.
 
-The quadratic's discriminant takes its root in the expression field by
-`expr.exact_sqrt`; the candidate directions clear their denominators with
-`Chart.poly`.  This module works on expressions and fields only and
+The stacked quadratics have one path to their solutions: the last live
+row's discriminant takes its root by `expr.exact_sqrt`, which is complete
+on the expression field, and a root of that row is kept when every other
+row vanishes there.  The candidate directions clear their denominators
+with `Chart.poly`.  This module works on expressions and fields only and
 imports nothing from `sympoly`.
 """
 
@@ -140,29 +142,6 @@ def _complement_pair(
 # --- the quadratic membership condition -------------------------------------------
 
 
-def _t_trim(p: list[Expr]) -> list[Expr]:
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _t_mod(a: list[Expr], b: list[Expr]) -> list[Expr]:
-    a = list(a)
-    while a and len(a) >= len(b):
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] = a[shift + i] - factor * c
-        _t_trim(a)
-    return a
-
-
-def _t_gcd(a: list[Expr], b: list[Expr]) -> list[Expr]:
-    while b:
-        a, b = b, _t_mod(a, b)
-    return a
-
-
 def _solve_membership(
     chart: Chart,
     rows: list[tuple[Expr, Expr, Expr]],
@@ -173,28 +152,25 @@ def _solve_membership(
     live = [r for r in rows if not all(c.is_zero() for c in r)]
     if not live:
         return None
-    solutions: list[tuple[Expr, Expr]] = []
-    # a = (1, t): common roots of c11 + 2 c12 t + c22 t^2 over the field
-    g: list[Expr] = []
-    for c11, c12, c22 in live:
-        poly = _t_trim([c11, c12 + c12, c22])
-        g = poly if not g else _t_gcd(g, poly)
-        if len(g) == 1:
-            break
-    one, zero = chart.one, chart.zero
-    if len(g) == 2:
-        solutions.append((one, -g[0] / g[1]))
-    elif len(g) == 3:
-        disc = g[1] * g[1] - chart.const(4) * g[0] * g[2]
-        root = exact_sqrt(disc)
+    # a = (1, t): the roots of the last live row c11 + 2 c12 t + c22 t^2
+    # that every other row shares
+    c11, c12, c22 = live[-1]
+    roots: list[Expr] = []
+    if not c22.is_zero():
+        root = exact_sqrt(c12 * c12 - c11 * c22)
         if root is not None:
-            half = chart.const(2) * g[2]
-            solutions.append((one, (-g[1] + root) / half))
+            roots = [(root - c12) / c22]
             if not root.is_zero():
-                solutions.append((one, (-g[1] - root) / half))
+                roots.append((-c12 - root) / c22)
+    elif not c12.is_zero():
+        roots = [-c11 / (c12 + c12)]
+    solutions: list[tuple[Expr, Expr]] = []
+    for t in roots:
+        if all((a + (b + b + c * t) * t).is_zero() for a, b, c in live[:-1]):
+            solutions.append((chart.one, t))
     # a = (0, 1) solves iff every c22 row vanishes
     if all(c22.is_zero() for _, _, c22 in live):
-        solutions.append((zero, one))
+        solutions.append((chart.zero, chart.one))
     return solutions
 
 

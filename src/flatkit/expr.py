@@ -39,7 +39,9 @@ never construct an Expr with `_raw=True`:
 * `quotient_rule(e, chain)` is the numerator d * D(n) - n * D(d) of a
   derivation D of e = n/d, per slot, which `derive` and
   `fields.differential` both take;
-* `exact_sqrt(e)` is a square root in the expression field;
+* `exact_sqrt(e)` is a square root in the expression field, found
+  whenever e is a square there: `_trig_sqrt` takes it through the
+  half-angle map, in which `p_sqrt` is complete;
 * `clear_sines(chart, num, den)` scales a polynomial quotient by the sine
   conjugates of its denominator, which leaves a sine-free denominator.
 
@@ -639,37 +641,70 @@ FUNCTION_TABLE: dict[str, Callable[[Expr], Expr]] = {
 # -- exact square roots ---------------------------------------------------------
 
 
-def _trig_sqrt(p: Poly, sin_to_cos: dict[int, int]) -> Optional[Poly]:
-    """Exact square root of a canonical polynomial, None if none is found.
+def _substitute(p: Poly, si: int, ci: int, image: Callable[[int, int], Poly]) -> Poly:
+    """p with each power s^a c^b of the generators si, ci replaced by
+    image(a, b)."""
+    parts: dict[tuple[int, int], Poly] = {}
+    for m, c in p.items():
+        base = mono_set(mono_set(m, si, 0), ci, 0)
+        parts.setdefault((mono_get(m, si), mono_get(m, ci)), {})[base] = c
+    out: Poly = {}
+    for (a, b), q in parts.items():
+        out = p_add(out, p_mul(q, image(a, b)))
+    return out
 
-    Canonical forms rewrite sin^2 as 1 - cos^2, so (q*sin)^2 arrives as
-    (1 - cos^2)*q^2; that shape is tried for one sine factor.  Roots mixing
-    sine and sine-free terms, such as (a + b*sin)^2, are not found.
+
+def _trig_sqrt(chart: Chart, p: Poly) -> Optional[Poly]:
+    """Exact square root of a polynomial in the trig ring, None when p is
+    not a square there.
+
+    The half-angle map s = 2t/(1 + t^2), c = (1 - t^2)/(1 + t^2), with t in
+    s's slot, embeds the circle ring of a pair (s, c) in Q(t).  For 2e at
+    least p's degree in (s, c), p (1 + t^2)^(2e) is a polynomial, a square
+    exactly when p is one, and `p_sqrt` is complete on polynomials.  Its
+    root has degree at most 2e in t and maps back term by term:
+      t^k / (1 + t^2)^e
+        = s^min(k, 2e - k) (1 + c)^max(e - k, 0) (1 - c)^max(k - e, 0) / 2^e.
+    The root takes `p_sqrt`'s sign: its coefficient is positive on the
+    monomial that leads when generators are compared from the highest
+    index down.
     """
+    halves: list[tuple[int, int, int]] = []
+    for si, ci in chart._sin_to_cos.items():
+        e = (max((mono_get(m, si) + mono_get(m, ci) for m in p), default=0) + 1) // 2
+        if not e:
+            continue
+        t, t2 = p_var(si), p_mul(p_var(si), p_var(si))
+        minus, plus = p_sub(_UNIT, t2), p_add(_UNIT, t2)
+
+        def image(a: int, b: int) -> Poly:  # s^a c^b (1 + t^2)^(2e)
+            powers = p_mul(p_pow(minus, b), p_pow(plus, 2 * e - a - b))
+            return p_scale(p_mul(p_pow(t, a), powers), 2**a)
+
+        p = _substitute(p, si, ci, image)
+        halves.append((si, ci, e))
     root = p_sqrt(p)
-    if root is not None:
+    if root is None or not halves:
         return root
-    for si, ci in sin_to_cos.items():
-        q = p_div_exact(p, p_sub(p_const(1), p_mul(p_var(ci), p_var(ci))))
-        root = None if q is None else p_sqrt(q)
-        if root is not None:
-            return p_mul(root, p_var(si))
-    return None
+    for si, ci, e in halves:
+        s, minus, plus = p_var(si), p_sub(_UNIT, p_var(ci)), p_add(_UNIT, p_var(ci))
+
+        def preimage(k: int, _: int) -> Poly:  # t^k / (1 + t^2)^e
+            powers = p_mul(p_pow(plus, max(e - k, 0)), p_pow(minus, max(k - e, 0)))
+            return p_scale(p_mul(p_pow(s, min(k, 2 * e - k)), powers), Fraction(1, 2**e))
+
+        root = _substitute(root, si, ci, preimage)
+    root = chart.reduce(root)
+    lead = max(root, key=lambda m: sorted(mono_items(m), reverse=True))
+    return p_neg(root) if root[lead] < 0 else root
 
 
 def exact_sqrt(e: Expr) -> Optional[Expr]:
     """Exact square root in the expression field, None if not a square."""
-    # sqrt(num/den) = sqrt(num*den)/den.  One root of the product also covers
-    # a sine factor of den: den keeps a positive lead, so its factor 1 - cos^2
-    # arrives as cos^2 - 1 with the sign moved onto num
-    num = _trig_sqrt(p_mul(e.num, e.den), e.chart._sin_to_cos)
-    if num is None:
-        return None
-    root = Expr(e.chart, num, e.den)
-    # trig reduction may have rewritten the radicand; trust only a re-check
-    if not (root * root - e).is_zero():
-        return None
-    return root
+    # sqrt(num/den) = sqrt(num*den)/den: a field element is a square exactly
+    # when num*den is one in the trig ring, which is integrally closed
+    num = _trig_sqrt(e.chart, p_mul(e.num, e.den))
+    return None if num is None else Expr(e.chart, num, e.den)
 
 
 # -- differentiation ----------------------------------------------------------

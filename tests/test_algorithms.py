@@ -7,9 +7,12 @@ it builds for the bundled models."""
 from __future__ import annotations
 
 import random
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatkit import (
     ControlAffineSystem,
@@ -23,10 +26,11 @@ from flatkit import (
 from flatkit import algorithms
 from flatkit.algorithms import _drift_step, _lemma1_window, _solve_membership
 from flatkit.distributions import Codistribution, cauchy_characteristic, span, sum_spans
-from flatkit.expr import Chart, exact_sqrt
+from flatkit.expr import Chart, Expr, exact_sqrt
 from flatkit.fields import CovectorField, differential, lie_bracket, zero_field
 from flatkit.linalg import RankEngine
-from flatkit.system import prolong
+from flatkit.sympoly import p_const, p_div_exact, p_mul, p_sqrt, p_sub, p_var
+from flatkit.system import output_jets, prolong, verify_flat_output
 
 from conftest import (
     FULLY_ACTUATED_MODEL,
@@ -501,8 +505,10 @@ def test_membership_solver_paths():
     sols = _solve_membership(chart, [(zero, one, zero), (one, one, zero)])
     assert [(a.render(), b.render()) for a, b in sols] == [("0", "1")]
 
-    # (t - r)(t - y) and (t - r)(t + 1) share the root r, though neither
-    # discriminant is a square `exact_sqrt` can take: the Euclid finds it
+    # (t - r)(t - y) and (t - r)(t + 1) share the root r = x + 2 sin(theta):
+    # the last row's discriminant is the square of a root that mixes sine
+    # and sine-free terms, so its roots are r and -1, and only r zeroes the
+    # first row
     chart = Chart(["x", "y", "theta"])
     r = chart.parse("x + 2*sin(theta)")
     rows = [(r * s, -(r + s) / 2, chart.one) for s in (chart.sym("y"), -chart.one)]
@@ -511,10 +517,21 @@ def test_membership_solver_paths():
 
 
 def test_expr_sqrt_finds_sine_factor():
-    chart = Chart(["theta", "z1"])
+    chart = Chart(["theta", "z1", "phi"])
     s, c, z1 = chart.parse("sin(theta)"), chart.parse("cos(theta)"), chart.sym("z1")
-    # canonical forms hold sin^2 as 1 - cos^2, so these squares show no sine
-    for root in (2 * s, z1 * s, s / (1 + z1 * z1), (z1 + c) / s):
+    sp, cp = chart.parse("sin(phi)"), chart.parse("cos(phi)")
+    # canonical forms hold sin^2 as 1 - cos^2, so these squares show no sine;
+    # the last three roots mix sine and sine-free terms, one over two angles
+    # and one with a mixed numerator over a sine-free denominator
+    for root in (
+        2 * s,
+        z1 * s,
+        s / (1 + z1 * z1),
+        (z1 + c) / s,
+        z1 + 3 * s,
+        (1 + s) * (c + z1 * sp + cp),
+        (z1 * c + s) / (2 + c + z1 * z1),
+    ):
         square = root * root
         found = exact_sqrt(square)
         assert found is not None and (found * found - square).is_zero()
@@ -522,21 +539,162 @@ def test_expr_sqrt_finds_sine_factor():
     assert exact_sqrt(z1 * (1 - c * c)) is None
 
 
-def test_refined_vtol_sine_root_after_adding_g1_to_g2(vtol):
-    """g2 <- g2 + g1 makes the Lemma-1 discriminant 4 - 4 cos(theta)^2, the
-    square of 2 sin(theta): both steps stay C-i and the Huygens output is found."""
+def _reference_trig_sqrt(p, sin_to_cos):
+    """The earlier root finder: a plain polynomial root, else one sine
+    factor, since a canonical (q*sin)^2 arrives as (1 - cos^2)*q^2."""
+    root = p_sqrt(p)
+    if root is not None:
+        return root
+    for si, ci in sin_to_cos.items():
+        q = p_div_exact(p, p_sub(p_const(1), p_mul(p_var(ci), p_var(ci))))
+        root = None if q is None else p_sqrt(q)
+        if root is not None:
+            return p_mul(root, p_var(si))
+    return None
+
+
+def _reference_sqrt(e: Expr):
+    num = _reference_trig_sqrt(p_mul(e.num, e.den), e.chart.sin_to_cos())
+    if num is None:
+        return None
+    root = Expr(e.chart, num, e.den)
+    return root if (root * root - e).is_zero() else None
+
+
+_SQRT_CHART = Chart(["x", "theta", "phi"], ["eps"])
+_SQRT_ATOMS = [
+    _SQRT_CHART.parse(text)
+    for text in ("x", "eps", "sin(theta)", "cos(theta)", "sin(phi)", "cos(phi)", "1", "2")
+]
+
+
+def _random_root(rng: random.Random) -> Expr:
+    """A sum of up to three products of atoms over two angles and eps; 30%
+    of them over a sine-free denominator and 20% times a sine."""
+    chart = _SQRT_CHART
+    r = chart.zero
+    for _ in range(rng.randint(1, 3)):
+        term = chart.const(rng.choice([1, -1, 2, -3, 5]))
+        for _ in range(rng.randint(0, 2)):
+            term = term * rng.choice(_SQRT_ATOMS)
+        r = r + term
+    if rng.random() < 0.3:
+        r = r / (1 + chart.sym("x") ** 2 + rng.choice(_SQRT_ATOMS[:2]) * _SQRT_ATOMS[3])
+    if rng.random() < 0.2:
+        r = r * _SQRT_ATOMS[2]
+    return r
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32))
+def test_expr_sqrt_is_complete_and_matches_the_earlier_roots(seed):
+    """Every square gets a root, the same one wherever the earlier finder
+    gave one, and a square plus x gets none."""
+    r = _random_root(random.Random(seed))
+    square = r * r
+    found = exact_sqrt(square)
+    assert found is not None and found * found == square
+    reference = _reference_sqrt(square)
+    assert reference is None or reference == found
+    assert exact_sqrt(square + _SQRT_CHART.sym("x")) is None
+
+
+def test_expr_sqrt_over_four_angles_is_fast():
+    """The half-angle map keeps each angle's degree: a square over four
+    angles takes milliseconds, where squaring the degree per angle would
+    take minutes."""
+    chart = Chart(["a", "b", "c", "d", "x"])
+    r = chart.parse("sin(a) + x*cos(b) + 2*sin(c)*cos(d) + sin(a)*sin(d) - 1")
+    square = r * r
+    start = time.perf_counter()
+    found = exact_sqrt(square)
+    assert time.perf_counter() - start < 1.0
+    assert found == r
+
+
+_STACK_CHART = Chart(["x", "y", "theta"])
+_STACK_POOL = [
+    _STACK_CHART.parse(text)
+    for text in ("x", "y", "1", "2", "-3", "sin(theta)", "cos(theta)", "x*y", "1/(1 + x^2)")
+]
+
+
+def test_membership_stacks_keep_their_planted_roots():
+    """Stacks of 1-4 rows, each l(t - r)(t - r2), l(t - r), l(1 + t^2) or
+    zero, with l, r, r2 of the form a + b*c over a pool of trig and
+    rational atoms: r is found whenever no 1 + t^2 row forbids it, every
+    returned solution zeroes every row, and the solver stays fast."""
+    chart, rng = _STACK_CHART, random.Random(150)
+
+    def value() -> Expr:
+        v = chart.zero
+        while v.is_zero():
+            v = rng.choice(_STACK_POOL) + rng.choice(_STACK_POOL) * rng.choice(_STACK_POOL)
+        return v
+
+    start, planted = time.perf_counter(), 0
+    for _ in range(40):
+        r, rows, blocked = value(), [], False
+        for _ in range(rng.randint(1, 4)):
+            kind, lam = rng.randrange(4), value()
+            if kind == 0:
+                r2 = value()
+                rows.append((lam * r * r2, -lam * (r + r2) / 2, lam))
+            elif kind == 1:
+                rows.append((-lam * r, lam / 2, chart.zero))
+            elif kind == 2:
+                rows.append((lam, chart.zero, lam))
+                blocked = True
+            else:
+                rows.append((chart.zero,) * 3)
+        solutions = _solve_membership(chart, rows)
+        if all(c.is_zero() for row in rows for c in row):
+            assert solutions is None
+            continue
+        for a1, a2 in solutions:
+            for c11, c12, c22 in rows:
+                assert (c11 * a1 * a1 + 2 * c12 * a1 * a2 + c22 * a2 * a2).is_zero()
+        if not blocked:
+            assert (chart.one, r) in solutions
+            planted += 1
+    assert planted >= 10
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize(
+    "b12, b21",
+    [
+        ("1", "0"),
+        ("1", "sin(theta)"),
+        ("sin(theta)", "1"),
+        ("2", "1 + sin(theta)"),
+        ("z", "x*sin(theta)"),
+        ("vx", "sin(theta)"),
+        ("x*sin(theta)", "cos(theta)"),
+    ],
+)
+def test_refined_vtol_finds_huygens_under_trig_feedback(vtol, b12, b21):
+    """beta = [[1, b12], [b21, 1]], whose columns are the new input fields.
+    g2 <- g2 + g1 makes the Lemma-1 discriminant 4 - 4 cos(theta)^2, the
+    square of 2 sin(theta); under the other feedbacks its root mixes sine
+    and sine-free terms.  Both steps stay C-i and the Huygens output is
+    found and verified."""
     sys = as_system(vtol, "vtol")
-    one, zero = sys.chart.one, sys.chart.zero
-    fed = apply_static_feedback(sys, (zero, zero), ((one, one), (zero, one)))
+    chart = sys.chart
+    beta = ((chart.one, chart.parse(b12)), (chart.parse(b21), chart.one))
+    fed = apply_static_feedback(sys, (chart.zero, chart.zero), beta)
     tree = run_algorithm2(fed)
     assert [b.tags for b in tree.branches] == [("A", "C-i", "A")] * 2
+    huygens = ["-eps*sin(theta) + x", "eps*cos(theta) + z"]
     passed = [
         [h.render() for h in pair.functions]
         for leaf in extract_candidates(tree)
         for pair in leaf.pairs
         if pair.passed
     ]
-    assert passed == [["-eps*sin(theta) + x", "eps*cos(theta) + z"]]
+    assert passed == [huygens]
+    phi = (chart.parse(huygens[0]), chart.parse(huygens[1]))
+    assert verify_flat_output(output_jets(fed, phi)).passed
 
 
 # --- the characteristic direction in triangular coordinates ------------------------

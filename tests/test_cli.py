@@ -659,6 +659,17 @@ def test_rational_field_reports_are_pinned(capsys, name, command, code):
     assert capsys.readouterr().out == expected
 
 
+def test_sine_feedback_report_is_pinned(capsys):
+    """tests/models/vtol-sine-feedback.json is vtol under the static
+    feedback beta = [[1, 1], [sin(theta), 1]], whose columns are the new
+    input fields.  Its Lemma-1 discriminant is the square of a root that
+    mixes sine and sine-free terms; both C-i branches reach T(X) and the
+    Huygens output passes."""
+    expected = (DATA / "analyze-vtol-sine-feedback.json").read_text()
+    assert main(["analyze", str(TEST_MODELS / "vtol-sine-feedback.json")]) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize(
     "name, command, code", VERIFY_REPORTS, ids=[case[0] for case in VERIFY_REPORTS]

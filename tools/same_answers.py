@@ -8,7 +8,7 @@ For each seed and workload, the questions are built once, with flatbench's
 a temporary directory).  Then come the models of that tree, `models/*.json`
 and `tests/models/*.json`: `analyze` under algorithms 1 and 2 at
 `--max-prolong 2`, and `verify` of each model's `flat_output`, at flatkit
-seeds 0-3 (84 questions for the seven models).  The benchmark corpus has no
+seeds 0-3 (96 questions for the eight models).  The benchmark corpus has no
 model with rational-function entries, and the test models do.  Last come
 `verify` questions about fixed rational outputs on the bundled models, at
 the same seeds (28 questions): the benchmark asks one such pair, and the
