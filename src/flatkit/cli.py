@@ -17,10 +17,10 @@ and seed produce identical bytes.  Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import __version__
@@ -108,7 +108,7 @@ def _leaf_payload(leaf: LeafCandidates) -> dict:
     }
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: SimpleNamespace) -> int:
     if args.max_prolong < 0:
         raise ModelFileError("--max-prolong must be non-negative")
     model = load_model(args.model)
@@ -164,7 +164,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_NEGATIVE
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     model = load_model(args.model)
     sys_ = build_system(model, args.seed)
     try:
@@ -203,7 +203,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.passed else EXIT_NEGATIVE
 
 
-def cmd_prolong(args: argparse.Namespace) -> int:
+def cmd_prolong(args: SimpleNamespace) -> int:
     p1, p2 = args.orders
     if p1 < 0 or p2 < 0:
         raise ModelFileError("prolongation orders must be non-negative")
@@ -222,35 +222,90 @@ def cmd_prolong(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; that code is reserved for
-    # internal diagnostics here, so remap usage errors to the input code
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+# Each command's help line and its options after the model path, in order,
+# as the keyword arguments of argparse's add_argument.  `_read_canonical`
+# reads argv from this table and `_build_parser` builds argparse from it.
+_COMMANDS = {
+    "analyze": (
+        "search for flat-output candidates",
+        {
+            "--algorithm": {"type": int, "choices": (1, 2), "default": 2},
+            "--max-prolong": {"type": int, "default": 0, "metavar": "N"},
+            "--seed": {"type": int, "default": 0, "metavar": "S"},
+            "--json": {"metavar": "PATH"},
+        },
+    ),
+    "verify": (
+        "check a declared output pair",
+        {
+            "--output": {"nargs": 2, "required": True, "metavar": ("EXPR1", "EXPR2")},
+            "--seed": {"type": int, "default": 0, "metavar": "S"},
+        },
+    ),
+    "prolong": (
+        "write an input-prolonged model",
+        {
+            "--orders": {"nargs": 2, "type": int, "required": True, "metavar": ("P1", "P2")},
+            "--out": {"required": True, "metavar": "PATH"},
+        },
+    ),
+}
+
+
+def _read_canonical(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The fields argparse gives for `argv` when it is canonical: the command,
+    the model path, then whole option names, each followed by its values,
+    none of which starts with "-" (a repeated option keeps its last values,
+    as in argparse).  None for any other argv, and for one whose value the
+    converter or the choices refuse or that lacks a required option:
+    argparse answers those."""
+    if len(argv) < 2 or argv[0] not in _COMMANDS or argv[1].startswith("-"):
+        return None
+    options = _COMMANDS[argv[0]][1]
+    given: dict = {}
+    i = 2
+    while i < len(argv):
+        spec = options.get(argv[i])
+        if spec is None:
+            return None
+        n = spec.get("nargs", 1)
+        raw = argv[i + 1 : i + 1 + n]
+        if len(raw) < n or any(v.startswith("-") for v in raw):
+            return None
+        try:
+            values = [spec.get("type", str)(v) for v in raw]
+        except ValueError:
+            return None
+        if "choices" in spec and any(v not in spec["choices"] for v in values):
+            return None
+        given[argv[i]] = values if "nargs" in spec else values[0]
+        i += 1 + n
+    fields = {"command": argv[0], "model": argv[1]}
+    for flag, spec in options.items():
+        if spec.get("required") and flag not in given:
+            return None
+        fields[flag[2:].replace("-", "_")] = given.get(flag, spec.get("default"))
+    return SimpleNamespace(**fields)
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="flatkit", description=__doc__)
+def _build_parser() -> "argparse.ArgumentParser":
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        # argparse exits with status 2 on bad usage; that code is reserved for
+        # internal diagnostics here, so remap usage errors to the input code
+        def error(self, message: str) -> None:  # type: ignore[override]
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(prog="flatkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="search for flat-output candidates")
-    analyze.add_argument("model")
-    analyze.add_argument("--algorithm", type=int, choices=(1, 2), default=2)
-    analyze.add_argument("--max-prolong", type=int, default=0, metavar="N")
-    analyze.add_argument("--seed", type=int, default=0, metavar="S")
-    analyze.add_argument("--json", metavar="PATH", default=None)
-
-    verify = sub.add_parser("verify", help="check a declared output pair")
-    verify.add_argument("model")
-    verify.add_argument("--output", nargs=2, required=True, metavar=("EXPR1", "EXPR2"))
-    verify.add_argument("--seed", type=int, default=0, metavar="S")
-
-    pro = sub.add_parser("prolong", help="write an input-prolonged model")
-    pro.add_argument("model")
-    pro.add_argument("--orders", nargs=2, type=int, required=True, metavar=("P1", "P2"))
-    pro.add_argument("--out", required=True, metavar="PATH")
+    for name, (help_line, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        command.add_argument("model")
+        for flag, spec in options.items():
+            command.add_argument(flag, **spec)
     return parser
 
 
@@ -258,15 +313,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command and return its exit code, for every outcome: usage
     errors (1) and -h (0) return too instead of raising SystemExit.
 
-    The argument parser is built once per process, on the first call; it is
-    the only object kept between calls, and each call reads, parses and
-    builds its own model.  Output goes to the sys.stdout and sys.stderr
-    current at the call.
+    A canonical argv (see `_read_canonical`) is read straight from the
+    command table.  Any other argv, -h and every usage error among them, goes
+    to the argparse parser built from the same table, so the help, the error
+    bytes and the accepted forms (such as `--alg 1`, `--seed=3` or options
+    before the model) are argparse's.  That parser is built once per process,
+    on the first such call; it is the only object kept between calls, and
+    each call reads, parses and builds its own model.  Output goes to the
+    sys.stdout and sys.stderr current at the call.
     """
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as stop:  # usage errors and -h
-        return stop.code
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_canonical(argv)
+    if args is None:
+        try:
+            args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
+        except SystemExit as stop:  # usage errors and -h
+            return stop.code
     try:
         # looked up at each call, so a wrapper set on the module runs too
         command = {"analyze": cmd_analyze, "verify": cmd_verify, "prolong": cmd_prolong}

@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flatkit.algorithms
 import flatkit.cli
@@ -447,8 +449,8 @@ def test_verify_computes_candidate_once(monkeypatch, capsys):
 
 
 def test_main_runs_the_command_bound_in_the_module_at_the_call(monkeypatch, capsys):
-    """The parser is built on the first call; a wrapper set on the module's
-    `cmd_verify` after it still runs, as a tracer installs one."""
+    """A wrapper set on the module's `cmd_verify` after a first call still
+    runs, as a tracer installs one."""
     argv = ["verify", str(MODELS / "example3.json"), "--output", "z1", "z3"]
     assert main(argv) == 0
     capsys.readouterr()
@@ -930,24 +932,78 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    flatkit.cli._build_parser.cache_clear()
     good = ["analyze", str(MODELS / "example3.json")]
     bad = ["analyze", str(MODELS / "example3.json"), "--algorithm", "7"]
-    # the first call writes elsewhere: the parser may be built here, and the
+    # canonical argv builds no parser
+    assert main(good) == 0
+    good_out, _ = capsys.readouterr()
+    assert json.loads(good_out)["result"]["passed"] and built == []
+    # the first other call writes elsewhere and builds the parser there; the
     # later calls must still write to capsys's streams
     with contextlib.redirect_stdout(io.StringIO()) as first_out:
-        with contextlib.redirect_stderr(io.StringIO()):
-            first = main(good)
+        with contextlib.redirect_stderr(io.StringIO()) as first_err:
+            first = main(bad)
+    assert built == ["flatkit", "flatkit analyze", "flatkit verify", "flatkit prolong"]
     answers = []
     for argv in (bad, good, bad, good):
         code = main(argv)
         answers.append((code, *capsys.readouterr()))
-    assert len(built) <= 4  # the top parser and its three subcommands
-    assert first == 0 and json.loads(first_out.getvalue())["result"]["passed"]
-    assert answers[1] == answers[3] == (0, first_out.getvalue(), "")
-    assert answers[0] == answers[2]
-    code, out, err = answers[0]
-    assert code == 1 and out == ""
+    assert len(built) == 4
+    assert first == 1 and first_out.getvalue() == ""
+    assert answers[0] == answers[2] == (1, "", first_err.getvalue())
+    assert answers[1] == answers[3] == (0, good_out, "")
+    err = first_err.getvalue()
     assert err.startswith("usage: flatkit analyze") and "invalid choice: 7" in err
+
+
+# Tokens of the command-line grammar, bad ones among them: abbreviations,
+# `--opt=value`, help, negative numbers and other values argparse reads
+# differently or refuses.
+ARGV_FLAGS = ["--algorithm", "--max-prolong", "--seed", "--json", "--output", "--orders", "--out"]
+ARGV_FLAGS += ["--alg", "--seed=3", "--out=p", "-h", "--", "-s"]
+ARGV_VALUES = ["0", "1", "2", "7", "-1", "-5", "x", "", " 3", "+2", "1_0", "\u0663", "z1", "z3 + x"]
+ARGV_VALUES += ["-z1", "a=b", "p.json", "verify"]
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """An argv that mostly takes some of the command's own options, each once
+    with its value count, and sometimes another flag, value count, model
+    token or a truncation."""
+    command = draw(st.sampled_from(["analyze", "verify", "prolong", "check", "-h"]))
+    own = flatkit.cli._COMMANDS[command][1] if command in flatkit.cli._COMMANDS else {}
+    model = "m.json" if draw(st.integers(0, 3)) else draw(st.sampled_from(["-m", "", "--seed", "analyze"]))
+    flags = list(draw(st.permutations(list(own))))[: draw(st.integers(0, len(own)))]
+    if not draw(st.integers(0, 3)):
+        flags.insert(draw(st.integers(0, len(flags))), draw(st.sampled_from(ARGV_FLAGS)))
+    argv = [command, model]
+    for flag in flags:
+        count = own[flag].get("nargs", 1) if flag in own else 1
+        if not draw(st.integers(0, 4)):
+            count = draw(st.integers(0, 3))
+        argv += [flag, *(draw(st.sampled_from(ARGV_VALUES)) for _ in range(count))]
+    return argv if draw(st.integers(0, 4)) else argv[: draw(st.integers(0, len(argv)))]
+
+
+def test_canonical_reader_agrees_with_argparse(capsys):
+    accepted = []
+
+    @settings(max_examples=600)
+    @given(argvs())
+    def agrees(argv):
+        read = flatkit.cli._read_canonical(argv)
+        if read is not None:
+            try:
+                parsed = flatkit.cli._build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"read {argv!r}, which argparse refuses: {capsys.readouterr().err}")
+            assert vars(read) == vars(parsed)
+            accepted.append(argv[0])
+
+    agrees()
+    # the grammar reaches the canonical form of every command
+    assert set(accepted) == {"analyze", "verify", "prolong"} and len(accepted) >= 50
 
 
 def test_console_entry_point():

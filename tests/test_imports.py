@@ -183,6 +183,27 @@ def test_cold_start_loads_no_code_generation_modules():
     assert proc.stdout.split() == []
 
 
+def test_canonical_argv_loads_no_argparse():
+    # main reads canonical argv from its command table: argparse, and the
+    # gettext catalogue lookups its parser build makes, stay out of a process
+    # that gets one
+    code = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import flatkit.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = flatkit.cli.main(["verify", sys.argv[2], "--output", "z1", "z3", "--seed", "1"])
+print(code, *(m for m in ("argparse", "gettext") if m in sys.modules))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(ROOT / "src"), str(ROOT / "models" / "example3.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
 def _private_constants(stmt: ast.stmt) -> list[str]:
     """`_`-prefixed names bound by a module-level assignment, dunders aside."""
     if isinstance(stmt, ast.Assign):

@@ -9,14 +9,19 @@ a temporary directory).  Then come the models of that tree, `models/*.json`
 and `tests/models/*.json`: `analyze` under algorithms 1 and 2 at
 `--max-prolong 2`, and `verify` of each model's `flat_output`, at flatkit
 seeds 0-3 (96 questions for the eight models).  The benchmark corpus has no
-model with rational-function entries, and the test models do.  Last come
+model with rational-function entries, and the test models do.  Then come
 `verify` questions about fixed rational outputs on the bundled models, at
 the same seeds (28 questions): the benchmark asks one such pair, and the
-repository models ask only their declared outputs.  Each tree
-answers every question through `flatkit.cli.main`, in one process per tree
-and question set, as a flatbench worker does.  The first question whose
-exit code, stdout or stderr differs is printed, and the script exits 1 on
-any difference, 0 otherwise.
+repository models ask only their declared outputs.  Last come 15 command
+lines, all but one outside the canonical form `flatkit.cli` reads itself, so
+that its argparse parser answers them: help, usage errors, abbreviations,
+`--opt=value`, options before the model and negative numbers.  The one
+canonical line repeats `--seed`, which the reader takes as argparse does:
+the last value wins.  Each tree answers every question through
+`flatkit.cli.main`, in one process per tree and question set, as a
+flatbench worker does.  For each question set the script prints how many
+questions differ in exit code, stdout or stderr and shows the first three;
+it exits 1 on any difference, 0 otherwise.
 
 Building the corpus needs sympy, so this is a tool, not a tier-1 test.
 """
@@ -44,6 +49,7 @@ RATIONAL_OUTPUTS = (
     ("example3", ("z1", "z3/(1 + z1^2)")),
     ("example1", ("x1/(1 + x2^2)", "x2")),
 )
+SHOWN = 3  # differing questions printed per question set
 
 # Run in a child process: argv[1] is the tree's src directory, argv[2] a JSON
 # list of questions (argv lists) and argv[3] the file for the answers.
@@ -99,28 +105,55 @@ def rational_questions() -> list[dict]:
     ]
 
 
+def command_line_questions() -> list[dict]:
+    """Help, usage errors and the other argv forms of the docstring."""
+    model = str(ROOT / "models" / "example3.json")
+    argvs = [
+        ["-h"],
+        ["analyze", "-h"],
+        [],
+        ["analyze", model, "--algorithm", "7"],
+        ["analyze", model, "--seed", "x"],
+        ["analyze", model, "--seed=3"],
+        ["analyze", model, "--alg", "1"],
+        ["analyze", "--seed", "3", model],
+        ["analyze", model, "--seed", "1", "--seed", "3"],
+        ["analyze", model, "--max-prolong", "-1"],
+        ["analyze", model, "--seed", "-5"],
+        ["verify", model, "--seed", "1"],
+        ["verify", model, "--output", "-z1", "z3"],
+        ["verify", model, "--output", "-1", "z3"],
+        ["prolong", model, "--orders", "1", "0"],
+    ]
+    return [{"argv": argv} for argv in argvs]
+
+
 def compare(label: str, questions: list[dict], args: argparse.Namespace, work: Path) -> bool:
-    """Ask both trees `questions` and print one line; True when every
-    answer is the same."""
+    """Ask both trees `questions` and print one line, then the first SHOWN
+    differences; True when every answer is the same."""
     plan = work / "questions.json"
     plan.write_text(json.dumps([q["argv"] for q in questions]))
     old = answers(args.parent, plan, work / "parent.json")
     new = answers(args.change, plan, work / "change.json")
-    diff = first_difference(questions, old, new)
+    diffs = differences(questions, old, new)
     codes = sorted({str(a["code"]) for a in new})
-    status = "same" if diff is None else "DIFFERENT"
+    status = "same" if not diffs else f"DIFFERENT in {len(diffs)} of {len(questions)}"
     print(f"{label}: {len(questions)} questions, exit codes {codes}: {status}")
-    if diff is not None:
+    for diff in diffs[:SHOWN]:
         print(diff)
-    return diff is None
+    return not diffs
 
 
-def first_difference(questions: list[dict], old: list[dict], new: list[dict]) -> str | None:
-    for q, a, b in zip(questions, old, new):
-        for key in ("code", "stdout", "stderr"):
-            if a[key] != b[key]:
-                return f"{shlex.join(q['argv'])}: {key} differs\n--- parent\n{a[key]}\n--- change\n{b[key]}"
-    return None
+def differences(questions: list[dict], old: list[dict], new: list[dict]) -> list[str]:
+    """One description per question whose answers differ, in question order:
+    its argv, the first of code, stdout and stderr that differs, and both
+    values of that field."""
+    out = []
+    for q, a, b in zip(questions, old, new, strict=True):
+        key = next((k for k in ("code", "stdout", "stderr") if a[k] != b[k]), None)
+        if key is not None:
+            out.append(f"{shlex.join(q['argv'])}: {key} differs\n--- parent\n{a[key]}\n--- change\n{b[key]}")
+    return out
 
 
 def main() -> int:
@@ -143,6 +176,8 @@ def main() -> int:
         same &= compare("repository models", model_questions(), args, Path(tmp))
     with tempfile.TemporaryDirectory() as tmp:
         same &= compare("rational outputs", rational_questions(), args, Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        same &= compare("command line", command_line_questions(), args, Path(tmp))
     return 0 if same else 1
 
 
